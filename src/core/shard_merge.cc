@@ -43,6 +43,14 @@ bool DecodeMaskBits(const std::string& hex, uint64_t* mask) {
   return true;
 }
 
+bool RanksBefore(const GksNode& a, const GksNode& b) {
+  if (a.rank != b.rank) return a.rank > b.rank;
+  if (a.keyword_count != b.keyword_count) {
+    return a.keyword_count > b.keyword_count;
+  }
+  return a.id < b.id;
+}
+
 MergedShardResult MergeShardResults(const Query& query,
                                     const SearchOptions& options,
                                     std::vector<ShardPartialResult> partials) {
@@ -77,11 +85,7 @@ MergedShardResult MergeShardResults(const Query& query,
   // a total order and the result is independent of shard arrival order.
   std::sort(nodes.begin(), nodes.end(),
             [](const ShardResultNode& a, const ShardResultNode& b) {
-              if (a.node.rank != b.node.rank) return a.node.rank > b.node.rank;
-              if (a.node.keyword_count != b.node.keyword_count) {
-                return a.node.keyword_count > b.node.keyword_count;
-              }
-              return a.node.id < b.node.id;
+              return RanksBefore(a.node, b.node);
             });
   if (options.top_k > 0 && nodes.size() > options.top_k) {
     nodes.resize(options.top_k);

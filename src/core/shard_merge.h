@@ -39,7 +39,8 @@ namespace gks {
 
 /// One ranked node as a shard reported it: the engine node plus the
 /// display strings and DI contributions only the owning shard can
-/// resolve.
+/// resolve. Display strings are empty past the shard's local top
+/// `max_results`, where no merged answer can reach.
 struct ShardResultNode {
   GksNode node;
   std::string doc_name;
@@ -64,6 +65,10 @@ struct MergedShardResult {
   std::vector<std::string> describes;
   uint64_t epoch = 0;  // max shard epoch
 };
+
+/// The searcher's result order: rank desc, keyword count desc, Dewey id
+/// asc. Total, because Dewey ids are globally unique across shards.
+bool RanksBefore(const GksNode& a, const GksNode& b);
 
 /// Merges shard partials exactly as SegmentSearcher::SearchMerged merges
 /// segment partials. `options` is the client's request (s / top / top_k /

@@ -64,13 +64,17 @@ Result<CoordEndpoint> ParseEndpoint(std::string_view text) {
 
 /// One request line → the worker's JSON for it. Only the fields a shard
 /// partial needs travel: the coordinator owns DI, refinements and the
-/// max_results trim (docs/DISTRIBUTED.md).
+/// max_results trim (docs/DISTRIBUTED.md). The client's `top` travels
+/// too, and tells the worker which nodes need display strings.
 std::string BuildShardRequestLine(const WireRequest& request,
                                   bool want_contrib) {
   JsonWriter json;
   json.BeginObject();
   json.Key("query").String(request.query);
   json.Key("s").UInt(request.options.s);
+  if (request.options.max_results > 0) {
+    json.Key("top").UInt(request.options.max_results);
+  }
   if (request.options.top_k > 0) {
     json.Key("top_k").UInt(request.options.top_k);
   }
@@ -83,11 +87,47 @@ std::string BuildShardRequestLine(const WireRequest& request,
   return json.Take() + "\n";
 }
 
+/// Decodes a partial's "di_dict": the distinct contributions its nodes'
+/// "di_contrib" arrays index into.
+bool ParseDiDictionary(const JsonValue& root,
+                       std::vector<DiContribution>* out, std::string* error) {
+  const JsonValue* dict = root.Find("di_dict");
+  if (dict == nullptr) return true;
+  if (!dict->is_array()) {
+    *error = "bad di_dict";
+    return false;
+  }
+  out->reserve(dict->size());
+  for (const JsonValue& entry : dict->items()) {
+    // [tag, value, path step, path step, ...], all strings.
+    const std::vector<JsonValue>& fields = entry.items();
+    bool well_formed = fields.size() >= 2;
+    for (const JsonValue& field : fields) {
+      well_formed = well_formed && field.is_string();
+    }
+    if (!well_formed) {
+      *error = "bad di_dict entry";
+      return false;
+    }
+    DiContribution contribution;
+    contribution.tag = fields[0].GetString();
+    contribution.value = fields[1].GetString();
+    for (size_t i = 2; i < fields.size(); ++i) {
+      contribution.path.push_back(fields[i].GetString());
+    }
+    out->push_back(std::move(contribution));
+  }
+  return true;
+}
+
 /// Decodes a worker's success envelope into the merge input. A malformed
 /// response reads as a transport failure (retryable on a mirror), never
-/// as partial data.
-bool ParseShardPartial(const JsonValue& root, ShardPartialResult* out,
-                       std::string* error) {
+/// as partial data. `describe_top` is the `top` the request forwarded
+/// (0 = none): the first min(top, nodes) nodes must carry `doc` and
+/// `describe`, and the nodes must arrive in merge order, so the merged
+/// top can only reach nodes with display strings.
+bool ParseShardPartial(const JsonValue& root, size_t describe_top,
+                       ShardPartialResult* out, std::string* error) {
   out->epoch = static_cast<uint64_t>(root.Find("epoch") != nullptr
                                          ? root.Find("epoch")->GetInt()
                                          : 0);
@@ -107,6 +147,11 @@ bool ParseShardPartial(const JsonValue& root, ShardPartialResult* out,
     *error = "shard response missing plan";
     return false;
   }
+  std::vector<DiContribution> dictionary;
+  if (!ParseDiDictionary(root, &dictionary, error)) return false;
+  const size_t described = describe_top == 0
+                               ? nodes->size()
+                               : std::min(describe_top, nodes->size());
   out->nodes.reserve(nodes->size());
   for (const JsonValue& entry : nodes->items()) {
     const JsonValue* id = entry.Find("id");
@@ -126,8 +171,10 @@ bool ParseShardPartial(const JsonValue& root, ShardPartialResult* out,
       return false;
     }
     node.node.id = std::move(*dewey);
+    // A NaN rank would also break the merge sort's strict weak order.
     if (!DecodeMaskBits(mask->GetString(), &node.node.keyword_mask) ||
-        !DecodeDoubleBits(rank_bits->GetString(), &node.node.rank)) {
+        !DecodeDoubleBits(rank_bits->GetString(), &node.node.rank) ||
+        std::isnan(node.node.rank)) {
       *error = "bad mask/rank_bits encoding";
       return false;
     }
@@ -137,11 +184,19 @@ bool ParseShardPartial(const JsonValue& root, ShardPartialResult* out,
     if (const JsonValue* keywords = entry.Find("keywords")) {
       node.node.keyword_count = static_cast<uint32_t>(keywords->GetInt());
     }
-    if (const JsonValue* doc = entry.Find("doc")) {
-      node.doc_name = doc->GetString();
+    if (!out->nodes.empty() && RanksBefore(node.node, out->nodes.back().node)) {
+      *error = "shard nodes out of rank order";
+      return false;
     }
-    if (const JsonValue* describe = entry.Find("describe")) {
-      node.describe = describe->GetString();
+    const JsonValue* doc = entry.Find("doc");
+    const JsonValue* describe = entry.Find("describe");
+    if (doc != nullptr) node.doc_name = doc->GetString();
+    if (describe != nullptr) node.describe = describe->GetString();
+    if (out->nodes.size() < described &&
+        (doc == nullptr || !doc->is_string() || node.describe.empty())) {
+      *error = "shard node " + std::to_string(out->nodes.size()) +
+               " lacks doc/describe inside the forwarded top";
+      return false;
     }
     if (const JsonValue* contrib = entry.Find("di_contrib")) {
       if (!contrib->is_array()) {
@@ -150,19 +205,12 @@ bool ParseShardPartial(const JsonValue& root, ShardPartialResult* out,
       }
       node.di.reserve(contrib->size());
       for (const JsonValue& item : contrib->items()) {
-        DiContribution contribution;
-        if (const JsonValue* tag = item.Find("tag")) {
-          contribution.tag = tag->GetString();
+        if (!item.is_int() || item.GetInt() < 0 ||
+            static_cast<uint64_t>(item.GetInt()) >= dictionary.size()) {
+          *error = "di_contrib index outside di_dict";
+          return false;
         }
-        if (const JsonValue* value = item.Find("value")) {
-          contribution.value = value->GetString();
-        }
-        if (const JsonValue* path = item.Find("path")) {
-          for (const JsonValue& step : path->items()) {
-            contribution.path.push_back(step.GetString());
-          }
-        }
-        node.di.push_back(std::move(contribution));
+        node.di.push_back(dictionary[static_cast<size_t>(item.GetInt())]);
       }
     }
     out->nodes.push_back(std::move(node));
@@ -263,6 +311,8 @@ ShardCoordinator::ShardCoordinator(CoordinatorOptions options,
   shard_latency_ms_ = registry.GetHistogram("gks.coord.shard_latency_ms");
   fanout_ms_ = registry.GetHistogram("gks.coord.fanout_ms");
   merge_ms_ = registry.GetHistogram("gks.coord.merge_ms");
+  partial_bytes_ = registry.GetHistogram("gks.coord.partial_bytes");
+  decode_ms_ = registry.GetHistogram("gks.coord.decode_ms");
 }
 
 ShardCoordinator::~ShardCoordinator() { CloseAll(); }
@@ -385,7 +435,7 @@ void ShardCoordinator::ReleaseConn(Endpoint& endpoint, PooledConn conn) {
 }
 
 ShardCoordinator::AttemptResult ShardCoordinator::TryEndpoint(
-    Endpoint& endpoint, const std::string& request_line,
+    Endpoint& endpoint, const ShardRequest& request,
     std::chrono::steady_clock::time_point deadline,
     ShardPartialResult* partial, std::string* code, std::string* message) {
   double remaining = MsUntil(deadline);
@@ -403,7 +453,7 @@ ShardCoordinator::AttemptResult ShardCoordinator::TryEndpoint(
   shard_requests_total_->Increment();
   WallTimer latency;
   std::string line;
-  Status status = net::WriteAll(conn.fd, request_line);
+  Status status = net::WriteAll(conn.fd, request.line);
   if (status.ok()) {
     status = ReadLineBudgeted(conn.fd, &conn.buffer, deadline, &line);
   }
@@ -415,6 +465,7 @@ ShardCoordinator::AttemptResult ShardCoordinator::TryEndpoint(
   }
   shard_latency_ms_->Observe(latency.ElapsedMillis());
 
+  WallTimer decode;
   Result<JsonValue> root = JsonValue::Parse(line);
   if (!root.ok() || !root->is_object() || root->Find("ok") == nullptr ||
       !root->Find("ok")->is_bool()) {
@@ -438,18 +489,23 @@ ShardCoordinator::AttemptResult ShardCoordinator::TryEndpoint(
                                        : AttemptResult::kFatal;
   }
   std::string parse_error;
-  if (!ParseShardPartial(*root, partial, &parse_error)) {
+  if (!ParseShardPartial(*root, request.describe_top, partial,
+                         &parse_error)) {
     net::CloseFd(conn.fd);
     *code = std::string(wire_error::kShardUnavailable);
     *message = endpoint.address.ToString() + ": " + parse_error;
     return AttemptResult::kRetryable;
   }
+  // Metrics rather than spans: this runs on a pool thread, which has no
+  // trace collector.
+  decode_ms_->Observe(decode.ElapsedMillis());
+  partial_bytes_->Observe(static_cast<double>(line.size()));
   ReleaseConn(endpoint, std::move(conn));
   return AttemptResult::kSuccess;
 }
 
 ShardCoordinator::ShardOutcome ShardCoordinator::QueryShard(
-    size_t shard, const std::string& request_line,
+    size_t shard, const ShardRequest& request,
     std::chrono::steady_clock::time_point deadline) {
   ShardOutcome outcome;
   bool had_failure = false;
@@ -474,10 +530,10 @@ ShardCoordinator::ShardOutcome ShardCoordinator::QueryShard(
     AttemptResult result;
     if (attempt > 0) {
       ScopedSpan retry_span("coord.retry");
-      result = TryEndpoint(endpoint, request_line, deadline, &outcome.partial,
+      result = TryEndpoint(endpoint, request, deadline, &outcome.partial,
                            &outcome.error_code, &outcome.error_message);
     } else {
-      result = TryEndpoint(endpoint, request_line, deadline, &outcome.partial,
+      result = TryEndpoint(endpoint, request, deadline, &outcome.partial,
                            &outcome.error_code, &outcome.error_message);
     }
     if (result == AttemptResult::kSuccess) {
@@ -516,8 +572,9 @@ std::string ShardCoordinator::Execute(const WireRequest& request,
   }
   const bool want_contrib =
       request.options.discover_di && request.options.di_top_m > 0;
-  const std::string request_line =
-      BuildShardRequestLine(request, want_contrib);
+  const ShardRequest shard_request{
+      BuildShardRequestLine(request, want_contrib),
+      request.options.max_results};
   const auto deadline =
       std::chrono::steady_clock::now() +
       std::chrono::microseconds(
@@ -533,7 +590,7 @@ std::string ShardCoordinator::Execute(const WireRequest& request,
     // the scatter genuinely parallelizes (ParallelFor would degrade to a
     // serial loop from inside the pool).
     ParallelFor(pool_, shard_count, [&](size_t i) {
-      outcomes[i] = QueryShard(i, request_line, deadline);
+      outcomes[i] = QueryShard(i, shard_request, deadline);
     });
   }
   fanout_ms_->Observe(total.ElapsedMillis());

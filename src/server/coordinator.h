@@ -111,6 +111,13 @@ class ShardCoordinator {
 
   enum class AttemptResult { kSuccess, kRetryable, kFatal };
 
+  /// What every shard is sent: the request line, plus the `top` it
+  /// forwards, which bounds the nodes a partial must describe.
+  struct ShardRequest {
+    std::string line;
+    size_t describe_top = 0;
+  };
+
   struct ShardOutcome {
     bool ok = false;
     bool fatal = false;          // worker rejected the query itself
@@ -119,10 +126,9 @@ class ShardCoordinator {
     ShardPartialResult partial;
   };
 
-  ShardOutcome QueryShard(size_t shard, const std::string& request_line,
+  ShardOutcome QueryShard(size_t shard, const ShardRequest& request,
                           std::chrono::steady_clock::time_point deadline);
-  AttemptResult TryEndpoint(Endpoint& endpoint,
-                            const std::string& request_line,
+  AttemptResult TryEndpoint(Endpoint& endpoint, const ShardRequest& request,
                             std::chrono::steady_clock::time_point deadline,
                             ShardPartialResult* partial, std::string* code,
                             std::string* message);
@@ -153,6 +159,8 @@ class ShardCoordinator {
   Histogram* shard_latency_ms_;
   Histogram* fanout_ms_;
   Histogram* merge_ms_;
+  Histogram* partial_bytes_;
+  Histogram* decode_ms_;
 };
 
 }  // namespace gks

@@ -1,5 +1,9 @@
 #include "server/protocol.h"
 
+#include <algorithm>
+#include <functional>
+#include <unordered_map>
+
 #include "common/json_writer.h"
 
 namespace gks {
@@ -205,9 +209,11 @@ Result<WireRequest> ParseWireRequest(std::string_view line) {
             "'explain' is not available on shard partials");
       }
       // A shard partial is exactly SegmentSearcher's inner per-segment
-      // request: cross-shard stages run on the coordinator.
+      // request: cross-shard stages run on the coordinator. The client's
+      // `top` only limits which nodes carry display strings.
       request.options.discover_di = false;
       request.options.suggest_refinements = false;
+      request.describe_top = request.options.max_results;
       request.options.max_results = 0;
     }
   }
@@ -225,6 +231,38 @@ Result<WireRequest> ParseWireRequest(std::string_view line) {
 }
 
 namespace {
+
+/// Numbers a partial's distinct DI contributions in first-use order, so
+/// each (tag, value, path) triple is written once under "di_dict" and
+/// nodes refer to it by index. The contributions must outlive it.
+class DiDictionary {
+ public:
+  uint32_t IndexOf(const DiContribution& contribution) {
+    auto [it, inserted] = index_.try_emplace(
+        &contribution, static_cast<uint32_t>(entries_.size()));
+    if (inserted) entries_.push_back(&contribution);
+    return it->second;
+  }
+  const std::vector<const DiContribution*>& entries() const {
+    return entries_;
+  }
+
+ private:
+  struct Hash {
+    size_t operator()(const DiContribution* c) const {
+      std::hash<std::string_view> hash;
+      return hash(c->tag) * 31 + hash(c->value);
+    }
+  };
+  struct Equal {
+    bool operator()(const DiContribution* a, const DiContribution* b) const {
+      return a->tag == b->tag && a->value == b->value && a->path == b->path;
+    }
+  };
+
+  std::unordered_map<const DiContribution*, uint32_t, Hash, Equal> index_;
+  std::vector<const DiContribution*> entries_;
+};
 
 /// Shared body of the Query overloads: `doc_name` and `describe` resolve
 /// a node against whatever index form the caller searched.
@@ -250,39 +288,53 @@ std::string BuildQueryResponse(const WireRequest& request,
     json.Key("shards_total").UInt(extras.shards_total);
   }
   json.Key("elapsed_ms").Double(elapsed_ms);
+  // A shard partial names and describes only its first `top` nodes: the
+  // merge order is total, so the global top `top` lies within the union
+  // of the shards' local tops (docs/DISTRIBUTED.md).
+  const size_t displayed =
+      !extras.shard_mode || request.describe_top == 0
+          ? response.nodes.size()
+          : std::min(request.describe_top, response.nodes.size());
+  DiDictionary dictionary;
   json.Key("nodes").BeginArray();
   for (size_t n = 0; n < response.nodes.size(); ++n) {
     const GksNode& node = response.nodes[n];
     json.BeginObject();
     json.Key("id").String(node.id.ToString());
-    json.Key("doc").String(doc_name(node));
+    if (n < displayed) json.Key("doc").String(doc_name(node));
     json.Key("lce").Bool(node.is_lce);
     json.Key("keywords").UInt(node.keyword_count);
-    json.Key("rank").Double(node.rank);
-    json.Key("describe").String(describe(node));
     if (extras.shard_mode) {
-      // Lossless fields for the coordinator: the display "rank" above is
-      // a 3-decimal double, not enough to reproduce sort order or DI
-      // weight sums bit-exactly.
+      // Lossless fields for the coordinator: the 3-decimal display
+      // "rank" cannot reproduce sort order or DI weight sums bit-exactly.
       json.Key("mask").String(EncodeMaskBits(node.keyword_mask));
       json.Key("rank_bits").String(EncodeDoubleBits(node.rank));
+    } else {
+      json.Key("rank").Double(node.rank);
     }
-    if (extras.contributions != nullptr) {
+    if (n < displayed) json.Key("describe").String(describe(node));
+    if (extras.contributions != nullptr &&
+        !(*extras.contributions)[n].empty()) {
       json.Key("di_contrib").BeginArray();
       for (const DiContribution& contribution : (*extras.contributions)[n]) {
-        json.BeginObject();
-        json.Key("tag").String(contribution.tag);
-        json.Key("value").String(contribution.value);
-        json.Key("path").BeginArray();
-        for (const std::string& step : contribution.path) json.String(step);
-        json.EndArray();
-        json.EndObject();
+        json.UInt(dictionary.IndexOf(contribution));
       }
       json.EndArray();
     }
     json.EndObject();
   }
   json.EndArray();
+  if (extras.contributions != nullptr) {
+    json.Key("di_dict").BeginArray();
+    for (const DiContribution* entry : dictionary.entries()) {
+      json.BeginArray();
+      json.String(entry->tag);
+      json.String(entry->value);
+      for (const std::string& step : entry->path) json.String(step);
+      json.EndArray();
+    }
+    json.EndArray();
+  }
   json.Key("di").BeginArray();
   for (const DiKeyword& di : response.insights) {
     json.BeginObject();

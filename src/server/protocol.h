@@ -84,9 +84,13 @@ struct WireRequest {
   /// rank bit pattern and keyword mask so the coordinator can replay
   /// those stages losslessly.
   bool shard = false;
-  /// With `shard`, additionally attach each node's DI contribution list
-  /// (attribute tag / value / path triples) for the coordinator's DI
-  /// replay. Only valid alongside `"shard": true`.
+  /// With `shard`: the client's `top`, kept as the describe limit. Only
+  /// the first `describe_top` nodes carry `doc` and `describe` (0 = all
+  /// of them), while options.max_results stays 0 so every node ships.
+  size_t describe_top = 0;
+  /// With `shard`, additionally attach each node's DI contributions
+  /// (attribute tag / value / path triples, dictionary-coded) for the
+  /// coordinator's DI replay. Only valid alongside `"shard": true`.
   bool want_di_contrib = false;
 };
 
@@ -101,10 +105,14 @@ Result<WireRequest> ParseWireRequest(std::string_view line);
 /// builds.
 struct QueryWireExtras {
   /// Shard-worker partial: per-node "mask" (hex keyword mask) and
-  /// "rank_bits" (hex IEEE-754 rank) fields.
+  /// "rank_bits" (hex IEEE-754 rank) fields in place of the display
+  /// "rank", and "doc"/"describe" only on the first
+  /// WireRequest::describe_top nodes.
   bool shard_mode = false;
   /// Per-node DI contribution lists, aligned with response.nodes. Emitted
-  /// as "di_contrib" arrays when non-null.
+  /// when non-null, dictionary-coded: one top-level "di_dict" array of
+  /// distinct [tag, value, path...] entries, and per contributing node a
+  /// "di_contrib" array of indices into it, in contribution order.
   const std::vector<std::vector<DiContribution>>* contributions = nullptr;
   /// Shard workers hold global Dewey doc ids but a dense catalog starting
   /// at this base (IndexBuilderOptions::first_doc_id).

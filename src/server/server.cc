@@ -97,10 +97,10 @@ Status GksServer::Start() {
     GKS_RETURN_IF_ERROR(index_state_.Load());
     if (config_.cache_capacity > 0) {
       cache_ = std::make_unique<QueryResultCache>(config_.cache_capacity);
-      // Shard partials are large (every node + describe + DI
-      // contributions travels); serving repeat fan-outs from serialized
-      // bytes is what keeps a worker's share of a coordinator query at
-      // memcpy cost. 32 MiB ≈ tens of busy-query partials.
+      // Shard partials are large (every node + DI contributions
+      // travels); serving repeat fan-outs from serialized bytes is what
+      // keeps a worker's share of a coordinator query at memcpy cost.
+      // 32 MiB ≈ hundreds of busy-query partials.
       wire_cache_ = std::make_unique<WireResponseCache>(32u << 20);
     }
   }

@@ -16,14 +16,15 @@ namespace gks {
 /// keyed by the raw request line plus the serving snapshot's epoch.
 ///
 /// Why a second cache above `QueryResultCache`: a shard partial ships
-/// *every* matching node — with describe text, lossless `rank_bits`
-/// and per-node DI contributions — so the coordinator can reproduce
-/// the single-index answer bit-for-bit (docs/DISTRIBUTED.md). At that
-/// fidelity the response for a busy query runs to hundreds of
-/// kilobytes, and re-deriving the DI contributions plus re-serializing
-/// the JSON dwarfs the (cached) search itself. The coordinator builds
-/// its downstream line canonically and without an `id`, so the raw
-/// line is a complete key and the stored bytes are reusable verbatim.
+/// *every* matching node with its lossless `rank_bits` and keyword mask
+/// plus the dictionary-coded DI contributions, so the coordinator can
+/// reproduce the single-index answer bit-for-bit (docs/DISTRIBUTED.md);
+/// describe text travels only on the partial's first `top` nodes. For a
+/// busy query that still runs past a hundred kilobytes, and re-deriving
+/// the DI contributions plus re-serializing the JSON costs more than
+/// the (cached) search itself. The coordinator builds its downstream
+/// line canonically and without an `id`, so the raw line is a complete
+/// key and the stored bytes are reusable verbatim.
 ///
 /// Only `ok` responses are stored, and callers must skip requests that
 /// carry an `id` (the echo would be wrong for the next caller) or

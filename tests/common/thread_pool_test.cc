@@ -12,10 +12,12 @@ namespace gks {
 namespace {
 
 TEST(ThreadPoolTest, RunsSubmittedTasks) {
-  ThreadPool pool(4);
   std::atomic<int> count{0};
   std::mutex mu;
   std::condition_variable cv;
+  // Declared last so it is destroyed first: its join waits out the task
+  // that may still be notifying after the waiter below has returned.
+  ThreadPool pool(4);
   constexpr int kTasks = 100;
   for (int i = 0; i < kTasks; ++i) {
     pool.Submit([&] {
@@ -43,11 +45,11 @@ TEST(ThreadPoolTest, DestructorDrainsAcceptedTasks) {
 
 TEST(ThreadPoolTest, InWorkerIsVisibleInsideTasks) {
   EXPECT_FALSE(ThreadPool::InWorker());
-  ThreadPool pool(1);
   std::atomic<bool> inside{false};
   std::atomic<bool> done{false};
   std::mutex mu;
   std::condition_variable cv;
+  ThreadPool pool(1);  // last, as in RunsSubmittedTasks
   pool.Submit([&] {
     inside = ThreadPool::InWorker();
     std::lock_guard<std::mutex> lock(mu);

@@ -39,8 +39,9 @@ using gks::testing::ParseQueryOrDie;
 /// request: the client's options with the cross-shard stages disabled
 /// (discover_di / suggest_refinements off, max_results unset — those
 /// replay on the merged result), then packages the partial with the
-/// display strings and DI contributions only the owning shard can
-/// resolve.
+/// DI contributions only the owning shard can resolve, and with display
+/// strings on its first `max_results` nodes only (all when 0), as the
+/// worker does for the `top` the coordinator forwards.
 ShardPartialResult RunShard(const XmlIndex& index, uint32_t doc_base,
                             const Query& query,
                             const SearchOptions& client_options) {
@@ -67,11 +68,13 @@ ShardPartialResult RunShard(const XmlIndex& index, uint32_t doc_base,
   for (size_t i = 0; i < response->nodes.size(); ++i) {
     ShardResultNode node;
     node.node = response->nodes[i];
-    // Shard catalogs are dense from 0 while Dewey ids carry the global
-    // offset — the same doc_base translation the worker applies.
-    node.doc_name =
-        index.catalog.document(node.node.id.doc_id() - doc_base).name;
-    node.describe = DescribeNode(index, node.node);
+    if (client_options.max_results == 0 || i < client_options.max_results) {
+      // Shard catalogs are dense from 0 while Dewey ids carry the global
+      // offset — the same doc_base translation the worker applies.
+      node.doc_name =
+          index.catalog.document(node.node.id.doc_id() - doc_base).name;
+      node.describe = DescribeNode(index, node.node);
+    }
     if (i < contributions.size()) node.di = std::move(contributions[i]);
     partial.nodes.push_back(std::move(node));
   }
@@ -235,16 +238,21 @@ TEST_P(ShardEquivalence, RandomCorpusAllShardCountsAndBackends) {
     for (const std::string& text : queries) {
       Query query = ParseQueryOrDie(text);
       for (uint32_t s = 1; s <= 3; ++s) {
-        SearchOptions options;
-        options.s = s;
-        SearchResponse oracle = repo.Oracle(query, options);
-        for (bool mmap : {false, true}) {
-          char label[128];
-          std::snprintf(label, sizeof(label), "'%s' s=%u shards=%zu %s",
-                        text.c_str(), s, shard_count,
-                        mmap ? "mmap" : "eager");
-          ExpectIdentical(repo.oracle_index(), oracle,
-                          repo.Gather(mmap, query, options), label);
+        // max_results > 0 also cuts each shard's display strings to its
+        // local top; the merged top must never reach past that cut.
+        for (size_t top : {0u, 1u, 2u, 5u}) {
+          SearchOptions options;
+          options.s = s;
+          options.max_results = top;
+          SearchResponse oracle = repo.Oracle(query, options);
+          for (bool mmap : {false, true}) {
+            char label[160];
+            std::snprintf(label, sizeof(label),
+                          "'%s' s=%u top=%zu shards=%zu %s", text.c_str(), s,
+                          top, shard_count, mmap ? "mmap" : "eager");
+            ExpectIdentical(repo.oracle_index(), oracle,
+                            repo.Gather(mmap, query, options), label);
+          }
         }
       }
     }
@@ -279,11 +287,19 @@ TEST_P(ShardEquivalence, TopKAndMaxResultsSurviveTheMerge) {
                       /*pin_scan_counts=*/false);
     }
   }
-  SearchOptions trimmed;
-  trimmed.s = 2;
-  trimmed.max_results = 3;
-  ExpectIdentical(repo.oracle_index(), repo.Oracle(query, trimmed),
-                  repo.Gather(false, query, trimmed), "max_results=3");
+  for (size_t top : {1u, 2u, 3u}) {
+    SearchOptions trimmed;
+    trimmed.s = 2;
+    trimmed.max_results = top;
+    ExpectIdentical(repo.oracle_index(), repo.Oracle(query, trimmed),
+                    repo.Gather(false, query, trimmed),
+                    "max_results=" + std::to_string(top));
+    trimmed.top_k = 5;
+    ExpectIdentical(repo.oracle_index(), repo.Oracle(query, trimmed),
+                    repo.Gather(false, query, trimmed),
+                    "top_k=5 max_results=" + std::to_string(top),
+                    /*pin_scan_counts=*/false);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ShardEquivalence,
@@ -339,6 +355,17 @@ TEST(ShardTieBreaking, EqualRankTwinsAcrossShardsOrderById) {
   ASSERT_FALSE(oracle.insights.empty());
   ASSERT_EQ(merged.response.insights.size(), oracle.insights.size());
   EXPECT_GE(merged.response.insights[0].support, 2u);
+
+  // A top that ends inside a run of tied twins: only the id leg decides
+  // which twins make the merged top, and each must fall inside its own
+  // shard's described local top.
+  for (size_t top = 1; top <= 6; ++top) {
+    SearchOptions trimmed = options;
+    trimmed.max_results = top;
+    ExpectIdentical(repo.oracle_index(), repo.Oracle(query, trimmed),
+                    repo.Gather(false, query, trimmed),
+                    "twins top=" + std::to_string(top));
+  }
 }
 
 // The wire encoding the ranks and masks travel in must be lossless —

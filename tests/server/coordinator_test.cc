@@ -4,13 +4,16 @@
 // contract at the wire level — a coordinator answer is byte-identical
 // (modulo epoch/elapsed_ms) to a single-index server over the same
 // repository — plus replica failover, degraded partial answers, the
-// shard_unavailable error path, and the coordinator admin surface.
+// shard_unavailable error path, hostile partials from a fake worker, and
+// the coordinator admin surface.
 
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -20,14 +23,17 @@
 #include "index/serialization.h"
 #include "index/shard.h"
 #include "server/client.h"
+#include "server/net.h"
 #include "server/server.h"
 #include "xml/sax_parser.h"
 
 namespace gks {
 namespace {
 
-/// The sharded corpus, built once: five documents split into two shards
+/// The sharded corpus, built once: seven documents split into two shards
 /// plus one combined oracle index over the same files in the same order.
+/// The two articles with repeated authors are entities, so queries that
+/// reach them carry DI through the wire.
 struct Repo {
   std::string dir;
   ShardManifest manifest;
@@ -44,12 +50,16 @@ const Repo& BuildRepo() {
     const std::vector<std::string> docs = {
         "<article year=\"2001\"><title>xml keyword search</title>"
         "<author>weinstein</author></article>",
+        "<article year=\"2002\"><title>keyword search ranking</title>"
+        "<author>weinstein</author><author>jones</author></article>",
         "<article year=\"2001\"><title>keyword query semantics</title>"
         "<author>jones</author></article>",
         "<article year=\"2004\"><title>database keyword ranking</title>"
         "<author>weinstein</author></article>",
         "<article year=\"2004\"><title>xml database systems</title>"
         "<author>smith</author></article>",
+        "<article year=\"2006\"><title>xml keyword database</title>"
+        "<author>smith</author><author>weinstein</author></article>",
         "<article year=\"2008\"><title>search ranking potential flow</title>"
         "<author>jones</author></article>",
     };
@@ -186,6 +196,29 @@ TEST(CoordinatorTest, MergedAnswersMatchSingleIndexByteForByte) {
   for (const std::string& request : requests) {
     ExpectSameAnswer(coord_conn, single_conn, request);
   }
+
+  // Workers describe only their local top `top` nodes. With `top` below
+  // the per-shard match counts, nodes past each shard's cut ship without
+  // display strings, and the merged top must still be fully described;
+  // without `top`, every node is described and returned.
+  const std::vector<std::string> cut_requests = {
+      R"({"query":"keyword","s":1,"top":1,"plan":"merge"})",
+      R"({"query":"keyword","s":1,"top":2,"plan":"merge"})",
+      R"({"query":"xml database","s":1,"top":1,"plan":"merge"})",
+      R"({"query":"xml database","s":1,"top":2,"plan":"merge"})",
+      R"({"query":"keyword search ranking","s":1,"top":2,"plan":"merge"})",
+      R"({"query":"weinstein keyword","s":1,"top":1,"plan":"merge","top_k":3})",
+      R"({"query":"keyword","s":1,"plan":"merge"})",
+      R"({"query":"keyword search ranking","s":1,"plan":"merge"})",
+  };
+  for (const std::string& request : cut_requests) {
+    ExpectSameAnswer(coord_conn, single_conn, request);
+  }
+  // The entity articles put DI contributions on the wire, so the cases
+  // above also pin the dictionary-coded DI replay.
+  Result<JsonValue> with_di = coord_conn.Call(cut_requests[0]);
+  ASSERT_TRUE(with_di.ok()) << with_di.status().ToString();
+  EXPECT_GT(with_di->Find("di")->size(), 0u);
 
   // Unforced plan: everything but the plan *name* still agrees — per
   // shard the planner sees different posting statistics, yet every
@@ -330,10 +363,47 @@ TEST(CoordinatorTest, AdminSurfaceAndShardModeWire) {
       R"({"query":"keyword","s":1,"shard":true,"di_contrib":true})");
   ASSERT_TRUE(shard.ok());
   ASSERT_TRUE(shard->Find("ok")->GetBool());
-  ASSERT_GT(shard->Find("nodes")->size(), 0u);
+  ASSERT_GT(shard->Find("nodes")->size(), 1u);
   const JsonValue& first = shard->Find("nodes")->items()[0];
   ASSERT_NE(first.Find("mask"), nullptr);
   ASSERT_NE(first.Find("rank_bits"), nullptr);
+  EXPECT_EQ(first.Find("rank"), nullptr);  // display rank is client-only
+  // Contributions are dictionary-coded: integer indices per node into
+  // one "di_dict" of [tag, value, path...] entries.
+  const JsonValue* dict = shard->Find("di_dict");
+  ASSERT_NE(dict, nullptr);
+  size_t indices = 0;
+  for (const JsonValue& node : shard->Find("nodes")->items()) {
+    EXPECT_NE(node.Find("describe"), nullptr);  // no `top`: all described
+    if (const JsonValue* contrib = node.Find("di_contrib")) {
+      for (const JsonValue& index : contrib->items()) {
+        ASSERT_TRUE(index.is_int());
+        EXPECT_LT(static_cast<size_t>(index.GetInt()), dict->size());
+        ++indices;
+      }
+    }
+  }
+  EXPECT_GT(indices, 0u);
+  for (const JsonValue& entry : dict->items()) {
+    ASSERT_GE(entry.size(), 2u);
+    for (const JsonValue& field : entry.items()) {
+      EXPECT_TRUE(field.is_string());
+    }
+  }
+  // With `top`, every node still ships but only the first `top` carry
+  // display strings.
+  Result<JsonValue> cut =
+      worker_conn.Call(R"({"query":"keyword","s":1,"top":1,"shard":true})");
+  ASSERT_TRUE(cut.ok());
+  ASSERT_EQ(cut->Find("nodes")->size(), shard->Find("nodes")->size());
+  const std::vector<JsonValue>& cut_nodes = cut->Find("nodes")->items();
+  EXPECT_NE(cut_nodes[0].Find("doc"), nullptr);
+  EXPECT_NE(cut_nodes[0].Find("describe"), nullptr);
+  for (size_t i = 1; i < cut_nodes.size(); ++i) {
+    EXPECT_EQ(cut_nodes[i].Find("doc"), nullptr) << i;
+    EXPECT_EQ(cut_nodes[i].Find("describe"), nullptr) << i;
+  }
+  EXPECT_EQ(cut->Find("di_dict"), nullptr);  // no di_contrib asked
   Result<JsonValue> bad_explain = worker_conn.Call(
       R"({"query":"keyword","shard":true,"explain":true})");
   ASSERT_TRUE(bad_explain.ok());
@@ -346,6 +416,199 @@ TEST(CoordinatorTest, AdminSurfaceAndShardModeWire) {
   Stop(coord);
   Stop(worker0);
   Stop(worker1);
+}
+
+/// A stand-in shard worker on a loopback port: it answers every request
+/// line with one canned response line, whatever was asked.
+class FakeWorker {
+ public:
+  explicit FakeWorker(std::string reply) : reply_(std::move(reply) + "\n") {
+    Result<int> fd = net::Listen("127.0.0.1", 0);
+    EXPECT_TRUE(fd.ok()) << fd.status().ToString();
+    listen_fd_ = fd.ok() ? *fd : -1;
+    Result<int> port = net::BoundPort(listen_fd_);
+    EXPECT_TRUE(port.ok()) << port.status().ToString();
+    port_ = port.ok() ? *port : 0;
+    accept_thread_ = std::thread([this] { AcceptLoop(); });
+  }
+
+  FakeWorker(const FakeWorker&) = delete;
+  FakeWorker& operator=(const FakeWorker&) = delete;
+
+  ~FakeWorker() {
+    stop_.store(true);
+    accept_thread_.join();
+    for (int fd : fds_) net::ShutdownFd(fd);
+    for (std::thread& thread : connection_threads_) thread.join();
+    for (int fd : fds_) net::CloseFd(fd);
+    net::CloseFd(listen_fd_);
+  }
+
+  std::string endpoint() const {
+    return "127.0.0.1:" + std::to_string(port_);
+  }
+
+ private:
+  void AcceptLoop() {
+    while (!stop_.load()) {
+      Result<int> fd = net::AcceptWithTimeout(listen_fd_, 20);
+      if (!fd.ok()) return;
+      if (*fd < 0) continue;
+      fds_.push_back(*fd);
+      connection_threads_.emplace_back([this, fd = *fd] {
+        net::LineReader reader(fd);
+        std::string line;
+        while (reader.ReadLine(&line).ok() && net::WriteAll(fd, reply_).ok()) {
+        }
+      });
+    }
+  }
+
+  const std::string reply_;
+  int listen_fd_ = -1;
+  int port_ = 0;
+  std::atomic<bool> stop_{false};
+  // Touched only by the accept thread until the destructor joins it.
+  std::vector<int> fds_;
+  std::vector<std::thread> connection_threads_;
+  std::thread accept_thread_;
+};
+
+/// One LCE node of a canned partial; `extra` appends members.
+std::string CannedNode(const std::string& id, const std::string& rank_bits,
+                       const std::string& extra) {
+  return R"({"id":")" + id + R"(","lce":true,"keywords":1,"mask":"1",)" +
+         R"("rank_bits":")" + rank_bits + "\"" + extra + "}";
+}
+
+/// A two-node shard partial around `first` and `second`.
+std::string CannedPartial(
+    const std::string& first, const std::string& second,
+    const std::string& dict = R"([["year","2001","article","year"]])") {
+  return R"({"ok":true,"epoch":1,"s":1,"merged_list_size":2,)"
+         R"("candidates":2,"lce":2,"plan":"merge","elapsed_ms":0.1,)"
+         R"("nodes":[)" +
+         first + "," + second + R"(],"di_dict":)" + dict + "}";
+}
+
+// rank_bits of 2.0 and 1.0: in merge order as first, second.
+constexpr char kRankTwo[] = "4000000000000000";
+constexpr char kRankOne[] = "3ff0000000000000";
+constexpr char kDescribed[] = R"(,"doc":"a.xml","describe":"<article> 0")";
+
+/// Sends `request` through a coordinator whose only shard is a fake
+/// worker answering `partial`.
+Result<JsonValue> QueryThroughFake(const std::string& partial,
+                                   const std::string& request) {
+  FakeWorker fake(partial);
+  auto coord = StartCoordinator(fake.endpoint());
+  ServerConnection connection = ConnectOrDie(*coord);
+  Result<JsonValue> response = connection.Call(request);
+  connection.Close();
+  Stop(coord);
+  return response;
+}
+
+TEST(CoordinatorTest, FakeWorkerPartialDecodes) {
+  // The control for the hostile cases below: the second node is past
+  // `top` and ships bare, both nodes share dictionary entry 0.
+  Result<JsonValue> response = QueryThroughFake(
+      CannedPartial(
+          CannedNode("0", kRankTwo, std::string(kDescribed) +
+                                        R"(,"di_contrib":[0])"),
+          CannedNode("1", kRankOne, R"(,"di_contrib":[0])")),
+      R"({"query":"keyword","s":1,"top":1})");
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  ASSERT_TRUE(response->Find("ok")->GetBool());
+  ASSERT_EQ(response->Find("nodes")->size(), 1u);
+  const JsonValue& node = response->Find("nodes")->items()[0];
+  EXPECT_EQ(node.Find("doc")->GetString(), "a.xml");
+  EXPECT_EQ(node.Find("describe")->GetString(), "<article> 0");
+  ASSERT_EQ(response->Find("di")->size(), 1u);
+  const JsonValue& di = response->Find("di")->items()[0];
+  EXPECT_EQ(di.Find("value")->GetString(), "2001");
+  EXPECT_EQ(di.Find("support")->GetInt(), 2);
+  EXPECT_DOUBLE_EQ(di.Find("weight")->GetDouble(), 3.0);
+  ASSERT_EQ(di.Find("path")->size(), 2u);
+  EXPECT_EQ(di.Find("path")->items()[1].GetString(), "year");
+}
+
+TEST(CoordinatorTest, HostilePartialsAreShardUnavailable) {
+  struct Case {
+    const char* label;
+    std::string partial;
+    std::string request;
+    const char* reason;  // substring of the error message
+  };
+  const std::string top1 = R"({"query":"keyword","s":1,"top":1})";
+  const std::string top2 = R"({"query":"keyword","s":1,"top":2})";
+  const std::string second = CannedNode("1", kRankOne, "");
+  auto first_with = [&](const std::string& extra) {
+    return CannedNode("0", kRankTwo, extra);
+  };
+  const std::vector<Case> cases = {
+      {"index past the dictionary",
+       CannedPartial(first_with(std::string(kDescribed) +
+                                R"(,"di_contrib":[0,1])"),
+                     second),
+       top1, "di_contrib index"},
+      {"negative index",
+       CannedPartial(first_with(std::string(kDescribed) +
+                                R"(,"di_contrib":[-1])"),
+                     second),
+       top1, "di_contrib index"},
+      {"fractional index",
+       CannedPartial(first_with(std::string(kDescribed) +
+                                R"(,"di_contrib":[0.5])"),
+                     second),
+       top1, "di_contrib index"},
+      {"string index",
+       CannedPartial(first_with(std::string(kDescribed) +
+                                R"(,"di_contrib":["0"])"),
+                     second),
+       top1, "di_contrib index"},
+      {"index without a dictionary",
+       CannedPartial(first_with(std::string(kDescribed) +
+                                R"(,"di_contrib":[0])"),
+                     second, "[]"),
+       top1, "di_contrib index"},
+      {"malformed dictionary entry",
+       CannedPartial(first_with(kDescribed), second, R"([["year"]])"),
+       top1, "di_dict"},
+      {"top node without describe",
+       CannedPartial(first_with(R"(,"doc":"a.xml")"), second), top1,
+       "lacks doc/describe"},
+      {"top node without doc",
+       CannedPartial(first_with(R"(,"describe":"<article> 0")"), second),
+       top1, "lacks doc/describe"},
+      {"top node with an empty describe",
+       CannedPartial(first_with(R"(,"doc":"a.xml","describe":"")"), second),
+       top1, "lacks doc/describe"},
+      {"second of top 2 bare",
+       CannedPartial(first_with(kDescribed), second), top2,
+       "lacks doc/describe"},
+      {"no top: every node must be described",
+       CannedPartial(first_with(kDescribed), second),
+       R"({"query":"keyword","s":1})", "lacks doc/describe"},
+      {"nodes out of rank order",
+       CannedPartial(CannedNode("0", kRankOne, kDescribed),
+                     CannedNode("1", kRankTwo, kDescribed)),
+       top1, "out of rank order"},
+      {"NaN rank",
+       CannedPartial(CannedNode("0", "7ff8000000000000", kDescribed),
+                     second),
+       top1, "rank_bits"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.label);
+    Result<JsonValue> response = QueryThroughFake(c.partial, c.request);
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    EXPECT_FALSE(response->Find("ok")->GetBool());
+    EXPECT_EQ(response->Find("error")->GetString(), "shard_unavailable");
+    EXPECT_NE(response->Find("message")->GetString().find(c.reason),
+              std::string::npos)
+        << response->Find("message")->GetString();
+  }
 }
 
 TEST(CoordinatorTest, LoadAcrossCoordinatorAndWorkersStaysClean) {

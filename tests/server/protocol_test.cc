@@ -39,6 +39,20 @@ TEST(ParseWireRequestTest, ParsesAllQueryFields) {
   EXPECT_EQ(request->id_int, 9);
 }
 
+TEST(ParseWireRequestTest, ShardModeKeepsTopAsTheDescribeLimit) {
+  // A partial ships every node, so `top` must not trim the search; it
+  // only bounds which nodes carry display strings.
+  auto shard = ParseWireRequest(R"({"query":"xml","top":7,"shard":true})");
+  ASSERT_TRUE(shard.ok()) << shard.status().ToString();
+  EXPECT_EQ(shard->options.max_results, 0u);
+  EXPECT_EQ(shard->describe_top, 7u);
+  EXPECT_FALSE(shard->options.discover_di);
+  auto client = ParseWireRequest(R"({"query":"xml","top":7})");
+  ASSERT_TRUE(client.ok());
+  EXPECT_EQ(client->options.max_results, 7u);
+  EXPECT_EQ(client->describe_top, 0u);
+}
+
 TEST(ParseWireRequestTest, ExplainForcesRefinements) {
   auto request = ParseWireRequest(R"({"query":"xml","explain":true})");
   ASSERT_TRUE(request.ok());
