@@ -3,8 +3,10 @@
 # builds the (de)serialization-heavy test binaries in a dedicated build
 # tree configured with -DGKS_SANITIZE=address,undefined and runs the
 # suites that parse attacker-shaped bytes — varint and LZ decoding, the
-# block-postings codec, and the on-disk index readers (v1, v2 eager, v2
-# mmap). Any ASan/UBSan report fails the run.
+# block-postings codec, the on-disk index readers (v1, v2 eager, v2
+# mmap), JSON and the wire protocol, hostile shard partials — plus the
+# partial-merge core those partials feed. Any ASan/UBSan report fails
+# the run.
 #
 # The build tree (<repo>/build-asan) is incremental: the first run pays a
 # full compile, later runs only relink what changed.
@@ -33,14 +35,14 @@ cmake -S "$root" -B "$build" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DGKS_SANITIZE=address,undefined >/dev/null
 cmake --build "$build" -j \
-  --target common_test index_test >/dev/null
+  --target common_test index_test server_test property_test >/dev/null
 
 # A sanitizer report aborts with a non-zero exit.
 export ASAN_OPTIONS="halt_on_error=1 detect_leaks=1 ${ASAN_OPTIONS:-}"
 export UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1 ${UBSAN_OPTIONS:-}"
 
 "$build/tests/common_test" \
-  --gtest_filter='Varint*:Lz*:Simd*' --gtest_brief=1
+  --gtest_filter='Varint*:Lz*:Simd*:JsonValueTest.*' --gtest_brief=1
 "$build/tests/index_test" \
   --gtest_filter='PostingBlocks*:Serialization*:GoldenIndex*:PostingList*' \
   --gtest_brief=1
@@ -49,6 +51,17 @@ export UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1 ${UBSAN_OPTIONS:-}"
 # blobs end to end.
 "$build/tests/index_test" \
   --gtest_filter='Wal*:RtIndex*:SizeTier*:PickMergeInputs*:MergeDocstores*' \
+  --gtest_brief=1
+# Wire lines from clients and shard workers: request parsing, response
+# building, and the coordinator decoding hostile partials, which must
+# come back as a Status, never a crash.
+"$build/tests/server_test" \
+  --gtest_filter='ParseWireRequestTest.*:WireResponseBuilderTest.*:CoordinatorTest.FakeWorkerPartialDecodes:CoordinatorTest.HostilePartialsAreShardUnavailable:CoordinatorTest.NonLceContributionsLeaveDiUnchanged' \
+  --gtest_brief=1
+# The partial-merge core over shard partials, and the DI oracle over the
+# single-index path it shares.
+"$build/tests/property_test" \
+  --gtest_filter='*ShardEquivalence*:ShardTieBreaking.*:DiOracle.*' \
   --gtest_brief=1
 # The kernel differential suite again with dispatch forced off: the
 # scalar twins parse the same attacker-shaped bytes under ASan too.

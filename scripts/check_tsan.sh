@@ -3,8 +3,9 @@
 # concurrency-sensitive test binaries in a dedicated build tree configured
 # with -DGKS_SANITIZE=thread and runs the suites that exercise the thread
 # pool, SearchBatch fan-out, the shared result cache, the parallel
-# index build and the query server (accept loop, admission control, hot
-# reload, drain). Any data race TSan reports fails the run.
+# index build, the pooled per-segment search and the query server
+# (accept loop, admission control, hot reload, drain). Any data race
+# TSan reports fails the run.
 #
 # The build tree (<repo>/build-tsan) is incremental: the first run pays a
 # full compile, later runs only relink what changed.
@@ -41,8 +42,10 @@ export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 
 "$build/tests/common_test" \
   --gtest_filter='ThreadPool*:ParallelFor*' --gtest_brief=1
+# SegmentSearchTest's pooled fan-out feeds per-segment partials from
+# pool workers into the partial-merge core.
 "$build/tests/core_test" \
-  --gtest_filter='QueryResultCache*' --gtest_brief=1
+  --gtest_filter='QueryResultCache*:SegmentSearchTest.*' --gtest_brief=1
 "$build/tests/integration_test" \
   --gtest_filter='Concurrency*:ParallelDeterminism*' --gtest_brief=1
 "$build/tests/server_test" \

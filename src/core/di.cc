@@ -1,25 +1,62 @@
 #include "core/di.h"
 
 #include <algorithm>
-#include <map>
 
 #include "text/analyzer.h"
 
 namespace gks {
 namespace {
 
-// Deepest self-or-ancestor entity of `id`, as a component vector.
-bool LowestEntityComponents(const XmlIndex& index, DeweySpan id,
-                            std::vector<uint32_t>* out) {
-  for (uint32_t len = id.size; len >= 1; --len) {
-    DeweySpan prefix{id.data, len};
-    const NodeInfo* info = index.nodes.Find(prefix);
-    if (info != nullptr && info->is_entity()) {
-      out->assign(prefix.data, prefix.data + prefix.size);
-      return true;
+bool IsEntityAt(const XmlIndex& index, DeweySpan id, uint32_t len) {
+  const NodeInfo* info = index.nodes.Find(DeweySpan{id.data, len});
+  return info != nullptr && info->is_entity();
+}
+
+/// The owned-attribute walk: calls `fn(tag_name, value, attr_id)` for each
+/// attribute occurrence in `node`'s subtree, in directory order, whose
+/// deepest self-or-ancestor entity is `node` and whose value repeats no
+/// query term.
+template <typename Fn>
+void ForEachOwnedAttribute(const XmlIndex& index, const GksNode& node,
+                           const Query& query, const DiOptions& options,
+                           Fn&& fn) {
+  DeweySpan entity = DeweySpan::Of(node.id);
+  if (entity.size == 0 || !IsEntityAt(index, entity, entity.size)) return;
+  auto [begin, end] = index.attributes.SubtreeRange(entity);
+  end = std::min(end, begin + options.max_attrs_per_node);
+  for (size_t i = begin; i < end; ++i) {
+    DeweySpan attr_id = index.attributes.IdAt(i);
+    // The value belongs to this entity only if no deeper entity owns it.
+    bool owned = true;
+    for (uint32_t len = attr_id.size; len > entity.size && owned; --len) {
+      owned = !IsEntityAt(index, attr_id, len);
     }
+    if (!owned) continue;
+
+    const std::string& value = index.nodes.Value(index.attributes.ValueAt(i));
+    bool contains_query_term = false;
+    for (const std::string& term : text::Analyze(value)) {
+      if (query.ContainsTerm(term)) {
+        contains_query_term = true;
+        break;
+      }
+    }
+    if (contains_query_term) continue;
+    fn(index.nodes.TagName(index.attributes.TagAt(i)), value, attr_id);
   }
-  return false;
+}
+
+/// Tag names from the entity (a prefix of `attr_id` of `entity_size`
+/// components) down to the attribute.
+std::vector<std::string> AttributePath(const XmlIndex& index,
+                                       uint32_t entity_size,
+                                       DeweySpan attr_id) {
+  std::vector<std::string> path;
+  for (uint32_t len = entity_size; len <= attr_id.size; ++len) {
+    const NodeInfo* info = index.nodes.Find(DeweySpan{attr_id.data, len});
+    path.push_back(info != nullptr ? index.nodes.TagName(info->tag_id) : "?");
+  }
+  return path;
 }
 
 }  // namespace
@@ -44,75 +81,69 @@ std::string DiKeyword::ToString() const {
   return out;
 }
 
-std::vector<DiKeyword> DiscoverDi(const XmlIndex& index,
-                                  const std::vector<GksNode>& nodes,
-                                  const Query& query,
-                                  const DiOptions& options) {
-  // Keyed by (attribute tag, value id): the same value under different tags
-  // carries different semantics ("2001" as a year vs as a street number).
-  std::map<std::pair<uint32_t, uint32_t>, DiKeyword> accumulated;
-
-  for (const GksNode& node : nodes) {
-    if (!node.is_lce || node.rank <= 0.0) continue;
-    DeweySpan entity = DeweySpan::Of(node.id);
-    auto [begin, end] = index.attributes.SubtreeRange(entity);
-    end = std::min(end, begin + options.max_attrs_per_node);
-    for (size_t i = begin; i < end; ++i) {
-      DeweySpan attr_id = index.attributes.IdAt(i);
-      // The value belongs to this LCE only if no deeper entity owns it.
-      std::vector<uint32_t> owner;
-      if (!LowestEntityComponents(index, attr_id, &owner)) continue;
-      if (owner.size() != entity.size ||
-          !std::equal(owner.begin(), owner.end(), entity.data)) {
-        continue;
-      }
-
-      uint32_t value_id = index.attributes.ValueAt(i);
-      const std::string& value = index.nodes.Value(value_id);
-      // Exclude values that repeat a query keyword (Sec. 6.2).
-      bool contains_query_term = false;
-      for (const std::string& term : text::Analyze(value)) {
-        if (query.ContainsTerm(term)) {
-          contains_query_term = true;
-          break;
-        }
-      }
-      if (contains_query_term) continue;
-
-      auto key = std::make_pair(index.attributes.TagAt(i), value_id);
-      DiKeyword& di = accumulated[key];
-      if (di.support == 0) {
-        di.value = value;
-        for (uint32_t len = entity.size; len <= attr_id.size; ++len) {
-          const NodeInfo* info =
-              index.nodes.Find(DeweySpan{attr_id.data, len});
-          di.path.push_back(info != nullptr
-                                ? index.nodes.TagName(info->tag_id)
-                                : "?");
-        }
-      }
-      di.weight += node.rank;
-      ++di.support;
-    }
-  }
-
+std::vector<DiKeyword> DiAccumulator::Take(size_t top_m) && {
   std::vector<DiKeyword> out;
-  out.reserve(accumulated.size());
-  for (auto& [key, di] : accumulated) {
+  out.reserve(keywords_.size());
+  for (auto& [key, di] : keywords_) {
     (void)key;
     out.push_back(std::move(di));
   }
-  // The path leg totalizes the order: distinct (tag, value) keys with the
-  // same weight and value string still differ in the attribute tag — the
-  // path's last element. Without it, ties would surface in accumulation-
-  // map order, which differs between this numeric-keyed walk and the
-  // string-keyed cross-segment/cross-shard replays (core/shard_merge.cc).
   std::sort(out.begin(), out.end(), [](const DiKeyword& a, const DiKeyword& b) {
     if (a.weight != b.weight) return a.weight > b.weight;
     if (a.value != b.value) return a.value < b.value;
     return a.path < b.path;
   });
-  if (out.size() > options.top_m) out.resize(options.top_m);
+  if (out.size() > top_m) out.resize(top_m);
+  return out;
+}
+
+void AccumulateDi(const XmlIndex& index, const GksNode& node,
+                  const Query& query, const DiOptions& options,
+                  DiAccumulator* acc) {
+  const uint32_t entity_size = DeweySpan::Of(node.id).size;
+  ForEachOwnedAttribute(
+      index, node, query, options,
+      [&](std::string_view tag, std::string_view value, DeweySpan attr_id) {
+        acc->Add(tag, value, node.rank,
+                 [&] { return AttributePath(index, entity_size, attr_id); });
+      });
+}
+
+std::vector<DiContribution> NodeDiContributions(const XmlIndex& index,
+                                                const GksNode& node,
+                                                const Query& query,
+                                                const DiOptions& options) {
+  const uint32_t entity_size = DeweySpan::Of(node.id).size;
+  std::vector<DiContribution> out;
+  ForEachOwnedAttribute(
+      index, node, query, options,
+      [&](std::string_view tag, std::string_view value, DeweySpan attr_id) {
+        out.push_back({std::string(tag), std::string(value),
+                       AttributePath(index, entity_size, attr_id)});
+      });
+  return out;
+}
+
+std::vector<DiKeyword> DiscoverDi(const XmlIndex& index,
+                                  const std::vector<GksNode>& nodes,
+                                  const Query& query,
+                                  const DiOptions& options) {
+  DiAccumulator acc;
+  for (const GksNode& node : nodes) {
+    if (GivesDi(node)) AccumulateDi(index, node, query, options, &acc);
+  }
+  return std::move(acc).Take(options.top_m);
+}
+
+std::vector<std::vector<DiContribution>> ComputeDiContributions(
+    const XmlIndex& index, const std::vector<GksNode>& nodes,
+    const Query& query, const DiOptions& options) {
+  std::vector<std::vector<DiContribution>> out(nodes.size());
+  for (size_t n = 0; n < nodes.size(); ++n) {
+    if (GivesDi(nodes[n])) {
+      out[n] = NodeDiContributions(index, nodes[n], query, options);
+    }
+  }
   return out;
 }
 

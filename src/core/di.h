@@ -2,7 +2,10 @@
 #define GKS_CORE_DI_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "core/lce.h"
@@ -34,14 +37,99 @@ struct DiOptions {
   size_t max_attrs_per_node = 100000;
 };
 
+/// One attribute occurrence a response node contributes to DI: the
+/// aggregation key (attribute tag name, value string) plus the tag path
+/// from the owning entity down to the attribute. This is the partition-
+/// independent form of an occurrence: a coordinator feeds these into a
+/// DiAccumulator without touching any index (docs/DISTRIBUTED.md).
+struct DiContribution {
+  std::string tag;
+  std::string value;
+  std::vector<std::string> path;
+};
+
+/// Which response nodes give DI (Sec. 6.2): LCE nodes with a positive
+/// rank. Every DI source — an index walk, a segment walk, decoded shard
+/// contributions — is filtered by this one rule.
+inline bool GivesDi(const GksNode& node) {
+  return node.is_lce && node.rank > 0.0;
+}
+
+/// The DI aggregation (Sec. 6.2), the one definition every search path
+/// shares. Occurrences are keyed by (attribute tag name, value): the same
+/// value under different tags carries different semantics ("2001" as a
+/// year vs as a street number). Fed in merged rank order, the first
+/// contributor of a key fixes its path, and its weight sums the ranks of
+/// the contributing nodes.
+class DiAccumulator {
+ public:
+  /// Adds one occurrence of (tag, value) exposed by a node of rank
+  /// `rank`. Both views must outlive the accumulator; `make_path()` runs
+  /// only for the key's first occurrence.
+  template <typename MakePath>
+  void Add(std::string_view tag, std::string_view value, double rank,
+           MakePath&& make_path) {
+    auto [it, inserted] = keywords_.try_emplace(Key{tag, value});
+    DiKeyword& di = it->second;
+    if (inserted) {
+      di.value = std::string(value);
+      di.path = make_path();
+    }
+    di.weight += rank;
+    ++di.support;
+  }
+
+  /// The top `top_m` keywords, sorted by weight desc, value asc, path asc.
+  /// The path leg totalizes the order: keys with equal weight and value
+  /// still differ in the attribute tag, the path's last element.
+  std::vector<DiKeyword> Take(size_t top_m) &&;
+
+ private:
+  struct Key {
+    std::string_view tag;
+    std::string_view value;
+    bool operator==(const Key& other) const = default;
+  };
+  struct KeyHash {
+    size_t operator()(const Key& key) const {
+      return std::hash<std::string_view>()(key.tag) * 31 +
+             std::hash<std::string_view>()(key.value);
+    }
+  };
+  std::unordered_map<Key, DiKeyword, KeyHash> keywords_;
+};
+
+/// The DI source of an index: feeds the attribute occurrences `node`
+/// owns into `acc`. An occurrence counts when `node` is the deepest
+/// self-or-ancestor entity of the attribute and its value repeats no
+/// query term ("if a keyword in the attribute node is part of the user
+/// query Q, it is not included in the set"); at most
+/// `max_attrs_per_node` directory entries are scanned. The caller applies
+/// GivesDi.
+void AccumulateDi(const XmlIndex& index, const GksNode& node,
+                  const Query& query, const DiOptions& options,
+                  DiAccumulator* acc);
+
+/// The same occurrences as AccumulateDi, as wire contributions in
+/// directory order.
+std::vector<DiContribution> NodeDiContributions(const XmlIndex& index,
+                                                const GksNode& node,
+                                                const Query& query,
+                                                const DiOptions& options);
+
 /// Discovers the top-m DI keywords (Def. 2.3.1) for a ranked response.
-/// Attribute values containing any query keyword are excluded ("if a
-/// keyword in the attribute node is part of the user query Q, it is not
-/// included in the set"). Runs in O(|S_w^Q|) plus the final top-m sort.
+/// Runs in O(|S_w^Q|) plus the final top-m sort.
 std::vector<DiKeyword> DiscoverDi(const XmlIndex& index,
                                   const std::vector<GksNode>& nodes,
                                   const Query& query,
                                   const DiOptions& options = {});
+
+/// Per-node DI contributions, aligned with `nodes`; nodes that give no DI
+/// get empty lists. Feeding them to a DiAccumulator in rank order gives
+/// exactly DiscoverDi's keywords.
+std::vector<std::vector<DiContribution>> ComputeDiContributions(
+    const XmlIndex& index, const std::vector<GksNode>& nodes,
+    const Query& query, const DiOptions& options);
 
 }  // namespace gks
 

@@ -13,6 +13,7 @@
 
 #include "core/arena.h"
 #include "core/merged_list.h"
+#include "core/partial_merge.h"
 #include "core/planner.h"
 #include "core/probe_eval.h"
 #include "core/result_cache.h"
@@ -62,11 +63,10 @@ std::string NormalizedQueryText(const Query& query) {
 
 Result<SearchResponse> GksSearcher::SearchTraced(
     const Query& query, const SearchOptions& options) const {
-  SearchResponse response;
-  uint32_t s = options.s == 0 ? static_cast<uint32_t>(query.size())
-                              : options.s;
-  s = std::min<uint32_t>(s, static_cast<uint32_t>(query.size()));
-  response.effective_s = s;
+  // The index's one partial: the evaluators fill it, the merge core ranks
+  // it and runs the stages after ranking (core/partial_merge.h).
+  Partial partial;
+  const uint32_t s = EffectiveS(query, options);
 
   // The arena is per worker thread: scratch buffers (atom lists, merged
   // list storage, gather buffers) cycle through it across queries instead
@@ -75,12 +75,12 @@ Result<SearchResponse> GksSearcher::SearchTraced(
   PlannerDecision decision =
       ChoosePlan(*index_, query, s, options.plan, options.top_k,
                  options.topk_scan_floor);
-  response.plan = std::move(decision.info);
+  partial.plan = std::move(decision.info);
 
   MetricsRegistry& registry = MetricsRegistry::Global();
   // Zero-length marker span: the chosen strategy stays visible in every
   // recorded span tree, not just in explain output.
-  switch (response.plan.strategy) {
+  switch (partial.plan.strategy) {
     case PlanMode::kMerge: {
       ScopedSpan marker("plan.merge");
       registry.GetCounter("gks.search.plan.merge_total")->Increment();
@@ -100,30 +100,30 @@ Result<SearchResponse> GksSearcher::SearchTraced(
       break;  // unreachable: the planner always resolves kAuto
   }
 
-  if (response.plan.topk.engaged) {
+  if (partial.plan.topk.engaged) {
     // Top-k axis: the block-max evaluator substitutes for the chosen
     // strategy (its nodes equal any strategy's, truncated to the k best,
     // already in final order). Spans `topk.scan` / `topk.finalize` and the
     // gks.search.topk.* counters are recorded inside.
     TopKResult topk =
         EvaluateTopK(*index_, query, s, options.top_k, &arena);
-    response.nodes = std::move(topk.nodes);
-    response.merged_list_size = topk.merged_list_size;
-    response.candidate_count = topk.candidate_count;
-    response.plan.topk.segments = topk.stats.segments;
-    response.plan.topk.segments_pruned_sparse =
+    partial.nodes = std::move(topk.nodes);
+    partial.merged_list_size = topk.merged_list_size;
+    partial.candidate_count = topk.candidate_count;
+    partial.plan.topk.segments = topk.stats.segments;
+    partial.plan.topk.segments_pruned_sparse =
         topk.stats.segments_pruned_sparse;
-    response.plan.topk.segments_pruned_bound = topk.stats.segments_pruned_bound;
-    response.plan.topk.blocks_skipped = topk.stats.blocks_skipped;
-    response.plan.topk.docs_skipped = topk.stats.docs_skipped;
-  } else if (response.plan.strategy == PlanMode::kMerge) {
+    partial.plan.topk.segments_pruned_bound = topk.stats.segments_pruned_bound;
+    partial.plan.topk.blocks_skipped = topk.stats.blocks_skipped;
+    partial.plan.topk.docs_skipped = topk.stats.docs_skipped;
+  } else if (partial.plan.strategy == PlanMode::kMerge) {
     MergedList sl = [&] {
       ScopedSpan span("merged_list");
       MergedList merged = MergedList::Build(*index_, query, &arena);
       span.AddItems(merged.size());
       return merged;
     }();
-    response.merged_list_size = sl.size();
+    partial.merged_list_size = sl.size();
 
     std::vector<LcpCandidate> candidates = [&] {
       ScopedSpan span("window_scan");
@@ -131,12 +131,12 @@ Result<SearchResponse> GksSearcher::SearchTraced(
       span.AddItems(lcps.size());
       return lcps;
     }();
-    response.candidate_count = candidates.size();
+    partial.candidate_count = candidates.size();
 
     {
       ScopedSpan span("lce");
-      response.nodes = ComputeGksNodes(*index_, sl, candidates);
-      span.AddItems(response.nodes.size());
+      partial.nodes = ComputeGksNodes(*index_, sl, candidates);
+      span.AddItems(partial.nodes.size());
     }
     sl.ReleaseTo(&arena);
   } else {
@@ -149,10 +149,10 @@ Result<SearchResponse> GksSearcher::SearchTraced(
     // Patch the plan report with the evaluator's exact view: the planner
     // estimated phrase/tag atom sizes from token-list upper bounds, so the
     // anchor set may shift once exact sizes are known.
-    response.plan.anchor_postings = eval.anchor_postings();
-    for (PlanAtomStats& stats : response.plan.atoms) stats.anchor = false;
+    partial.plan.anchor_postings = eval.anchor_postings();
+    for (PlanAtomStats& stats : partial.plan.atoms) stats.anchor = false;
     for (uint32_t atom : eval.anchors()) {
-      response.plan.atoms[atom].anchor = true;
+      partial.plan.atoms[atom].anchor = true;
     }
 
     {
@@ -160,9 +160,9 @@ Result<SearchResponse> GksSearcher::SearchTraced(
       eval.RunVirtualScan();
       span.AddItems(eval.candidates().size());
     }
-    response.merged_list_size = eval.merged_size();
-    response.candidate_count = eval.candidates().size();
-    response.plan.probe_events = eval.events();
+    partial.merged_list_size = eval.merged_size();
+    partial.candidate_count = eval.candidates().size();
+    partial.plan.probe_events = eval.events();
 
     {
       ScopedSpan lce_span("lce");
@@ -176,54 +176,19 @@ Result<SearchResponse> GksSearcher::SearchTraced(
         eval.GatherReduced();
         span.AddItems(eval.reduced().size());
       }
-      response.plan.gathered_postings = eval.reduced().size();
-      response.nodes =
+      partial.plan.gathered_postings = eval.reduced().size();
+      partial.nodes =
           ComputeGksNodesPruned(*index_, eval.reduced(), eval.pruned());
-      lce_span.AddItems(response.nodes.size());
+      lce_span.AddItems(partial.nodes.size());
     }
   }
-  // Rank: potential-flow score first, then keyword count, then document
-  // order for determinism. The top-k evaluator already emits this order.
-  if (!response.plan.topk.engaged) {
-    std::sort(response.nodes.begin(), response.nodes.end(),
-              [](const GksNode& a, const GksNode& b) {
-                if (a.rank != b.rank) return a.rank > b.rank;
-                if (a.keyword_count != b.keyword_count) {
-                  return a.keyword_count > b.keyword_count;
-                }
-                return a.id < b.id;
-              });
-    // A requested-but-disengaged top-k truncates here: the planner judged
-    // full scoring + truncation cheaper than the segment loop
-    // (plan.topk.reason), and after the sort the two paths hold the same
-    // k nodes — so lce_count, DI, and refinements below see exactly what
-    // the engaged evaluator would have handed them.
-    if (response.plan.topk.k > 0 &&
-        response.nodes.size() > response.plan.topk.k) {
-      response.nodes.resize(response.plan.topk.k);
-    }
-  }
-  for (const GksNode& node : response.nodes) {
-    if (node.is_lce) ++response.lce_count;
-  }
-
-  if (options.discover_di) {
-    ScopedSpan span("di");
-    DiOptions di_options;
-    di_options.top_m = options.di_top_m;
-    response.insights = DiscoverDi(*index_, response.nodes, query, di_options);
-    span.AddItems(response.insights.size());
-  }
-  if (options.suggest_refinements) {
-    ScopedSpan span("refinement");
-    response.refinements =
-        SuggestRefinements(query, response.nodes, response.insights);
-    span.AddItems(response.refinements.size());
-  }
-  if (options.max_results > 0 && response.nodes.size() > options.max_results) {
-    response.nodes.resize(options.max_results);
-  }
-  return response;
+  std::vector<Partial> partials;
+  partials.push_back(std::move(partial));
+  auto di_source = [&](NodeOrigin, const GksNode& node, DiAccumulator* acc) {
+    AccumulateDi(*index_, node, query, DiOptions{}, acc);
+  };
+  return MergePartials(query, options, std::move(partials), di_source)
+      .response;
 }
 
 Result<SearchResponse> GksSearcher::Search(const Query& query,

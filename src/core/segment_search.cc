@@ -1,125 +1,17 @@
 #include "core/segment_search.h"
 
 #include <algorithm>
-#include <map>
 #include <optional>
 #include <utility>
 #include <vector>
 
 #include "common/timer.h"
 #include "common/trace.h"
+#include "core/partial_merge.h"
 #include "core/result_cache.h"
-#include "text/analyzer.h"
 
 namespace gks {
 namespace {
-
-/// Deepest self-or-ancestor entity of `id` (mirror of the di.cc helper,
-/// which is private to that translation unit).
-bool LowestEntityComponents(const XmlIndex& index, DeweySpan id,
-                            std::vector<uint32_t>* out) {
-  for (uint32_t len = id.size; len >= 1; --len) {
-    DeweySpan prefix{id.data, len};
-    const NodeInfo* info = index.nodes.Find(prefix);
-    if (info != nullptr && info->is_entity()) {
-      out->assign(prefix.data, prefix.data + prefix.size);
-      return true;
-    }
-  }
-  return false;
-}
-
-/// Enumerates the DI-qualifying attribute occurrences of one LCE node —
-/// owned by the node's entity, value free of query terms, clamped at
-/// max_attrs_per_node — in attribute-directory order, calling
-/// `fn(tag_name, value, path)` for each. The single shared definition of
-/// "what DiscoverDi would accumulate for this node", used by the
-/// cross-segment discovery below and by the shard wire protocol's
-/// per-node contribution lists (ComputeDiContributions).
-template <typename Fn>
-void ForEachOwnedDiAttr(const XmlIndex& index, const GksNode& node,
-                        const Query& query, const DiOptions& options,
-                        Fn&& fn) {
-  DeweySpan entity = DeweySpan::Of(node.id);
-  auto [begin, end] = index.attributes.SubtreeRange(entity);
-  end = std::min(end, begin + options.max_attrs_per_node);
-  for (size_t i = begin; i < end; ++i) {
-    DeweySpan attr_id = index.attributes.IdAt(i);
-    std::vector<uint32_t> owner;
-    if (!LowestEntityComponents(index, attr_id, &owner)) continue;
-    if (owner.size() != entity.size ||
-        !std::equal(owner.begin(), owner.end(), entity.data)) {
-      continue;
-    }
-
-    uint32_t value_id = index.attributes.ValueAt(i);
-    const std::string& value = index.nodes.Value(value_id);
-    bool contains_query_term = false;
-    for (const std::string& term : text::Analyze(value)) {
-      if (query.ContainsTerm(term)) {
-        contains_query_term = true;
-        break;
-      }
-    }
-    if (contains_query_term) continue;
-
-    std::vector<std::string> path;
-    for (uint32_t len = entity.size; len <= attr_id.size; ++len) {
-      const NodeInfo* info = index.nodes.Find(DeweySpan{attr_id.data, len});
-      path.push_back(info != nullptr
-                         ? std::string(index.nodes.TagName(info->tag_id))
-                         : "?");
-    }
-    fn(std::string(index.nodes.TagName(index.attributes.TagAt(i))), value,
-       std::move(path));
-  }
-}
-
-/// DiscoverDi re-derived over nodes that live in different segments. The
-/// aggregation key is (attribute tag NAME, value STRING) — segment-local
-/// (tag id, value id) pairs are meaningless across indexes, but both maps
-/// group exactly the same occurrences, so weights and supports match a
-/// single-index run. `nodes` must already be in final (merged) rank
-/// order: the first contributor defines the keyword's path, as in di.cc.
-std::vector<DiKeyword> DiscoverDiAcrossSegments(
-    const SegmentSetSnapshot& snapshot, const std::vector<GksNode>& nodes,
-    const Query& query, const DiOptions& options) {
-  std::map<std::pair<std::string, std::string>, DiKeyword> accumulated;
-
-  for (const GksNode& node : nodes) {
-    if (!node.is_lce || node.rank <= 0.0) continue;
-    const SegmentView* view = snapshot.SegmentFor(node.id.doc_id());
-    if (view == nullptr) continue;
-    ForEachOwnedDiAttr(
-        *view->index, node, query, options,
-        [&](std::string tag, const std::string& value,
-            std::vector<std::string> path) {
-          DiKeyword& di = accumulated[{std::move(tag), value}];
-          if (di.support == 0) {
-            di.value = value;
-            di.path = std::move(path);
-          }
-          di.weight += node.rank;
-          ++di.support;
-        });
-  }
-
-  std::vector<DiKeyword> out;
-  out.reserve(accumulated.size());
-  for (auto& [key, di] : accumulated) {
-    (void)key;
-    out.push_back(std::move(di));
-  }
-  // Same total order as DiscoverDi: the path leg breaks (weight, value)
-  // ties deterministically across keying schemes.
-  std::sort(out.begin(), out.end(), [](const DiKeyword& a, const DiKeyword& b) {
-    if (a.weight != b.weight) return a.weight > b.weight;
-    if (a.value != b.value) return a.value < b.value;
-    return a.path < b.path;
-  });
-  if (out.size() > options.top_m) out.resize(options.top_m);
-  return out;
-}
 
 /// True when any tombstone falls inside the segment's doc-id range.
 bool SegmentHasTombstones(const SegmentSetSnapshot& snapshot,
@@ -135,12 +27,6 @@ bool SegmentHasTombstones(const SegmentSetSnapshot& snapshot,
 
 Result<SearchResponse> SegmentSearcher::SearchMerged(
     const Query& query, const SearchOptions& options) const {
-  SearchResponse merged;
-  merged.effective_s =
-      std::min<uint32_t>(options.s == 0 ? static_cast<uint32_t>(query.size())
-                                        : options.s,
-                         static_cast<uint32_t>(query.size()));
-
   // Per-segment searches run the full pipeline minus DI/refinements
   // (cross-segment stages) and minus trims (global operations). Each
   // installs its own collector, so gks.search.* metrics account every
@@ -156,7 +42,7 @@ Result<SearchResponse> SegmentSearcher::SearchMerged(
   // result identical to the sequential walk. ParallelFor degrades to the
   // inline loop when called from a pool worker or without a pool.
   const std::vector<SegmentView>& segments = snapshot_->segments;
-  std::vector<std::optional<Result<SearchResponse>>> partials(
+  std::vector<std::optional<Result<SearchResponse>>> results(
       segments.size());
   ParallelFor(segments.size() > 1 ? pool_ : nullptr, segments.size(),
               [&](size_t i) {
@@ -168,70 +54,38 @@ Result<SearchResponse> SegmentSearcher::SearchMerged(
                   segment_options.top_k = 0;
                 }
                 GksSearcher searcher(segments[i].index.get());
-                partials[i].emplace(searcher.Search(query, segment_options));
+                results[i].emplace(searcher.Search(query, segment_options));
               });
 
+  // One partial per segment, in segment order, tombstoned documents
+  // masked out.
+  std::vector<Partial> partials(segments.size());
   std::vector<Trace> inner_traces;
-  size_t dominant_size = 0;
-  bool have_plan = false;
-  for (std::optional<Result<SearchResponse>>& partial : partials) {
-    if (!partial->ok()) return partial->status();
-    SearchResponse& response = partial->value();
+  for (size_t i = 0; i < segments.size(); ++i) {
+    if (!results[i]->ok()) return results[i]->status();
+    SearchResponse& response = results[i]->value();
     for (GksNode& node : response.nodes) {
       if (snapshot_->IsDeleted(node.id.doc_id())) continue;
-      merged.nodes.push_back(std::move(node));
+      partials[i].nodes.push_back(std::move(node));
     }
-    merged.merged_list_size += response.merged_list_size;
-    merged.candidate_count += response.candidate_count;
-    if (!have_plan || response.merged_list_size > dominant_size) {
-      // The dominant segment's plan stands for the query: with one
-      // segment it is exactly the single-index plan, and the posting
-      // statistics that drove every other decision are strictly smaller.
-      merged.plan = response.plan;
-      dominant_size = response.merged_list_size;
-      have_plan = true;
-    }
+    partials[i].merged_list_size = response.merged_list_size;
+    partials[i].candidate_count = response.candidate_count;
+    partials[i].plan = std::move(response.plan);
     inner_traces.push_back(std::move(response.trace));
   }
 
-  // The searcher's exact rank order, re-established globally.
-  std::sort(merged.nodes.begin(), merged.nodes.end(),
-            [](const GksNode& a, const GksNode& b) {
-              if (a.rank != b.rank) return a.rank > b.rank;
-              if (a.keyword_count != b.keyword_count) {
-                return a.keyword_count > b.keyword_count;
-              }
-              return a.id < b.id;
-            });
-  if (options.top_k > 0 && merged.nodes.size() > options.top_k) {
-    merged.nodes.resize(options.top_k);
-  }
-  for (const GksNode& node : merged.nodes) {
-    if (node.is_lce) ++merged.lce_count;
-  }
-
-  if (options.discover_di) {
-    ScopedSpan span("di");
-    DiOptions di_options;
-    di_options.top_m = options.di_top_m;
-    merged.insights =
-        DiscoverDiAcrossSegments(*snapshot_, merged.nodes, query, di_options);
-    span.AddItems(merged.insights.size());
-  }
-  if (options.suggest_refinements) {
-    ScopedSpan span("refinement");
-    merged.refinements =
-        SuggestRefinements(query, merged.nodes, merged.insights);
-    span.AddItems(merged.refinements.size());
-  }
-  if (options.max_results > 0 && merged.nodes.size() > options.max_results) {
-    merged.nodes.resize(options.max_results);
-  }
-
+  // A node's DI resolves through the segment it came from.
+  SearchResponse merged =
+      MergePartials(query, options, std::move(partials),
+                    [&](NodeOrigin origin, const GksNode& node,
+                        DiAccumulator* acc) {
+                      AccumulateDi(*segments[origin.partial].index, node,
+                                   query, DiOptions{}, acc);
+                    })
+          .response;
   for (size_t i = 0; i < inner_traces.size(); ++i) {
-    merged.trace.Graft(
-        "segment:" + std::string(snapshot_->segments[i].label),
-        inner_traces[i]);
+    merged.trace.Graft("segment:" + std::string(segments[i].label),
+                       inner_traces[i]);
   }
   return merged;
 }
@@ -285,37 +139,14 @@ std::string DescribeNode(const SegmentSetSnapshot& snapshot,
 }
 
 std::vector<std::vector<DiContribution>> ComputeDiContributions(
-    const XmlIndex& index, const std::vector<GksNode>& nodes,
-    const Query& query, const DiOptions& options) {
-  std::vector<std::vector<DiContribution>> out(nodes.size());
-  for (size_t n = 0; n < nodes.size(); ++n) {
-    const GksNode& node = nodes[n];
-    if (!node.is_lce || node.rank <= 0.0) continue;
-    ForEachOwnedDiAttr(index, node, query, options,
-                       [&](std::string tag, const std::string& value,
-                           std::vector<std::string> path) {
-                         out[n].push_back({std::move(tag), value,
-                                           std::move(path)});
-                       });
-  }
-  return out;
-}
-
-std::vector<std::vector<DiContribution>> ComputeDiContributions(
     const SegmentSetSnapshot& snapshot, const std::vector<GksNode>& nodes,
     const Query& query, const DiOptions& options) {
   std::vector<std::vector<DiContribution>> out(nodes.size());
   for (size_t n = 0; n < nodes.size(); ++n) {
-    const GksNode& node = nodes[n];
-    if (!node.is_lce || node.rank <= 0.0) continue;
-    const SegmentView* view = snapshot.SegmentFor(node.id.doc_id());
+    if (!GivesDi(nodes[n])) continue;
+    const SegmentView* view = snapshot.SegmentFor(nodes[n].id.doc_id());
     if (view == nullptr) continue;
-    ForEachOwnedDiAttr(*view->index, node, query, options,
-                       [&](std::string tag, const std::string& value,
-                           std::vector<std::string> path) {
-                         out[n].push_back({std::move(tag), value,
-                                           std::move(path)});
-                       });
+    out[n] = NodeDiContributions(*view->index, nodes[n], query, options);
   }
   return out;
 }

@@ -19,22 +19,13 @@ class QueryResultCache;
 /// full single-index pipeline per segment, masks tombstoned documents,
 /// and merges the per-segment results into one response that is
 /// node-for-node identical to searching an offline index built over the
-/// same live documents:
+/// same live documents. Each segment is one partial of the merge core
+/// (core/partial_merge.h), which owns the result order, DI and
+/// refinements; a node's DI resolves through the segment it came from.
 ///
-///   - Ranks are potential-flow scores (Sec. 5) — functions of a response
-///     node's own subtree only — so per-segment ranks are directly
-///     comparable and the merge is a sort by the searcher's exact
-///     (rank, keyword count, Dewey id) comparator.
-///   - DI discovery (Sec. 6.2) re-aggregates across segments keyed by
-///     (attribute tag name, value string) — the cross-segment equivalent
-///     of the per-index (tag id, value id) key — so a value exposed by
-///     LCE nodes in different segments sums its weight exactly as one
-///     index would.
-///   - Refinement suggestions are derived once from the merged nodes and
-///     merged DI (they take no index).
-///   - `top_k` stays exact under deletions: a segment overlapping the
-///     tombstone set runs full evaluation (the k-th survivor may sit
-///     below k dead nodes); truncation to k happens after the merge.
+/// `top_k` stays exact under deletions: a segment overlapping the
+/// tombstone set runs full evaluation (the k-th survivor may sit below k
+/// dead nodes); truncation to k happens in the merge.
 ///
 /// The snapshot is immutable; a SegmentSearcher can be constructed per
 /// query for the price of a shared_ptr copy. The optional cache is keyed
@@ -77,27 +68,8 @@ class SegmentSearcher {
 std::string DescribeNode(const SegmentSetSnapshot& snapshot,
                          const GksNode& node, size_t max_attrs = 3);
 
-/// One attribute occurrence a response node contributes to DI discovery
-/// (Sec. 6.2): the aggregation key (attribute tag name, value string)
-/// plus the tag path from the owning entity down to the attribute. This
-/// is the partition-independent form of a DI occurrence — a coordinator
-/// replays the exact accumulation DiscoverDi performs (weight += node
-/// rank, support += 1, first contributor in rank order defines the path)
-/// from these without touching any index (docs/DISTRIBUTED.md).
-struct DiContribution {
-  std::string tag;
-  std::string value;
-  std::vector<std::string> path;
-};
-
-/// Per-node DI contributions, aligned with `nodes`. Only LCE nodes with
-/// positive rank contribute (non-contributors get empty vectors), and the
-/// enumeration applies the same owning-entity and query-term filters as
-/// DiscoverDi, so replaying the accumulation over the returned lists is
-/// bit-identical to running discovery directly.
-std::vector<std::vector<DiContribution>> ComputeDiContributions(
-    const XmlIndex& index, const std::vector<GksNode>& nodes,
-    const Query& query, const DiOptions& options);
+/// ComputeDiContributions over a segment set: each node's contributions
+/// resolve through the segment that holds its document.
 std::vector<std::vector<DiContribution>> ComputeDiContributions(
     const SegmentSetSnapshot& snapshot, const std::vector<GksNode>& nodes,
     const Query& query, const DiOptions& options);

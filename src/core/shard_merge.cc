@@ -5,10 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <map>
 #include <utility>
-
-#include "core/refinement.h"
 
 namespace gks {
 
@@ -43,107 +40,41 @@ bool DecodeMaskBits(const std::string& hex, uint64_t* mask) {
   return true;
 }
 
-bool RanksBefore(const GksNode& a, const GksNode& b) {
-  if (a.rank != b.rank) return a.rank > b.rank;
-  if (a.keyword_count != b.keyword_count) {
-    return a.keyword_count > b.keyword_count;
-  }
-  return a.id < b.id;
-}
-
 MergedShardResult MergeShardResults(const Query& query,
                                     const SearchOptions& options,
-                                    std::vector<ShardPartialResult> partials) {
+                                    std::vector<ShardPartialResult> shards) {
   MergedShardResult merged;
-  SearchResponse& response = merged.response;
-  response.effective_s =
-      std::min<uint32_t>(options.s == 0 ? static_cast<uint32_t>(query.size())
-                                        : options.s,
-                         static_cast<uint32_t>(query.size()));
-
-  std::vector<ShardResultNode> nodes;
-  size_t dominant_size = 0;
-  bool have_plan = false;
-  for (ShardPartialResult& partial : partials) {
-    for (ShardResultNode& node : partial.nodes) {
-      nodes.push_back(std::move(node));
+  std::vector<Partial> partials(shards.size());
+  for (size_t i = 0; i < shards.size(); ++i) {
+    ShardPartialResult& shard = shards[i];
+    partials[i].nodes.reserve(shard.nodes.size());
+    for (ShardResultNode& node : shard.nodes) {
+      partials[i].nodes.push_back(std::move(node.node));
     }
-    response.merged_list_size += partial.merged_list_size;
-    response.candidate_count += partial.candidate_count;
-    if (!have_plan || partial.merged_list_size > dominant_size) {
-      // Dominant-partial rule, as in SegmentSearcher: the shard whose
-      // posting statistics dwarf the others stands for the query's plan.
-      response.plan.strategy = partial.plan;
-      dominant_size = partial.merged_list_size;
-      have_plan = true;
-    }
-    merged.epoch = std::max(merged.epoch, partial.epoch);
+    partials[i].merged_list_size = shard.merged_list_size;
+    partials[i].candidate_count = shard.candidate_count;
+    partials[i].plan.strategy = shard.plan;
+    merged.epoch = std::max(merged.epoch, shard.epoch);
   }
 
-  // The searcher's exact rank order, re-established globally. Dewey ids
-  // are globally unique (document-range sharding), so the comparator is
-  // a total order and the result is independent of shard arrival order.
-  std::sort(nodes.begin(), nodes.end(),
-            [](const ShardResultNode& a, const ShardResultNode& b) {
-              return RanksBefore(a.node, b.node);
-            });
-  if (options.top_k > 0 && nodes.size() > options.top_k) {
-    nodes.resize(options.top_k);
-  }
-
-  for (const ShardResultNode& node : nodes) {
-    response.nodes.push_back(node.node);
-    if (node.node.is_lce) ++response.lce_count;
-  }
-
-  if (options.discover_di) {
-    // Replay of DiscoverDi's accumulation over the wire contributions:
-    // merged rank order, first contributor defines the path, weight sums
-    // the exact (bit-pattern) ranks — identical float addition order and
-    // operands to the single-index run.
-    std::map<std::pair<std::string, std::string>, DiKeyword> accumulated;
-    for (const ShardResultNode& node : nodes) {
-      for (const DiContribution& contribution : node.di) {
-        DiKeyword& di = accumulated[{contribution.tag, contribution.value}];
-        if (di.support == 0) {
-          di.value = contribution.value;
-          di.path = contribution.path;
+  // A node's DI is the contribution list its shard resolved for it.
+  MergedPartials result = MergePartials(
+      query, options, std::move(partials),
+      [&](NodeOrigin origin, const GksNode& node, DiAccumulator* acc) {
+        const ShardResultNode& from =
+            shards[origin.partial].nodes[origin.position];
+        for (const DiContribution& contribution : from.di) {
+          acc->Add(contribution.tag, contribution.value, node.rank,
+                   [&] { return contribution.path; });
         }
-        di.weight += node.node.rank;
-        ++di.support;
-      }
-    }
-    response.insights.reserve(accumulated.size());
-    for (auto& [key, di] : accumulated) {
-      (void)key;
-      response.insights.push_back(std::move(di));
-    }
-    // Same total order as DiscoverDi: the path leg breaks (weight, value)
-    // ties deterministically across keying schemes.
-    std::sort(response.insights.begin(), response.insights.end(),
-              [](const DiKeyword& a, const DiKeyword& b) {
-                if (a.weight != b.weight) return a.weight > b.weight;
-                if (a.value != b.value) return a.value < b.value;
-                return a.path < b.path;
-              });
-    if (response.insights.size() > options.di_top_m) {
-      response.insights.resize(options.di_top_m);
-    }
-  }
-  if (options.suggest_refinements) {
-    response.refinements =
-        SuggestRefinements(query, response.nodes, response.insights);
-  }
-  if (options.max_results > 0 && nodes.size() > options.max_results) {
-    nodes.resize(options.max_results);
-    response.nodes.resize(options.max_results);
-  }
-
-  merged.doc_names.reserve(nodes.size());
-  merged.describes.reserve(nodes.size());
-  for (ShardResultNode& node : nodes) {
-    merged.doc_names.push_back(std::move(node.doc_name));
-    merged.describes.push_back(std::move(node.describe));
+      });
+  merged.response = std::move(result.response);
+  merged.doc_names.reserve(result.origins.size());
+  merged.describes.reserve(result.origins.size());
+  for (NodeOrigin origin : result.origins) {
+    ShardResultNode& from = shards[origin.partial].nodes[origin.position];
+    merged.doc_names.push_back(std::move(from.doc_name));
+    merged.describes.push_back(std::move(from.describe));
   }
   return merged;
 }

@@ -5,10 +5,11 @@
 #include <string>
 #include <vector>
 
+#include "core/di.h"
+#include "core/partial_merge.h"
 #include "core/plan.h"
 #include "core/query.h"
 #include "core/searcher.h"
-#include "core/segment_search.h"
 
 namespace gks {
 
@@ -18,20 +19,19 @@ namespace gks {
 /// document range with the cross-shard stages disabled (`"shard": true`
 /// on the wire maps to discover_di = suggest_refinements = false,
 /// max_results = 0 — exactly the inner options SegmentSearcher uses per
-/// segment). The coordinator re-establishes the global order with the
-/// searcher's exact (rank desc, keyword count desc, Dewey id asc)
-/// comparator and replays the cross-shard stages from partition-
-/// independent inputs:
+/// segment). MergeShardResults is an adapter over the one partial-merge
+/// core (core/partial_merge.h): each shard is one partial, and the core
+/// re-establishes the global order and runs the cross-shard stages from
+/// partition-independent inputs:
 ///
 ///   - Ranks travel as exact IEEE-754 bit patterns (`rank_bits`), not the
 ///     3-decimal display doubles, so sort order, refinement subset scores
 ///     and DI weight sums are bit-identical to a single-index run.
-///   - DI discovery replays per-node contribution lists (attribute tag
-///     name, value string, path) in merged rank order — the same
-///     accumulation DiscoverDi performs, minus any index access.
+///   - A node's DI is the contribution list (attribute tag name, value
+///     string, path) its shard resolved; the core's DiAccumulator sums
+///     them in merged order, as it sums an index walk's occurrences.
 ///   - Refinements derive from the merged nodes (keyword masks travel on
-///     the wire) and the merged DI; SuggestRefinements is deterministic
-///     in those inputs.
+///     the wire) and the merged DI.
 ///
 /// The property suite (tests/property/shard_equivalence_test.cc) pins the
 /// whole response — ordering, ranks, DI, refinements, top-k — against the
@@ -66,15 +66,11 @@ struct MergedShardResult {
   uint64_t epoch = 0;  // max shard epoch
 };
 
-/// The searcher's result order: rank desc, keyword count desc, Dewey id
-/// asc. Total, because Dewey ids are globally unique across shards.
-bool RanksBefore(const GksNode& a, const GksNode& b);
-
-/// Merges shard partials exactly as SegmentSearcher::SearchMerged merges
-/// segment partials. `options` is the client's request (s / top / top_k /
-/// di / refine); partials may arrive in any order and may be fewer than
-/// the full topology (degraded responses drop missing shards — the
-/// caller decides whether that is acceptable).
+/// Merges shard partials with MergePartials, carrying each surviving
+/// node's `doc` and `describe` along. `options` is the client's request
+/// (s / top / top_k / di / refine); partials may arrive in any order and
+/// may be fewer than the full topology (degraded responses drop missing
+/// shards — the caller decides whether that is acceptable).
 MergedShardResult MergeShardResults(const Query& query,
                                     const SearchOptions& options,
                                     std::vector<ShardPartialResult> partials);

@@ -6,6 +6,7 @@
 #include "common/metrics.h"
 #include "common/trace.h"
 #include "core/merged_list.h"
+#include "core/partial_merge.h"
 #include "core/window_scan.h"
 #include "index/posting_cursor.h"
 
@@ -38,16 +39,6 @@ struct TopKMetrics {
     return metrics;
   }
 };
-
-// The searcher's final sort order ("a ranks strictly before b"). Total:
-// Dewey ids are unique, so the id tie-break never leaves equals.
-bool Better(const GksNode& a, const GksNode& b) {
-  if (a.rank != b.rank) return a.rank > b.rank;
-  if (a.keyword_count != b.keyword_count) {
-    return a.keyword_count > b.keyword_count;
-  }
-  return a.id < b.id;
-}
 
 // Per-atom evaluation state: one cursor per token list, driven by the
 // smallest (the atom's occurrences are a subset of every token list, so
@@ -308,11 +299,11 @@ TopKResult EvaluateTopK(const XmlIndex& index, const Query& query, uint32_t s,
           for (GksNode& node : nodes) {
             if (heap.size() < k) {
               heap.push_back(std::move(node));
-              std::push_heap(heap.begin(), heap.end(), Better);
-            } else if (Better(node, heap.front())) {
-              std::pop_heap(heap.begin(), heap.end(), Better);
+              std::push_heap(heap.begin(), heap.end(), RanksBefore);
+            } else if (RanksBefore(node, heap.front())) {
+              std::pop_heap(heap.begin(), heap.end(), RanksBefore);
               heap.back() = std::move(node);
-              std::push_heap(heap.begin(), heap.end(), Better);
+              std::push_heap(heap.begin(), heap.end(), RanksBefore);
             }
           }
         }
@@ -324,7 +315,7 @@ TopKResult EvaluateTopK(const XmlIndex& index, const Query& query, uint32_t s,
 
   {
     ScopedSpan span("topk.finalize");
-    std::sort_heap(heap.begin(), heap.end(), Better);
+    std::sort_heap(heap.begin(), heap.end(), RanksBefore);
     result.nodes = std::move(heap);
     span.AddItems(result.nodes.size());
   }

@@ -87,6 +87,20 @@ std::string BuildShardRequestLine(const WireRequest& request,
   return json.Take() + "\n";
 }
 
+/// Reads a required non-negative integer member. A missing or wrong-kind
+/// value, or a negative one (which would wrap into a huge count), is a
+/// malformed partial.
+bool ReadCount(const JsonValue& object, std::string_view key, uint64_t* out,
+               std::string* error) {
+  const JsonValue* value = object.Find(key);
+  if (value == nullptr || !value->is_int() || value->GetInt() < 0) {
+    *error = "bad or missing \"" + std::string(key) + "\"";
+    return false;
+  }
+  *out = static_cast<uint64_t>(value->GetInt());
+  return true;
+}
+
 /// Decodes a partial's "di_dict": the distinct contributions its nodes'
 /// "di_contrib" arrays index into.
 bool ParseDiDictionary(const JsonValue& root,
@@ -128,20 +142,17 @@ bool ParseDiDictionary(const JsonValue& root,
 /// top can only reach nodes with display strings.
 bool ParseShardPartial(const JsonValue& root, size_t describe_top,
                        ShardPartialResult* out, std::string* error) {
-  out->epoch = static_cast<uint64_t>(root.Find("epoch") != nullptr
-                                         ? root.Find("epoch")->GetInt()
-                                         : 0);
-  const JsonValue* merged = root.Find("merged_list_size");
-  const JsonValue* candidates = root.Find("candidates");
   const JsonValue* plan = root.Find("plan");
   const JsonValue* nodes = root.Find("nodes");
-  if (merged == nullptr || candidates == nullptr || nodes == nullptr ||
-      !nodes->is_array()) {
+  if (!ReadCount(root, "epoch", &out->epoch, error) ||
+      !ReadCount(root, "merged_list_size", &out->merged_list_size, error) ||
+      !ReadCount(root, "candidates", &out->candidate_count, error)) {
+    return false;
+  }
+  if (nodes == nullptr || !nodes->is_array()) {
     *error = "shard response missing summary fields";
     return false;
   }
-  out->merged_list_size = static_cast<uint64_t>(merged->GetInt());
-  out->candidate_count = static_cast<uint64_t>(candidates->GetInt());
   if (plan == nullptr || !plan->is_string() ||
       !ParsePlanMode(plan->GetString(), &out->plan)) {
     *error = "shard response missing plan";
@@ -178,12 +189,19 @@ bool ParseShardPartial(const JsonValue& root, size_t describe_top,
       *error = "bad mask/rank_bits encoding";
       return false;
     }
-    if (const JsonValue* lce = entry.Find("lce")) {
-      node.node.is_lce = lce->GetBool();
+    const JsonValue* lce = entry.Find("lce");
+    if (lce == nullptr || !lce->is_bool()) {
+      *error = "bad or missing \"lce\"";
+      return false;
     }
-    if (const JsonValue* keywords = entry.Find("keywords")) {
-      node.node.keyword_count = static_cast<uint32_t>(keywords->GetInt());
+    node.node.is_lce = lce->GetBool();
+    uint64_t keywords = 0;
+    if (!ReadCount(entry, "keywords", &keywords, error)) return false;
+    if (keywords > 64) {  // a query has at most 64 keywords
+      *error = "bad \"keywords\"";
+      return false;
     }
+    node.node.keyword_count = static_cast<uint32_t>(keywords);
     if (!out->nodes.empty() && RanksBefore(node.node, out->nodes.back().node)) {
       *error = "shard nodes out of rank order";
       return false;

@@ -367,12 +367,14 @@ std::string GksServer::RunQuery(
   // timings) always rebuild.
   const bool wire_cacheable = wire_cache_ != nullptr && request.shard &&
                               !request.has_id && !request.explain;
-  std::string wire_key;
-  if (index_state_.rt()) {
-    std::shared_ptr<const SegmentSetSnapshot> snapshot =
-        index_state_.rt_snapshot();
+  // One body over either snapshot type. The two real differences stay
+  // with the callers: only the RT path hands its pool to the searcher,
+  // and only the static path has a `doc_base`.
+  auto answer = [&](const auto& snapshot, const auto& searcher,
+                    uint32_t doc_base) -> std::string {
+    std::string wire_key;
     if (wire_cacheable) {
-      wire_key = WireResponseCache::MakeKey(line, snapshot->epoch);
+      wire_key = WireResponseCache::MakeKey(line, snapshot.epoch);
       std::string cached;
       if (wire_cache_->Get(wire_key, &cached)) {
         shard_cache_hits_->Increment();
@@ -380,12 +382,6 @@ std::string GksServer::RunQuery(
       }
       shard_cache_misses_->Increment();
     }
-    SegmentSearcher searcher(snapshot);
-    searcher.set_cache(cache_.get());
-    // Degrades to the inline walk here (this thread IS a pool worker);
-    // embedders driving SegmentSearcher from their own threads get the
-    // parallel per-segment fan-out (docs/PERFORMANCE.md).
-    searcher.set_pool(pool_.get());
     WallTimer timer;
     Result<SearchResponse> response =
         searcher.Search(request.query, request.options);
@@ -396,67 +392,42 @@ std::string GksServer::RunQuery(
     }
     span.AddItems(response->nodes.size());
     QueryWireExtras extras;
+    extras.doc_base = doc_base;
     std::vector<std::vector<DiContribution>> contributions;
     if (request.shard) {
       extras.shard_mode = true;
       if (request.want_di_contrib) {
         Result<Query> query = Query::Parse(request.query);
         if (query.ok()) {
-          contributions = ComputeDiContributions(*snapshot, response->nodes,
+          contributions = ComputeDiContributions(snapshot, response->nodes,
                                                  *query, DiOptions{});
           extras.contributions = &contributions;
         }
       }
     }
     std::string result = WireResponseBuilder::Query(
-        request, *response, *snapshot, snapshot->epoch,
-        timer.ElapsedMillis(), extras);
+        request, *response, snapshot, snapshot.epoch, timer.ElapsedMillis(),
+        extras);
     if (wire_cacheable) wire_cache_->Put(wire_key, result);
     return result;
+  };
+  if (index_state_.rt()) {
+    std::shared_ptr<const SegmentSetSnapshot> snapshot =
+        index_state_.rt_snapshot();
+    SegmentSearcher searcher(snapshot);
+    searcher.set_cache(cache_.get());
+    // Degrades to the inline walk here (this thread IS a pool worker);
+    // embedders driving SegmentSearcher from their own threads get the
+    // parallel per-segment fan-out (docs/PERFORMANCE.md).
+    searcher.set_pool(pool_.get());
+    return answer(*snapshot, searcher, 0);
   }
   std::shared_ptr<const XmlIndex> snapshot = index_state_.snapshot();
-  if (wire_cacheable) {
-    wire_key = WireResponseCache::MakeKey(line, snapshot->epoch);
-    std::string cached;
-    if (wire_cache_->Get(wire_key, &cached)) {
-      shard_cache_hits_->Increment();
-      return cached;
-    }
-    shard_cache_misses_->Increment();
-  }
   GksSearcher searcher(snapshot.get());
   searcher.set_cache(cache_.get());
-  WallTimer timer;
-  Result<SearchResponse> response =
-      searcher.Search(request.query, request.options);
-  if (!response.ok()) {
-    errors_total_->Increment();
-    return WireResponseBuilder::Error(&request, wire_error::kSearchFailed,
-                                      response.status().ToString());
-  }
-  span.AddItems(response->nodes.size());
-  QueryWireExtras extras;
   // Shard indexes hold global Dewey doc ids over a dense catalog; the
   // offset is harmless zero everywhere else.
-  extras.doc_base = config_.doc_base;
-  std::vector<std::vector<DiContribution>> contributions;
-  if (request.shard) {
-    extras.shard_mode = true;
-    if (request.want_di_contrib) {
-      Result<Query> query = Query::Parse(request.query);
-      if (query.ok()) {
-        contributions = ComputeDiContributions(*snapshot, response->nodes,
-                                               *query, DiOptions{});
-        extras.contributions = &contributions;
-      }
-    }
-  }
-  std::string result = WireResponseBuilder::Query(request, *response,
-                                                  *snapshot, snapshot->epoch,
-                                                  timer.ElapsedMillis(),
-                                                  extras);
-  if (wire_cacheable) wire_cache_->Put(wire_key, result);
-  return result;
+  return answer(*snapshot, searcher, config_.doc_base);
 }
 
 std::string GksServer::HandleWrite(const WireRequest& request) {

@@ -533,6 +533,48 @@ TEST(CoordinatorTest, FakeWorkerPartialDecodes) {
   EXPECT_EQ(di.Find("path")->items()[1].GetString(), "year");
 }
 
+TEST(CoordinatorTest, NonLceContributionsLeaveDiUnchanged) {
+  // As FakeWorkerPartialDecodes, but the second node is no LCE: only LCE
+  // nodes give DI, whatever contributions a partial attaches to others.
+  std::string second = CannedNode("1", kRankOne, R"(,"di_contrib":[0])");
+  second.replace(second.find(R"("lce":true)"), 10, R"("lce":false)");
+  Result<JsonValue> response = QueryThroughFake(
+      CannedPartial(
+          CannedNode("0", kRankTwo, std::string(kDescribed) +
+                                        R"(,"di_contrib":[0])"),
+          second),
+      R"({"query":"keyword","s":1,"top":1})");
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  ASSERT_TRUE(response->Find("ok")->GetBool());
+  ASSERT_EQ(response->Find("di")->size(), 1u);
+  const JsonValue& di = response->Find("di")->items()[0];
+  EXPECT_EQ(di.Find("value")->GetString(), "2001");
+  EXPECT_EQ(di.Find("support")->GetInt(), 1);
+  EXPECT_DOUBLE_EQ(di.Find("weight")->GetDouble(), 2.0);
+}
+
+TEST(CoordinatorTest, MergeRecordsTheDiStage) {
+  // The merge core's `di` span runs under coord.merge, so the server's
+  // `gks` collector prefix derives gks.di.latency_ms on a coordinator.
+  auto worker0 = StartWorker(0);
+  auto worker1 = StartWorker(1);
+  auto coord =
+      StartCoordinator(Endpoint(*worker0) + "," + Endpoint(*worker1));
+  Histogram* di = MetricsRegistry::Global().GetHistogram("gks.di.latency_ms");
+  const uint64_t before = di->count();
+  ServerConnection connection = ConnectOrDie(*coord);
+  Result<JsonValue> response =
+      connection.Call(R"({"query":"keyword weinstein","s":1,"top":3})");
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  ASSERT_TRUE(response->Find("ok")->GetBool());
+  EXPECT_GT(response->Find("di")->size(), 0u);
+  EXPECT_EQ(di->count(), before + 1);
+  connection.Close();
+  Stop(coord);
+  Stop(worker0);
+  Stop(worker1);
+}
+
 TEST(CoordinatorTest, HostilePartialsAreShardUnavailable) {
   struct Case {
     const char* label;
@@ -545,6 +587,16 @@ TEST(CoordinatorTest, HostilePartialsAreShardUnavailable) {
   const std::string second = CannedNode("1", kRankOne, "");
   auto first_with = [&](const std::string& extra) {
     return CannedNode("0", kRankTwo, extra);
+  };
+  const std::string control =
+      CannedPartial(first_with(kDescribed), second);
+  // The control partial with one member's text replaced.
+  auto tampered = [&](const std::string& from, const std::string& to) {
+    std::string partial = control;
+    size_t at = partial.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    if (at != std::string::npos) partial.replace(at, from.size(), to);
+    return partial;
   };
   const std::vector<Case> cases = {
       {"index past the dictionary",
@@ -598,6 +650,40 @@ TEST(CoordinatorTest, HostilePartialsAreShardUnavailable) {
        CannedPartial(CannedNode("0", "7ff8000000000000", kDescribed),
                      second),
        top1, "rank_bits"},
+      // Summary counts are non-negative integers: a wrong kind must not
+      // read as 0, a negative one must not wrap into a huge count.
+      {"string epoch", tampered(R"("epoch":1)", R"("epoch":"1")"), top1,
+       "\"epoch\""},
+      {"negative epoch", tampered(R"("epoch":1)", R"("epoch":-1)"), top1,
+       "\"epoch\""},
+      {"missing epoch", tampered(R"("epoch":1,)", ""), top1, "\"epoch\""},
+      {"fractional merged_list_size",
+       tampered(R"("merged_list_size":2)", R"("merged_list_size":2.5)"), top1,
+       "\"merged_list_size\""},
+      {"negative merged_list_size",
+       tampered(R"("merged_list_size":2)", R"("merged_list_size":-2)"), top1,
+       "\"merged_list_size\""},
+      {"bool candidates",
+       tampered(R"("candidates":2)", R"("candidates":true)"), top1,
+       "\"candidates\""},
+      {"negative candidates",
+       tampered(R"("candidates":2)", R"("candidates":-2)"), top1,
+       "\"candidates\""},
+      {"numeric lce", tampered(R"("lce":true,"keywords":1)",
+                               R"("lce":1,"keywords":1)"),
+       top1, "\"lce\""},
+      {"missing lce", tampered(R"("lce":true,"keywords":1)",
+                               R"("keywords":1)"),
+       top1, "\"lce\""},
+      {"string keywords", tampered(R"("keywords":1)", R"("keywords":"1")"),
+       top1, "\"keywords\""},
+      {"negative keywords", tampered(R"("keywords":1)", R"("keywords":-1)"),
+       top1, "\"keywords\""},
+      {"keywords past 64", tampered(R"("keywords":1)", R"("keywords":65)"),
+       top1, "\"keywords\""},
+      {"missing keywords",
+       tampered(R"("lce":true,"keywords":1,)", R"("lce":true,)"), top1,
+       "\"keywords\""},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.label);
