@@ -26,11 +26,12 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "common/file_io.h"
 #include "common/metrics.h"
+#include "index/serialization.h"
 #include "index/shard.h"
 #include "server/client.h"
 #include "server/server.h"
-#include "xml/sax_parser.h"
 
 namespace gks::bench {
 namespace {
@@ -153,7 +154,7 @@ void Run() {
     options.seed = static_cast<uint32_t>(7 + i);
     files.push_back(dir + "/doc_" + std::to_string(i) + ".xml");
     Status status =
-        xml::WriteStringToFile(files[i], data::GenerateDblp(options));
+        WriteStringToFile(files[i], data::GenerateDblp(options));
     if (!status.ok()) Die("write failed:", status.ToString());
   }
 

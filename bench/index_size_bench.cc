@@ -1,16 +1,15 @@
-// On-disk format comparison (v1 vs v2) on a DBLP-style corpus:
+// On-disk format v2 on a DBLP-style corpus:
 //
-//   1. index size — total file bytes and bytes/posting for both formats
-//      (v2 = LZ-wrapped node/attr sections + delta-compressed posting
-//      blocks; acceptance: >= 2x smaller);
+//   1. index size — total file bytes, bytes/posting and per-section bytes
+//      (LZ-wrapped node/attr sections + delta-compressed posting blocks);
 //   2. cold-start latency — eager LoadIndex vs zero-copy LoadIndexMapped
-//      on the same v2 file (acceptance: mmap >= 10x faster, since it only
+//      on the same file (acceptance: mmap >= 10x faster, since it only
 //      parses the section table and catalog);
 //   3. fig8-style query latency — n=8 keyword queries of varying
-//      selectivity against a v1-loaded, v2-loaded and v2-mapped index
-//      (acceptance: v2 within 10% of v1).
+//      selectivity against an eagerly loaded and a mapped index.
 //
-// Prints a JSON document on stdout (shape mirrors BENCH_pr3.json).
+// Prints a JSON document on stdout. BENCH_pr3.json records the v1 vs v2
+// comparison this bench made while the writer still produced v1.
 
 #include <algorithm>
 #include <cstdio>
@@ -24,7 +23,6 @@
 
 namespace {
 
-using gks::IndexFormat;
 using gks::JsonWriter;
 using gks::LoadIndex;
 using gks::LoadIndexMapped;
@@ -53,9 +51,8 @@ double BestOfMs(int reps, Fn fn) {
 struct QueryPoint {
   std::string query;
   size_t sl = 0;
-  double v1_ms = 0;
-  double v2_ms = 0;
-  double v2_mmap_ms = 0;
+  double eager_ms = 0;
+  double mmap_ms = 0;
 };
 
 int Run() {
@@ -64,16 +61,13 @@ int Run() {
   gks::bench::Corpus corpus = gks::bench::MakeDblp();
   XmlIndex built = gks::bench::BuildIndex(corpus);
 
-  const std::string v1_path = TempPath("gks_size_bench_v1.gksidx");
-  const std::string v2_path = TempPath("gks_size_bench_v2.gksidx");
-  if (!SaveIndex(built, v1_path, IndexFormat::kV1).ok() ||
-      !SaveIndex(built, v2_path, IndexFormat::kV2).ok()) {
+  const std::string path = TempPath("gks_size_bench_v2.gksidx");
+  if (!SaveIndex(built, path).ok()) {
     std::fprintf(stderr, "FATAL: save failed\n");
     return 1;
   }
-  Result<gks::IndexFileInfo> v1_info = gks::InspectIndexFile(v1_path);
-  Result<gks::IndexFileInfo> v2_info = gks::InspectIndexFile(v2_path);
-  if (!v1_info.ok() || !v2_info.ok()) {
+  Result<gks::IndexFileInfo> info = gks::InspectIndexFile(path);
+  if (!info.ok()) {
     std::fprintf(stderr, "FATAL: inspect failed\n");
     return 1;
   }
@@ -81,22 +75,18 @@ int Run() {
 
   // --- cold start: eager decode-everything vs section-table-only. ---
   std::fprintf(stderr, "timing cold loads...\n");
-  const double v1_eager_ms = BestOfMs(5, [&] {
-    if (!LoadIndex(v1_path).ok()) std::exit(1);
+  const double eager_load_ms = BestOfMs(5, [&] {
+    if (!LoadIndex(path).ok()) std::exit(1);
   });
-  const double v2_eager_ms = BestOfMs(5, [&] {
-    if (!LoadIndex(v2_path).ok()) std::exit(1);
-  });
-  const double v2_mmap_ms = BestOfMs(5, [&] {
-    if (!LoadIndexMapped(v2_path).ok()) std::exit(1);
+  const double mmap_load_ms = BestOfMs(5, [&] {
+    if (!LoadIndexMapped(path).ok()) std::exit(1);
   });
 
   // --- fig8-style query latency (n=8, varying selectivity). ---
   std::fprintf(stderr, "timing queries...\n");
-  Result<XmlIndex> v1 = LoadIndex(v1_path);
-  Result<XmlIndex> v2 = LoadIndex(v2_path);
-  Result<XmlIndex> v2_mapped = LoadIndexMapped(v2_path);
-  if (!v1.ok() || !v2.ok() || !v2_mapped.ok()) {
+  Result<XmlIndex> eager = LoadIndex(path);
+  Result<XmlIndex> mapped = LoadIndexMapped(path);
+  if (!eager.ok() || !mapped.ok()) {
     std::fprintf(stderr, "FATAL: reload failed\n");
     return 1;
   }
@@ -108,25 +98,21 @@ int Run() {
       if (!point.query.empty()) point.query += " ";
       point.query += vocabulary[start + i];
     }
-    point.v1_ms = BestOfMs(5, [&] {
+    point.eager_ms = BestOfMs(5, [&] {
       point.sl =
-          gks::bench::RunQuery(*v1, point.query, 2).merged_list_size;
+          gks::bench::RunQuery(*eager, point.query, 2).merged_list_size;
     });
-    point.v2_ms = BestOfMs(5, [&] {
-      (void)gks::bench::RunQuery(*v2, point.query, 2);
-    });
-    point.v2_mmap_ms = BestOfMs(5, [&] {
-      (void)gks::bench::RunQuery(*v2_mapped, point.query, 2);
+    point.mmap_ms = BestOfMs(5, [&] {
+      (void)gks::bench::RunQuery(*mapped, point.query, 2);
     });
     points.push_back(point);
   }
   std::sort(points.begin(), points.end(),
             [](const QueryPoint& a, const QueryPoint& b) { return a.sl < b.sl; });
-  double v1_total = 0, v2_total = 0, v2_mmap_total = 0;
+  double eager_total = 0, mmap_total = 0;
   for (const QueryPoint& point : points) {
-    v1_total += point.v1_ms;
-    v2_total += point.v2_ms;
-    v2_mmap_total += point.v2_mmap_ms;
+    eager_total += point.eager_ms;
+    mmap_total += point.mmap_ms;
   }
 
   // --- emit JSON. ---
@@ -143,32 +129,22 @@ int Run() {
 
   json.Key("size");
   json.BeginObject();
-  json.Key("v1_bytes").UInt(v1_info->file_bytes);
-  json.Key("v2_bytes").UInt(v2_info->file_bytes);
-  json.Key("v1_bytes_per_posting")
-      .Double(static_cast<double>(v1_info->file_bytes) / postings);
-  json.Key("v2_bytes_per_posting")
-      .Double(static_cast<double>(v2_info->file_bytes) / postings);
-  json.Key("v1_over_v2")
-      .Double(static_cast<double>(v1_info->file_bytes) /
-              static_cast<double>(v2_info->file_bytes));
-  for (const auto& [info, prefix] :
-       {std::pair{&*v1_info, "v1"}, std::pair{&*v2_info, "v2"}}) {
-    json.Key(std::string(prefix) + "_sections");
-    json.BeginObject();
-    for (const gks::IndexSectionInfo& section : info->sections) {
-      json.Key(section.name).UInt(section.bytes);
-    }
-    json.EndObject();
+  json.Key("bytes").UInt(info->file_bytes);
+  json.Key("bytes_per_posting")
+      .Double(static_cast<double>(info->file_bytes) / postings);
+  json.Key("sections");
+  json.BeginObject();
+  for (const gks::IndexSectionInfo& section : info->sections) {
+    json.Key(section.name).UInt(section.bytes);
   }
+  json.EndObject();
   json.EndObject();
 
   json.Key("cold_load_ms");
   json.BeginObject();
-  json.Key("v1_eager").Double(v1_eager_ms);
-  json.Key("v2_eager").Double(v2_eager_ms);
-  json.Key("v2_mmap").Double(v2_mmap_ms);
-  json.Key("eager_over_mmap").Double(v2_eager_ms / v2_mmap_ms);
+  json.Key("eager").Double(eager_load_ms);
+  json.Key("mmap").Double(mmap_load_ms);
+  json.Key("eager_over_mmap").Double(eager_load_ms / mmap_load_ms);
   json.EndObject();
 
   json.Key("fig8_query_ms");
@@ -178,23 +154,19 @@ int Run() {
   for (const QueryPoint& point : points) {
     json.BeginObject();
     json.Key("sl").UInt(point.sl);
-    json.Key("v1").Double(point.v1_ms);
-    json.Key("v2").Double(point.v2_ms);
-    json.Key("v2_mmap").Double(point.v2_mmap_ms);
+    json.Key("eager").Double(point.eager_ms);
+    json.Key("mmap").Double(point.mmap_ms);
     json.EndObject();
   }
   json.EndArray();
-  json.Key("v1_total").Double(v1_total);
-  json.Key("v2_total").Double(v2_total);
-  json.Key("v2_mmap_total").Double(v2_mmap_total);
-  json.Key("v2_over_v1").Double(v2_total / v1_total);
-  json.Key("v2_mmap_over_v1").Double(v2_mmap_total / v1_total);
+  json.Key("eager_total").Double(eager_total);
+  json.Key("mmap_total").Double(mmap_total);
+  json.Key("mmap_over_eager").Double(mmap_total / eager_total);
   json.EndObject();
 
   json.EndObject();
   std::printf("%s\n", json.str().c_str());
-  std::remove(v1_path.c_str());
-  std::remove(v2_path.c_str());
+  std::remove(path.c_str());
   return 0;
 }
 

@@ -5,7 +5,8 @@
 # suites that parse attacker-shaped bytes — varint and LZ decoding, the
 # block-postings codec, the on-disk index readers (v1, v2 eager, v2
 # mmap), JSON and the wire protocol, hostile shard partials — plus the
-# partial-merge core those partials feed. Any ASan/UBSan report fails
+# partial-merge core those partials feed and the file reader and atomic
+# writer every persisted byte goes through. Any ASan/UBSan report fails
 # the run.
 #
 # The build tree (<repo>/build-asan) is incremental: the first run pays a
@@ -42,7 +43,7 @@ export ASAN_OPTIONS="halt_on_error=1 detect_leaks=1 ${ASAN_OPTIONS:-}"
 export UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1 ${UBSAN_OPTIONS:-}"
 
 "$build/tests/common_test" \
-  --gtest_filter='Varint*:Lz*:Simd*:JsonValueTest.*' --gtest_brief=1
+  --gtest_filter='Varint*:FileIo*:Lz*:Simd*:JsonValueTest.*' --gtest_brief=1
 "$build/tests/index_test" \
   --gtest_filter='PostingBlocks*:Serialization*:GoldenIndex*:PostingList*' \
   --gtest_brief=1

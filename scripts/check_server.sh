@@ -5,7 +5,9 @@
 # gks_client: single queries, a load run across several connections, the
 # admin verbs (health/stats/metrics), a hot reload (epoch must advance),
 # and finally `quit`, after which the server process must exit 0 having
-# drained cleanly.
+# drained cleanly. A second server runs the live-mmap rebuild drill:
+# `gks index` rewrites the file it has mapped, and it must keep serving
+# the old answer until a reload.
 #
 # Usage: check_server.sh <gks-binary> <gks_client-binary>
 
@@ -27,24 +29,50 @@ fail() { echo "check_server: FAILED — $*" >&2; exit 1; }
 "$gks" generate dblp "$work/dblp.xml" --scale=0.02 >/dev/null
 "$gks" index "$work/dblp.gksidx" "$work/dblp.xml" >/dev/null
 
-# --port=0: the kernel picks; parse the bound port from the startup line
-# ("listening on <host>:<port>" is a stable contract of `gks serve`).
-"$gks" serve "$work/dblp.gksidx" --port=0 --threads=2 \
-    > "$work/serve.log" 2> "$work/serve.err" &
-server_pid=$!
+# Unknown flags are usage errors, caught before any work: a stale
+# --format must not silently write the one format there is.
+expect_usage_error() {
+  local exit_code=0
+  "$gks" "$@" >/dev/null 2>&1 || exit_code=$?
+  [[ "$exit_code" -eq 2 ]] || fail "gks $* exited $exit_code, want 2"
+}
+expect_usage_error index "$work/rejected.gksidx" "$work/dblp.xml" --format=v1
+expect_usage_error shard "$work/rejected" "$work/dblp.xml" --format=v1
+[[ ! -e "$work/rejected.gksidx" && ! -e "$work/rejected" ]] \
+  || fail "a rejected command wrote its output"
 
-port=""
-for _ in $(seq 1 100); do
-  port=$(sed -nE 's/.*listening on [0-9.]+:([0-9]+).*/\1/p' \
-         "$work/serve.log" | head -1)
-  [[ -n "$port" ]] && break
-  kill -0 "$server_pid" 2>/dev/null \
-    || fail "server exited early: $(cat "$work/serve.err")"
-  sleep 0.1
-done
-[[ -n "$port" ]] || fail "no 'listening on' line in $(cat "$work/serve.log")"
+# Starts `gks serve <args>` in the background and sets server_pid and
+# port. --port=0: the kernel picks; parse the bound port from the startup
+# line ("listening on <host>:<port>" is a stable contract of `gks serve`).
+start_server() {
+  "$gks" serve "$@" --port=0 > "$work/serve.log" 2> "$work/serve.err" &
+  server_pid=$!
+  port=""
+  for _ in $(seq 1 100); do
+    port=$(sed -nE 's/.*listening on [0-9.]+:([0-9]+).*/\1/p' \
+           "$work/serve.log" | head -1)
+    [[ -n "$port" ]] && break
+    kill -0 "$server_pid" 2>/dev/null \
+      || fail "server exited early: $(cat "$work/serve.err")"
+    sleep 0.1
+  done
+  [[ -n "$port" ]] || fail "no 'listening on' line in $(cat "$work/serve.log")"
+}
+
+# Quit: the server acknowledges, drains, and exits 0.
+quit_server() {
+  run_client --admin=quit | grep -q "status: draining" \
+    || fail "quit was not acknowledged with draining"
+  local server_exit=0
+  wait "$server_pid" || server_exit=$?
+  server_pid=""
+  [[ "$server_exit" -eq 0 ]] || fail "server exited $server_exit after quit"
+  grep -q "drained" "$work/serve.log" || fail "no drain summary in server log"
+}
 
 run_client() { "$client" --host=127.0.0.1 --port="$port" "$@"; }
+
+start_server "$work/dblp.gksidx" --threads=2
 
 # Single query round-trip.
 run_client --query="database" --s=1 --top=5 > "$work/query.out" \
@@ -82,13 +110,53 @@ for _ in $(seq 1 50); do
 done
 grep -q "reloaded" "$work/serve.err" || fail "SIGHUP reload never logged"
 
-# Quit: the server acknowledges, drains, and exits 0.
-run_client --admin=quit | grep -q "status: draining" \
-  || fail "quit was not acknowledged with draining"
-server_exit=0
-wait "$server_pid" || server_exit=$?
-server_pid=""
-[[ "$server_exit" -eq 0 ]] || fail "server exited $server_exit after quit"
-grep -q "drained" "$work/serve.log" || fail "no drain summary in server log"
+quit_server
 
-echo "check_server: OK (port $port, epochs $epoch_before -> $epoch_after)"
+# Live-mmap rebuild drill. `gks index` replaces the file a --mmap server
+# has mapped, first with a smaller index, then with a larger one. The
+# server keeps its mapping of the old file, so it must give the old
+# answer at the old epoch until a reload moves it to the new file. An
+# in-place rewrite fails here: the shrink is a SIGBUS on the next query,
+# the growth a wrong answer. --cache=0 makes every query read the mapping.
+"$gks" generate dblp "$work/small.xml" --scale=0.005 >/dev/null
+"$gks" generate dblp "$work/large.xml" --scale=0.04 >/dev/null
+drill_query="xml data"
+# Node count, |S_L| and node lines, without epoch, timing or file name.
+answer() {
+  sed -nE 's/^(epoch [0-9]+, )?([0-9]+ nodes \(\|S_L\|=[0-9]+).*/\2/p
+           s/^(  <.*\}).*/\1/p' "$1"
+}
+epoch_of() { sed -nE 's/^epoch ([0-9]+),.*/\1/p' "$1"; }
+drill() { run_client --query="$drill_query" --s=1 --top=5 > "$work/$1.out"; }
+
+start_server "$work/dblp.gksidx" --mmap --cache=0 --threads=2
+drill mapped || fail "query on the mapped index failed"
+want="$(answer "$work/mapped.out")"
+mapped_epoch="$(epoch_of "$work/mapped.out")"
+[[ -n "$want" && -n "$mapped_epoch" ]] || fail "no answer to '$drill_query'"
+for corpus in small large; do
+  "$gks" index "$work/dblp.gksidx" "$work/$corpus.xml" >/dev/null \
+    || fail "rebuild over $corpus.xml failed"
+  drill "after_$corpus" \
+    || fail "query after the $corpus rebuild failed (server: $(tail -n 3 \
+            "$work/serve.err"))"
+  [[ "$(answer "$work/after_$corpus.out")" == "$want" ]] \
+    || fail "answer changed under the live mapping after the $corpus rebuild"
+  [[ "$(epoch_of "$work/after_$corpus.out")" == "$mapped_epoch" ]] \
+    || fail "epoch changed without a reload after the $corpus rebuild"
+done
+run_client --admin=reload | grep -q "status: reloaded" \
+  || fail "reload after the rebuilds was not acknowledged"
+drill reloaded || fail "query after the reload failed"
+[[ "$(epoch_of "$work/reloaded.out")" -gt "$mapped_epoch" ]] \
+  || fail "epoch did not advance across the reload"
+"$gks" search "$work/dblp.gksidx" "$drill_query" --s=1 --top=5 \
+  > "$work/search.out" || fail "gks search on the rebuilt index failed"
+[[ "$(answer "$work/reloaded.out")" == "$(answer "$work/search.out")" ]] \
+  || fail "reloaded server and gks search disagree on the rebuilt index"
+[[ "$(answer "$work/reloaded.out")" != "$want" ]] \
+  || fail "the rebuilt index answers like the old one; the drill is void"
+quit_server
+
+echo "check_server: OK (port $port, epochs $epoch_before -> $epoch_after," \
+     "live-mmap rebuild drill passed)"

@@ -18,11 +18,11 @@ namespace gks {
 /// and "xml data" share an entry), the complete SearchOptions, and the
 /// index epoch.
 ///
-/// Epoch-based invalidation: every mutation of an index (IndexUpdater
-/// appends) bumps `XmlIndex::epoch`, which changes every key derived from
-/// that index — stale entries are never *served*; they age out of the LRU
-/// instead of being eagerly purged, which keeps invalidation O(1) and
-/// lock-free for writers.
+/// Epoch-based invalidation: every load of an index file, real-time
+/// snapshot and schema reconciliation stamps a new `XmlIndex::epoch`,
+/// which changes every key derived from that index — stale entries are
+/// never *served*; they age out of the LRU instead of being eagerly
+/// purged, which keeps invalidation O(1) and lock-free for writers.
 ///
 /// Thread safety: each shard is guarded by its own mutex; Get/Put from any
 /// number of threads is safe (SearchBatch workers share one cache).

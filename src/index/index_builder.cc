@@ -4,6 +4,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/file_io.h"
 #include "common/hash.h"
 #include "common/metrics.h"
 #include "common/timer.h"
@@ -62,8 +63,9 @@ class IndexBuilder::Handler : public xml::SaxHandler {
                        OnNodeFacts(facts);
                      }) {}
 
-  // `dewey_doc_id` seeds the Dewey ids (may be offset for incremental
-  // deltas); the catalog entry is always the builder-local one.
+  // `dewey_doc_id` seeds the Dewey ids (offset for parallel-build deltas,
+  // RT segments and shards); the catalog entry is always the builder-local
+  // one.
   void BeginDocument(uint32_t dewey_doc_id) {
     doc_id_ = dewey_doc_id;
     doc_info_ = index_->catalog.mutable_document(
@@ -206,7 +208,7 @@ Status IndexBuilder::AddDocument(std::string_view xml, std::string name) {
 
 Status IndexBuilder::AddFile(const std::string& path) {
   std::string contents;
-  GKS_RETURN_IF_ERROR(xml::ReadFileToString(path, &contents));
+  GKS_RETURN_IF_ERROR(ReadFileToString(path, &contents));
   return AddDocument(contents, path);
 }
 

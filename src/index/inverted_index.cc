@@ -121,28 +121,6 @@ size_t InvertedIndex::MemoryUsage() const {
   return bytes;
 }
 
-void InvertedIndex::EncodeTo(std::string* dst) const {
-  RequireDecoded();
-  // Emit terms in lexicographic order: the serialized index is then a
-  // deterministic function of the logical contents, independent of hash-map
-  // iteration or build schedule — what lets the parallel build be verified
-  // byte-identical against the sequential one, and keeps on-disk indexes
-  // diffable across runs.
-  std::vector<const std::string*> terms;
-  terms.reserve(lists_.size());
-  for (const auto& [term, list] : lists_) {
-    (void)list;
-    terms.push_back(&term);
-  }
-  std::sort(terms.begin(), terms.end(),
-            [](const std::string* a, const std::string* b) { return *a < *b; });
-  PutVarint64(dst, lists_.size());
-  for (const std::string* term : terms) {
-    PutLengthPrefixed(dst, *term);
-    lists_.find(*term)->second.EncodeTo(dst);
-  }
-}
-
 Status InvertedIndex::DecodeFrom(std::string_view* input, InvertedIndex* out) {
   *out = InvertedIndex();
   uint64_t count = 0;
@@ -157,18 +135,33 @@ Status InvertedIndex::DecodeFrom(std::string_view* input, InvertedIndex* out) {
   return Status::OK();
 }
 
-void InvertedIndex::EncodeToBlocks(std::string* dst) const {
-  RequireDecoded();
+namespace {
+
+// Lexicographic term order — the iteration order EncodeToBlocks writes
+// and the bounds section must mirror entry for entry. The serialized index
+// is then a deterministic function of the logical contents, independent
+// of hash-map iteration or build schedule — what lets the parallel build
+// be verified byte-identical against the sequential one, and keeps
+// on-disk indexes diffable across runs.
+template <typename Map>
+std::vector<const std::string*> SortedTermPointers(const Map& lists) {
   std::vector<const std::string*> terms;
-  terms.reserve(lists_.size());
-  for (const auto& [term, list] : lists_) {
+  terms.reserve(lists.size());
+  for (const auto& [term, list] : lists) {
     (void)list;
     terms.push_back(&term);
   }
   std::sort(terms.begin(), terms.end(),
             [](const std::string* a, const std::string* b) { return *a < *b; });
+  return terms;
+}
+
+}  // namespace
+
+void InvertedIndex::EncodeToBlocks(std::string* dst) const {
+  RequireDecoded();
   PutVarint64(dst, lists_.size());
-  for (const std::string* term : terms) {
+  for (const std::string* term : SortedTermPointers(lists_)) {
     PutLengthPrefixed(dst, *term);
     lists_.find(*term)->second.EncodeBlocksTo(dst);
   }
@@ -198,25 +191,6 @@ void InvertedIndex::MaterializeAll() {
     list.Materialize();
   }
 }
-
-namespace {
-
-// Lexicographic term order — the iteration order EncodeToBlocks writes
-// and the bounds section must mirror entry for entry.
-template <typename Map>
-std::vector<const std::string*> SortedTermPointers(const Map& lists) {
-  std::vector<const std::string*> terms;
-  terms.reserve(lists.size());
-  for (const auto& [term, list] : lists) {
-    (void)list;
-    terms.push_back(&term);
-  }
-  std::sort(terms.begin(), terms.end(),
-            [](const std::string* a, const std::string* b) { return *a < *b; });
-  return terms;
-}
-
-}  // namespace
 
 void InvertedIndex::EncodeRankBoundsTo(const NodeInfoTable& nodes,
                                        std::string* dst) const {

@@ -49,7 +49,7 @@ class InvertedIndex {
   /// Posting list for `term`, or nullptr if the term never occurs.
   const PostingList* Find(std::string_view term) const;
 
-  /// Existing-or-new mutable list for `term` (incremental updates).
+  /// Existing-or-new mutable list for `term` (the parallel build's merge).
   PostingList* MutableList(std::string_view term);
 
   size_t term_count() const {
@@ -67,12 +67,12 @@ class InvertedIndex {
 
   size_t MemoryUsage() const;
 
-  void EncodeTo(std::string* dst) const;
+  /// Reads a format-v1 inverted index section (files older builds wrote).
   static Status DecodeFrom(std::string_view* input, InvertedIndex* out);
 
   /// Format v2: terms in lexicographic order, each followed by its
-  /// block-postings blob (posting_blocks.h). Same determinism contract as
-  /// EncodeTo.
+  /// block-postings blob (posting_blocks.h), so the bytes are a
+  /// deterministic function of the index contents.
   void EncodeToBlocks(std::string* dst) const;
   /// Parses a block-format section from the front of `*input`. Each list
   /// keeps a view into the input bytes (skip table parsed, payloads

@@ -21,8 +21,7 @@ using NamedDocument = std::pair<std::string, std::string>;
 ///
 /// Each document is parsed into a standalone delta index whose Dewey ids
 /// already carry the final document id (`options.first_doc_id + position`),
-/// so the sequential merge is pure concatenation + dictionary remapping
-/// (MergeDeltaIndex) — the same code path the incremental updater uses.
+/// so the sequential merge is pure concatenation + dictionary remapping.
 /// The merge interns tags and values in delta-encounter order, which makes
 /// the result **byte-identical** (SerializeIndex) to a sequential
 /// IndexBuilder over the same documents in the same order; the

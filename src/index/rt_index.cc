@@ -1,7 +1,6 @@
 #include "index/rt_index.h"
 
 #include <dirent.h>
-#include <fcntl.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -13,6 +12,7 @@
 #include <set>
 #include <utility>
 
+#include "common/file_io.h"
 #include "common/json_value.h"
 #include "common/json_writer.h"
 #include "common/metrics.h"
@@ -25,55 +25,6 @@ namespace {
 
 constexpr std::string_view kManifestFile = "MANIFEST";
 constexpr int kManifestFormat = 1;
-
-Status ReadSmallFile(const std::string& path, std::string* out) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    if (errno == ENOENT) {
-      return Status::NotFound("'" + path + "' does not exist");
-    }
-    return Status::IOError("open '" + path + "': " + std::strerror(errno));
-  }
-  char buf[1 << 14];
-  size_t n;
-  out->clear();
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) out->append(buf, n);
-  bool failed = std::ferror(f) != 0;
-  std::fclose(f);
-  if (failed) return Status::IOError("read '" + path + "' failed");
-  return Status::OK();
-}
-
-/// write + fsync + rename + dir fsync: the manifest swap is atomic on
-/// POSIX, so recovery sees either the old or the new segment set, never a
-/// half-written one.
-Status WriteFileAtomic(const std::string& path, std::string_view bytes) {
-  std::string tmp = path + ".tmp";
-  int fd = ::open(tmp.c_str(), O_CREAT | O_TRUNC | O_WRONLY, 0644);
-  if (fd < 0) {
-    return Status::IOError("create '" + tmp + "': " + std::strerror(errno));
-  }
-  std::string_view remaining = bytes;
-  while (!remaining.empty()) {
-    ssize_t n = ::write(fd, remaining.data(), remaining.size());
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      ::close(fd);
-      return Status::IOError("write '" + tmp + "': " + std::strerror(errno));
-    }
-    remaining.remove_prefix(static_cast<size_t>(n));
-  }
-  bool sync_failed = ::fsync(fd) != 0;
-  ::close(fd);
-  if (sync_failed) {
-    return Status::IOError("fsync '" + tmp + "': " + std::strerror(errno));
-  }
-  if (::rename(tmp.c_str(), path.c_str()) != 0) {
-    return Status::IOError("rename '" + tmp + "' -> '" + path + "': " +
-                           std::strerror(errno));
-  }
-  return SyncDirOf(path);
-}
 
 Result<uint64_t> FileBytes(const std::string& path) {
   struct stat st;
@@ -203,7 +154,7 @@ Status RtIndex::OpenInternal() {
   // Manifest: the durable segment-set record.
   std::string manifest_bytes;
   Status manifest_status =
-      ReadSmallFile(PathIn(std::string(kManifestFile)), &manifest_bytes);
+      ReadFileToString(PathIn(std::string(kManifestFile)), &manifest_bytes);
   std::set<std::string> referenced;  // files the manifest keeps alive
   if (manifest_status.ok()) {
     GKS_ASSIGN_OR_RETURN(JsonValue manifest,
@@ -588,7 +539,6 @@ Status RtIndex::DoFlush() {
       segment.doc_count = static_cast<uint32_t>(run.docs.size());
       GKS_RETURN_IF_ERROR(SaveIndex(index, PathIn(segment.file)));
       GKS_RETURN_IF_ERROR(WriteDocstore(PathIn(segment.docstore), run.docs));
-      GKS_RETURN_IF_ERROR(SyncDirOf(PathIn(segment.file)));
       GKS_ASSIGN_OR_RETURN(segment.bytes, FileBytes(PathIn(segment.file)));
       GKS_RETURN_IF_ERROR(
           LoadSegmentFile(segment.file, segment.doc_base, &segment.index));
@@ -691,7 +641,6 @@ Status RtIndex::DoMerge() {
     output.doc_count = static_cast<uint32_t>(merged.size());
     GKS_RETURN_IF_ERROR(SaveIndex(index, PathIn(output.file)));
     GKS_RETURN_IF_ERROR(WriteDocstore(PathIn(output.docstore), merged));
-    GKS_RETURN_IF_ERROR(SyncDirOf(PathIn(output.file)));
     GKS_ASSIGN_OR_RETURN(output.bytes, FileBytes(PathIn(output.file)));
     GKS_RETURN_IF_ERROR(
         LoadSegmentFile(output.file, output.doc_base, &output.index));
@@ -781,7 +730,7 @@ Status RtIndex::WriteManifestLocked() {
   }
   json.EndArray();
   json.EndObject();
-  return WriteFileAtomic(PathIn(std::string(kManifestFile)), json.Take());
+  return WriteStringToFile(PathIn(std::string(kManifestFile)), json.Take());
 }
 
 std::shared_ptr<const SegmentSetSnapshot> RtIndex::snapshot() const {

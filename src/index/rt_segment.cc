@@ -1,10 +1,8 @@
 #include "index/rt_segment.h"
 
 #include <algorithm>
-#include <cerrno>
-#include <cstdio>
-#include <cstring>
 
+#include "common/file_io.h"
 #include "common/lz.h"
 #include "common/varint.h"
 #include "index/index_builder.h"
@@ -13,36 +11,6 @@ namespace gks {
 namespace {
 
 constexpr std::string_view kDocstoreMagic = "GKSDOC01";
-
-Status ReadFileBytes(const std::string& path, std::string* out) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    if (errno == ENOENT) {
-      return Status::NotFound("'" + path + "' does not exist");
-    }
-    return Status::IOError("open '" + path + "': " + std::strerror(errno));
-  }
-  char buf[1 << 16];
-  size_t n;
-  out->clear();
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) out->append(buf, n);
-  bool failed = std::ferror(f) != 0;
-  std::fclose(f);
-  if (failed) return Status::IOError("read '" + path + "' failed");
-  return Status::OK();
-}
-
-Status WriteFileBytes(const std::string& path, std::string_view bytes) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    return Status::IOError("create '" + path + "': " + std::strerror(errno));
-  }
-  size_t written = std::fwrite(bytes.data(), 1, bytes.size(), f);
-  bool failed = written != bytes.size() || std::fflush(f) != 0;
-  std::fclose(f);
-  if (failed) return Status::IOError("write '" + path + "' failed");
-  return Status::OK();
-}
 
 }  // namespace
 
@@ -77,12 +45,12 @@ Status WriteDocstore(const std::string& path,
   }
   std::string file(kDocstoreMagic);
   LzCompress(payload, &file);
-  return WriteFileBytes(path, file);
+  return WriteStringToFile(path, file);
 }
 
 Result<std::vector<RtDocument>> ReadDocstore(const std::string& path) {
   std::string contents;
-  GKS_RETURN_IF_ERROR(ReadFileBytes(path, &contents));
+  GKS_RETURN_IF_ERROR(ReadFileToString(path, &contents));
   std::string_view input(contents);
   if (input.size() < kDocstoreMagic.size() ||
       input.substr(0, kDocstoreMagic.size()) != kDocstoreMagic) {

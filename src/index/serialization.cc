@@ -2,12 +2,13 @@
 
 #include <algorithm>
 #include <cstring>
+#include <iterator>
 
+#include "common/file_io.h"
 #include "common/lz.h"
 #include "common/metrics.h"
 #include "common/mmap_file.h"
 #include "common/timer.h"
-#include "xml/sax_parser.h"
 
 namespace gks {
 namespace {
@@ -160,17 +161,7 @@ Status UnwrapSection(std::string_view raw, bool lz, std::string* storage,
   return Status::OK();
 }
 
-std::string SerializeIndexV1(const XmlIndex& index) {
-  std::string out;
-  out.append(kMagicV1);
-  index.catalog.EncodeTo(&out);
-  index.nodes.EncodeTo(&out);
-  index.attributes.EncodeTo(&out);
-  index.inverted.EncodeTo(&out);
-  return out;
-}
-
-std::string SerializeIndexV2(const XmlIndex& index, bool include_bounds) {
+std::string SerializeIndexV2(const XmlIndex& index) {
   // Encode each payload first, then lay the file out as
   // magic | count | table | payloads.
   std::string catalog;
@@ -192,25 +183,21 @@ std::string SerializeIndexV2(const XmlIndex& index, bool include_bounds) {
   // Raw like the inverted section: the varint triples are already dense,
   // and top-k evaluation reads them straight from the mapping.
   std::string rank_bounds;
-  if (include_bounds) {
-    index.inverted.EncodeRankBoundsTo(index.nodes, &rank_bounds);
-  }
+  index.inverted.EncodeRankBoundsTo(index.nodes, &rank_bounds);
 
   struct Pending {
     uint32_t id;
     uint32_t flags;
     const std::string* payload;
   };
-  std::vector<Pending> sections = {
+  const Pending sections[] = {
       {kSectionCatalog, 0, &catalog},
       {kSectionNodes, kFlagLz, &nodes},
       {kSectionAttributes, kFlagLz, &attrs},
       {kSectionInverted, 0, &inverted},
+      {kSectionRankBounds, 0, &rank_bounds},
   };
-  if (include_bounds) {
-    sections.push_back({kSectionRankBounds, 0, &rank_bounds});
-  }
-  const size_t section_count = sections.size();
+  const size_t section_count = std::size(sections);
 
   std::string out;
   out.append(kMagicV2);
@@ -306,20 +293,9 @@ Result<XmlIndex> DeserializeIndexV2(std::string_view bytes) {
 
 }  // namespace
 
-std::string SerializeIndex(const XmlIndex& index, IndexFormat format) {
+std::string SerializeIndex(const XmlIndex& index) {
   WallTimer timer;
-  std::string out;
-  switch (format) {
-    case IndexFormat::kV1:
-      out = SerializeIndexV1(index);
-      break;
-    case IndexFormat::kV2NoRankBounds:
-      out = SerializeIndexV2(index, /*include_bounds=*/false);
-      break;
-    case IndexFormat::kV2:
-      out = SerializeIndexV2(index, /*include_bounds=*/true);
-      break;
-  }
+  std::string out = SerializeIndexV2(index);
   MetricsRegistry& registry = MetricsRegistry::Global();
   registry.GetCounter("gks.index.serialize.bytes_total")->Add(out.size());
   registry.GetHistogram("gks.index.serialize.latency_ms")
@@ -349,14 +325,13 @@ Result<XmlIndex> DeserializeIndex(std::string_view bytes) {
   return result;
 }
 
-Status SaveIndex(const XmlIndex& index, const std::string& path,
-                 IndexFormat format) {
-  return xml::WriteStringToFile(path, SerializeIndex(index, format));
+Status SaveIndex(const XmlIndex& index, const std::string& path) {
+  return WriteStringToFile(path, SerializeIndex(index));
 }
 
 Result<XmlIndex> LoadIndex(const std::string& path) {
   std::string bytes;
-  GKS_RETURN_IF_ERROR(xml::ReadFileToString(path, &bytes));
+  GKS_RETURN_IF_ERROR(ReadFileToString(path, &bytes));
   return DeserializeIndex(bytes);
 }
 
@@ -421,7 +396,7 @@ Result<XmlIndex> LoadIndexMapped(const std::string& path) {
 
 Result<IndexFileInfo> InspectIndexFile(const std::string& path) {
   std::string bytes;
-  GKS_RETURN_IF_ERROR(xml::ReadFileToString(path, &bytes));
+  GKS_RETURN_IF_ERROR(ReadFileToString(path, &bytes));
   std::string_view view = bytes;
   IndexFileInfo info;
   info.file_bytes = bytes.size();

@@ -13,9 +13,11 @@ namespace gks {
 
 /// On-disk index formats. Index preparation is "a onetime activity"
 /// (Sec. 7.1.1); these functions let deployments reuse it across processes.
+/// The writer emits v2 with rank bounds only; the readers also accept the
+/// legacy byte streams below, which older builds wrote.
 ///
-///   v1 ("GKSIDX01"): magic, then the catalog, node table, attribute
-///     directory and inverted index sections back to back, each
+///   v1 ("GKSIDX01", read only): magic, then the catalog, node table,
+///     attribute directory and inverted index sections back to back, each
 ///     varint-encoded. No section table — the file must be decoded front
 ///     to back, eagerly.
 ///
@@ -28,28 +30,18 @@ namespace gks {
 ///     table and attribute directory are LZ-wrapped v1 payloads; the
 ///     inverted index uses the block-postings encoding (posting_blocks.h)
 ///     and stays uncompressed so individual blocks decode straight from
-///     the mapped bytes; the catalog is raw (too small to benefit). Since
-///     PR 7 the writer also emits a rank_bounds section (per-block rank
-///     upper bounds, block_max.h) that powers top-k early termination;
-///     the section is OPTIONAL on read — a v2 file without it loads and
-///     serves with the bounds treated as +inf (weight 1.0).
-///
-///   kV2NoRankBounds: writer-only knob producing a v2 file WITHOUT the
-///     rank_bounds section — the exact byte stream pre-PR 7 writers
-///     produced, for the backward-compat pin and for files older binaries
-///     must read without surprises. Readers sniff the magic, so there is
-///     no separate reader for it.
-enum class IndexFormat {
-  kV1 = 1,
-  kV2 = 2,
-  kV2NoRankBounds = 3,
-};
+///     the mapped bytes; the catalog is raw (too small to benefit). The
+///     writer also emits a rank_bounds section (per-block rank upper
+///     bounds, block_max.h) that powers top-k early termination; the
+///     section is OPTIONAL on read — a v2 file without it, as older
+///     writers produced, loads and serves with the bounds treated as +inf
+///     (weight 1.0).
 
-/// Writers default to the current format.
-Status SaveIndex(const XmlIndex& index, const std::string& path,
-                 IndexFormat format = IndexFormat::kV2);
-std::string SerializeIndex(const XmlIndex& index,
-                           IndexFormat format = IndexFormat::kV2);
+/// Serializes `index` as format v2. SaveIndex replaces `path` through the
+/// atomic writer (common/file_io.h), so a server that has the old file
+/// mapped keeps serving the old bytes until it reloads.
+Status SaveIndex(const XmlIndex& index, const std::string& path);
+std::string SerializeIndex(const XmlIndex& index);
 
 /// Readers sniff the magic, so either format loads through either path.
 /// LoadIndex/DeserializeIndex decode everything eagerly; the returned

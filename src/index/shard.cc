@@ -5,10 +5,10 @@
 #include <cstdio>
 #include <utility>
 
-#include "common/json_value.h"
+#include "common/file_io.h"
 #include "common/json_writer.h"
 #include "index/index_builder.h"
-#include "xml/sax_parser.h"
+#include "index/serialization.h"
 
 namespace gks {
 namespace {
@@ -49,12 +49,30 @@ std::vector<size_t> PartitionByBytes(const std::vector<uint64_t>& sizes,
   return bounds;
 }
 
+Status WriteShardManifest(const ShardManifest& manifest,
+                          const std::string& path) {
+  JsonWriter json;
+  json.BeginObject();
+  json.Key("version").UInt(1);
+  json.Key("shards").BeginArray();
+  for (const ShardSpec& shard : manifest.shards) {
+    json.BeginObject();
+    json.Key("file").String(shard.file);
+    json.Key("doc_base").UInt(shard.doc_base);
+    json.Key("doc_count").UInt(shard.doc_count);
+    json.EndObject();
+  }
+  json.EndArray();
+  json.EndObject();
+  return WriteStringToFile(path, json.str() + "\n");
+}
+
 }  // namespace
 
 Result<ShardManifest> SplitIntoShards(const std::vector<std::string>& xml_files,
                                       size_t shard_count,
                                       const std::string& out_dir,
-                                      IndexFormat format, ThreadPool* pool) {
+                                      ThreadPool* pool) {
   if (shard_count == 0) {
     return Status::InvalidArgument("shard count must be >= 1");
   }
@@ -93,64 +111,11 @@ Result<ShardManifest> SplitIntoShards(const std::vector<std::string>& xml_files,
     spec.file = ShardFileName(shard);
     spec.doc_base = static_cast<uint32_t>(begin);
     spec.doc_count = static_cast<uint32_t>(end - begin);
-    GKS_RETURN_IF_ERROR(SaveIndex(index, out_dir + "/" + spec.file, format));
+    GKS_RETURN_IF_ERROR(SaveIndex(index, out_dir + "/" + spec.file));
     manifest.shards.push_back(std::move(spec));
   }
   GKS_RETURN_IF_ERROR(
       WriteShardManifest(manifest, out_dir + "/MANIFEST.json"));
-  return manifest;
-}
-
-Status WriteShardManifest(const ShardManifest& manifest,
-                          const std::string& path) {
-  JsonWriter json;
-  json.BeginObject();
-  json.Key("version").UInt(1);
-  json.Key("shards").BeginArray();
-  for (const ShardSpec& shard : manifest.shards) {
-    json.BeginObject();
-    json.Key("file").String(shard.file);
-    json.Key("doc_base").UInt(shard.doc_base);
-    json.Key("doc_count").UInt(shard.doc_count);
-    json.EndObject();
-  }
-  json.EndArray();
-  json.EndObject();
-  return xml::WriteStringToFile(path, json.str() + "\n");
-}
-
-Result<ShardManifest> LoadShardManifest(const std::string& path) {
-  std::string text;
-  GKS_RETURN_IF_ERROR(xml::ReadFileToString(path, &text));
-  GKS_ASSIGN_OR_RETURN(JsonValue root, JsonValue::Parse(text));
-  const JsonValue* shards = root.Find("shards");
-  if (shards == nullptr || !shards->is_array()) {
-    return Status::Corruption("shard manifest has no 'shards' array: " + path);
-  }
-  ShardManifest manifest;
-  uint32_t expected_base = 0;
-  for (const JsonValue& entry : shards->items()) {
-    ShardSpec spec;
-    const JsonValue* file = entry.Find("file");
-    const JsonValue* doc_base = entry.Find("doc_base");
-    const JsonValue* doc_count = entry.Find("doc_count");
-    if (file == nullptr || !file->is_string() || doc_base == nullptr ||
-        doc_count == nullptr) {
-      return Status::Corruption("malformed shard entry in " + path);
-    }
-    spec.file = file->GetString();
-    spec.doc_base = static_cast<uint32_t>(doc_base->GetInt());
-    spec.doc_count = static_cast<uint32_t>(doc_count->GetInt());
-    if (spec.doc_base != expected_base || spec.doc_count == 0) {
-      return Status::Corruption(
-          "shard ranges must be contiguous and non-empty in " + path);
-    }
-    expected_base += spec.doc_count;
-    manifest.shards.push_back(std::move(spec));
-  }
-  if (manifest.shards.empty()) {
-    return Status::Corruption("shard manifest lists no shards: " + path);
-  }
   return manifest;
 }
 

@@ -8,7 +8,6 @@
 #include "common/result.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
-#include "index/serialization.h"
 
 namespace gks {
 
@@ -47,21 +46,16 @@ struct ShardManifest {
 /// argument order — exactly the ids a single `gks index` over the same
 /// list would assign) into `shard_count` contiguous ranges balanced by
 /// file bytes, builds each range into `out_dir/shard_NN.gksidx`, and
-/// writes `out_dir/MANIFEST.json`. With a pool, per-shard finalize sorts
-/// fan out (deterministic). InvalidArgument when there are fewer files
-/// than shards.
+/// writes `out_dir/MANIFEST.json`, plain JSON:
+///   {"version":1,"shards":[{"file":"shard_00.gksidx",
+///                           "doc_base":0,"doc_count":12}, ...]}
+/// Every file goes through the atomic writer (common/file_io.h). With a
+/// pool, per-shard finalize sorts fan out (deterministic).
+/// InvalidArgument when there are fewer files than shards.
 Result<ShardManifest> SplitIntoShards(const std::vector<std::string>& xml_files,
                                       size_t shard_count,
                                       const std::string& out_dir,
-                                      IndexFormat format = IndexFormat::kV2,
                                       ThreadPool* pool = nullptr);
-
-/// Manifest (de)serialization. The format is plain JSON:
-///   {"version":1,"shards":[{"file":"shard_00.gksidx",
-///                           "doc_base":0,"doc_count":12}, ...]}
-Status WriteShardManifest(const ShardManifest& manifest,
-                          const std::string& path);
-Result<ShardManifest> LoadShardManifest(const std::string& path);
 
 }  // namespace gks
 

@@ -8,6 +8,7 @@
 #include <cstring>
 #include <utility>
 
+#include "common/file_io.h"
 #include "common/varint.h"
 
 namespace gks {
@@ -174,7 +175,11 @@ Result<WalWriter> WalWriter::Open(const std::string& path, bool fsync,
       return status;
     }
     writer.bytes_ = kWalMagic.size();
-    if (fsync) GKS_RETURN_IF_ERROR(writer.Sync());
+    // A new log's name must be durable before a commit to it is acked.
+    if (fsync) {
+      GKS_RETURN_IF_ERROR(writer.Sync());
+      GKS_RETURN_IF_ERROR(SyncDirOf(path));
+    }
   } else if (::lseek(fd, 0, SEEK_END) < 0) {
     return Status::IOError("wal seek '" + path + "': " +
                            std::strerror(errno));
@@ -210,29 +215,8 @@ void WalWriter::Close() {
 }
 
 Result<WalReplay> ReplayWal(const std::string& path) {
-  int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) {
-    if (errno == ENOENT) {
-      return Status::NotFound("wal file '" + path + "' does not exist");
-    }
-    return Status::IOError("wal open '" + path + "': " +
-                           std::strerror(errno));
-  }
   std::string contents;
-  char buf[1 << 16];
-  for (;;) {
-    ssize_t n = ::read(fd, buf, sizeof(buf));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      ::close(fd);
-      return Status::IOError("wal read '" + path + "': " +
-                             std::strerror(errno));
-    }
-    if (n == 0) break;
-    contents.append(buf, static_cast<size_t>(n));
-  }
-  ::close(fd);
-
+  GKS_RETURN_IF_ERROR(ReadFileToString(path, &contents));
   if (contents.size() < kWalMagic.size() ||
       std::string_view(contents).substr(0, kWalMagic.size()) != kWalMagic) {
     // An empty or foreign file is not a WAL; refusing loudly beats
@@ -257,18 +241,6 @@ Result<WalReplay> ReplayWal(const std::string& path) {
     replay.records.push_back(std::move(record));
   }
   return replay;
-}
-
-Status SyncDirOf(const std::string& path) {
-  std::string dir = ".";
-  size_t slash = path.find_last_of('/');
-  if (slash != std::string::npos) dir = path.substr(0, slash);
-  if (dir.empty()) dir = "/";
-  int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (fd < 0) return Status::OK();  // best effort
-  (void)::fsync(fd);
-  ::close(fd);
-  return Status::OK();
 }
 
 }  // namespace gks

@@ -67,7 +67,8 @@ Status DecodeWalRecord(std::string_view* input, WalRecord* out);
 
 /// Append-side handle. Opens (creating if absent) for append; when the
 /// file is new the magic is written first. `fsync` syncs the file after
-/// every Append — the durability contract of --rt-fsync=always.
+/// every Append, and a new file's directory entry once — the durability
+/// contract of --rt-fsync=always.
 class WalWriter {
  public:
   WalWriter() = default;
@@ -112,10 +113,6 @@ struct WalReplay {
 /// it is returned. NotFound when the file does not exist; Corruption only
 /// when the magic itself is wrong (the file is not a WAL at all).
 Result<WalReplay> ReplayWal(const std::string& path);
-
-/// Fsyncs the directory containing `path` (best effort on filesystems
-/// that do not support directory fsync).
-Status SyncDirOf(const std::string& path);
 
 }  // namespace gks
 

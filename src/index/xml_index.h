@@ -19,8 +19,8 @@ struct XmlIndex {
   AttrDirectory attributes;
   Catalog catalog;
 
-  /// Mutation epoch: stamped from NextIndexEpoch() by every load and every
-  /// in-place mutation (IndexUpdater appends, schema reconciliation) so
+  /// Mutation epoch: stamped from NextIndexEpoch() by every load and
+  /// bumped by the one in-place mutation (schema reconciliation) so
   /// epoch-keyed consumers — the QueryResultCache above all — never serve
   /// results computed against an older state. Process-globally unique:
   /// reloading an index file (or mapping a file whose content changed)

@@ -6,12 +6,12 @@
 #include <thread>
 #include <vector>
 
+#include "common/file_io.h"
 #include "common/json_writer.h"
 #include "common/metrics.h"
 #include "common/string_util.h"
 #include "server/client.h"
 #include "server/server.h"
-#include "xml/sax_parser.h"
 
 namespace gks {
 namespace {
@@ -304,7 +304,7 @@ int RunClientCommand(const FlagParser& flags) {
   if (flags.Has("insert-file")) {
     std::string path = flags.GetString("insert-file", "");
     std::string xml;
-    if (Status status = xml::ReadFileToString(path, &xml); !status.ok()) {
+    if (Status status = ReadFileToString(path, &xml); !status.ok()) {
       std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
       return 1;
     }
@@ -377,7 +377,7 @@ int RunClientCommand(const FlagParser& flags) {
   if (flags.Has("queries")) {
     std::string text;
     if (Status status =
-            xml::ReadFileToString(flags.GetString("queries", ""), &text);
+            ReadFileToString(flags.GetString("queries", ""), &text);
         !status.ok()) {
       std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
       return 1;
@@ -412,14 +412,12 @@ int RunClientCommand(const FlagParser& flags) {
     }
     std::printf("%s\n", report->ToString().c_str());
     if (flags.Has("json-out")) {
-      std::string out_path = flags.GetString("json-out", "");
-      FILE* out = std::fopen(out_path.c_str(), "w");
-      if (out == nullptr) {
-        std::fprintf(stderr, "error: cannot write %s\n", out_path.c_str());
+      if (Status status = WriteStringToFile(flags.GetString("json-out", ""),
+                                            report->ToJson() + "\n");
+          !status.ok()) {
+        std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
         return 1;
       }
-      std::fprintf(out, "%s\n", report->ToJson().c_str());
-      std::fclose(out);
     }
     return report->clean() ? 0 : 1;
   }

@@ -1,8 +1,6 @@
 #include "xml/sax_parser.h"
 
 #include <cctype>
-#include <cstdio>
-#include <memory>
 
 namespace gks::xml {
 namespace {
@@ -92,39 +90,6 @@ Status ParseXml(std::string_view input, SaxHandler* handler,
         break;  // structural noise: ignored
     }
   }
-}
-
-Status ReadFileToString(const std::string& path, std::string* contents) {
-  std::unique_ptr<std::FILE, int (*)(std::FILE*)> file(
-      std::fopen(path.c_str(), "rb"), &std::fclose);
-  if (file == nullptr) {
-    return Status::IOError("cannot open " + path);
-  }
-  std::fseek(file.get(), 0, SEEK_END);
-  long size = std::ftell(file.get());
-  if (size < 0) return Status::IOError("cannot stat " + path);
-  std::fseek(file.get(), 0, SEEK_SET);
-  contents->resize(static_cast<size_t>(size));
-  if (size > 0 &&
-      std::fread(contents->data(), 1, static_cast<size_t>(size), file.get()) !=
-          static_cast<size_t>(size)) {
-    return Status::IOError("short read on " + path);
-  }
-  return Status::OK();
-}
-
-Status WriteStringToFile(const std::string& path, std::string_view contents) {
-  std::unique_ptr<std::FILE, int (*)(std::FILE*)> file(
-      std::fopen(path.c_str(), "wb"), &std::fclose);
-  if (file == nullptr) {
-    return Status::IOError("cannot create " + path);
-  }
-  if (!contents.empty() &&
-      std::fwrite(contents.data(), 1, contents.size(), file.get()) !=
-          contents.size()) {
-    return Status::IOError("short write on " + path);
-  }
-  return Status::OK();
 }
 
 Status ParseXmlFile(const std::string& path, SaxHandler* handler,

@@ -5,6 +5,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/file_io.h"
 #include "common/status.h"
 #include "xml/lexer.h"
 
@@ -51,11 +52,8 @@ Status ParseXml(std::string_view input, SaxHandler* handler,
 Status ParseXmlFile(const std::string& path, SaxHandler* handler,
                     const SaxOptions& options = SaxOptions());
 
-/// Reads a whole file into `*contents` (shared by parser and index loader).
-Status ReadFileToString(const std::string& path, std::string* contents);
-
-/// Writes `contents` to `path`, replacing any existing file.
-Status WriteStringToFile(const std::string& path, std::string_view contents);
+/// The corpus writers in perfbench/ call the atomic writer by this name.
+using ::gks::WriteStringToFile;
 
 }  // namespace gks::xml
 

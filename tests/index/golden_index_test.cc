@@ -7,10 +7,10 @@
 #include <string>
 
 #include "gtest/gtest.h"
+#include "common/file_io.h"
 #include "index/posting_list.h"
 #include "index/serialization.h"
 #include "tests/test_util.h"
-#include "xml/sax_parser.h"
 
 namespace gks {
 namespace {
@@ -23,7 +23,7 @@ const char kGoldenDir[] = GKS_TEST_SRCDIR "/index/golden";
 XmlIndex BuildFreshIndex() {
   std::string xml;
   Status status =
-      xml::ReadFileToString(std::string(kGoldenDir) + "/library.xml", &xml);
+      ReadFileToString(std::string(kGoldenDir) + "/library.xml", &xml);
   EXPECT_TRUE(status.ok()) << status.ToString();
   return BuildIndexFromXml(xml);
 }
@@ -69,7 +69,7 @@ TEST(GoldenIndexTest, GoldenFileIsUnchangedByteForByte) {
   // The golden file's magic pins it to v1; if this fails the file was
   // regenerated with a v2 writer by mistake.
   std::string bytes;
-  Status status = xml::ReadFileToString(
+  Status status = ReadFileToString(
       std::string(kGoldenDir) + "/library_v1.gksidx", &bytes);
   ASSERT_TRUE(status.ok()) << status.ToString();
   ASSERT_GE(bytes.size(), 8u);

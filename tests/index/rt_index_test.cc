@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "common/file_io.h"
 #include "index/serialization.h"
 #include "index/wal.h"
 #include "tests/test_util.h"
@@ -77,11 +78,11 @@ std::vector<std::string> LiveNames(const RtIndex& rt) {
   return names;
 }
 
-std::string ReadFileBytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good()) << path;
-  return std::string(std::istreambuf_iterator<char>(in),
-                     std::istreambuf_iterator<char>());
+std::string FileContents(const std::string& path) {
+  std::string bytes;
+  Status status = ReadFileToString(path, &bytes);
+  EXPECT_TRUE(status.ok()) << status.ToString();
+  return bytes;
 }
 
 TEST(RtIndexTest, InsertIsVisibleInTheNextSnapshotWithoutFlush) {
@@ -260,8 +261,8 @@ TEST(RtIndexTest, ReplayThenFlushMatchesDirectFlushByteForByte) {
     SCOPED_TRACE(file);
     ASSERT_TRUE(fs::exists(direct_dir + file));
     ASSERT_TRUE(fs::exists(crashed_dir + file));
-    EXPECT_EQ(ReadFileBytes(direct_dir + file),
-              ReadFileBytes(crashed_dir + file));
+    EXPECT_EQ(FileContents(direct_dir + file),
+              FileContents(crashed_dir + file));
   }
 }
 

@@ -1,6 +1,7 @@
 #include "index/serialization.h"
 
 #include "gtest/gtest.h"
+#include "common/file_io.h"
 #include "common/varint.h"
 #include "core/result_cache.h"
 #include "data/figures.h"
@@ -12,6 +13,20 @@ namespace {
 
 using gks::testing::BuildIndexFromXml;
 using gks::testing::SearchOrDie;
+
+// The writer emits v2 with rank bounds only; the legacy byte streams come
+// from the checked-in fixtures (golden/README.md).
+std::string GoldenPath(const std::string& name) {
+  return std::string(GKS_TEST_SRCDIR) + "/index/golden/" + name;
+}
+
+// A fresh index of the document the fixtures were built from.
+XmlIndex BuildGoldenCorpusIndex() {
+  std::string xml;
+  Status status = ReadFileToString(GoldenPath("library.xml"), &xml);
+  EXPECT_TRUE(status.ok()) << status.ToString();
+  return BuildIndexFromXml(xml);
+}
 
 TEST(SerializationTest, RoundTripPreservesEverything) {
   XmlIndex original = BuildIndexFromXml(data::Figure2aXml(), "uni.xml");
@@ -81,51 +96,21 @@ TEST(SerializationTest, RejectsTrailingGarbage) {
   EXPECT_FALSE(DeserializeIndex(bytes).ok());
 }
 
-TEST(SerializationTest, V1FormatStillWritesAndLoads) {
-  XmlIndex original = BuildIndexFromXml(data::Figure2aXml());
-  std::string v1 = SerializeIndex(original, IndexFormat::kV1);
-  ASSERT_EQ(v1.substr(0, 8), "GKSIDX01");
-  Result<XmlIndex> loaded = DeserializeIndex(v1);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->inverted.term_count(), original.inverted.term_count());
-  EXPECT_EQ(loaded->inverted.posting_count(),
-            original.inverted.posting_count());
-}
-
 TEST(SerializationTest, V2IsDefaultFormat) {
   XmlIndex original = BuildIndexFromXml("<r><t>karen</t></r>");
   EXPECT_EQ(SerializeIndex(original).substr(0, 8), "GKSIDX02");
 }
 
-TEST(SerializationTest, V2SmallerThanV1OnRepetitiveCorpus) {
-  // The v2 savings (delta blocks + LZ sections) are a scale property; on a
-  // handful of nodes the fixed skip-table overhead dominates. Use a corpus
-  // with enough repetition to be representative.
-  std::string xml = "<bib>";
-  for (int i = 0; i < 400; ++i) {
-    xml += "<article><author>karen</author><title>generic keyword search "
-           "over xml data</title><year>2006</year></article>";
-  }
-  xml += "</bib>";
-  XmlIndex original = BuildIndexFromXml(xml);
-  std::string v1 = SerializeIndex(original, IndexFormat::kV1);
-  std::string v2 = SerializeIndex(original, IndexFormat::kV2);
-  EXPECT_LT(v2.size(), v1.size());
-}
-
 // The three load paths — v1 eager, v2 eager, v2 mmap — must be
 // observationally identical: same search results, same ranks.
 TEST(SerializationTest, AllLoadPathsAnswerQueriesIdentically) {
-  XmlIndex original = BuildIndexFromXml(data::Figure2aXml(), "uni.xml");
-  std::string dir = ::testing::TempDir();
-  ASSERT_TRUE(
-      SaveIndex(original, dir + "/cross_v1.idx", IndexFormat::kV1).ok());
-  ASSERT_TRUE(
-      SaveIndex(original, dir + "/cross_v2.idx", IndexFormat::kV2).ok());
+  XmlIndex original = BuildGoldenCorpusIndex();
+  std::string path = ::testing::TempDir() + "/cross_v2.idx";
+  ASSERT_TRUE(SaveIndex(original, path).ok());
 
-  Result<XmlIndex> v1 = LoadIndex(dir + "/cross_v1.idx");
-  Result<XmlIndex> v2 = LoadIndex(dir + "/cross_v2.idx");
-  Result<XmlIndex> v2_mapped = LoadIndexMapped(dir + "/cross_v2.idx");
+  Result<XmlIndex> v1 = LoadIndex(GoldenPath("library_v1.gksidx"));
+  Result<XmlIndex> v2 = LoadIndex(path);
+  Result<XmlIndex> v2_mapped = LoadIndexMapped(path);
   ASSERT_TRUE(v1.ok()) << v1.status().ToString();
   ASSERT_TRUE(v2.ok()) << v2.status().ToString();
   ASSERT_TRUE(v2_mapped.ok()) << v2_mapped.status().ToString();
@@ -133,7 +118,7 @@ TEST(SerializationTest, AllLoadPathsAnswerQueriesIdentically) {
   SearchOptions options;
   options.s = 2;
   for (const char* query :
-       {"student karen mike", "karen", "student name", "mike"}) {
+       {"peter buneman", "xml data", "author year", "database"}) {
     SearchResponse base = SearchOrDie(original, query, options);
     for (XmlIndex* loaded : {&*v1, &*v2, &*v2_mapped}) {
       SearchResponse got = SearchOrDie(*loaded, query, options);
@@ -147,12 +132,9 @@ TEST(SerializationTest, AllLoadPathsAnswerQueriesIdentically) {
 }
 
 TEST(SerializationTest, MappedLoadFallsBackOnV1Files) {
-  XmlIndex original = BuildIndexFromXml("<r><t>karen</t></r>");
-  std::string path = ::testing::TempDir() + "/mmap_v1.idx";
-  ASSERT_TRUE(SaveIndex(original, path, IndexFormat::kV1).ok());
-  Result<XmlIndex> loaded = LoadIndexMapped(path);
+  Result<XmlIndex> loaded = LoadIndexMapped(GoldenPath("library_v1.gksidx"));
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_NE(loaded->inverted.Find("karen"), nullptr);
+  EXPECT_NE(loaded->inverted.Find("buneman"), nullptr);
 }
 
 TEST(SerializationTest, MappedIndexOutlivesTheLoadCall) {
@@ -202,13 +184,10 @@ TEST(SerializationTest, ReloadInvalidatesResultCacheKeys) {
 
 TEST(SerializationTest, InspectReportsSectionsForBothFormats) {
   XmlIndex original = BuildIndexFromXml(data::Figure2aXml());
-  std::string dir = ::testing::TempDir();
-  ASSERT_TRUE(
-      SaveIndex(original, dir + "/inspect_v1.idx", IndexFormat::kV1).ok());
-  ASSERT_TRUE(
-      SaveIndex(original, dir + "/inspect_v2.idx", IndexFormat::kV2).ok());
+  std::string v2_path = ::testing::TempDir() + "/inspect_v2.idx";
+  ASSERT_TRUE(SaveIndex(original, v2_path).ok());
 
-  Result<IndexFileInfo> v1 = InspectIndexFile(dir + "/inspect_v1.idx");
+  Result<IndexFileInfo> v1 = InspectIndexFile(GoldenPath("library_v1.gksidx"));
   ASSERT_TRUE(v1.ok()) << v1.status().ToString();
   EXPECT_EQ(v1->version, 1);
   ASSERT_EQ(v1->sections.size(), 4u);
@@ -216,7 +195,7 @@ TEST(SerializationTest, InspectReportsSectionsForBothFormats) {
   for (const IndexSectionInfo& s : v1->sections) v1_total += s.bytes;
   EXPECT_EQ(v1_total, v1->file_bytes);
 
-  Result<IndexFileInfo> v2 = InspectIndexFile(dir + "/inspect_v2.idx");
+  Result<IndexFileInfo> v2 = InspectIndexFile(v2_path);
   ASSERT_TRUE(v2.ok()) << v2.status().ToString();
   EXPECT_EQ(v2->version, 2);
   ASSERT_EQ(v2->sections.size(), 5u);
@@ -230,34 +209,40 @@ TEST(SerializationTest, InspectReportsSectionsForBothFormats) {
   EXPECT_GT(v2->sections[4].bytes, 0u);
 }
 
+// The section table of a v2 file without rank bounds still accounts for
+// every byte: magic, count, four 24-byte entries, then the payloads.
 TEST(SerializationTest, InspectReportsNoRankBoundsSectionWhenOmitted) {
-  XmlIndex original = BuildIndexFromXml(data::Figure2aXml());
-  std::string path = ::testing::TempDir() + "/inspect_v2nb.idx";
-  ASSERT_TRUE(SaveIndex(original, path, IndexFormat::kV2NoRankBounds).ok());
-  Result<IndexFileInfo> info = InspectIndexFile(path);
+  Result<IndexFileInfo> info =
+      InspectIndexFile(GoldenPath("library_v2_nobounds.gksidx"));
   ASSERT_TRUE(info.ok()) << info.status().ToString();
   EXPECT_EQ(info->version, 2);
   ASSERT_EQ(info->sections.size(), 4u);
+  uint64_t total = 8 + 4 + 4 * 24;
   for (const IndexSectionInfo& section : info->sections) {
     EXPECT_NE(section.name, "rank_bounds");
+    total += section.bytes;
   }
+  EXPECT_EQ(total, info->file_bytes);
 }
 
-// A v2 file without the rank_bounds section (any pre-rank-bounds writer,
-// or today's kV2NoRankBounds knob) must load and serve identically; the
-// evaluator treats the missing bounds as +inf.
+// A v2 file without the rank_bounds section (any pre-rank-bounds writer)
+// must load and serve identically; the evaluator treats the missing
+// bounds as +inf.
 TEST(SerializationTest, V2WithoutRankBoundsLoadsAndServes) {
-  XmlIndex original = BuildIndexFromXml(data::Figure2aXml());
-  std::string nobounds = SerializeIndex(original, IndexFormat::kV2NoRankBounds);
+  std::string nobounds;
+  ASSERT_TRUE(
+      ReadFileToString(GoldenPath("library_v2_nobounds.gksidx"), &nobounds)
+          .ok());
   ASSERT_EQ(nobounds.substr(0, 8), "GKSIDX02");  // same magic, fewer sections
 
-  Result<XmlIndex> with = DeserializeIndex(SerializeIndex(original));
+  Result<XmlIndex> with =
+      DeserializeIndex(SerializeIndex(BuildGoldenCorpusIndex()));
   Result<XmlIndex> without = DeserializeIndex(nobounds);
   ASSERT_TRUE(with.ok()) << with.status().ToString();
   ASSERT_TRUE(without.ok()) << without.status().ToString();
 
-  const PostingList* bounded = with->inverted.Find("karen");
-  const PostingList* unbounded = without->inverted.Find("karen");
+  const PostingList* bounded = with->inverted.Find("buneman");
+  const PostingList* unbounded = without->inverted.Find("buneman");
   ASSERT_NE(bounded, nullptr);
   ASSERT_NE(unbounded, nullptr);
   EXPECT_FALSE(bounded->rank_bounds().empty());
@@ -266,8 +251,9 @@ TEST(SerializationTest, V2WithoutRankBoundsLoadsAndServes) {
   SearchOptions options;
   options.s = 2;
   options.top_k = 3;  // the top-k evaluator must cope with absent bounds
-  SearchResponse want = SearchOrDie(*with, "student karen mike", options);
-  SearchResponse got = SearchOrDie(*without, "student karen mike", options);
+  SearchResponse want = SearchOrDie(*with, "author year", options);
+  SearchResponse got = SearchOrDie(*without, "author year", options);
+  ASSERT_EQ(want.nodes.size(), 3u);
   ASSERT_EQ(want.nodes.size(), got.nodes.size());
   for (size_t i = 0; i < want.nodes.size(); ++i) {
     EXPECT_EQ(want.nodes[i].id, got.nodes[i].id);
@@ -344,7 +330,7 @@ TEST(SerializationTest, RankBoundsDecoderRejectsStructuralDamage) {
 // Corruption — never crash, never mis-parse neighbouring sections.
 TEST(SerializationTest, RankBoundsSectionSurvivesSingleByteFuzz) {
   XmlIndex original = BuildIndexFromXml(data::Figure2aXml());
-  std::string bytes = SerializeIndex(original, IndexFormat::kV2);
+  std::string bytes = SerializeIndex(original);
 
   // Locate the rank_bounds payload via the documented v2 header layout:
   // magic, u32 section count, then 24-byte entries of u32 id, u32 flags,
@@ -395,7 +381,7 @@ TEST(SerializationTest, RankBoundsSectionSurvivesSingleByteFuzz) {
 
 TEST(SerializationTest, V2RejectsTruncationEverywhere) {
   XmlIndex original = BuildIndexFromXml("<r><t>karen</t><t>mike</t></r>");
-  std::string bytes = SerializeIndex(original, IndexFormat::kV2);
+  std::string bytes = SerializeIndex(original);
   for (size_t cut = 0; cut < bytes.size(); ++cut) {
     Result<XmlIndex> loaded = DeserializeIndex(bytes.substr(0, cut));
     EXPECT_FALSE(loaded.ok()) << "cut at " << cut;

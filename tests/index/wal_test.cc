@@ -6,11 +6,11 @@
 #include "index/wal.h"
 
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "common/file_io.h"
 
 namespace gks {
 namespace {
@@ -21,17 +21,11 @@ std::string TempWalPath(const std::string& name) {
   return path;
 }
 
-std::string ReadFileBytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good()) << path;
-  return std::string(std::istreambuf_iterator<char>(in),
-                     std::istreambuf_iterator<char>());
-}
-
-void WriteFileBytes(const std::string& path, const std::string& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  ASSERT_TRUE(out.good()) << path;
+std::string FileContents(const std::string& path) {
+  std::string bytes;
+  Status status = ReadFileToString(path, &bytes);
+  EXPECT_TRUE(status.ok()) << status.ToString();
+  return bytes;
 }
 
 WalRecord InsertRecord(uint32_t doc_id, std::string name, std::string xml) {
@@ -106,7 +100,7 @@ TEST(WalTest, WriterThenReplayRoundTrips) {
   ASSERT_TRUE(replay.ok()) << replay.status().ToString();
   EXPECT_TRUE(replay->clean);
   EXPECT_EQ(replay->records, records);
-  EXPECT_EQ(replay->valid_bytes, ReadFileBytes(path).size());
+  EXPECT_EQ(replay->valid_bytes, FileContents(path).size());
 }
 
 TEST(WalTest, EmptyLogIsJustTheMagic) {
@@ -126,7 +120,7 @@ TEST(WalTest, ReplayMissingFileIsNotFound) {
 
 TEST(WalTest, ReplayRejectsWrongMagic) {
   std::string path = TempWalPath("magic");
-  WriteFileBytes(path, "NOTAWAL0somepayload");
+  ASSERT_TRUE(WriteStringToFile(path, "NOTAWAL0somepayload").ok());
   EXPECT_EQ(ReplayWal(path).status().code(), StatusCode::kCorruption);
 }
 
@@ -142,7 +136,7 @@ TEST(WalTest, TornTailStopsAtTheValidPrefix) {
     for (const WalRecord& record : committed)
       ASSERT_TRUE(writer->Append(record).ok());
   }
-  std::string intact = ReadFileBytes(path);
+  std::string intact = FileContents(path);
 
   // The classic crash shape: a frame header promising more payload than
   // ever reached the disk.
@@ -150,7 +144,7 @@ TEST(WalTest, TornTailStopsAtTheValidPrefix) {
   torn += std::string("\x12\x34\x56\x78", 4);  // bogus crc
   torn += std::string("\x40\x00\x00\x00", 4);  // length 64...
   torn += "only-a-few-bytes";                  // ...but the tail is short
-  WriteFileBytes(path, torn);
+  ASSERT_TRUE(WriteStringToFile(path, torn).ok());
 
   Result<WalReplay> replay = ReplayWal(path);
   ASSERT_TRUE(replay.ok()) << replay.status().ToString();
@@ -167,9 +161,9 @@ TEST(WalTest, CorruptTailRecordIsDroppedNotFatal) {
     ASSERT_TRUE(writer->Append(InsertRecord(0, "a.xml", "<a>x</a>")).ok());
     ASSERT_TRUE(writer->Append(InsertRecord(1, "b.xml", "<b>y</b>")).ok());
   }
-  std::string bytes = ReadFileBytes(path);
+  std::string bytes = FileContents(path);
   bytes.back() ^= 0x01;  // half-written final payload
-  WriteFileBytes(path, bytes);
+  ASSERT_TRUE(WriteStringToFile(path, bytes).ok());
 
   Result<WalReplay> replay = ReplayWal(path);
   ASSERT_TRUE(replay.ok()) << replay.status().ToString();
@@ -185,8 +179,8 @@ TEST(WalTest, RecoveryTruncatesTheTornTailBeforeAppending) {
     ASSERT_TRUE(writer.ok());
     ASSERT_TRUE(writer->Append(InsertRecord(0, "a.xml", "<a>x</a>")).ok());
   }
-  std::string intact = ReadFileBytes(path);
-  WriteFileBytes(path, intact + "torn-garbage-tail");
+  std::string intact = FileContents(path);
+  ASSERT_TRUE(WriteStringToFile(path, intact + "torn-garbage-tail").ok());
 
   Result<WalReplay> replay = ReplayWal(path);
   ASSERT_TRUE(replay.ok());

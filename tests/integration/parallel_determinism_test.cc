@@ -14,7 +14,6 @@
 #include "core/result_cache.h"
 #include "core/searcher.h"
 #include "index/index_builder.h"
-#include "index/index_updater.h"
 #include "index/parallel_build.h"
 #include "index/serialization.h"
 #include "tests/test_util.h"
@@ -171,10 +170,8 @@ TEST(ParallelDeterminismTest, ParallelBuildPropagatesFirstParseError) {
 TEST(ParallelDeterminismTest, EpochBumpInvalidatesCachedResponses) {
   std::vector<NamedDocument> docs = TestCorpus();
   XmlIndex index = BuildIndexFromDocs(docs);
-  uint64_t epoch_before = index.epoch;
-
-  GksSearcher searcher(&index);
   QueryResultCache cache(64);
+  GksSearcher searcher(&index);
   searcher.set_cache(&cache);
 
   Result<SearchResponse> before = searcher.Search("freshterm", {});
@@ -182,22 +179,27 @@ TEST(ParallelDeterminismTest, EpochBumpInvalidatesCachedResponses) {
   EXPECT_TRUE(before->nodes.empty());
   ASSERT_TRUE(cache.size() > 0);  // the empty response was cached
 
-  ASSERT_TRUE(AppendDocument(&index,
-                             "<bib><article><title>freshterm xml</title>"
-                             "</article></bib>",
-                             "fresh.xml")
-                  .ok());
-  EXPECT_GT(index.epoch, epoch_before);
+  // Rebuild with one more document and load the result, as a server's
+  // reload does; the load stamps the new epoch.
+  docs.emplace_back("fresh.xml",
+                    "<bib><article><title>freshterm xml</title>"
+                    "</article></bib>");
+  Result<XmlIndex> rebuilt =
+      DeserializeIndex(SerializeIndex(BuildIndexFromDocs(docs)));
+  ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
+  EXPECT_NE(rebuilt->epoch, index.epoch);
+  GksSearcher rebuilt_searcher(&*rebuilt);
+  rebuilt_searcher.set_cache(&cache);
 
   // Same query text, new epoch -> new key: the stale cached miss must not
   // be served, and the new document must be found.
-  Result<SearchResponse> after = searcher.Search("freshterm", {});
+  Result<SearchResponse> after = rebuilt_searcher.Search("freshterm", {});
   ASSERT_TRUE(after.ok());
   EXPECT_FALSE(after->nodes.empty());
 
   // The superseded entry ages out of the LRU instead of being purged, so
   // both keys may coexist; a repeat query stays on the fresh epoch.
-  Result<SearchResponse> repeat = searcher.Search("freshterm", {});
+  Result<SearchResponse> repeat = rebuilt_searcher.Search("freshterm", {});
   ASSERT_TRUE(repeat.ok());
   EXPECT_EQ(NodeIds(*repeat), NodeIds(*after));
 }

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "common/file_io.h"
 #include "core/searcher.h"
 #include "core/segment_search.h"
 #include "core/shard_merge.h"
@@ -28,7 +29,6 @@
 #include "index/serialization.h"
 #include "index/shard.h"
 #include "tests/test_util.h"
-#include "xml/sax_parser.h"
 
 namespace gks {
 namespace {
@@ -149,7 +149,7 @@ class ShardedRepo {
       char name[32];
       std::snprintf(name, sizeof(name), "/doc_%02zu.xml", i);
       files.push_back(dir + name);
-      Status status = xml::WriteStringToFile(files.back(), xml_docs[i]);
+      Status status = WriteStringToFile(files.back(), xml_docs[i]);
       EXPECT_TRUE(status.ok()) << status.ToString();
     }
     Result<ShardManifest> manifest =

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "common/file_io.h"
 #include "common/metrics.h"
 #include "index/index_builder.h"
 #include "index/serialization.h"
@@ -25,7 +26,6 @@
 #include "server/client.h"
 #include "server/net.h"
 #include "server/server.h"
-#include "xml/sax_parser.h"
 
 namespace gks {
 namespace {
@@ -66,7 +66,7 @@ const Repo& BuildRepo() {
     std::vector<std::string> files;
     for (size_t i = 0; i < docs.size(); ++i) {
       files.push_back(out->dir + "/doc_" + std::to_string(i) + ".xml");
-      EXPECT_TRUE(xml::WriteStringToFile(files.back(), docs[i]).ok());
+      EXPECT_TRUE(WriteStringToFile(files.back(), docs[i]).ok());
     }
     Result<ShardManifest> manifest = SplitIntoShards(files, 2, out->dir);
     EXPECT_TRUE(manifest.ok()) << manifest.status().ToString();

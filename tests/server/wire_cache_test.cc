@@ -9,13 +9,13 @@
 #include <string>
 
 #include "gtest/gtest.h"
+#include "common/file_io.h"
 #include "common/metrics.h"
 #include "index/index_builder.h"
 #include "index/serialization.h"
 #include "server/client.h"
 #include "server/server.h"
 #include "server/wire_cache.h"
-#include "xml/sax_parser.h"
 
 namespace gks {
 namespace {
@@ -83,7 +83,7 @@ TEST(WireCacheServerTest, RepeatShardFanoutsAreServedFromCache) {
   // The repeated <author> group plus free attributes make the article
   // an entity, so the shard partial carries DI contributions.
   std::string file = dir + "/doc.xml";
-  ASSERT_TRUE(xml::WriteStringToFile(
+  ASSERT_TRUE(WriteStringToFile(
                   file,
                   "<article year=\"2001\"><title>alpha beta</title>"
                   "<author>gamma</author><author>delta</author></article>")

@@ -107,10 +107,10 @@ TEST(SaxParserTest, FileRoundTrip) {
   EXPECT_EQ(contents, "<a><b>x</b></a>");
 }
 
-TEST(SaxParserTest, MissingFileIsIOError) {
+TEST(SaxParserTest, MissingFileIsNotFound) {
   RecordingHandler handler;
   EXPECT_EQ(ParseXmlFile("/nonexistent/gks.xml", &handler).code(),
-            StatusCode::kIOError);
+            StatusCode::kNotFound);
 }
 
 }  // namespace

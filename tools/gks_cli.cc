@@ -1,7 +1,6 @@
 // The `gks` command-line tool: build, inspect and query GKS indexes.
 //
-//   gks index  <out.gksidx> <file.xml...> [--threads=N]
-//                                        [--format=v2|v2-nobounds|v1]
+//   gks index  <out.gksidx> <file.xml...> [--threads=N] [--metrics]
 //   gks search <index.gksidx> "<query>" [--s=N] [--top=N] [--top-k=K]
 //                                        [--refine] [--schema-reconcile]
 //                                        [--explain] [--explain-json]
@@ -20,6 +19,9 @@
 // The server speaks the newline-delimited JSON protocol of
 // docs/SERVER.md (hot reload, admission control, graceful drain).
 //
+// Every file a command writes replaces its target atomically
+// (common/file_io.h), and `index` and `shard` reject unknown flags.
+//
 // Every index-reading command accepts --mmap to open the file through
 // LoadIndexMapped (zero-copy, lazy v2 sections) instead of the eager
 // loader.
@@ -35,6 +37,7 @@
 #include <string>
 #include <vector>
 
+#include "common/file_io.h"
 #include "common/flags.h"
 #include "common/metrics.h"
 #include "common/simd/kernels.h"
@@ -57,7 +60,6 @@
 #include "index/shard.h"
 #include "schema/schema_summary.h"
 #include "server/command.h"
-#include "xml/sax_parser.h"
 #include "xml/writer.h"
 
 namespace gks {
@@ -67,8 +69,7 @@ int Usage() {
   std::fprintf(
       stderr,
       "usage:\n"
-      "  gks index  <out.gksidx> <file.xml...> [--threads=N]\n"
-      "             [--format=v2|v2-nobounds|v1]\n"
+      "  gks index  <out.gksidx> <file.xml...> [--threads=N] [--metrics]\n"
       "  gks search <index.gksidx> \"<query>\" [--s=N] [--top=N] [--di=M]\n"
       "             [--refine] [--schema-reconcile] [--explain] [--chunks=N]\n"
       "             [--explain-json] [--metrics] [--plan=auto|merge|probe|"
@@ -85,7 +86,6 @@ int Usage() {
       "  gks schema <index.gksidx>\n"
       "  gks stats  <index.gksidx> [--metrics] [--metrics-json]\n"
       "  gks shard  <out-dir> <file.xml...> --shards=N [--threads=N]\n"
-      "             [--format=v2|v2-nobounds|v1]\n"
       "             (split into contiguous document-range shard indexes +\n"
       "              MANIFEST.json for distributed serving,\n"
       "              docs/DISTRIBUTED.md)\n"
@@ -101,9 +101,9 @@ int Usage() {
   return 2;
 }
 
-int Fail(const Status& status) {
+int Fail(const Status& status, int exit_code = 1) {
   std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
-  return 1;
+  return exit_code;
 }
 
 // --plan forces the execution strategy; auto (the default) lets the
@@ -148,7 +148,7 @@ Result<XmlIndex> BuildIndexFromArgs(const FlagParser& flags,
   documents.reserve(args.size() - 2);
   for (size_t i = 2; i < args.size(); ++i) {
     std::string contents;
-    if (Status status = xml::ReadFileToString(args[i], &contents);
+    if (Status status = ReadFileToString(args[i], &contents);
         !status.ok()) {
       return status;
     }
@@ -160,24 +160,15 @@ Result<XmlIndex> BuildIndexFromArgs(const FlagParser& flags,
 }
 
 int CmdIndex(const FlagParser& flags) {
+  if (Status status = flags.Validate({"threads", "metrics"}); !status.ok()) {
+    return Fail(status, 2);
+  }
   const auto& args = flags.positional();
   if (args.size() < 3) return Usage();
   WallTimer timer;
   Result<XmlIndex> index = BuildIndexFromArgs(flags, args);
   if (!index.ok()) return Fail(index.status());
-  std::string format_name = flags.GetString("format", "v2");
-  IndexFormat format;
-  if (format_name == "v1") {
-    format = IndexFormat::kV1;
-  } else if (format_name == "v2") {
-    format = IndexFormat::kV2;
-  } else if (format_name == "v2-nobounds") {
-    // The pre-rank-bounds v2 byte stream (compatibility pins, A/B sizing).
-    format = IndexFormat::kV2NoRankBounds;
-  } else {
-    return Usage();
-  }
-  if (Status status = SaveIndex(*index, args[1], format); !status.ok()) {
+  if (Status status = SaveIndex(*index, args[1]); !status.ok()) {
     return Fail(status);
   }
   std::printf("wrote %s: %zu docs, %llu elements, %zu terms, %llu postings "
@@ -286,7 +277,7 @@ int CmdBatch(const FlagParser& flags) {
   if (!index.ok()) return Fail(index.status());
 
   std::string text;
-  if (Status status = xml::ReadFileToString(args[2], &text); !status.ok()) {
+  if (Status status = ReadFileToString(args[2], &text); !status.ok()) {
     return Fail(status);
   }
   std::vector<std::string> queries;
@@ -519,7 +510,7 @@ int CmdGenerate(const FlagParser& flags) {
   } else {
     return Usage();
   }
-  if (Status status = xml::WriteStringToFile(args[2], xml); !status.ok()) {
+  if (Status status = WriteStringToFile(args[2], xml); !status.ok()) {
     return Fail(status);
   }
   std::printf("wrote %s (%s)\n", args[2].c_str(),
@@ -532,28 +523,20 @@ int CmdGenerate(const FlagParser& flags) {
 // `gks serve shard_NN.gksidx --doc-base=B` worker behind a
 // `gks serve --coord-shards=...` coordinator (docs/DISTRIBUTED.md).
 int CmdShard(const FlagParser& flags) {
+  if (Status status = flags.Validate({"shards", "threads"}); !status.ok()) {
+    return Fail(status, 2);
+  }
   const auto& args = flags.positional();
   if (args.size() < 3) return Usage();
   size_t shard_count = static_cast<size_t>(flags.GetInt("shards", 2));
   if (shard_count == 0) return Usage();
-  std::string format_name = flags.GetString("format", "v2");
-  IndexFormat format;
-  if (format_name == "v1") {
-    format = IndexFormat::kV1;
-  } else if (format_name == "v2") {
-    format = IndexFormat::kV2;
-  } else if (format_name == "v2-nobounds") {
-    format = IndexFormat::kV2NoRankBounds;
-  } else {
-    return Usage();
-  }
   std::vector<std::string> xml_files(args.begin() + 2, args.end());
   int threads = static_cast<int>(flags.GetInt("threads", 1));
   std::unique_ptr<ThreadPool> pool;
   if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
   WallTimer timer;
   Result<ShardManifest> manifest = SplitIntoShards(
-      xml_files, shard_count, args[1], format, pool.get());
+      xml_files, shard_count, args[1], pool.get());
   if (!manifest.ok()) return Fail(manifest.status());
   std::printf("wrote %zu shards (%u documents) to %s in %.2fs\n",
               manifest->shards.size(),
