@@ -2,11 +2,10 @@
 //
 //   1. index size — total file bytes, bytes/posting and per-section bytes
 //      (LZ-wrapped node/attr sections + delta-compressed posting blocks);
-//   2. cold-start latency — eager LoadIndex vs zero-copy LoadIndexMapped
-//      on the same file (acceptance: mmap >= 10x faster, since it only
-//      parses the section table and catalog);
+//   2. load latency — LoadIndex of the file, which decodes and validates
+//      every section;
 //   3. fig8-style query latency — n=8 keyword queries of varying
-//      selectivity against an eagerly loaded and a mapped index.
+//      selectivity against the loaded index.
 //
 // Prints a JSON document on stdout. BENCH_pr3.json records the v1 vs v2
 // comparison this bench made while the writer still produced v1.
@@ -25,7 +24,6 @@ namespace {
 
 using gks::JsonWriter;
 using gks::LoadIndex;
-using gks::LoadIndexMapped;
 using gks::Result;
 using gks::SaveIndex;
 using gks::WallTimer;
@@ -51,8 +49,7 @@ double BestOfMs(int reps, Fn fn) {
 struct QueryPoint {
   std::string query;
   size_t sl = 0;
-  double eager_ms = 0;
-  double mmap_ms = 0;
+  double ms = 0;
 };
 
 int Run() {
@@ -73,20 +70,15 @@ int Run() {
   }
   const double postings = static_cast<double>(built.inverted.posting_count());
 
-  // --- cold start: eager decode-everything vs section-table-only. ---
-  std::fprintf(stderr, "timing cold loads...\n");
-  const double eager_load_ms = BestOfMs(5, [&] {
+  std::fprintf(stderr, "timing loads...\n");
+  const double load_ms = BestOfMs(5, [&] {
     if (!LoadIndex(path).ok()) std::exit(1);
-  });
-  const double mmap_load_ms = BestOfMs(5, [&] {
-    if (!LoadIndexMapped(path).ok()) std::exit(1);
   });
 
   // --- fig8-style query latency (n=8, varying selectivity). ---
   std::fprintf(stderr, "timing queries...\n");
-  Result<XmlIndex> eager = LoadIndex(path);
-  Result<XmlIndex> mapped = LoadIndexMapped(path);
-  if (!eager.ok() || !mapped.ok()) {
+  Result<XmlIndex> loaded = LoadIndex(path);
+  if (!loaded.ok()) {
     std::fprintf(stderr, "FATAL: reload failed\n");
     return 1;
   }
@@ -98,22 +90,16 @@ int Run() {
       if (!point.query.empty()) point.query += " ";
       point.query += vocabulary[start + i];
     }
-    point.eager_ms = BestOfMs(5, [&] {
+    point.ms = BestOfMs(5, [&] {
       point.sl =
-          gks::bench::RunQuery(*eager, point.query, 2).merged_list_size;
-    });
-    point.mmap_ms = BestOfMs(5, [&] {
-      (void)gks::bench::RunQuery(*mapped, point.query, 2);
+          gks::bench::RunQuery(*loaded, point.query, 2).merged_list_size;
     });
     points.push_back(point);
   }
   std::sort(points.begin(), points.end(),
             [](const QueryPoint& a, const QueryPoint& b) { return a.sl < b.sl; });
-  double eager_total = 0, mmap_total = 0;
-  for (const QueryPoint& point : points) {
-    eager_total += point.eager_ms;
-    mmap_total += point.mmap_ms;
-  }
+  double query_total = 0;
+  for (const QueryPoint& point : points) query_total += point.ms;
 
   // --- emit JSON. ---
   JsonWriter json;
@@ -140,12 +126,7 @@ int Run() {
   json.EndObject();
   json.EndObject();
 
-  json.Key("cold_load_ms");
-  json.BeginObject();
-  json.Key("eager").Double(eager_load_ms);
-  json.Key("mmap").Double(mmap_load_ms);
-  json.Key("eager_over_mmap").Double(eager_load_ms / mmap_load_ms);
-  json.EndObject();
+  json.Key("load_ms").Double(load_ms);
 
   json.Key("fig8_query_ms");
   json.BeginObject();
@@ -154,14 +135,11 @@ int Run() {
   for (const QueryPoint& point : points) {
     json.BeginObject();
     json.Key("sl").UInt(point.sl);
-    json.Key("eager").Double(point.eager_ms);
-    json.Key("mmap").Double(point.mmap_ms);
+    json.Key("ms").Double(point.ms);
     json.EndObject();
   }
   json.EndArray();
-  json.Key("eager_total").Double(eager_total);
-  json.Key("mmap_total").Double(mmap_total);
-  json.Key("mmap_over_eager").Double(mmap_total / eager_total);
+  json.Key("total").Double(query_total);
   json.EndObject();
 
   json.EndObject();

@@ -107,18 +107,13 @@ int main() {
     }
     std::string encoded;
     EncodeBlockPostings(ids, &encoded);
-    std::string_view input = encoded;
-    gks::BlockPostingsView view;
-    if (!gks::BlockPostingsView::Parse(&input, &view).ok()) {
-      std::fprintf(stderr, "FATAL: posting blob failed to parse\n");
-      return 1;
-    }
     KernelRow row{"posting_decode", 0, 0, static_cast<double>(n), "ids"};
     PackedIds decoded;
     TimeTables(simd_table, [&](const Kernels& table) {
       gks::simd::SetActiveForTest(&table);
       decoded.Clear();
-      if (!view.DecodeAll(&decoded).ok()) std::abort();
+      std::string_view input = encoded;
+      if (!gks::DecodeBlockPostings(&input, &decoded).ok()) std::abort();
       gks::simd::SetActiveForTest(nullptr);
     }, &row);
     PrintRow(row);

@@ -3,8 +3,8 @@
 # builds the (de)serialization-heavy test binaries in a dedicated build
 # tree configured with -DGKS_SANITIZE=address,undefined and runs the
 # suites that parse attacker-shaped bytes — varint and LZ decoding, the
-# block-postings codec, the on-disk index readers (v1, v2 eager, v2
-# mmap), JSON and the wire protocol, hostile shard partials — plus the
+# block-postings codec, the on-disk index readers (v1 and v2), JSON and
+# the wire protocol, hostile shard partials — plus the
 # partial-merge core those partials feed and the file reader and atomic
 # writer every persisted byte goes through. Any ASan/UBSan report fails
 # the run.

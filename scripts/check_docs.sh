@@ -109,16 +109,16 @@ if [[ -z "$doc_flags" ]]; then
   fail=1
 fi
 serve_src="$root/src/server/command.cc"
+src_flags=$(sed -n '/^int RunServeCommand/,/^}/p' "$serve_src" \
+  | grep -oE 'Get(String|Int|Double|Bool)\("[a-z-]+"' \
+  | grep -oE '"[a-z-]+"' | tr -d '"' | sort -u)
 for name in $doc_flags; do
-  if ! grep -qF "\"$name\"" "$serve_src"; then
+  if ! grep -qx "$name" <<<"$src_flags"; then
     echo "check_docs: flag '--$name' is documented in docs/SERVER.md but" \
          "never read in src/server/command.cc" >&2
     fail=1
   fi
 done
-src_flags=$(sed -n '/^int RunServeCommand/,/^}/p' "$serve_src" \
-  | grep -oE 'Get(String|Int|Double|Bool)\("[a-z-]+"' \
-  | grep -oE '"[a-z-]+"' | tr -d '"' | sort -u)
 for name in $src_flags; do
   if ! grep -qx "$name" <<<"$doc_flags"; then
     echo "check_docs: serve flag '--$name' is read in" \

@@ -5,9 +5,9 @@
 # gks_client: single queries, a load run across several connections, the
 # admin verbs (health/stats/metrics), a hot reload (epoch must advance),
 # and finally `quit`, after which the server process must exit 0 having
-# drained cleanly. A second server runs the live-mmap rebuild drill:
-# `gks index` rewrites the file it has mapped, and it must keep serving
-# the old answer until a reload.
+# drained cleanly. A second server runs the live rebuild drill: `gks index`
+# rewrites the file it has loaded, and it must keep serving the old answer
+# until a reload.
 #
 # Usage: check_server.sh <gks-binary> <gks_client-binary>
 
@@ -40,6 +40,22 @@ expect_usage_error index "$work/rejected.gksidx" "$work/dblp.xml" --format=v1
 expect_usage_error shard "$work/rejected" "$work/dblp.xml" --format=v1
 [[ ! -e "$work/rejected.gksidx" && ! -e "$work/rejected" ]] \
   || fail "a rejected command wrote its output"
+# The removed --mmap flag fails every reader command, and `gks serve`
+# before it binds: a server that ignored the flag would be listening (the
+# timeout turns that into a failure instead of a hang).
+printf 'database\n' > "$work/mmap_queries.txt"
+expect_usage_error search "$work/dblp.gksidx" database --mmap
+expect_usage_error batch "$work/dblp.gksidx" "$work/mmap_queries.txt" --mmap
+expect_usage_error analyze "$work/dblp.gksidx" database --mmap
+expect_usage_error schema "$work/dblp.gksidx" --mmap
+expect_usage_error stats "$work/dblp.gksidx" --mmap
+serve_exit=0
+timeout 10 "$gks" serve "$work/dblp.gksidx" --mmap --port=0 \
+  > "$work/mmap_serve.log" 2>&1 || serve_exit=$?
+[[ "$serve_exit" -eq 2 ]] \
+  || fail "gks serve --mmap exited $serve_exit, want 2"
+! grep -q "listening on" "$work/mmap_serve.log" \
+  || fail "gks serve --mmap started listening"
 
 # Starts `gks serve <args>` in the background and sets server_pid and
 # port. --port=0: the kernel picks; parse the bound port from the startup
@@ -112,12 +128,11 @@ grep -q "reloaded" "$work/serve.err" || fail "SIGHUP reload never logged"
 
 quit_server
 
-# Live-mmap rebuild drill. `gks index` replaces the file a --mmap server
-# has mapped, first with a smaller index, then with a larger one. The
-# server keeps its mapping of the old file, so it must give the old
-# answer at the old epoch until a reload moves it to the new file. An
-# in-place rewrite fails here: the shrink is a SIGBUS on the next query,
-# the growth a wrong answer. --cache=0 makes every query read the mapping.
+# Live rebuild drill. `gks index` replaces the file a running server has
+# loaded, first with a smaller index, then with a larger one. The server
+# answers from the index it loaded, so it must give the old answer at the
+# old epoch until a reload moves it to the new file. --cache=0 makes every
+# query run a search.
 "$gks" generate dblp "$work/small.xml" --scale=0.005 >/dev/null
 "$gks" generate dblp "$work/large.xml" --scale=0.04 >/dev/null
 drill_query="xml data"
@@ -129,11 +144,11 @@ answer() {
 epoch_of() { sed -nE 's/^epoch ([0-9]+),.*/\1/p' "$1"; }
 drill() { run_client --query="$drill_query" --s=1 --top=5 > "$work/$1.out"; }
 
-start_server "$work/dblp.gksidx" --mmap --cache=0 --threads=2
-drill mapped || fail "query on the mapped index failed"
-want="$(answer "$work/mapped.out")"
-mapped_epoch="$(epoch_of "$work/mapped.out")"
-[[ -n "$want" && -n "$mapped_epoch" ]] || fail "no answer to '$drill_query'"
+start_server "$work/dblp.gksidx" --cache=0 --threads=2
+drill loaded || fail "query on the loaded index failed"
+want="$(answer "$work/loaded.out")"
+loaded_epoch="$(epoch_of "$work/loaded.out")"
+[[ -n "$want" && -n "$loaded_epoch" ]] || fail "no answer to '$drill_query'"
 for corpus in small large; do
   "$gks" index "$work/dblp.gksidx" "$work/$corpus.xml" >/dev/null \
     || fail "rebuild over $corpus.xml failed"
@@ -141,14 +156,14 @@ for corpus in small large; do
     || fail "query after the $corpus rebuild failed (server: $(tail -n 3 \
             "$work/serve.err"))"
   [[ "$(answer "$work/after_$corpus.out")" == "$want" ]] \
-    || fail "answer changed under the live mapping after the $corpus rebuild"
-  [[ "$(epoch_of "$work/after_$corpus.out")" == "$mapped_epoch" ]] \
+    || fail "answer changed without a reload after the $corpus rebuild"
+  [[ "$(epoch_of "$work/after_$corpus.out")" == "$loaded_epoch" ]] \
     || fail "epoch changed without a reload after the $corpus rebuild"
 done
 run_client --admin=reload | grep -q "status: reloaded" \
   || fail "reload after the rebuilds was not acknowledged"
 drill reloaded || fail "query after the reload failed"
-[[ "$(epoch_of "$work/reloaded.out")" -gt "$mapped_epoch" ]] \
+[[ "$(epoch_of "$work/reloaded.out")" -gt "$loaded_epoch" ]] \
   || fail "epoch did not advance across the reload"
 "$gks" search "$work/dblp.gksidx" "$drill_query" --s=1 --top=5 \
   > "$work/search.out" || fail "gks search on the rebuilt index failed"
@@ -159,4 +174,4 @@ drill reloaded || fail "query after the reload failed"
 quit_server
 
 echo "check_server: OK (port $port, epochs $epoch_before -> $epoch_after," \
-     "live-mmap rebuild drill passed)"
+     "live rebuild drill passed)"

@@ -23,7 +23,7 @@ struct StackScanResult {
 ///  * SLCA  if its subtree covers all keywords and no child did, and
 ///  * ELCA  if its witnesses outside all-covering children span all
 ///    keywords (the exclusion rule).
-/// O(|S_L| * d) time, O(d) live frames — no trie materialization.
+/// O(|S_L| * d) time, O(d) live frames — no trie is built.
 StackScanResult ComputeSlcaElcaByStack(const MergedList& sl,
                                        size_t atom_count);
 

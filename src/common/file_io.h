@@ -21,8 +21,8 @@ Status ReadFileToString(const std::string& path, std::string* contents);
 /// Replaces `path` with `contents`, atomically and durably: writes a
 /// temporary file next to it (the target name plus a `.tmp` suffix),
 /// fsyncs and closes it, renames it over `path` and fsyncs the directory.
-/// A reader sees the old bytes or the new ones, never a mix, and a live
-/// mapping of the old file (MappedFile) keeps reading the old bytes.
+/// A reader sees the old bytes or the new ones, never a mix, and a
+/// descriptor opened on the old file keeps reading the old bytes.
 /// Any failure up to and including the rename is reported with the step
 /// that failed, removes the temporary file and leaves `path` as it was;
 /// a failed directory fsync is reported after the new bytes are in place.

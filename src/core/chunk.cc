@@ -9,7 +9,7 @@ namespace {
 
 using ComponentVec = std::vector<uint32_t>;
 
-// Leaves to materialize: sorted unique Dewey ids within the chunk root.
+// Leaves to build: sorted unique Dewey ids within the chunk root.
 std::vector<ComponentVec> CollectLeafIds(const XmlIndex& index,
                                          const MergedList& sl,
                                          DeweySpan root, size_t max_leaves) {

@@ -44,8 +44,8 @@ std::vector<GksNode> ComputeGksNodes(const XmlIndex& index,
 
 /// The post-prune body of ComputeGksNodes: `lcps` must already be pruned
 /// (step "SLCA-style minimality"). The anchor-probe path prunes with
-/// exact seek-computed masks before materializing its reduced merged
-/// list, then enters here; `sl` only needs to cover the subtrees of the
+/// exact seek-computed masks before building its reduced merged list,
+/// then enters here; `sl` only needs to cover the subtrees of the
 /// surviving candidates' response nodes for masks/witnesses/ranks to be
 /// exact (see probe_eval.h).
 std::vector<GksNode> ComputeGksNodesPruned(

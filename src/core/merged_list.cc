@@ -197,13 +197,9 @@ void AtomOccurrencesInto(const XmlIndex& index, const QueryAtom& atom,
     lists.push_back(list);
   }
 
-  // All list access goes through PostingCursor: on block-backed (format
-  // v2, mmap) lists it decodes block-at-a-time and answers seeks from the
-  // skip table, so only the blocks a query actually touches ever leave
-  // their compressed form.
   if (lists.size() == 1 && atom.tag_constraint.empty()) {
     // Single keyword, no constraint: the result IS the list; emit it in
-    // block-granular copies.
+    // one range copy.
     PostingCursor cursor(*lists[0]);
     cursor.EmitAll(out);
     return;
@@ -217,8 +213,7 @@ void AtomOccurrencesInto(const XmlIndex& index, const QueryAtom& atom,
   // Phrase intersection drives a cursor per token list: the candidate ids
   // come off the smallest list in document order, so each other list only
   // ever gallops forward from its previous position — O(log gap) per
-  // candidate instead of a full O(log n) binary search per candidate, and
-  // block-backed lists skip whole undecoded blocks between candidates.
+  // candidate instead of a full O(log n) binary search per candidate.
   std::vector<PostingCursor> cursors;
   cursors.reserve(lists.size());
   for (const PostingList* list : lists) cursors.emplace_back(*list);

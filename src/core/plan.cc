@@ -7,7 +7,6 @@ const char* PlanModeName(PlanMode mode) {
     case PlanMode::kAuto: return "auto";
     case PlanMode::kMerge: return "merge";
     case PlanMode::kProbe: return "probe";
-    case PlanMode::kHybrid: return "hybrid";
   }
   return "auto";
 }
@@ -16,7 +15,6 @@ bool ParsePlanMode(std::string_view text, PlanMode* out) {
   if (text == "auto") *out = PlanMode::kAuto;
   else if (text == "merge") *out = PlanMode::kMerge;
   else if (text == "probe") *out = PlanMode::kProbe;
-  else if (text == "hybrid") *out = PlanMode::kHybrid;
   else return false;
   return true;
 }

@@ -9,17 +9,16 @@
 namespace gks {
 
 /// Execution strategy for one query. `kAuto` lets the planner pick from
-/// per-term posting-list statistics; the other three force a strategy
+/// per-term posting-list statistics; the other two force a strategy
 /// (CLI `--plan=`, wire field "plan"). After planning, the chosen
 /// strategy is never kAuto.
 enum class PlanMode : uint8_t {
   kAuto = 0,
-  kMerge,   // full k-way merge of every posting list (PR 2 kernel)
-  kProbe,   // anchor-probe: seek-driven, decodes only touched blocks
-  kHybrid,  // probe, but small non-anchor lists are materialized eagerly
+  kMerge,  // full k-way merge of every posting list (PR 2 kernel)
+  kProbe,  // anchor-probe: seek-driven from the smallest lists
 };
 
-/// Canonical lowercase name ("auto", "merge", "probe", "hybrid").
+/// Canonical lowercase name ("auto", "merge", "probe").
 const char* PlanModeName(PlanMode mode);
 
 /// Parses a plan name (as accepted by --plan / the wire "plan" field).
@@ -31,7 +30,7 @@ bool ParsePlanMode(std::string_view text, PlanMode* out);
 struct PlanAtomStats {
   std::string keyword;    // the atom as typed (quotes removed)
   uint64_t postings = 0;  // document frequency |S_i|
-  uint64_t blocks = 0;    // encoded v2 blocks (0 = eager storage)
+  uint64_t blocks = 0;    // always 0: no list stays block-encoded
   uint32_t doc_span = 0;  // documents between first and last posting
   bool anchor = false;    // selected into the probe anchor set
   bool estimated = false; // phrase/tag atom: `postings` is the raw bound
@@ -80,7 +79,7 @@ struct PlanInfo {
 
   // Filled by the probe evaluator after execution (0 on merge).
   uint64_t probe_events = 0;       // window end events evaluated
-  uint64_t gathered_postings = 0;  // reduced-S_L entries materialized
+  uint64_t gathered_postings = 0;  // reduced-S_L entries gathered
 
   /// Top-k early-termination axis (composes with any strategy).
   PlanTopK topk;

@@ -14,7 +14,7 @@ constexpr uint64_t kMinProbePostings = 4096;  // largest list must exceed
 constexpr uint64_t kSkewFactor = 8;           // largest / anchors ratio
 
 // Document span covered by a list: catalog documents between its first
-// and last posting (a subtree-span statistic off the skip table).
+// and last posting.
 uint32_t DocSpanOf(const PostingList& list) {
   if (list.empty()) return 0;
   return list.last_id().data[0] - list.first_id().data[0] + 1;
@@ -51,15 +51,14 @@ PlannerDecision ChoosePlan(const XmlIndex& index, const Query& query,
     }
     if (bound != nullptr) {
       stats.postings = bound->size();
-      stats.blocks = bound->encoded_block_count();
       stats.doc_span = DocSpanOf(*bound);
     }
     info.atoms.push_back(std::move(stats));
   }
 
   // Anchor estimate: the n-s+1 smallest lists (the set the probe
-  // evaluator will drive; it re-derives the exact set after phrase/tag
-  // materialization, but the planning estimate uses the same rule).
+  // evaluator will drive; it re-derives the exact set once phrase/tag
+  // atoms are resolved, but the planning estimate uses the same rule).
   std::vector<uint32_t> order(n);
   for (uint32_t i = 0; i < n; ++i) order[i] = i;
   std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
@@ -115,15 +114,6 @@ PlannerDecision ChoosePlan(const XmlIndex& index, const Query& query,
     info.topk.reason = treason;
   }
 
-  bool small_non_anchor = false;
-  for (const PlanAtomStats& stats : info.atoms) {
-    if (!stats.anchor && stats.postings * kSkewFactor <= largest) {
-      small_non_anchor = true;
-    }
-  }
-  const size_t materialize_below =
-      static_cast<size_t>(largest / kSkewFactor);
-
   if (n == 0) {  // degenerate query: nothing to probe, even when forced
     info.strategy = PlanMode::kMerge;
     info.reason = "empty query";
@@ -139,11 +129,6 @@ PlannerDecision ChoosePlan(const XmlIndex& index, const Query& query,
     case PlanMode::kProbe:
       info.strategy = PlanMode::kProbe;
       info.reason = "forced by plan=probe";
-      return out;
-    case PlanMode::kHybrid:
-      info.strategy = PlanMode::kHybrid;
-      out.probe.materialize_below = materialize_below;
-      info.reason = "forced by plan=hybrid";
       return out;
     case PlanMode::kAuto:
       break;
@@ -168,19 +153,9 @@ PlannerDecision ChoosePlan(const XmlIndex& index, const Query& query,
                   static_cast<unsigned long long>(largest));
     info.strategy = PlanMode::kMerge;
     info.reason = reason;
-  } else if (small_non_anchor) {
-    std::snprintf(reason, sizeof(reason),
-                  "skew %.0fx: probe from %llu anchor postings, "
-                  "materialize non-anchor lists <= %llu",
-                  info.skew, static_cast<unsigned long long>(anchor_total),
-                  static_cast<unsigned long long>(materialize_below));
-    info.strategy = PlanMode::kHybrid;
-    out.probe.materialize_below = materialize_below;
-    info.reason = reason;
   } else {
     std::snprintf(reason, sizeof(reason),
-                  "skew %.0fx: probe from %llu anchor postings, large "
-                  "lists stay block-lazy",
+                  "skew %.0fx: probe from %llu anchor postings",
                   info.skew, static_cast<unsigned long long>(anchor_total));
     info.strategy = PlanMode::kProbe;
     info.reason = reason;

@@ -10,26 +10,24 @@
 
 namespace gks {
 
-/// The planner's output: the decision (with the statistics it was made
-/// from, for --explain) plus the probe evaluator's tuning when the
-/// strategy is probe/hybrid.
+/// The planner's output: the decision, with the statistics it was made
+/// from, for --explain.
 struct PlannerDecision {
   PlanInfo info;
+  /// Always empty; kept only because perfbench/traced.cc passes it to
+  /// ProbeEvaluator.
   ProbeOptions probe;
 };
 
-/// Inspects per-term posting-list statistics (document frequency, encoded
-/// block count, document span — all O(1) reads off list headers and skip
-/// tables, no payload decode) and picks an execution strategy:
+/// Inspects per-term posting-list statistics (document frequency and
+/// document span — O(1) reads of each list's size and first and last id)
+/// and picks an execution strategy:
 ///
-///   merge  — near-uniform list sizes, or too little data for seek
-///            overhead to pay off: the PR 2 k-way merge kernel.
-///   probe  — skewed sizes: anchor-probe evaluation driven by the
-///            n-s+1 smallest lists, decoding only the blocks that window
-///            end events and response subtrees touch.
-///   hybrid — probe, with non-anchor lists below the materialization
-///            threshold decoded eagerly (cheaper than seeking them
-///            hundreds of times).
+///   merge — near-uniform list sizes, or too little data for seek
+///           overhead to pay off: the PR 2 k-way merge kernel.
+///   probe — skewed sizes: anchor-probe evaluation driven by the n-s+1
+///           smallest lists, visiting only the entries that window end
+///           events and response subtrees touch.
 ///
 /// `requested` != kAuto forces the strategy (every strategy is exact for
 /// any s/n, so forcing is always safe — just possibly slower). The

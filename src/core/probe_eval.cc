@@ -1,12 +1,10 @@
 #include "core/probe_eval.h"
 
 #include <algorithm>
-#include <array>
 
 #include "common/metrics.h"
 #include "common/simd/kernels.h"
 #include "core/lce.h"
-#include "index/posting_blocks.h"
 
 namespace gks {
 namespace {
@@ -26,177 +24,60 @@ struct ProbeMetrics {
   }
 };
 
-/// Random-access boundary queries over one atom occurrence list, with two
-/// backends: an eager PackedIds (materialized/borrowed lists) or a
-/// BlockPostingsView whose skip table answers block-level comparisons and
-/// whose payload blocks decode lazily into a small LRU. Unlike
-/// PostingCursor this is not forward-only: event processing needs
-/// *predecessor* lookups that move backwards between probes.
-class ProbeList {
- public:
-  void InitEager(const PackedIds* ids) {
-    eager_ = ids;
-    view_ = nullptr;
-  }
-  void InitBlocks(const BlockPostingsView* view) {
-    view_ = view;
-    eager_ = nullptr;
-  }
+enum class Boundary { kLower, kUpper, kSubtreeBegin, kSubtreeEnd };
 
-  size_t size() const {
-    if (eager_ != nullptr) return eager_->size();
-    return view_ != nullptr ? view_->id_count() : 0;
+// True when `id` still sorts before the boundary of `key` that `mode`
+// describes.
+bool BeforeBoundary(DeweySpan id, DeweySpan key, Boundary mode) {
+  switch (mode) {
+    case Boundary::kLower: return id.Compare(key) < 0;
+    case Boundary::kUpper: return id.Compare(key) <= 0;
+    case Boundary::kSubtreeBegin: return id.CompareToSubtree(key) < 0;
+    case Boundary::kSubtreeEnd: return id.CompareToSubtree(key) <= 0;
   }
+  return false;
+}
+
+}  // namespace
+
+/// One query atom's occurrence list inside the evaluator: borrowed from
+/// the index, or owned after phrase/tag filtering. Its boundary searches
+/// are binary searches from scratch: unlike PostingCursor they are not
+/// forward-only, since event processing needs *predecessor* lookups that
+/// move backwards between probes.
+struct ProbeEvaluator::AtomList {
+  PackedIds owned;                 // arena scratch when active
+  bool owned_active = false;
+  const PackedIds* ids = nullptr;  // `owned` or the index's list
+  size_t size = 0;
 
   /// First index with id >= / > `id` in document order.
-  size_t LowerBound(DeweySpan id) { return Bound(id, Mode::kLower); }
-  size_t UpperBound(DeweySpan id) { return Bound(id, Mode::kUpper); }
+  size_t LowerBound(DeweySpan id) const { return Find(id, Boundary::kLower); }
+  size_t UpperBound(DeweySpan id) const { return Find(id, Boundary::kUpper); }
   /// Bounds of the contiguous subtree range of `prefix`.
-  size_t SubtreeBegin(DeweySpan prefix) {
-    return Bound(prefix, Mode::kSubtreeBegin);
+  size_t SubtreeBegin(DeweySpan prefix) const {
+    return Find(prefix, Boundary::kSubtreeBegin);
   }
-  size_t SubtreeEnd(DeweySpan prefix) { return Bound(prefix, Mode::kSubtreeEnd); }
-
-  /// Owned copy of the id at index `i` (a span into the block cache would
-  /// dangle at the next decode).
-  DeweyId Get(size_t i) {
-    if (eager_ != nullptr) return eager_->IdAt(i);
-    size_t b = BlockOf(i);
-    const PackedIds& block = *Block(b);
-    size_t off = i - view_->block_id_begin(b);
-    if (off >= block.size()) return DeweyId();  // decode failure: degrade
-    return block.IdAt(off);
+  size_t SubtreeEnd(DeweySpan prefix) const {
+    return Find(prefix, Boundary::kSubtreeEnd);
   }
 
-  /// Appends ids [begin, end) to `out` in order. Fully-covered blocks
-  /// decode straight into `out`; boundary blocks go through the cache.
-  void AppendRangeTo(size_t begin, size_t end, PackedIds* out) {
-    if (begin >= end) return;
-    if (eager_ != nullptr) {
-      out->AppendRange(*eager_, begin, end);
-      return;
-    }
-    size_t b = BlockOf(begin);
-    while (b < view_->block_count()) {
-      const size_t b_begin = view_->block_id_begin(b);
-      if (b_begin >= end) break;
-      const size_t b_size = view_->block_size(b);
-      if (begin <= b_begin && end >= b_begin + b_size) {
-        (void)view_->DecodeBlock(b, out);  // whole block, no copy-through
-      } else {
-        const PackedIds& block = *Block(b);
-        size_t from = begin > b_begin ? begin - b_begin : 0;
-        size_t to = std::min(end - b_begin, block.size());
-        if (to > from) out->AppendRange(block, from, to);
-      }
-      ++b;
-    }
-  }
-
- private:
-  enum class Mode { kLower, kUpper, kSubtreeBegin, kSubtreeEnd };
-
-  // True when `id` still sorts before the boundary the mode describes.
-  static bool BeforeBoundary(DeweySpan id, DeweySpan key, Mode mode) {
-    switch (mode) {
-      case Mode::kLower: return id.Compare(key) < 0;
-      case Mode::kUpper: return id.Compare(key) <= 0;
-      case Mode::kSubtreeBegin: return id.CompareToSubtree(key) < 0;
-      case Mode::kSubtreeEnd: return id.CompareToSubtree(key) <= 0;
-    }
-    return false;
-  }
-
-  size_t Bound(DeweySpan key, Mode mode) {
-    if (eager_ != nullptr) {
-      size_t lo = 0;
-      size_t hi = eager_->size();
-      while (lo < hi) {
-        size_t mid = lo + (hi - lo) / 2;
-        if (BeforeBoundary(eager_->At(mid), key, mode)) lo = mid + 1;
-        else hi = mid;
-      }
-      return lo;
-    }
-    if (view_ == nullptr || view_->id_count() == 0) return 0;
-    // Block-level binary search on the skip table: find the first block
-    // whose last id reaches the boundary. Blocks before it lie entirely
-    // below; if its first id already reaches it, no decode is needed.
+  size_t Find(DeweySpan key, Boundary mode) const {
     size_t lo = 0;
-    size_t hi = view_->block_count();
+    size_t hi = size;
     while (lo < hi) {
       size_t mid = lo + (hi - lo) / 2;
-      if (BeforeBoundary(view_->block_last(mid), key, mode)) lo = mid + 1;
-      else hi = mid;
-    }
-    if (lo == view_->block_count()) return view_->id_count();
-    if (!BeforeBoundary(view_->block_first(lo), key, mode)) {
-      return view_->block_id_begin(lo);
-    }
-    const PackedIds& block = *Block(lo);
-    size_t in_lo = 0;
-    size_t in_hi = block.size();
-    while (in_lo < in_hi) {
-      size_t mid = in_lo + (in_hi - in_lo) / 2;
-      if (BeforeBoundary(block.At(mid), key, mode)) in_lo = mid + 1;
-      else in_hi = mid;
-    }
-    return view_->block_id_begin(lo) + in_lo;
-  }
-
-  // Block containing global id index `i`.
-  size_t BlockOf(size_t i) const {
-    size_t lo = 0;
-    size_t hi = view_->block_count();
-    while (hi - lo > 1) {
-      size_t mid = lo + (hi - lo) / 2;
-      if (view_->block_id_begin(mid) <= i) lo = mid;
+      if (BeforeBoundary(ids->At(mid), key, mode)) lo = mid + 1;
       else hi = mid;
     }
     return lo;
   }
-
-  const PackedIds* Block(size_t b) {
-    for (Slot& slot : cache_) {
-      if (slot.block == b) return &slot.ids;
-    }
-    Slot& slot = cache_[clock_++ % cache_.size()];
-    slot.ids.Clear();
-    slot.block = b;
-    if (!view_->DecodeBlock(b, &slot.ids).ok()) slot.ids.Clear();
-    return &slot.ids;
-  }
-
-  struct Slot {
-    size_t block = static_cast<size_t>(-1);
-    PackedIds ids;
-  };
-
-  const PackedIds* eager_ = nullptr;
-  const BlockPostingsView* view_ = nullptr;
-  std::array<Slot, 8> cache_;
-  size_t clock_ = 0;
-};
-
-}  // namespace
-
-/// One query atom's occurrence list inside the evaluator: either borrowed
-/// from the index (eager/materialized), owned after decoding or phrase/tag
-/// filtering, or left block-lazy behind the ProbeList.
-struct ProbeEvaluator::AtomList {
-  PackedIds owned;                           // arena scratch when active
-  bool owned_active = false;
-  const PackedIds* eager = nullptr;          // borrowed eager store
-  const BlockPostingsView* view = nullptr;   // lazy block backend
-  ProbeList probe;
-  size_t size = 0;
-  bool anchor = false;
 };
 
 ProbeEvaluator::ProbeEvaluator(const XmlIndex& index, const Query& query,
-                               uint32_t s, const ProbeOptions& options,
+                               uint32_t s, const ProbeOptions& /*options*/,
                                QueryArena* arena)
-    : index_(index), query_(query), s_(s), options_(options), arena_(arena) {}
+    : index_(index), query_(query), s_(s), arena_(arena) {}
 
 ProbeEvaluator::~ProbeEvaluator() {
   if (arena_ == nullptr) return;
@@ -221,18 +102,15 @@ void ProbeEvaluator::PrepareLists() {
     const bool constrained =
         atom.terms.size() > 1 || !atom.tag_constraint.empty();
     if (constrained) {
-      // Phrase/tag atoms change list membership, so they always
-      // materialize through the shared occurrence builder.
+      // Phrase/tag atoms change list membership, so they are always built
+      // through the shared occurrence builder.
       al->owned = arena_ != nullptr ? arena_->TakeIds() : PackedIds();
       AtomOccurrencesInto(index_, atom, &al->owned);
       al->owned_active = true;
+      al->ids = &al->owned;
       al->size = al->owned.size();
     } else if (const PostingList* pl = index_.inverted.Find(atom.terms[0])) {
-      if (pl->materialized()) {
-        al->eager = &pl->materialized_ids();
-      } else {
-        al->view = pl->block_view();
-      }
+      al->ids = &pl->ids();
       al->size = pl->size();
     }
     atom_sizes_.push_back(al->size);
@@ -253,34 +131,7 @@ void ProbeEvaluator::PrepareLists() {
   anchors_.assign(order.begin(), order.begin() + anchor_count);
   std::sort(anchors_.begin(), anchors_.end());
 
-  auto materialize = [&](AtomList* al) {
-    if (al->owned_active || al->view == nullptr) return;
-    al->owned = arena_ != nullptr ? arena_->TakeIds() : PackedIds();
-    (void)al->view->DecodeAll(&al->owned);
-    al->owned_active = true;
-    al->view = nullptr;
-  };
-
-  for (uint32_t a : anchors_) {
-    AtomList& al = *lists_[a];
-    al.anchor = true;
-    // Anchors are iterated exhaustively anyway; decode them up front so
-    // the discovery walk reads a flat array.
-    materialize(&al);
-    anchor_postings_ += al.size;
-  }
-  if (options_.materialize_below > 0) {
-    for (std::unique_ptr<AtomList>& al : lists_) {
-      if (!al->anchor && al->size <= options_.materialize_below) {
-        materialize(al.get());
-      }
-    }
-  }
-  for (std::unique_ptr<AtomList>& al : lists_) {
-    if (al->owned_active) al->probe.InitEager(&al->owned);
-    else if (al->eager != nullptr) al->probe.InitEager(al->eager);
-    else if (al->view != nullptr) al->probe.InitBlocks(al->view);
-  }
+  for (uint32_t a : anchors_) anchor_postings_ += lists_[a]->size;
 }
 
 void ProbeEvaluator::RunVirtualScan() {
@@ -300,8 +151,7 @@ void ProbeEvaluator::RunVirtualScan() {
   for (uint32_t a : anchors_) {
     AtomList& al = *lists_[a];
     if (al.size == 0) continue;
-    cursors.push_back(
-        AnchorCursor{a, 0, al.owned_active ? &al.owned : al.eager});
+    cursors.push_back(AnchorCursor{a, 0, al.ids});
   }
   std::vector<size_t> last_idx(n, static_cast<size_t>(-1));
 
@@ -329,14 +179,12 @@ void ProbeEvaluator::RunVirtualScan() {
       if (al.size == 0) continue;
       // First index of list c at position >= (a_id, a_atom): same-id
       // entries count only when c sorts at-or-after the anchor's atom.
-      size_t idx = c >= a_atom ? al.probe.LowerBound(a_id)
-                               : al.probe.UpperBound(a_id);
+      size_t idx = c >= a_atom ? al.LowerBound(a_id) : al.UpperBound(a_id);
       if (idx >= al.size || last_idx[c] == idx) continue;
       last_idx[c] = idx;
-      DeweyId id = al.probe.Get(idx);
-      DeweyId prev = idx > 0 ? al.probe.Get(idx - 1) : DeweyId();
       ++events_;
-      ProcessEndEvent(c, DeweySpan::Of(id), idx > 0, DeweySpan::Of(prev));
+      ProcessEndEvent(c, al.ids->At(idx), idx > 0,
+                      idx > 0 ? al.ids->At(idx - 1) : DeweySpan{});
     }
     ++ac.pos;
   }
@@ -371,9 +219,9 @@ void ProbeEvaluator::ProcessEndEvent(uint32_t c, DeweySpan p, bool has_prev,
     if (i == c) continue;
     AtomList& al = *lists_[i];
     if (al.size == 0) continue;
-    size_t at = i > c ? al.probe.LowerBound(p) : al.probe.UpperBound(p);
+    size_t at = i > c ? al.LowerBound(p) : al.UpperBound(p);
     if (at == 0) continue;
-    bounds.push_back(Pos{al.probe.Get(at - 1), i});
+    bounds.push_back(Pos{al.ids->IdAt(at - 1), i});
   }
   // The window [l, p] needs s-1 other unique atoms before p.
   if (s_ >= 2 && bounds.size() < static_cast<size_t>(s_) - 1) return;
@@ -411,7 +259,7 @@ void ProbeEvaluator::ProcessEndEvent(uint32_t c, DeweySpan p, bool has_prev,
   auto first_after = [&](uint32_t i, const Pos& x) -> size_t {
     AtomList& al = *lists_[i];
     DeweySpan xid = DeweySpan::Of(x.id);
-    return i > x.atom ? al.probe.LowerBound(xid) : al.probe.UpperBound(xid);
+    return i > x.atom ? al.LowerBound(xid) : al.UpperBound(xid);
   };
 
   // Per-list bounds of the interval (L, M]; every S_L entry inside it is
@@ -442,10 +290,9 @@ void ProbeEvaluator::ProcessEndEvent(uint32_t c, DeweySpan p, bool has_prev,
   for (uint32_t i = 0; i < n; ++i) {
     AtomList& al = *lists_[i];
     if (al.size == 0 || hi[i] <= lo[i]) continue;
-    const PackedIds* eager = al.owned_active ? &al.owned : al.eager;
-    if (eager != nullptr && hi[i] - lo[i] <= kDepthScanLinearMax) {
-      kernels.count_depth_prefixes(eager->raw_components(),
-                                   eager->raw_offsets(), lo[i], hi[i],
+    if (hi[i] - lo[i] <= kDepthScanLinearMax) {
+      kernels.count_depth_prefixes(al.ids->raw_components(),
+                                   al.ids->raw_offsets(), lo[i], hi[i],
                                    p.data, depth, depth_totals_.data());
       kernels.depth_calls->Increment();
       continue;
@@ -453,8 +300,8 @@ void ProbeEvaluator::ProcessEndEvent(uint32_t c, DeweySpan p, bool has_prev,
     const uint64_t span = hi[i] - lo[i];
     for (uint32_t d = depth; d >= 1; --d) {
       DeweySpan q{p.data, d};
-      size_t b = std::max(lo[i], al.probe.SubtreeBegin(q));
-      size_t e = std::min(hi[i], al.probe.SubtreeEnd(q));
+      size_t b = std::max(lo[i], al.SubtreeBegin(q));
+      size_t e = std::min(hi[i], al.SubtreeEnd(q));
       if (e <= b) continue;
       const uint64_t inside = e - b;
       depth_totals_[d] += inside;
@@ -484,7 +331,7 @@ void ProbeEvaluator::PruneCandidates() {
     for (uint32_t i = 0; i < n; ++i) {
       AtomList& al = *lists_[i];
       if (al.size == 0) continue;
-      if (al.probe.SubtreeBegin(span) < al.probe.SubtreeEnd(span)) {
+      if (al.SubtreeBegin(span) < al.SubtreeEnd(span)) {
         mask |= 1ull << i;
       }
     }
@@ -537,7 +384,7 @@ void ProbeEvaluator::GatherReduced() {
   // subtrees, k-way merged in exact S_L entry order. Downstream masks,
   // witnesses and ranks over any response-node subtree are then identical
   // to the full merge — the entries there are the same, in the same
-  // order — while everything outside the coverage stays undecoded.
+  // order — while everything outside the coverage is never copied.
   std::vector<PackedIds> gathered;
   gathered.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
@@ -548,8 +395,8 @@ void ProbeEvaluator::GatherReduced() {
     if (al.size == 0) continue;
     for (const std::vector<uint32_t>& prefix : maximal) {
       DeweySpan q{prefix.data(), static_cast<uint32_t>(prefix.size())};
-      al.probe.AppendRangeTo(al.probe.SubtreeBegin(q), al.probe.SubtreeEnd(q),
-                             &gathered[i]);
+      gathered[i].AppendRange(*al.ids, al.SubtreeBegin(q),
+                              al.SubtreeEnd(q));
     }
   }
   std::vector<const PackedIds*> ptrs;

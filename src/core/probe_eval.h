@@ -14,18 +14,13 @@
 
 namespace gks {
 
-/// Tuning knobs for the anchor-probe evaluator (filled by the planner).
-struct ProbeOptions {
-  /// Non-anchor lists with at most this many postings are materialized
-  /// eagerly (the hybrid strategy: decoding a small list once beats
-  /// answering hundreds of block-seeks against it). 0 keeps every
-  /// non-anchor list block-lazy (pure probe).
-  size_t materialize_below = 0;
-};
+/// The anchor-probe evaluator has no tuning knobs. The empty struct stays
+/// in ProbeEvaluator's signature because perfbench/traced.cc passes one.
+struct ProbeOptions {};
 
 /// Seek-driven evaluation of the GKS window scan (the planner's `probe`
-/// and `hybrid` strategies). Instead of materializing and merging every
-/// posting list into S_L, the evaluator:
+/// strategy). Instead of merging every posting list into S_L, the
+/// evaluator:
 ///
 ///   1. picks the n-s+1 *smallest* atom lists as anchors — by pigeonhole
 ///      every window holding s unique keywords out of n contains at least
@@ -48,17 +43,16 @@ struct ProbeOptions {
 ///   4. computes each candidate's exact subtree keyword mask by per-list
 ///      subtree seeks and prunes covered ancestors (same sweep as the
 ///      merge path);
-///   5. materializes a *reduced* merged list restricted to the coverage
+///   5. builds a *reduced* merged list restricted to the coverage
 ///      prefixes of the surviving candidates (their entity/lifted
 ///      response nodes), merged in exact S_L order, so the downstream
 ///      LCE/witness/ranking stages run unchanged and produce
 ///      byte-identical output: every response node's subtree is fully
 ///      present, and rank summation order inside it is preserved.
 ///
-/// Block-backed lists are only decoded where a seek or a gather range
-/// lands (a small per-list LRU of decoded blocks handles locality), so
-/// the work scales with the anchor list and the response subtrees, not
-/// with the largest posting list.
+/// Non-anchor lists are only read where a seek or a gather range lands,
+/// so the work scales with the anchor list and the response subtrees,
+/// not with the largest posting list.
 class ProbeEvaluator {
  public:
   ProbeEvaluator(const XmlIndex& index, const Query& query, uint32_t s,
@@ -69,8 +63,8 @@ class ProbeEvaluator {
   ProbeEvaluator& operator=(const ProbeEvaluator&) = delete;
 
   /// Phase 1: resolve per-atom occurrence lists (phrase/tag-constrained
-  /// atoms and anchors materialize; other lists stay block-lazy) and
-  /// select the anchor set from exact sizes.
+  /// atoms are built; single-term atoms read the index's list in place)
+  /// and select the anchor set from exact sizes.
   void PrepareLists();
 
   /// Phase 2: enumerate window end events from the anchor union and
@@ -108,7 +102,6 @@ class ProbeEvaluator {
   const XmlIndex& index_;
   const Query& query_;
   const uint32_t s_;
-  const ProbeOptions options_;
   QueryArena* const arena_;
 
   std::vector<std::unique_ptr<AtomList>> lists_;

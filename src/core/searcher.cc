@@ -91,11 +91,6 @@ Result<SearchResponse> GksSearcher::SearchTraced(
       registry.GetCounter("gks.search.plan.probe_total")->Increment();
       break;
     }
-    case PlanMode::kHybrid: {
-      ScopedSpan marker("plan.hybrid");
-      registry.GetCounter("gks.search.plan.hybrid_total")->Increment();
-      break;
-    }
     case PlanMode::kAuto:
       break;  // unreachable: the planner always resolves kAuto
   }
@@ -140,7 +135,7 @@ Result<SearchResponse> GksSearcher::SearchTraced(
     }
     sl.ReleaseTo(&arena);
   } else {
-    ProbeEvaluator eval(*index_, query, s, decision.probe, &arena);
+    ProbeEvaluator eval(*index_, query, s, {}, &arena);
     {
       ScopedSpan span("merged_list");
       eval.PrepareLists();

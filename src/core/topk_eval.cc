@@ -88,8 +88,8 @@ double MaxWeightBelowDoc(const PostingCursor& cursor,
 }
 
 // Advances `cursor` to the first id at or past document `doc_end`, jumping
-// whole undecoded blocks via the skip table. Returns the number of blocks
-// bypassed without decoding their remainder.
+// whole blocks whose last id lies before it. Returns the number of blocks
+// bypassed without visiting their remainder.
 uint64_t SkipCursorToDoc(PostingCursor* cursor, uint32_t doc_end) {
   uint64_t skipped = 0;
   while (!cursor->AtEnd()) {

@@ -17,7 +17,7 @@ struct TopKStats {
   uint64_t segments = 0;               // document segments examined
   uint64_t segments_pruned_sparse = 0; // skipped: < s distinct atoms possible
   uint64_t segments_pruned_bound = 0;  // skipped: rank bound below the k-th
-  uint64_t blocks_skipped = 0;         // posting blocks bypassed undecoded
+  uint64_t blocks_skipped = 0;         // posting blocks bypassed unvisited
   uint64_t docs_skipped = 0;           // documents never evaluated
 };
 
@@ -39,7 +39,7 @@ struct TopKResult {
 ///     top-k heap is full and the segment's rank upper bound — computed
 ///     from the rank_bounds section's per-block max term weights — cannot
 ///     beat the current k-th score (bound); skips jump whole posting
-///     blocks via the skip table without decoding them; or
+///     blocks without visiting their ids; or
 ///   - evaluates it: the document's occurrences run through the exact
 ///     merge -> window -> LCE -> rank pipeline the full evaluators use.
 ///

@@ -4,58 +4,11 @@
 
 #include "common/varint.h"
 #include "index/block_max.h"
-#include "index/lazy_section.h"
 #include "index/posting_blocks.h"
 
 namespace gks {
 
-InvertedIndex::InvertedIndex() = default;
-InvertedIndex::~InvertedIndex() = default;
-InvertedIndex::InvertedIndex(InvertedIndex&&) noexcept = default;
-InvertedIndex& InvertedIndex::operator=(InvertedIndex&&) noexcept = default;
-
-void InvertedIndex::AttachEncoded(std::string_view bytes, bool lz,
-                                  std::shared_ptr<const void> owner) {
-  pending_ = std::make_unique<EncodedSection>();
-  pending_->bytes = bytes;
-  pending_->lz = lz;
-  pending_->owner = std::move(owner);
-}
-
-Status InvertedIndex::EnsureDecoded() const {
-  EncodedSection* cell = pending_.get();
-  if (cell == nullptr) return Status::OK();
-  return EnsureSectionDecoded(cell, [this, cell](std::string_view in) {
-    InvertedIndex decoded;
-    GKS_RETURN_IF_ERROR(DecodeFromBlocks(&in, cell->owner, &decoded));
-    if (!in.empty()) {
-      return Status::Corruption("trailing bytes after inverted index section");
-    }
-    // Rank bounds validate against the freshly parsed skip tables, so they
-    // apply before any materialization can detach the block views. The
-    // bounds are copied out by value — the section bytes are not retained.
-    if (const EncodedSection* bounds = pending_bounds_.get()) {
-      std::string raw;
-      std::string_view payload = bounds->bytes;
-      if (bounds->lz) {
-        GKS_RETURN_IF_ERROR(LzDecompress(bounds->bytes, &raw));
-        payload = raw;
-      }
-      GKS_RETURN_IF_ERROR(decoded.ApplyRankBounds(payload));
-    }
-    // An LZ-wrapped section decodes into a temporary buffer that dies with
-    // this lambda, so the lists cannot keep block views into it. (The
-    // writer never LZ-wraps this section, precisely so blocks can decode
-    // straight from the mapped file.)
-    if (cell->lz) decoded.MaterializeAll();
-    // Single-writer under call_once; readers are gated on the ready flag.
-    const_cast<InvertedIndex*>(this)->lists_ = std::move(decoded.lists_);
-    return Status::OK();
-  });
-}
-
 void InvertedIndex::Add(std::string_view term, const DeweyId& id) {
-  RequireDecoded();
   auto it = lists_.find(term);
   if (it == lists_.end()) {
     it = lists_.emplace(std::string(term), PostingList()).first;
@@ -64,7 +17,6 @@ void InvertedIndex::Add(std::string_view term, const DeweyId& id) {
 }
 
 void InvertedIndex::Finalize(ThreadPool* pool) {
-  RequireDecoded();
   if (pool == nullptr || pool->size() <= 1 || lists_.size() < 2) {
     for (auto& [term, list] : lists_) {
       (void)term;
@@ -87,13 +39,11 @@ void InvertedIndex::Finalize(ThreadPool* pool) {
 }
 
 const PostingList* InvertedIndex::Find(std::string_view term) const {
-  RequireDecoded();
   auto it = lists_.find(term);
   return it == lists_.end() ? nullptr : &it->second;
 }
 
 PostingList* InvertedIndex::MutableList(std::string_view term) {
-  RequireDecoded();
   auto it = lists_.find(term);
   if (it == lists_.end()) {
     it = lists_.emplace(std::string(term), PostingList()).first;
@@ -102,7 +52,6 @@ PostingList* InvertedIndex::MutableList(std::string_view term) {
 }
 
 uint64_t InvertedIndex::posting_count() const {
-  RequireDecoded();
   uint64_t total = 0;
   for (const auto& [term, list] : lists_) {
     (void)term;
@@ -112,7 +61,6 @@ uint64_t InvertedIndex::posting_count() const {
 }
 
 size_t InvertedIndex::MemoryUsage() const {
-  RequireDecoded();
   size_t bytes = 0;
   for (const auto& [term, list] : lists_) {
     bytes += term.capacity() + list.MemoryUsage() + sizeof(list) +
@@ -159,7 +107,6 @@ std::vector<const std::string*> SortedTermPointers(const Map& lists) {
 }  // namespace
 
 void InvertedIndex::EncodeToBlocks(std::string* dst) const {
-  RequireDecoded();
   PutVarint64(dst, lists_.size());
   for (const std::string* term : SortedTermPointers(lists_)) {
     PutLengthPrefixed(dst, *term);
@@ -168,7 +115,6 @@ void InvertedIndex::EncodeToBlocks(std::string* dst) const {
 }
 
 Status InvertedIndex::DecodeFromBlocks(std::string_view* input,
-                                       std::shared_ptr<const void> owner,
                                        InvertedIndex* out) {
   *out = InvertedIndex();
   uint64_t count = 0;
@@ -177,29 +123,19 @@ Status InvertedIndex::DecodeFromBlocks(std::string_view* input,
     std::string term;
     GKS_RETURN_IF_ERROR(GetLengthPrefixed(input, &term));
     PostingList list;
-    GKS_RETURN_IF_ERROR(
-        PostingList::FromEncodedBlocks(input, owner, &list));
+    GKS_RETURN_IF_ERROR(PostingList::DecodeBlocksFrom(input, &list));
     out->lists_.emplace(std::move(term), std::move(list));
   }
   return Status::OK();
 }
 
-void InvertedIndex::MaterializeAll() {
-  RequireDecoded();
-  for (auto& [term, list] : lists_) {
-    (void)term;
-    list.Materialize();
-  }
-}
-
 void InvertedIndex::EncodeRankBoundsTo(const NodeInfoTable& nodes,
                                        std::string* dst) const {
-  RequireDecoded();
   PutVarint64(dst, lists_.size());
   for (const std::string* term : SortedTermPointers(lists_)) {
     const PostingList& list = lists_.find(*term)->second;
     std::vector<BlockRankBound> bounds =
-        ComputeBlockRankBounds(list.materialized_ids(), nodes);
+        ComputeBlockRankBounds(list.ids(), nodes);
     PutVarint64(dst, bounds.size());
     for (const BlockRankBound& bound : bounds) {
       PutVarint32(dst, bound.weight_scaled);
@@ -210,7 +146,6 @@ void InvertedIndex::EncodeRankBoundsTo(const NodeInfoTable& nodes,
 }
 
 Status InvertedIndex::ApplyRankBounds(std::string_view section) {
-  RequireDecoded();
   std::string_view in = section;
   auto at = [&section](std::string_view rest) {
     return " at section byte " + std::to_string(section.size() - rest.size());
@@ -247,13 +182,6 @@ Status InvertedIndex::ApplyRankBounds(std::string_view section) {
           " blocks)" + at(in));
     }
     std::vector<BlockRankBound> bounds(block_count);
-    const BlockPostingsView* view = list->block_view();
-    if (view != nullptr && view->block_count() != block_count) {
-      return Status::Corruption(
-          "rank_bounds block count " + std::to_string(block_count) +
-          " for term '" + *term + "' does not match the skip table (" +
-          std::to_string(view->block_count()) + " blocks)" + at(in));
-    }
     for (uint64_t b = 0; b < block_count; ++b) {
       BlockRankBound& bound = bounds[b];
       GKS_RETURN_IF_ERROR(read32(&bound.weight_scaled));
@@ -267,20 +195,16 @@ Status InvertedIndex::ApplyRankBounds(std::string_view section) {
       if (bound.min_depth > bound.max_depth) {
         return Status::Corruption("rank_bounds depth range inverted" + at(in));
       }
-      if (view == nullptr) continue;
-      // Bounds describe fixed kPostingBlockSize blocks; a skip table
-      // blocked any other way cannot line up with them index for index.
-      if (view->block_id_begin(b) != b * kPostingBlockSize) {
-        return Status::Corruption(
-            "rank_bounds blocking does not match the skip table of term '" +
-            *term + "'" + at(in));
-      }
-      // The skip table is ground truth for at least the block's first and
-      // last id: a depth envelope excluding either cannot bound the block.
-      if (view->block_first(b).size < bound.min_depth ||
-          view->block_first(b).size > bound.max_depth ||
-          view->block_last(b).size < bound.min_depth ||
-          view->block_last(b).size > bound.max_depth) {
+      // Bounds describe fixed kPostingBlockSize blocks (the decoder
+      // rejects any other blocking). The block's first and last id are
+      // ground truth for its depth envelope: an envelope excluding either
+      // cannot bound the block.
+      const size_t begin = b * kPostingBlockSize;
+      const size_t end = std::min(list->size(), begin + kPostingBlockSize);
+      const uint32_t first_depth = list->At(begin).size;
+      const uint32_t last_depth = list->At(end - 1).size;
+      if (first_depth < bound.min_depth || first_depth > bound.max_depth ||
+          last_depth < bound.min_depth || last_depth > bound.max_depth) {
         return Status::Corruption("rank_bounds bound contradicts block " +
                                   std::to_string(b) + " of term '" + *term +
                                   "'" + at(in));
@@ -295,52 +219,14 @@ Status InvertedIndex::ApplyRankBounds(std::string_view section) {
   return Status::OK();
 }
 
-void InvertedIndex::AttachRankBounds(std::string_view bytes, bool lz,
-                                     std::shared_ptr<const void> owner) {
-  pending_bounds_ = std::make_unique<EncodedSection>();
-  pending_bounds_->bytes = bytes;
-  pending_bounds_->lz = lz;
-  pending_bounds_->owner = std::move(owner);
-}
-
-AttrDirectory::AttrDirectory() = default;
-AttrDirectory::~AttrDirectory() = default;
-AttrDirectory::AttrDirectory(AttrDirectory&&) noexcept = default;
-AttrDirectory& AttrDirectory::operator=(AttrDirectory&&) noexcept = default;
-
-void AttrDirectory::AttachEncoded(std::string_view bytes, bool lz,
-                                  std::shared_ptr<const void> owner) {
-  pending_ = std::make_unique<EncodedSection>();
-  pending_->bytes = bytes;
-  pending_->lz = lz;
-  pending_->owner = std::move(owner);
-}
-
-Status AttrDirectory::EnsureDecoded() const {
-  return EnsureSectionDecoded(pending_.get(), [this](std::string_view in) {
-    AttrDirectory decoded;
-    GKS_RETURN_IF_ERROR(DecodeFrom(&in, &decoded));
-    if (!in.empty()) {
-      return Status::Corruption("trailing bytes after attr directory section");
-    }
-    AttrDirectory* self = const_cast<AttrDirectory*>(this);
-    self->ids_ = std::move(decoded.ids_);
-    self->tag_ids_ = std::move(decoded.tag_ids_);
-    self->value_ids_ = std::move(decoded.value_ids_);
-    return Status::OK();
-  });
-}
-
 void AttrDirectory::Add(const DeweyId& id, uint32_t tag_id,
                         uint32_t value_id) {
-  RequireDecoded();
   ids_.Add(id);
   tag_ids_.push_back(tag_id);
   value_ids_.push_back(value_id);
 }
 
 void AttrDirectory::Finalize() {
-  RequireDecoded();
   std::vector<uint32_t> perm = ids_.SortPermutation();
   std::vector<uint32_t> tags(perm.size());
   std::vector<uint32_t> values(perm.size());
@@ -354,7 +240,6 @@ void AttrDirectory::Finalize() {
 }
 
 void AttrDirectory::EncodeTo(std::string* dst) const {
-  RequireDecoded();
   ids_.EncodeTo(dst);
   PutVarint64(dst, tag_ids_.size());
   for (uint32_t tag : tag_ids_) PutVarint32(dst, tag);

@@ -3,42 +3,8 @@
 #include <algorithm>
 
 #include "common/varint.h"
-#include "index/lazy_section.h"
 
 namespace gks {
-
-NodeInfoTable::NodeInfoTable() = default;
-NodeInfoTable::~NodeInfoTable() = default;
-NodeInfoTable::NodeInfoTable(NodeInfoTable&&) noexcept = default;
-NodeInfoTable& NodeInfoTable::operator=(NodeInfoTable&&) noexcept = default;
-
-void NodeInfoTable::AttachEncoded(std::string_view bytes, bool lz,
-                                  std::shared_ptr<const void> owner) {
-  pending_ = std::make_unique<EncodedSection>();
-  pending_->bytes = bytes;
-  pending_->lz = lz;
-  pending_->owner = std::move(owner);
-}
-
-Status NodeInfoTable::EnsureDecoded() const {
-  return EnsureSectionDecoded(pending_.get(), [this](std::string_view in) {
-    NodeInfoTable decoded;
-    GKS_RETURN_IF_ERROR(DecodeFrom(&in, &decoded));
-    if (!in.empty()) {
-      return Status::Corruption("trailing bytes after node table section");
-    }
-    // Single-writer under call_once; readers are gated on the ready flag,
-    // so adopting the decoded state through const is safe.
-    NodeInfoTable* self = const_cast<NodeInfoTable*>(this);
-    self->map_ = std::move(decoded.map_);
-    self->tags_ = std::move(decoded.tags_);
-    self->tag_ids_ = std::move(decoded.tag_ids_);
-    self->values_ = std::move(decoded.values_);
-    self->value_ids_ = std::move(decoded.value_ids_);
-    self->counts_ = decoded.counts_;
-    return Status::OK();
-  });
-}
 
 std::string NodeInfoTable::EncodeKey(DeweySpan id) {
   // Fixed-width big-endian components keep keys compact and unambiguous.
@@ -67,7 +33,6 @@ void NodeInfoTable::DecodeKey(const std::string& key,
 }
 
 bool NodeInfoTable::AddFlags(DeweySpan id, uint8_t flags) {
-  RequireDecoded();
   auto it = map_.find(EncodeKey(id));
   if (it == map_.end()) return false;
   NodeInfo& info = it->second;
@@ -94,7 +59,6 @@ bool NodeInfoTable::AddFlags(DeweySpan id, uint8_t flags) {
 }
 
 uint32_t NodeInfoTable::InternTag(std::string_view tag) {
-  RequireDecoded();
   auto it = tag_ids_.find(tag);
   if (it != tag_ids_.end()) return it->second;
   uint32_t id = static_cast<uint32_t>(tags_.size());
@@ -104,7 +68,6 @@ uint32_t NodeInfoTable::InternTag(std::string_view tag) {
 }
 
 bool NodeInfoTable::FindTag(std::string_view tag, uint32_t* tag_id) const {
-  RequireDecoded();
   auto it = tag_ids_.find(tag);
   if (it == tag_ids_.end()) return false;
   *tag_id = it->second;
@@ -112,13 +75,11 @@ bool NodeInfoTable::FindTag(std::string_view tag, uint32_t* tag_id) const {
 }
 
 uint32_t NodeInfoTable::AddValue(std::string value) {
-  RequireDecoded();
   values_.push_back(std::move(value));
   return static_cast<uint32_t>(values_.size() - 1);
 }
 
 uint32_t NodeInfoTable::InternValue(std::string_view value) {
-  RequireDecoded();
   if (value_ids_.size() != values_.size()) {
     // First use after construction/deserialization: build the reverse map.
     value_ids_.clear();
@@ -134,7 +95,6 @@ uint32_t NodeInfoTable::InternValue(std::string_view value) {
 }
 
 void NodeInfoTable::Put(DeweySpan id, const NodeInfo& info) {
-  RequireDecoded();
   map_[EncodeKey(id)] = info;
   ++counts_.total;
   if (info.is_attribute()) ++counts_.attribute;
@@ -144,7 +104,6 @@ void NodeInfoTable::Put(DeweySpan id, const NodeInfo& info) {
 }
 
 const NodeInfo* NodeInfoTable::Find(DeweySpan id) const {
-  RequireDecoded();
   auto it = map_.find(EncodeKey(id));
   return it == map_.end() ? nullptr : &it->second;
 }
@@ -176,7 +135,6 @@ bool NodeInfoTable::LowestEntityAncestor(DeweySpan id, DeweyId* out) const {
 }
 
 size_t NodeInfoTable::MemoryUsage() const {
-  RequireDecoded();
   size_t bytes = 0;
   for (const auto& [key, info] : map_) {
     bytes += key.capacity() + sizeof(info) + sizeof(void*) * 2;
@@ -187,7 +145,6 @@ size_t NodeInfoTable::MemoryUsage() const {
 }
 
 void NodeInfoTable::EncodeTo(std::string* dst) const {
-  RequireDecoded();
   PutVarint64(dst, tags_.size());
   for (const std::string& tag : tags_) PutLengthPrefixed(dst, tag);
   PutVarint64(dst, values_.size());

@@ -2,7 +2,6 @@
 #define GKS_INDEX_NODE_INFO_TABLE_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -16,8 +15,6 @@
 
 namespace gks {
 
-struct EncodedSection;  // lazy_section.h
-
 /// The paper keeps two hash tables — `entityHash` (entity nodes) and
 /// `elementHash` (repeating + connecting nodes) — each mapping a Dewey id
 /// to the node's direct-child count (Sec. 2.4). This class stores one map
@@ -26,32 +23,12 @@ struct EncodedSection;  // lazy_section.h
 /// top, plus tag/value dictionaries shared with DI discovery.
 class NodeInfoTable {
  public:
-  NodeInfoTable();
-  ~NodeInfoTable();
-  NodeInfoTable(NodeInfoTable&&) noexcept;
-  NodeInfoTable& operator=(NodeInfoTable&&) noexcept;
-
-  /// Lazy-load support (format v2 mmap path): attaches the still-encoded
-  /// section bytes — LZ-wrapped when `lz` — and defers the decode until
-  /// the first accessor call. `owner` anchors the bytes (the mapped file).
-  void AttachEncoded(std::string_view bytes, bool lz,
-                     std::shared_ptr<const void> owner);
-  /// Forces the deferred decode now (thread-safe, idempotent) and returns
-  /// its status. A failed decode leaves the table readable but empty.
-  Status EnsureDecoded() const;
-
   /// Interns `tag`, returning a dense id. Idempotent per distinct string.
   uint32_t InternTag(std::string_view tag);
   /// Looks up an already-interned tag without interning; false if unknown.
   bool FindTag(std::string_view tag, uint32_t* tag_id) const;
-  const std::string& TagName(uint32_t tag_id) const {
-    RequireDecoded();
-    return tags_[tag_id];
-  }
-  size_t tag_count() const {
-    RequireDecoded();
-    return tags_.size();
-  }
+  const std::string& TagName(uint32_t tag_id) const { return tags_[tag_id]; }
+  size_t tag_count() const { return tags_.size(); }
 
   /// Stores an attribute value for DI discovery; returns its dense id.
   uint32_t AddValue(std::string value);
@@ -60,13 +37,9 @@ class NodeInfoTable {
   /// works on indexes loaded from disk).
   uint32_t InternValue(std::string_view value);
   const std::string& Value(uint32_t value_id) const {
-    RequireDecoded();
     return values_[value_id];
   }
-  size_t value_count() const {
-    RequireDecoded();
-    return values_.size();
-  }
+  size_t value_count() const { return values_.size(); }
 
   void Put(DeweySpan id, const NodeInfo& info);
   void Put(const DeweyId& id, const NodeInfo& info) {
@@ -89,16 +62,12 @@ class NodeInfoTable {
   /// entity node; false if none exists. `out` receives the entity's id.
   bool LowestEntityAncestor(DeweySpan id, DeweyId* out) const;
 
-  size_t size() const {
-    RequireDecoded();
-    return map_.size();
-  }
+  size_t size() const { return map_.size(); }
 
   /// Iterates every (id, info) pair in unspecified order. The DeweySpan is
   /// valid only during the callback.
   template <typename F>
   void ForEach(F f) const {
-    RequireDecoded();
     std::vector<uint32_t> components;
     for (const auto& [key, info] : map_) {
       DecodeKey(key, &components);
@@ -124,10 +93,7 @@ class NodeInfoTable {
     uint64_t connecting = 0;
     uint64_t total = 0;  // total categorized element nodes
   };
-  const CategoryCounts& counts() const {
-    RequireDecoded();
-    return counts_;
-  }
+  const CategoryCounts& counts() const { return counts_; }
 
   /// Approximate heap footprint for index-size reporting.
   size_t MemoryUsage() const;
@@ -140,13 +106,6 @@ class NodeInfoTable {
   static void DecodeKey(const std::string& key,
                         std::vector<uint32_t>* components);
 
-  /// Accessor guard: one pointer test on eager tables, plus one acquire
-  /// load once a lazy table has decoded.
-  void RequireDecoded() const {
-    if (pending_ != nullptr) (void)EnsureDecoded();
-  }
-
-  std::unique_ptr<EncodedSection> pending_;
   std::unordered_map<std::string, NodeInfo, TransparentStringHash,
                      std::equal_to<>>
       map_;

@@ -1,6 +1,7 @@
 #include "index/posting_blocks.h"
 
 #include <algorithm>
+#include <vector>
 
 #include "common/metrics.h"
 #include "common/simd/kernels.h"
@@ -9,9 +10,8 @@
 namespace gks {
 namespace {
 
-// v2 storage instruments (docs/OBSERVABILITY.md): every payload decode is
-// one unit of the work the lazy path defers; the counter is how you see a
-// query's touched-block footprint.
+// v2 storage instrument (docs/OBSERVABILITY.md): one unit per block a
+// load decodes.
 Counter* BlocksDecodedCounter() {
   static Counter* counter = MetricsRegistry::Global().GetCounter(
       "gks.index.v2.blocks_decoded_total");
@@ -79,6 +79,87 @@ void PutRawId(DeweySpan id, std::string* dst) {
   for (uint32_t c = 0; c < id.size; ++c) PutVarint32(dst, id.data[c]);
 }
 
+// One skip-table entry: the block's id count, payload extent, and first
+// and last id.
+struct SkipEntry {
+  uint32_t count = 0;
+  uint32_t payload_len = 0;
+  std::vector<uint32_t> first;
+  std::vector<uint32_t> last;
+};
+
+Status ReadSkipEntry(std::string_view* in, SkipEntry* entry) {
+  GKS_RETURN_IF_ERROR(GetVarint32(in, &entry->count));
+  GKS_RETURN_IF_ERROR(GetVarint32(in, &entry->payload_len));
+  uint32_t ncomps = 0;
+  GKS_RETURN_IF_ERROR(GetVarint32(in, &ncomps));
+  if (ncomps == 0 || ncomps > (1u << 20)) {
+    return Status::Corruption("posting block first id malformed");
+  }
+  entry->first.resize(ncomps);
+  for (uint32_t c = 0; c < ncomps; ++c) {
+    GKS_RETURN_IF_ERROR(GetVarint32(in, &entry->first[c]));
+  }
+  uint32_t shared = 0, fresh = 0;
+  GKS_RETURN_IF_ERROR(GetVarint32(in, &shared));
+  GKS_RETURN_IF_ERROR(GetVarint32(in, &fresh));
+  // shared==ncomps && fresh==0 means last == first, impossible for a
+  // multi-id block of distinct sorted ids.
+  if (shared > ncomps || fresh > (1u << 20) - shared ||
+      (entry->count > 1 && fresh == 0 && shared == ncomps)) {
+    return Status::Corruption("posting block last id malformed");
+  }
+  entry->last.assign(entry->first.begin(), entry->first.begin() + shared);
+  entry->last.resize(shared + fresh);
+  for (uint32_t c = shared; c < shared + fresh; ++c) {
+    GKS_RETURN_IF_ERROR(GetVarint32(in, &entry->last[c]));
+  }
+  return Status::OK();
+}
+
+// Appends block `b`'s ids to `out`: the skip entry's first id, then the
+// delta-coded payload, which must end exactly at the entry's last id.
+Status DecodeBlock(uint64_t b, const SkipEntry& entry,
+                   std::string_view payload, PackedIds* out) {
+  out->Add(DeweySpan{entry.first.data(),
+                     static_cast<uint32_t>(entry.first.size())});
+  if (entry.count > 1) {
+    // Dispatched decode kernel (src/common/simd/kernels.h): appends the
+    // delta-coded ids straight into the PackedIds flat storage. Every
+    // tier accepts exactly the byte streams the reference decoder below
+    // accepts, so the success path never diverges.
+    const simd::Kernels& kernels = simd::Active();
+    thread_local std::vector<uint32_t> comps;
+    comps = entry.first;
+    const size_t consumed = kernels.decode_delta_ids(
+        reinterpret_cast<const uint8_t*>(payload.data()), payload.size(),
+        entry.count, &comps, out->mutable_raw_components(),
+        out->mutable_raw_offsets());
+    if (consumed != payload.size()) {
+      // Malformed payload (or trailing bytes): re-run the Status-carrying
+      // reference decoder for the exact corruption message.
+      std::vector<uint32_t> ref = entry.first;
+      for (uint32_t i = 1; i < entry.count; ++i) {
+        GKS_RETURN_IF_ERROR(DecodeDeltaId(&payload, &ref));
+      }
+      return Status::Corruption("posting block " + std::to_string(b) +
+                                " has trailing bytes");
+    }
+    kernels.decode_calls->Increment();
+  } else if (!payload.empty()) {
+    return Status::Corruption("posting block " + std::to_string(b) +
+                              " has trailing bytes");
+  }
+  const DeweySpan last{entry.last.data(),
+                       static_cast<uint32_t>(entry.last.size())};
+  if (!(out->At(out->size() - 1) == last)) {
+    return Status::Corruption("posting block " + std::to_string(b) +
+                              " does not end at its skip-table last id");
+  }
+  BlocksDecodedCounter()->Add(1);
+  return Status::OK();
+}
+
 }  // namespace
 
 void EncodeBlockPostings(const PackedIds& ids, std::string* dst) {
@@ -120,146 +201,59 @@ void EncodeBlockPostings(const PackedIds& ids, std::string* dst) {
   dst->append(payloads);
 }
 
-Status BlockPostingsView::Parse(std::string_view* input,
-                                BlockPostingsView* out) {
+Status DecodeBlockPostings(std::string_view* input, PackedIds* out) {
   const std::string_view blob = *input;
-  auto at = [&blob](std::string_view rest) {
-    return " at blob byte " + std::to_string(blob.size() - rest.size());
-  };
   std::string_view in = blob;
+  auto corrupt = [&blob, &in](const std::string& what) {
+    return Status::Corruption(what + " at blob byte " +
+                              std::to_string(blob.size() - in.size()));
+  };
   uint64_t id_count = 0, block_count = 0;
   GKS_RETURN_IF_ERROR(GetVarint64(&in, &id_count));
   GKS_RETURN_IF_ERROR(GetVarint64(&in, &block_count));
-  if (block_count > id_count || id_count > (1ull << 40)) {
-    return Status::Corruption("posting blob counts implausible" + at(in));
+  if (id_count > (1ull << 40)) {
+    return corrupt("posting blob counts implausible");
   }
-  if (id_count > 0 && block_count == 0) {
-    return Status::Corruption("posting blob has ids but no blocks" + at(in));
+  if (block_count !=
+      (id_count + kPostingBlockSize - 1) / kPostingBlockSize) {
+    return corrupt("posting blob has " + std::to_string(block_count) +
+                   " blocks for " + std::to_string(id_count) + " ids");
   }
-  out->id_count_ = id_count;
-  out->counts_.clear();
-  out->counts_.reserve(block_count);
-  out->payload_begin_.assign(1, 0);
-  out->payload_begin_.reserve(block_count + 1);
-  out->id_begins_.clear();
-  out->id_begins_.reserve(block_count);
-  out->firsts_ = PackedIds();
-  out->lasts_ = PackedIds();
 
-  std::vector<uint32_t> comps;
-  uint64_t ids_seen = 0;
+  // Pass 1 validates the skip table and sums the payload extents, which
+  // locates the payloads; pass 2 re-reads each entry and decodes its
+  // block, so no per-list skip table outlives the call.
+  const std::string_view skip_table = in;
+  SkipEntry entry;
   uint64_t payload_total = 0;
   for (uint64_t b = 0; b < block_count; ++b) {
-    uint32_t count = 0, payload_len = 0;
-    GKS_RETURN_IF_ERROR(GetVarint32(&in, &count));
-    GKS_RETURN_IF_ERROR(GetVarint32(&in, &payload_len));
-    if (count == 0 || count > kPostingBlockSize) {
-      return Status::Corruption("posting block count out of range" + at(in));
+    if (Status st = ReadSkipEntry(&in, &entry); !st.ok()) {
+      return corrupt(st.message());
     }
-    uint32_t ncomps = 0;
-    GKS_RETURN_IF_ERROR(GetVarint32(&in, &ncomps));
-    if (ncomps == 0 || ncomps > (1u << 20)) {
-      return Status::Corruption("posting block first id malformed" + at(in));
+    const uint64_t want = std::min<uint64_t>(
+        kPostingBlockSize, id_count - b * kPostingBlockSize);
+    if (entry.count != want) {
+      return corrupt("posting block " + std::to_string(b) + " holds " +
+                     std::to_string(entry.count) + " ids, fixed blocking "
+                     "needs " + std::to_string(want));
     }
-    comps.resize(ncomps);
-    for (uint32_t c = 0; c < ncomps; ++c) {
-      GKS_RETURN_IF_ERROR(GetVarint32(&in, &comps[c]));
-    }
-    out->firsts_.Add(DeweySpan{comps.data(), ncomps});
-    uint32_t shared = 0, fresh = 0;
-    GKS_RETURN_IF_ERROR(GetVarint32(&in, &shared));
-    GKS_RETURN_IF_ERROR(GetVarint32(&in, &fresh));
-    // shared==ncomps && fresh==0 means last == first, impossible for a
-    // multi-id block of distinct sorted ids.
-    if (shared > ncomps || shared + fresh > (1u << 20) ||
-        (count > 1 && fresh == 0 && shared == ncomps)) {
-      return Status::Corruption("posting block last id malformed" + at(in));
-    }
-    comps.resize(shared + fresh);
-    for (uint32_t c = shared; c < shared + fresh; ++c) {
-      GKS_RETURN_IF_ERROR(GetVarint32(&in, &comps[c]));
-    }
-    out->lasts_.Add(
-        DeweySpan{comps.data(), static_cast<uint32_t>(comps.size())});
-    out->counts_.push_back(count);
-    out->id_begins_.push_back(static_cast<uint32_t>(ids_seen));
-    ids_seen += count;
-    payload_total += payload_len;
-    out->payload_begin_.push_back(static_cast<uint32_t>(payload_total));
-  }
-  if (ids_seen != id_count) {
-    return Status::Corruption("posting blob block counts sum to " +
-                              std::to_string(ids_seen) + ", header says " +
-                              std::to_string(id_count));
+    payload_total += entry.payload_len;
   }
   if (in.size() < payload_total) {
-    return Status::Corruption("posting blob payloads truncated" + at(in));
+    return corrupt("posting blob payloads truncated");
   }
-  out->payloads_ = in.substr(0, payload_total);
+  std::string_view payloads = in.substr(0, payload_total);
   in.remove_prefix(payload_total);
-  out->encoded_size_ = blob.size() - in.size();
+
+  out->Reserve(out->size() + id_count, out->component_count());
+  std::string_view skip = skip_table;
+  for (uint64_t b = 0; b < block_count; ++b) {
+    GKS_RETURN_IF_ERROR(ReadSkipEntry(&skip, &entry));
+    GKS_RETURN_IF_ERROR(
+        DecodeBlock(b, entry, payloads.substr(0, entry.payload_len), out));
+    payloads.remove_prefix(entry.payload_len);
+  }
   *input = in;
-  return Status::OK();
-}
-
-size_t BlockPostingsView::FindBlockLowerBound(DeweySpan id) const {
-  // First block whose last id >= id; blocks are sorted, so binary search
-  // over the skip table's `lasts_`.
-  size_t lo = 0, hi = block_count();
-  while (lo < hi) {
-    size_t mid = lo + (hi - lo) / 2;
-    if (lasts_.At(mid).Compare(id) < 0) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo;
-}
-
-Status BlockPostingsView::DecodeBlock(size_t b, PackedIds* out) const {
-  DeweySpan first = firsts_.At(b);
-  out->Add(first);
-  std::string_view payload = payloads_.substr(
-      payload_begin_[b], payload_begin_[b + 1] - payload_begin_[b]);
-  const uint32_t count = counts_[b];
-  if (count > 1) {
-    // Dispatched decode kernel (src/common/simd/kernels.h): appends the
-    // delta-coded ids straight into the PackedIds flat storage. Every
-    // tier accepts exactly the byte streams the reference decoder below
-    // accepts, so the success path never diverges.
-    const simd::Kernels& kernels = simd::Active();
-    thread_local std::vector<uint32_t> comps;
-    comps.assign(first.data, first.data + first.size);
-    const size_t consumed = kernels.decode_delta_ids(
-        reinterpret_cast<const uint8_t*>(payload.data()), payload.size(),
-        count, &comps, out->mutable_raw_components(),
-        out->mutable_raw_offsets());
-    if (consumed != payload.size()) {
-      // Malformed payload (or trailing bytes): re-run the Status-carrying
-      // reference decoder for the exact corruption message. Partial
-      // appends stay in `out`, as they always have — every caller
-      // discards the container on error.
-      std::vector<uint32_t> ref(first.data, first.data + first.size);
-      for (uint32_t i = 1; i < count; ++i) {
-        GKS_RETURN_IF_ERROR(DecodeDeltaId(&payload, &ref));
-      }
-      return Status::Corruption("posting block " + std::to_string(b) +
-                                " has trailing bytes");
-    }
-    kernels.decode_calls->Increment();
-  } else if (!payload.empty()) {
-    return Status::Corruption("posting block " + std::to_string(b) +
-                              " has trailing bytes");
-  }
-  BlocksDecodedCounter()->Add(1);
-  return Status::OK();
-}
-
-Status BlockPostingsView::DecodeAll(PackedIds* out) const {
-  for (size_t b = 0; b < block_count(); ++b) {
-    GKS_RETURN_IF_ERROR(DecodeBlock(b, out));
-  }
   return Status::OK();
 }
 

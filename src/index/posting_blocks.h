@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "common/status.h"
 #include "index/posting_list.h"
@@ -15,9 +14,7 @@ namespace gks {
 /// on-disk format v2. A sorted Dewey-id list is cut into fixed-size blocks
 /// (kPostingBlockSize ids); each block is prefix-delta coded against its
 /// own first id, and a skip table up front records every block's first and
-/// last id plus its payload extent, so readers can
-///   - seek by document order without decoding skipped blocks, and
-///   - decode exactly the blocks a query touches (lazy mmap path).
+/// last id plus its payload extent.
 ///
 /// Blob layout (all integers varint unless noted):
 ///
@@ -46,60 +43,15 @@ constexpr size_t kPostingBlockSize = 128;
 /// Deterministic (byte-identical across runs for equal input).
 void EncodeBlockPostings(const PackedIds& ids, std::string* dst);
 
-/// A parsed, non-owning view over an encoded blob. Parsing materializes
-/// only the skip table (firsts/lasts/extents); block payloads stay encoded
-/// until DecodeBlock. The underlying bytes must outlive the view.
-class BlockPostingsView {
- public:
-  BlockPostingsView() = default;
-
-  /// Parses the header + skip table from the front of `*input`, leaving
-  /// `*input` positioned after the blob. Corruption messages carry offsets
-  /// relative to the start of the blob.
-  static Status Parse(std::string_view* input, BlockPostingsView* out);
-
-  size_t id_count() const { return id_count_; }
-  size_t block_count() const { return counts_.size(); }
-  /// Total encoded bytes (skip table + payloads), for size accounting.
-  size_t encoded_size() const { return encoded_size_; }
-
-  /// Skip-table accessors; no payload decode involved.
-  DeweySpan block_first(size_t b) const { return firsts_.At(b); }
-  DeweySpan block_last(size_t b) const { return lasts_.At(b); }
-  uint32_t block_size(size_t b) const { return counts_[b]; }
-  /// Global index of the block's first id.
-  size_t block_id_begin(size_t b) const { return id_begins_[b]; }
-
-  /// First block whose last id is >= `id` in document order, i.e. the only
-  /// block that can contain the lower bound of `id`. Returns block_count()
-  /// when every block ends before `id`. O(log blocks).
-  size_t FindBlockLowerBound(DeweySpan id) const;
-
-  /// Appends block `b`'s ids to `out`. Counts one block decode in the
-  /// gks.index.v2.blocks_decoded_total metric.
-  Status DecodeBlock(size_t b, PackedIds* out) const;
-
-  /// Appends every id to `out` (eager materialization).
-  Status DecodeAll(PackedIds* out) const;
-
-  /// Heap bytes of the parsed skip table (size reporting).
-  size_t MemoryUsage() const {
-    return firsts_.MemoryUsage() + lasts_.MemoryUsage() +
-           (counts_.capacity() + payload_begin_.capacity() +
-            id_begins_.capacity()) *
-               sizeof(uint32_t);
-  }
-
- private:
-  std::string_view payloads_;           // concatenated block payloads
-  PackedIds firsts_;                    // skip table: first id per block
-  PackedIds lasts_;                     // skip table: last id per block
-  std::vector<uint32_t> counts_;        // ids per block
-  std::vector<uint32_t> payload_begin_; // block_count()+1 offsets into payloads_
-  std::vector<uint32_t> id_begins_;     // global id index of each block start
-  size_t id_count_ = 0;
-  size_t encoded_size_ = 0;
-};
+/// Decodes the blob at the front of `*input`, appending every id to `out`
+/// and leaving `*input` positioned after the blob. Validates the whole
+/// structure: every block but the last holds exactly kPostingBlockSize
+/// ids (the blocking per-block rank bounds index by), each payload is
+/// consumed exactly, and each block decodes to the last id its skip entry
+/// records. Corruption messages carry offsets relative to the start of
+/// the blob; on error `out` holds a partial decode the caller discards.
+/// Counts one gks.index.v2.blocks_decoded_total unit per block.
+Status DecodeBlockPostings(std::string_view* input, PackedIds* out);
 
 }  // namespace gks
 

@@ -2,158 +2,17 @@
 
 #include <algorithm>
 
-#include "common/metrics.h"
-
 namespace gks {
-namespace {
-
-// One skip hit = one block the seek jumped using only the skip table,
-// i.e. a block's worth of postings that never got decoded
-// (docs/OBSERVABILITY.md).
-Counter* SkipHitsCounter() {
-  static Counter* counter =
-      MetricsRegistry::Global().GetCounter("gks.index.v2.skip_hits_total");
-  return counter;
-}
-
-}  // namespace
-
-PostingCursor::PostingCursor(const PostingList& list) {
-  if (list.block_view() != nullptr && !list.materialized()) {
-    view_ = list.block_view();
-    size_ = view_->id_count();
-  } else {
-    // Eager lists, and block-backed lists someone already materialized:
-    // the array path is strictly cheaper then.
-    eager_ = &list.materialized_ids();
-    size_ = eager_->size();
-  }
-}
-
-size_t PostingCursor::BlockForIndex(size_t pos) const {
-  // Binary search: last block whose id_begin <= pos.
-  size_t lo = 0, hi = view_->block_count();
-  while (hi - lo > 1) {
-    size_t mid = lo + (hi - lo) / 2;
-    if (view_->block_id_begin(mid) <= pos) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo;
-}
-
-void PostingCursor::LoadBlockForPosition() const {
-  // Sequential consumption steps to the next block; seeks may jump. Both
-  // resolve through id_begins, with a fast path for the +1 case.
-  size_t b;
-  if (block_ != SIZE_MAX && block_ + 1 < view_->block_count() &&
-      pos_ >= view_->block_id_begin(block_ + 1) &&
-      (block_ + 2 >= view_->block_count() ||
-       pos_ < view_->block_id_begin(block_ + 2))) {
-    b = block_ + 1;
-  } else {
-    b = BlockForIndex(pos_);
-  }
-  if (b == block_) {
-    offset_ = pos_ - view_->block_id_begin(b);
-    return;
-  }
-  scratch_.Clear();
-  Status st = view_->DecodeBlock(b, &scratch_);
-  if (!st.ok()) {
-    status_ = st;
-    size_ = pos_;  // reads AtEnd from here on
-    return;
-  }
-  block_ = b;
-  offset_ = pos_ - view_->block_id_begin(b);
-}
-
-DeweySpan PostingCursor::Head() const {
-  if (eager_ != nullptr) return eager_->At(pos_);
-  if (block_ == SIZE_MAX || offset_ >= scratch_.size()) {
-    LoadBlockForPosition();
-  }
-  if (!status_.ok() || offset_ >= scratch_.size()) return DeweySpan{};
-  return scratch_.At(offset_);
-}
 
 void PostingCursor::SeekLowerBound(DeweySpan target) {
   if (AtEnd()) return;
-  if (eager_ != nullptr) {
-    pos_ = eager_->LowerBoundFrom(target, pos_);
-    return;
-  }
-  // Current block can answer iff its last id reaches the target.
-  if (block_ != SIZE_MAX && view_->block_last(block_).Compare(target) >= 0) {
-    offset_ = scratch_.LowerBoundFrom(target, offset_);
-    pos_ = view_->block_id_begin(block_) + offset_;
-    return;
-  }
-  // Skip-table walk: first block at or after the current one whose last id
-  // reaches the target. Every block passed over is postings the seek never
-  // decoded. With no decoded block (fresh cursor, or after SeekPastBlock
-  // left pos_ mid-list) the walk starts at the block holding pos_ — and
-  // pos_ itself stays a floor, so the seek never moves backwards.
-  const size_t start = block_ == SIZE_MAX ? BlockForIndex(pos_) : block_ + 1;
-  size_t lo = start, hi = view_->block_count();
-  while (lo < hi) {
-    size_t mid = lo + (hi - lo) / 2;
-    if (view_->block_last(mid).Compare(target) < 0) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  if (lo > start) SkipHitsCounter()->Add(lo - start);
-  if (lo == view_->block_count()) {
-    pos_ = size_;  // past every posting
-    return;
-  }
-  pos_ = std::max(pos_, view_->block_id_begin(lo));
-  LoadBlockForPosition();
-  if (!status_.ok()) return;
-  offset_ = scratch_.LowerBoundFrom(target, offset_);
-  pos_ = view_->block_id_begin(lo) + offset_;
+  pos_ = ids_->LowerBoundFrom(target, pos_);
 }
 
 bool PostingCursor::SeekToSubtree(DeweySpan prefix) {
   if (AtEnd()) return false;
-  if (eager_ != nullptr) {
-    pos_ = eager_->SubtreeBeginFrom(prefix, pos_);
-    return pos_ < size_ && eager_->At(pos_).CompareToSubtree(prefix) == 0;
-  }
-  if (block_ == SIZE_MAX ||
-      view_->block_last(block_).CompareToSubtree(prefix) < 0) {
-    const size_t start = block_ == SIZE_MAX ? BlockForIndex(pos_) : block_ + 1;
-    size_t lo = start, hi = view_->block_count();
-    while (lo < hi) {
-      size_t mid = lo + (hi - lo) / 2;
-      if (view_->block_last(mid).CompareToSubtree(prefix) < 0) {
-        lo = mid + 1;
-      } else {
-        hi = mid;
-      }
-    }
-    if (lo > start) SkipHitsCounter()->Add(lo - start);
-    if (lo == view_->block_count()) {
-      pos_ = size_;
-      return false;
-    }
-    pos_ = std::max(pos_, view_->block_id_begin(lo));
-    LoadBlockForPosition();
-    if (!status_.ok()) return false;
-    offset_ = scratch_.SubtreeBeginFrom(prefix, offset_);
-    pos_ = view_->block_id_begin(lo) + offset_;
-  } else {
-    offset_ = scratch_.SubtreeBeginFrom(prefix, offset_);
-    pos_ = view_->block_id_begin(block_) + offset_;
-  }
-  if (AtEnd()) return false;
-  DeweySpan head = Head();
-  return head.size > 0 && head.CompareToSubtree(prefix) == 0;
+  pos_ = ids_->SubtreeBeginFrom(prefix, pos_);
+  return !AtEnd() && Head().CompareToSubtree(prefix) == 0;
 }
 
 void PostingCursor::EmitWhileDocBelow(uint32_t doc_end, PackedIds* out) {
@@ -165,65 +24,22 @@ void PostingCursor::EmitWhileDocBelow(uint32_t doc_end, PackedIds* out) {
   }
 }
 
-size_t PostingCursor::block_count() const {
-  if (view_ != nullptr) return view_->block_count();
-  return (size_ + kPostingBlockSize - 1) / kPostingBlockSize;
-}
-
-size_t PostingCursor::block_index() const {
-  if (view_ != nullptr) return BlockForIndex(pos_);
-  return pos_ / kPostingBlockSize;
-}
-
 DeweySpan PostingCursor::BlockFirst(size_t b) const {
-  if (view_ != nullptr) return view_->block_first(b);
-  return eager_->At(b * kPostingBlockSize);
+  return ids_->At(b * kPostingBlockSize);
 }
 
 DeweySpan PostingCursor::BlockLast(size_t b) const {
-  if (view_ != nullptr) return view_->block_last(b);
-  return eager_->At(std::min(size_, (b + 1) * kPostingBlockSize) - 1);
+  return ids_->At(std::min(size(), (b + 1) * kPostingBlockSize) - 1);
 }
 
 void PostingCursor::SeekPastBlock(size_t b) {
   if (AtEnd()) return;
-  if (eager_ != nullptr) {
-    pos_ = std::max(pos_, std::min(size_, (b + 1) * kPostingBlockSize));
-    return;
-  }
-  if (b + 1 >= view_->block_count()) {
-    pos_ = size_;
-    return;
-  }
-  const size_t target = view_->block_id_begin(b + 1);
-  if (target <= pos_) return;
-  // One skip hit per block jumped over without a decode (the block holding
-  // pos_ counts unless it is the one already decoded).
-  const size_t from = block_index();
-  SkipHitsCounter()->Add(b + 1 - from - (from == block_ ? 1 : 0));
-  pos_ = target;
-  // Drop the decoded-block association: pos_ now sits in an undecoded
-  // block, and the seeks above re-anchor from pos_ when block_ is unset.
-  block_ = SIZE_MAX;
-  offset_ = 0;
-  scratch_.Clear();
+  pos_ = std::max(pos_, std::min(size(), (b + 1) * kPostingBlockSize));
 }
 
 void PostingCursor::EmitAll(PackedIds* out) {
-  if (eager_ != nullptr) {
-    out->AppendRange(*eager_, pos_, size_);
-    pos_ = size_;
-    return;
-  }
-  while (pos_ < size_) {
-    if (block_ == SIZE_MAX || offset_ >= scratch_.size()) {
-      LoadBlockForPosition();
-      if (!status_.ok()) return;
-    }
-    out->AppendRange(scratch_, offset_, scratch_.size());
-    pos_ += scratch_.size() - offset_;
-    offset_ = scratch_.size();
-  }
+  out->AppendRange(*ids_, pos_, size());
+  pos_ = size();
 }
 
 }  // namespace gks

@@ -4,44 +4,28 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "common/status.h"
 #include "index/posting_blocks.h"
 #include "index/posting_list.h"
 
 namespace gks {
 
-/// Forward-only reader over one posting list that works identically on
-/// both backends:
-///   - eager PackedIds: positions map 1:1 onto the array, seeks reuse the
-///     galloping searches;
-///   - block-backed (format v2): at most one block is decoded at a time
-///     into a scratch buffer, and seeks first walk the *skip table* —
-///     blocks whose last id sorts before the target are jumped without
-///     decoding (counted in gks.index.v2.skip_hits_total).
-///
-/// This is the intended access path for query evaluation: it keeps the
-/// lazy-load promise (touched blocks only) that PostingList's
-/// materializing accessors would break. The underlying list must outlive
-/// the cursor and stay unmodified.
+/// Forward-only reader over one posting list: positions map 1:1 onto the
+/// list's PackedIds, and seeks gallop from the current position, so a
+/// walk over ascending targets costs O(log gap) per step. The underlying
+/// list must outlive the cursor and stay unmodified.
 class PostingCursor {
  public:
-  explicit PostingCursor(const PostingList& list);
+  explicit PostingCursor(const PostingList& list) : ids_(&list.ids()) {}
 
-  size_t size() const { return size_; }
-  bool AtEnd() const { return pos_ >= size_; }
+  size_t size() const { return ids_->size(); }
+  bool AtEnd() const { return pos_ >= size(); }
   /// Global document-order index of the current id.
   size_t position() const { return pos_; }
 
-  /// Current id. Valid until the cursor advances (block-backed spans point
-  /// into the scratch buffer of the currently decoded block). Must not be
-  /// called when AtEnd(); returns an empty span if the block failed to
-  /// decode (status() then carries the error and the cursor reads AtEnd).
-  DeweySpan Head() const;
+  /// Current id. Must not be called when AtEnd().
+  DeweySpan Head() const { return ids_->At(pos_); }
 
-  void Next() {
-    ++pos_;
-    ++offset_;
-  }
+  void Next() { ++pos_; }
 
   /// Advances to the first id >= `target` in document order (no-op when
   /// already there). Never moves backwards; callers feed ascending targets.
@@ -51,8 +35,7 @@ class PostingCursor {
   /// returns true iff the new head exists and lies inside that subtree.
   bool SeekToSubtree(DeweySpan prefix);
 
-  /// Appends every remaining id to `out` (block-granular copies) and
-  /// leaves the cursor at the end.
+  /// Appends every remaining id to `out` and leaves the cursor at the end.
   void EmitAll(PackedIds* out);
 
   /// Appends ids in document order while the head's document component
@@ -60,45 +43,26 @@ class PostingCursor {
   /// the first id at or past document `doc_end` (or at the end).
   void EmitWhileDocBelow(uint32_t doc_end, PackedIds* out);
 
-  /// Block addressing for top-k evaluation. Both backends are viewed in
-  /// kPostingBlockSize-id blocks — the same fixed blocking the encoder
-  /// uses — so indices align entry-for-entry with
-  /// PostingList::rank_bounds(). BlockFirst/BlockLast answer from the skip
-  /// table (block-backed) or the array (eager); no payload decode.
-  size_t block_count() const;
+  /// Block addressing for top-k evaluation: the list is viewed in
+  /// kPostingBlockSize-id blocks — the fixed blocking of the v2 encoding —
+  /// so indices align entry-for-entry with PostingList::rank_bounds().
+  size_t block_count() const {
+    return (size() + kPostingBlockSize - 1) / kPostingBlockSize;
+  }
   /// Block holding the current position. Must not be called when AtEnd().
-  size_t block_index() const;
+  size_t block_index() const { return pos_ / kPostingBlockSize; }
   DeweySpan BlockFirst(size_t b) const;
   DeweySpan BlockLast(size_t b) const;
 
   /// Jumps to the first id of the block after `b` (>= the block holding
-  /// the current position) WITHOUT decoding anything in between — the
+  /// the current position) without visiting the ids in between — the
   /// top-k bound-skip primitive. Past the last block the cursor reads
   /// AtEnd. Never moves backwards.
   void SeekPastBlock(size_t b);
 
-  /// OK unless a lazily decoded block turned out corrupt — the cursor then
-  /// reports end-of-list and this carries the decode error.
-  Status status() const { return status_; }
-
  private:
-  /// Ensures the block holding global index `pos_` is decoded and
-  /// `offset_` points at pos_ within it. Block-backed only. Decode
-  /// failure sets status_ and clamps size_ so the cursor reads AtEnd.
-  /// (Mutable/const because Head() triggers it lazily.)
-  void LoadBlockForPosition() const;
-
-  /// Last block whose first id index is <= `pos` (block-backed only).
-  size_t BlockForIndex(size_t pos) const;
-
-  const PackedIds* eager_ = nullptr;  // exactly one backend is set
-  const BlockPostingsView* view_ = nullptr;
-  mutable size_t size_ = 0;
-  size_t pos_ = 0;                   // global id index
-  mutable size_t block_ = SIZE_MAX;  // decoded block (SIZE_MAX: none yet)
-  mutable size_t offset_ = 0;        // pos_ - begin of decoded block
-  mutable PackedIds scratch_;        // decoded ids of block_
-  mutable Status status_ = Status::OK();
+  const PackedIds* ids_;
+  size_t pos_ = 0;  // global id index
 };
 
 }  // namespace gks

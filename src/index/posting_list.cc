@@ -1,8 +1,6 @@
 #include "index/posting_list.h"
 
 #include <algorithm>
-#include <atomic>
-#include <mutex>
 #include <numeric>
 
 #include "common/metrics.h"
@@ -208,121 +206,17 @@ Status PackedIds::DecodeFrom(std::string_view* input, PackedIds* out) {
   return Status::OK();
 }
 
-// The lazy cell behind a block-backed list. once_flag pins the struct in
-// place (not movable), hence the unique_ptr indirection and the move-only
-// PostingList.
-struct PostingList::BlockBacking {
-  BlockPostingsView view;
-  std::shared_ptr<const void> owner;  // keeps the encoded bytes alive
-  std::once_flag once;
-  std::atomic<bool> ready{false};
-  Status status = Status::OK();  // written once, before `ready` flips
-};
-
-PostingList::PostingList() = default;
-PostingList::~PostingList() = default;
-PostingList::PostingList(PostingList&&) noexcept = default;
-PostingList& PostingList::operator=(PostingList&&) noexcept = default;
-
-Status PostingList::FromEncodedBlocks(std::string_view* input,
-                                      std::shared_ptr<const void> owner,
-                                      PostingList* out) {
-  *out = PostingList();
-  auto backing = std::make_unique<BlockBacking>();
-  GKS_RETURN_IF_ERROR(BlockPostingsView::Parse(input, &backing->view));
-  backing->owner = std::move(owner);
-  out->backing_ = std::move(backing);
-  out->finalized_ = true;
-  return Status::OK();
-}
-
-const BlockPostingsView* PostingList::block_view() const {
-  return backing_ != nullptr ? &backing_->view : nullptr;
-}
-
-const PackedIds& PostingList::materialized_ids() const {
-  if (backing_ != nullptr &&
-      !backing_->ready.load(std::memory_order_acquire)) {
-    std::call_once(backing_->once, [this] {
-      PackedIds decoded;
-      Status st = backing_->view.DecodeAll(&decoded);
-      if (st.ok()) {
-        ids_ = std::move(decoded);
-      } else {
-        backing_->status = st;  // list reads as empty; status tells why
-      }
-      backing_->ready.store(true, std::memory_order_release);
-    });
-  }
-  return ids_;
-}
-
-bool PostingList::materialized() const {
-  return backing_ == nullptr ||
-         backing_->ready.load(std::memory_order_acquire);
-}
-
-Status PostingList::materialize_status() const {
-  if (backing_ != nullptr && backing_->ready.load(std::memory_order_acquire)) {
-    return backing_->status;
-  }
-  return Status::OK();
-}
-
-size_t PostingList::size() const {
-  if (backing_ != nullptr &&
-      !backing_->ready.load(std::memory_order_acquire)) {
-    return backing_->view.id_count();  // header answer, no decode
-  }
-  return ids_.size();
-}
-
-DeweySpan PostingList::first_id() const {
-  if (backing_ != nullptr &&
-      !backing_->ready.load(std::memory_order_acquire)) {
-    return backing_->view.block_first(0);
-  }
-  return ids_.At(0);
-}
-
-DeweySpan PostingList::last_id() const {
-  if (backing_ != nullptr &&
-      !backing_->ready.load(std::memory_order_acquire)) {
-    return backing_->view.block_last(backing_->view.block_count() - 1);
-  }
-  return ids_.At(ids_.size() - 1);
-}
-
-size_t PostingList::encoded_block_count() const {
-  return backing_ != nullptr ? backing_->view.block_count() : 0;
-}
-
-size_t PostingList::MemoryUsage() const {
-  size_t total = ids_.MemoryUsage();
-  if (backing_ != nullptr) total += backing_->view.MemoryUsage();
-  return total;
-}
-
-PackedIds* PostingList::MutableIds() {
-  if (backing_ != nullptr) {
-    materialized_ids();
-    backing_.reset();  // mutation invalidates the encoded blob
-  }
-  return &ids_;
-}
-
 void PostingList::Finalize() {
   if (finalized_) return;
   finalized_ = true;
-  PackedIds* ids = MutableIds();
-  std::vector<uint32_t> perm = ids->SortPermutation();
+  std::vector<uint32_t> perm = ids_.SortPermutation();
   PackedIds sorted;
   for (size_t i = 0; i < perm.size(); ++i) {
-    DeweySpan span = ids->At(perm[i]);
-    if (i > 0 && span.Compare(ids->At(perm[i - 1])) == 0) continue;
+    DeweySpan span = ids_.At(perm[i]);
+    if (i > 0 && span.Compare(ids_.At(perm[i - 1])) == 0) continue;
     sorted.Add(span);
   }
-  *ids = std::move(sorted);
+  ids_ = std::move(sorted);
 }
 
 Status PostingList::ExtendWith(const PostingList& tail) {
@@ -332,8 +226,7 @@ Status PostingList::ExtendWith(const PostingList& tail) {
     return Status::InvalidArgument(
         "ExtendWith requires the tail to sort after the existing postings");
   }
-  PackedIds* ids = MutableIds();
-  for (size_t i = 0; i < tail.size(); ++i) ids->Add(tail.At(i));
+  for (size_t i = 0; i < tail.size(); ++i) ids_.Add(tail.At(i));
   return Status::OK();
 }
 
@@ -345,7 +238,15 @@ Status PostingList::DecodeFrom(std::string_view* input, PostingList* out) {
 }
 
 void PostingList::EncodeBlocksTo(std::string* dst) const {
-  EncodeBlockPostings(materialized_ids(), dst);
+  EncodeBlockPostings(ids_, dst);
+}
+
+Status PostingList::DecodeBlocksFrom(std::string_view* input,
+                                     PostingList* out) {
+  *out = PostingList();
+  GKS_RETURN_IF_ERROR(DecodeBlockPostings(input, &out->ids_));
+  out->finalized_ = true;
+  return Status::OK();
 }
 
 }  // namespace gks

@@ -2,7 +2,6 @@
 #define GKS_INDEX_POSTING_LIST_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -106,8 +105,7 @@ class PackedIds {
   void EncodeTo(std::string* dst) const;
   static Status DecodeFrom(std::string_view* input, PackedIds* out);
 
-  /// Drops all ids but keeps the backing capacity — scratch-buffer reuse
-  /// for block-at-a-time decoding.
+  /// Drops all ids but keeps the backing capacity (scratch-buffer reuse).
   void Clear() {
     components_.clear();
     offsets_.assign(1, 0);
@@ -134,8 +132,6 @@ class PackedIds {
   std::vector<uint32_t> offsets_;  // size()+1 entries; [i, i+1) delimits id i
 };
 
-class BlockPostingsView;  // posting_blocks.h
-
 /// Fixed-point scale of BlockRankBound::weight_scaled: 65536 == weight 1.0.
 inline constexpr uint32_t kRankWeightOne = 65536;
 
@@ -157,86 +153,39 @@ struct BlockRankBound {
 
 /// One keyword's inverted list: document-ordered, duplicate-free Dewey ids
 /// of the nodes whose directly-contained text (or tag name) matches the
-/// keyword. Built in arbitrary order, then finalized once.
-///
-/// Two storage backends:
-///   - eager: ids live in a PackedIds (built lists, v1 loads);
-///   - block-backed (format v2): ids stay in an encoded block blob (see
-///     posting_blocks.h), only the skip table is parsed up front. The full
-///     PackedIds materializes lazily on the first random-access call;
-///     sequential consumers should use PostingCursor instead, which decodes
-///     block-at-a-time and never materializes the whole list.
-///
-/// Move-only: the lazy backend owns a once_flag cell.
+/// keyword. Built in arbitrary order, then finalized once; a loaded list
+/// arrives finalized.
 class PostingList {
  public:
-  PostingList();
-  ~PostingList();
-  PostingList(PostingList&&) noexcept;
-  PostingList& operator=(PostingList&&) noexcept;
-  PostingList(const PostingList&) = delete;
-  PostingList& operator=(const PostingList&) = delete;
-
-  /// Attaches an encoded block-postings blob from the front of `*input`
-  /// (format v2). Parses the skip table immediately — O(blocks), validates
-  /// structure — and defers payload decode. `owner` keeps the underlying
-  /// bytes (an mmap'd file or a pinned buffer) alive for the list's
-  /// lifetime; pass nullptr if the caller guarantees it independently.
-  static Status FromEncodedBlocks(std::string_view* input,
-                                  std::shared_ptr<const void> owner,
-                                  PostingList* out);
-
-  /// Non-null iff block-backed; skip-table reads and block decodes are
-  /// valid regardless of materialization state.
-  const BlockPostingsView* block_view() const;
-
-  /// The materialized id store. Block-backed lists decode all blocks on
-  /// first call (thread-safe; concurrent readers see the decode exactly
-  /// once). If the payload turns out corrupt the list reads as empty and
-  /// materialize_status() carries the error.
-  const PackedIds& materialized_ids() const;
-  Status materialize_status() const;
-
-  /// True when the ids already live in a PackedIds (eager lists, or
-  /// block-backed ones after their first materializing access) — readers
-  /// can then take the array path with no decode risk.
-  bool materialized() const;
-
-  void Add(const DeweyId& id) { MutableIds()->Add(id); }
+  void Add(const DeweyId& id) { ids_.Add(id); }
 
   /// Sorts into document order and removes duplicate ids. Idempotent.
   void Finalize();
 
-  /// Id count. Block-backed lists answer from the blob header without
-  /// materializing (so e.g. smallest-list selection stays lazy).
-  size_t size() const;
+  size_t size() const { return ids_.size(); }
   bool empty() const { return size() == 0; }
 
-  /// First/last id of a finalized, non-empty list. Block-backed lists
-  /// answer from the skip table without decoding any payload — the query
-  /// planner reads document spans from these at plan time.
-  DeweySpan first_id() const;
-  DeweySpan last_id() const;
+  /// The id store (sorted once finalized).
+  const PackedIds& ids() const { return ids_; }
 
-  /// Encoded v2 blocks behind this list; 0 for eager storage. A cheap
-  /// decode-cost statistic for the query planner.
-  size_t encoded_block_count() const;
-  DeweySpan At(size_t i) const { return materialized_ids().At(i); }
-  DeweyId IdAt(size_t i) const { return materialized_ids().IdAt(i); }
+  /// First/last id of a finalized, non-empty list.
+  DeweySpan first_id() const { return ids_.At(0); }
+  DeweySpan last_id() const { return ids_.At(ids_.size() - 1); }
+
+  DeweySpan At(size_t i) const { return ids_.At(i); }
+  DeweyId IdAt(size_t i) const { return ids_.IdAt(i); }
 
   size_t SubtreeBegin(DeweySpan prefix) const {
-    return materialized_ids().SubtreeBegin(prefix);
+    return ids_.SubtreeBegin(prefix);
   }
-  size_t SubtreeEnd(DeweySpan prefix) const {
-    return materialized_ids().SubtreeEnd(prefix);
-  }
+  size_t SubtreeEnd(DeweySpan prefix) const { return ids_.SubtreeEnd(prefix); }
 
   /// Galloping cursor-based variants (see PackedIds).
   size_t LowerBoundFrom(DeweySpan id, size_t from) const {
-    return materialized_ids().LowerBoundFrom(id, from);
+    return ids_.LowerBoundFrom(id, from);
   }
   size_t UpperBoundFrom(DeweySpan id, size_t from) const {
-    return materialized_ids().UpperBoundFrom(id, from);
+    return ids_.UpperBoundFrom(id, from);
   }
 
   /// True if any posting lies in the subtree of `prefix` (sorted lists only).
@@ -254,10 +203,12 @@ class PostingList {
 
   /// Encodes as a block-postings blob (format v2; see posting_blocks.h).
   void EncodeBlocksTo(std::string* dst) const;
+  /// Decodes a block-postings blob from the front of `*input`.
+  static Status DecodeBlocksFrom(std::string_view* input, PostingList* out);
 
   /// Per-block rank bounds (one entry per kPostingBlockSize-id block, the
-  /// same fixed blocking both backends use). Empty when the index carries
-  /// no rank_bounds section — readers must then assume weight 1.0.
+  /// fixed blocking of the v2 encoding). Empty when the index carries no
+  /// rank_bounds section — readers must then assume weight 1.0.
   const std::vector<BlockRankBound>& rank_bounds() const {
     return rank_bounds_;
   }
@@ -265,24 +216,10 @@ class PostingList {
     rank_bounds_ = std::move(bounds);
   }
 
-  /// Forces a block-backed list into its eager form now and detaches the
-  /// encoded blob — the eager deserialization path calls this before the
-  /// backing buffer goes away.
-  void Materialize() { (void)MutableIds(); }
-
-  size_t MemoryUsage() const;
+  size_t MemoryUsage() const { return ids_.MemoryUsage(); }
 
  private:
-  struct BlockBacking;
-
-  /// Materializes (if needed) and detaches the block backing — mutation
-  /// invalidates the encoded blob.
-  PackedIds* MutableIds();
-
-  mutable PackedIds ids_;
-  std::unique_ptr<BlockBacking> backing_;
-  // By value (not derived from backing_): bounds must survive
-  // Materialize(), which detaches the encoded blob.
+  PackedIds ids_;
   std::vector<BlockRankBound> rank_bounds_;
   bool finalized_ = false;
 };

@@ -126,8 +126,7 @@ Result<std::unique_ptr<RtIndex>> RtIndex::Open(RtOptions options) {
 Status RtIndex::LoadSegmentFile(const std::string& file,
                                 uint64_t expected_base,
                                 std::shared_ptr<const XmlIndex>* out) const {
-  Result<XmlIndex> loaded = options_.mmap ? LoadIndexMapped(PathIn(file))
-                                          : LoadIndex(PathIn(file));
+  Result<XmlIndex> loaded = LoadIndex(PathIn(file));
   if (!loaded.ok()) return loaded.status();
   (void)expected_base;
   *out = std::make_shared<const XmlIndex>(std::move(*loaded));
@@ -142,9 +141,7 @@ Status RtIndex::OpenInternal() {
 
   // Base index: immutable, doc ids [0, base_docs).
   if (!options_.base_index_path.empty()) {
-    Result<XmlIndex> base = options_.mmap
-                                ? LoadIndexMapped(options_.base_index_path)
-                                : LoadIndex(options_.base_index_path);
+    Result<XmlIndex> base = LoadIndex(options_.base_index_path);
     if (!base.ok()) return base.status();
     base_ = std::make_shared<const XmlIndex>(std::move(*base));
     base_docs_ = static_cast<uint32_t>(base_->catalog.document_count());

@@ -29,8 +29,6 @@ struct RtOptions {
   /// Optional immutable base index (the offline-built CLI file) serving
   /// global doc ids [0, base_docs). Never merged (it has no docstore).
   std::string base_index_path;
-  /// Open the base and flushed segments with LoadIndexMapped.
-  bool mmap = false;
   /// Seal + flush the RAM window once it holds this many documents.
   size_t flush_docs = 512;
   /// ... or this many bytes of raw XML, whichever comes first.

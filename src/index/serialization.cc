@@ -7,7 +7,6 @@
 #include "common/file_io.h"
 #include "common/lz.h"
 #include "common/metrics.h"
-#include "common/mmap_file.h"
 #include "common/timer.h"
 
 namespace gks {
@@ -180,8 +179,7 @@ std::string SerializeIndexV2(const XmlIndex& index) {
   std::string inverted;
   index.inverted.EncodeToBlocks(&inverted);
 
-  // Raw like the inverted section: the varint triples are already dense,
-  // and top-k evaluation reads them straight from the mapping.
+  // Raw like the inverted section: the varint triples are already dense.
   std::string rank_bounds;
   index.inverted.EncodeRankBoundsTo(index.nodes, &rank_bounds);
 
@@ -229,8 +227,8 @@ Result<XmlIndex> DeserializeIndexV1(std::string_view bytes) {
   return index;
 }
 
-// The eager v2 path: every section fully decoded before returning, so the
-// result owns all of its memory and `bytes` may go away.
+// Every v2 section fully decoded before returning, so the result owns all
+// of its memory and `bytes` may go away.
 Result<XmlIndex> DeserializeIndexV2(std::string_view bytes) {
   std::vector<SectionEntry> table;
   GKS_RETURN_IF_ERROR(ParseV2SectionTable(bytes, &table));
@@ -267,25 +265,19 @@ Result<XmlIndex> DeserializeIndexV2(std::string_view bytes) {
   GKS_RETURN_IF_ERROR(
       UnwrapSection(entry.PayloadIn(bytes), entry.lz(), &storage, &payload));
   GKS_RETURN_IF_ERROR(
-      InvertedIndex::DecodeFromBlocks(&payload, nullptr, &index.inverted));
+      InvertedIndex::DecodeFromBlocks(&payload, &index.inverted));
   if (!payload.empty()) {
     return Status::Corruption("trailing bytes after inverted index section");
   }
 
   // Optional since PR 7: older v2 files simply lack the section, which
   // leaves every list without bounds (treated as +inf by the evaluator).
-  // Applied before MaterializeAll so validation can still cross-check the
-  // skip tables.
   if (const SectionEntry* bounds =
           FindOptionalSection(table, kSectionRankBounds)) {
     GKS_RETURN_IF_ERROR(UnwrapSection(bounds->PayloadIn(bytes), bounds->lz(),
                                       &storage, &payload));
     GKS_RETURN_IF_ERROR(index.inverted.ApplyRankBounds(payload));
   }
-
-  // The lists' block views point into `bytes`, which dies with the caller:
-  // force them eager while the views are still valid.
-  index.inverted.MaterializeAll();
 
   index.epoch = NextIndexEpoch();
   return index;
@@ -333,65 +325,6 @@ Result<XmlIndex> LoadIndex(const std::string& path) {
   std::string bytes;
   GKS_RETURN_IF_ERROR(ReadFileToString(path, &bytes));
   return DeserializeIndex(bytes);
-}
-
-Result<XmlIndex> LoadIndexMapped(const std::string& path) {
-  WallTimer timer;
-  Result<std::shared_ptr<const MappedFile>> mapped = MappedFile::Open(path);
-  GKS_RETURN_IF_ERROR(mapped.status());
-  std::shared_ptr<const MappedFile> file = std::move(*mapped);
-  std::string_view bytes = file->bytes();
-
-  if (bytes.size() >= kMagicV1.size() &&
-      bytes.substr(0, kMagicV1.size()) == kMagicV1) {
-    // v1 has no section table to defer through — degrade to the eager
-    // path. The mapping is released when `file` goes out of scope.
-    return DeserializeIndex(bytes);
-  }
-  if (bytes.size() < kMagicV2.size() ||
-      bytes.substr(0, kMagicV2.size()) != kMagicV2) {
-    return Status::Corruption("not a GKS index file (bad magic)");
-  }
-
-  std::vector<SectionEntry> table;
-  GKS_RETURN_IF_ERROR(ParseV2SectionTable(bytes, &table));
-
-  XmlIndex index;
-  // The catalog is a handful of bytes; decoding it now costs nothing and
-  // gives callers document names without a fault-in.
-  SectionEntry entry;
-  GKS_RETURN_IF_ERROR(FindSection(table, kSectionCatalog, &entry));
-  std::string storage;
-  std::string_view payload;
-  GKS_RETURN_IF_ERROR(
-      UnwrapSection(entry.PayloadIn(bytes), entry.lz(), &storage, &payload));
-  GKS_RETURN_IF_ERROR(Catalog::DecodeFrom(&payload, &index.catalog));
-  if (!payload.empty()) {
-    return Status::Corruption("trailing bytes after catalog section");
-  }
-
-  // Everything else stays encoded in the mapping until first touch; the
-  // shared_ptr anchors keep the file mapped as long as any section (or any
-  // block-backed posting list handed out of the inverted index) is alive.
-  GKS_RETURN_IF_ERROR(FindSection(table, kSectionNodes, &entry));
-  index.nodes.AttachEncoded(entry.PayloadIn(bytes), entry.lz(), file);
-  GKS_RETURN_IF_ERROR(FindSection(table, kSectionAttributes, &entry));
-  index.attributes.AttachEncoded(entry.PayloadIn(bytes), entry.lz(), file);
-  GKS_RETURN_IF_ERROR(FindSection(table, kSectionInverted, &entry));
-  index.inverted.AttachEncoded(entry.PayloadIn(bytes), entry.lz(), file);
-  if (const SectionEntry* bounds =
-          FindOptionalSection(table, kSectionRankBounds)) {
-    index.inverted.AttachRankBounds(bounds->PayloadIn(bytes), bounds->lz(),
-                                    file);
-  }
-
-  index.epoch = NextIndexEpoch();
-
-  MetricsRegistry& registry = MetricsRegistry::Global();
-  registry.GetCounter("gks.index.v2.bytes_mapped_total")->Add(bytes.size());
-  registry.GetHistogram("gks.index.mmap_load.latency_ms")
-      ->Observe(timer.ElapsedMillis());
-  return index;
 }
 
 Result<IndexFileInfo> InspectIndexFile(const std::string& path) {

@@ -25,12 +25,12 @@ namespace gks {
 ///     (u32 count, then per section: u32 id, u32 flags, u64 offset,
 ///     u64 length — offsets from the file start), then the payloads. The
 ///     table makes the file position-independent: any section is reachable
-///     without touching the others, which is what LoadIndexMapped builds
-///     on. Flags bit 0 marks an LZ-wrapped payload (common/lz.h). The node
-///     table and attribute directory are LZ-wrapped v1 payloads; the
-///     inverted index uses the block-postings encoding (posting_blocks.h)
-///     and stays uncompressed so individual blocks decode straight from
-///     the mapped bytes; the catalog is raw (too small to benefit). The
+///     without touching the others. Flags bit 0 marks an LZ-wrapped payload
+///     (common/lz.h). The node table and attribute directory are
+///     LZ-wrapped v1 payloads; the inverted index uses the block-postings
+///     encoding (posting_blocks.h) and stays uncompressed, since the block
+///     codec already compresses it; the catalog is raw (too small to
+///     benefit). The
 ///     writer also emits a rank_bounds section (per-block rank upper
 ///     bounds, block_max.h) that powers top-k early termination; the
 ///     section is OPTIONAL on read — a v2 file without it, as older
@@ -38,26 +38,23 @@ namespace gks {
 ///     (weight 1.0).
 
 /// Serializes `index` as format v2. SaveIndex replaces `path` through the
-/// atomic writer (common/file_io.h), so a server that has the old file
-/// mapped keeps serving the old bytes until it reloads.
+/// atomic writer (common/file_io.h), so a concurrent load reads either the
+/// old file or the new one, never a mix.
 Status SaveIndex(const XmlIndex& index, const std::string& path);
 std::string SerializeIndex(const XmlIndex& index);
 
-/// Readers sniff the magic, so either format loads through either path.
-/// LoadIndex/DeserializeIndex decode everything eagerly; the returned
-/// index owns all of its memory. The loaded index is stamped with a fresh
-/// epoch (see XmlIndex::epoch).
+/// Readers sniff the magic, so either format loads. Every section is
+/// decoded and validated before the call returns; the returned index owns
+/// all of its memory and never changes afterwards. The loaded index is
+/// stamped with a fresh epoch (see XmlIndex::epoch).
 Result<XmlIndex> LoadIndex(const std::string& path);
 Result<XmlIndex> DeserializeIndex(std::string_view bytes);
 
-/// Zero-copy load: maps the file read-only and attaches the still-encoded
-/// v2 sections to the index, so the call itself is O(section table) — the
-/// node table and attribute directory decode on first touch, and posting
-/// lists decode block-at-a-time as cursors reach them. The index keeps the
-/// mapping alive for as long as any section needs it. A v1 file degrades
-/// to the eager path (same result, no laziness). The loaded index is
-/// stamped with a fresh epoch.
-Result<XmlIndex> LoadIndexMapped(const std::string& path);
+/// The same load as LoadIndex, under the name of the former lazy loader
+/// that existing callers still use.
+inline Result<XmlIndex> LoadIndexMapped(const std::string& path) {
+  return LoadIndex(path);
+}
 
 /// Per-section byte accounting for `gks stats` and the size benches.
 struct IndexSectionInfo {

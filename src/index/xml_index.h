@@ -23,11 +23,11 @@ struct XmlIndex {
   /// bumped by the one in-place mutation (schema reconciliation) so
   /// epoch-keyed consumers — the QueryResultCache above all — never serve
   /// results computed against an older state. Process-globally unique:
-  /// reloading an index file (or mapping a file whose content changed)
-  /// yields a fresh epoch, so cache entries keyed to the previous
-  /// incarnation can never collide with the new one. A runtime-only
-  /// concept, never serialized. Mutators already require external
-  /// exclusion against concurrent readers, so a plain integer suffices.
+  /// reloading an index file yields a fresh epoch, so cache entries keyed
+  /// to the previous incarnation can never collide with the new one. A
+  /// runtime-only concept, never serialized. Mutators already require
+  /// external exclusion against concurrent readers, so a plain integer
+  /// suffices.
   uint64_t epoch = 0;
 
   /// Approximate in-memory footprint — the paper's "Index Size" column.

@@ -33,7 +33,7 @@ int ServeUsage() {
   std::fprintf(stderr,
                "usage: gks serve [<index.gksidx>] [--port=N] [--host=H]\n"
                "        [--threads=N] [--queue=N] [--deadline-ms=D]\n"
-               "        [--cache=CAP] [--max-request-bytes=N] [--mmap]\n"
+               "        [--cache=CAP] [--max-request-bytes=N]\n"
                "        [--rt=DIR] [--rt-flush-docs=N] [--rt-flush-bytes=N]\n"
                "        [--rt-merge-fanout=N] [--rt-fsync=always|off]\n"
                "        [--doc-base=N]\n"
@@ -53,13 +53,13 @@ int ClientUsage() {
       "usage: gks client [--host=H] [--port=N]\n"
       "        --admin=health|metrics|stats|reload|flush|quit [--path=P]\n"
       "      | --query=\"<query>\" [--s=N] [--top=N] [--top-k=K] [--explain]\n"
-      "        [--plan=auto|merge|probe|hybrid]\n"
+      "        [--plan=auto|merge|probe]\n"
       "      | --insert-file=DOC.xml [--name=N]   (real-time insert;\n"
       "        name defaults to the file's basename)\n"
       "      | --delete=NAME                      (real-time delete)\n"
       "      | --queries=FILE [--connections=C] [--requests=N]\n"
       "        [--s=N] [--top=N] [--top-k=K] "
-      "[--plan=auto|merge|probe|hybrid]\n"
+      "[--plan=auto|merge|probe]\n"
       "        [--endpoints=H:P[,H:P..]] [--json-out=FILE]\n");
   return 2;
 }
@@ -67,6 +67,19 @@ int ClientUsage() {
 }  // namespace
 
 int RunServeCommand(const FlagParser& flags) {
+  // An unknown flag fails before anything binds: a server that silently
+  // ignored a typo'd or removed option would run with a setting nobody
+  // asked for.
+  if (Status status = flags.Validate(
+          {"host", "port", "threads", "queue", "deadline-ms", "cache",
+           "max-request-bytes", "rt", "rt-flush-docs", "rt-flush-bytes",
+           "rt-merge-fanout", "rt-fsync", "doc-base", "coord-shards",
+           "coord-deadline-ms", "coord-retries", "coord-backoff-ms",
+           "coord-partial"});
+      !status.ok()) {
+    std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
+    return 2;
+  }
   const auto& args = flags.positional();
 
   ServerConfig config;
@@ -78,7 +91,6 @@ int RunServeCommand(const FlagParser& flags) {
   config.cache_capacity = static_cast<size_t>(flags.GetInt("cache", 1024));
   config.max_request_bytes =
       static_cast<size_t>(flags.GetInt("max-request-bytes", 1 << 20));
-  config.mmap = flags.GetBool("mmap");
   config.rt_dir = flags.GetString("rt", "");
   config.rt_flush_docs =
       static_cast<size_t>(flags.GetInt("rt-flush-docs", 512));

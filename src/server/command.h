@@ -12,7 +12,7 @@ namespace gks {
 
 /// `gks serve <index.gksidx> [--port=N] [--host=H] [--threads=N]
 ///            [--queue=N] [--deadline-ms=D] [--cache=CAP]
-///            [--max-request-bytes=N] [--mmap]`
+///            [--max-request-bytes=N]`
 /// Runs until SIGTERM/SIGINT (graceful drain) or an admin `quit`;
 /// SIGHUP hot-reloads the index. Prints one parseable line on startup:
 /// `gks server listening on <host>:<port> ...`.

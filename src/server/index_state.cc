@@ -9,10 +9,6 @@
 
 namespace gks {
 
-Result<XmlIndex> ServerIndexState::LoadFrom(const std::string& path) const {
-  return mmap_ ? LoadIndexMapped(path) : LoadIndex(path);
-}
-
 Status ServerIndexState::Load() {
   if (rt_mode_) {
     GKS_ASSIGN_OR_RETURN(std::unique_ptr<RtIndex> rt,
@@ -23,7 +19,7 @@ Status ServerIndexState::Load() {
     path_ = rt_options_.dir;
     return Status::OK();
   }
-  GKS_ASSIGN_OR_RETURN(XmlIndex index, LoadFrom(path_));
+  GKS_ASSIGN_OR_RETURN(XmlIndex index, LoadIndex(path_));
   auto loaded = std::make_shared<const XmlIndex>(std::move(index));
   std::lock_guard<std::mutex> lock(mu_);
   snapshot_ = std::move(loaded);
@@ -73,7 +69,7 @@ Result<uint64_t> ServerIndexState::Reload(const std::string& path_override) {
   std::string path = path_override.empty() ? path_ : path_override;
   // The load runs outside mu_: queries keep taking snapshots of the old
   // index while the new one decodes.
-  GKS_ASSIGN_OR_RETURN(XmlIndex index, LoadFrom(path));
+  GKS_ASSIGN_OR_RETURN(XmlIndex index, LoadIndex(path));
   auto loaded = std::make_shared<const XmlIndex>(std::move(index));
   uint64_t epoch = loaded->epoch;
   {

@@ -18,8 +18,8 @@ namespace gks {
 /// Reload never invalidates an in-flight query — the retired index stays
 /// alive until the last query holding it drops its reference.
 ///
-/// Epoch discipline: every load path (LoadIndex / LoadIndexMapped) stamps
-/// a fresh process-unique XmlIndex::epoch, and the QueryResultCache keys
+/// Epoch discipline: every load stamps a fresh process-unique
+/// XmlIndex::epoch, and the QueryResultCache keys
 /// on it, so responses computed against the retired snapshot can never be
 /// served for the new one (and vice versa) — hot reload requires no cache
 /// flush at all (docs/SERVER.md).
@@ -36,10 +36,7 @@ namespace gks {
 /// exercised as a hot path.
 class ServerIndexState {
  public:
-  /// `mmap` selects LoadIndexMapped (lazy sections) over the eager
-  /// loader for Load and every later Reload.
-  ServerIndexState(std::string path, bool mmap)
-      : path_(std::move(path)), mmap_(mmap) {}
+  explicit ServerIndexState(std::string path) : path_(std::move(path)) {}
 
   /// Switches to real-time mode before Load: `options.dir` is the RT
   /// home, `options.base_index_path` the optional offline base.
@@ -87,12 +84,10 @@ class ServerIndexState {
   std::string path() const;
 
  private:
-  Result<XmlIndex> LoadFrom(const std::string& path) const;
   /// The live RtIndex under mu_ (copy out, use outside the lock).
   std::shared_ptr<RtIndex> rt_index() const;
 
   std::string path_;
-  const bool mmap_ = false;
   RtOptions rt_options_;
   bool rt_mode_ = false;
   mutable std::mutex mu_;        // guards snapshot_/rt_/path_ swaps

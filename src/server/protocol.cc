@@ -195,7 +195,7 @@ Result<WireRequest> ParseWireRequest(std::string_view line) {
     if (!plan->is_string() ||
         !ParsePlanMode(plan->GetString(), &request.options.plan)) {
       return Status::InvalidArgument(
-          "'plan' must be one of \"auto\", \"merge\", \"probe\", \"hybrid\"");
+          "'plan' must be one of \"auto\", \"merge\", \"probe\"");
     }
   }
   if (const JsonValue* shard = root.Find("shard")) {

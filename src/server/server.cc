@@ -34,7 +34,7 @@ struct GksServer::Connection {
 
 GksServer::GksServer(ServerConfig config, std::string index_path)
     : config_(std::move(config)),
-      index_state_(std::move(index_path), config_.mmap) {
+      index_state_(std::move(index_path)) {
   MetricsRegistry& registry = MetricsRegistry::Global();
   requests_total_ = registry.GetCounter("gks.server.requests_total");
   queries_total_ = registry.GetCounter("gks.server.queries_total");
@@ -87,7 +87,6 @@ Status GksServer::Start() {
       RtOptions options;
       options.dir = config_.rt_dir;
       options.base_index_path = index_state_.path();
-      options.mmap = config_.mmap;
       options.flush_docs = config_.rt_flush_docs;
       options.flush_bytes = config_.rt_flush_bytes;
       options.merge_fanout = config_.rt_merge_fanout;

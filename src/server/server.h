@@ -44,8 +44,6 @@ struct ServerConfig {
   /// Hard per-line bound; longer requests get `oversized` and the
   /// connection is dropped (the stream can no longer be framed).
   size_t max_request_bytes = 1 << 20;
-  /// Open the index with LoadIndexMapped instead of the eager loader.
-  bool mmap = false;
 
   /// Real-time mode (docs/INDEXING.md): non-empty enables the updatable
   /// index homed in this directory; the positional index file (if any)

@@ -1,17 +1,18 @@
 // Contract of the whole-file reader and the atomic writer
-// (common/file_io.h): a rewrite never disturbs a live mapping of the old
-// file, never leaves a temporary behind, fails without touching the
+// (common/file_io.h): a rewrite never disturbs a reader that has the old
+// file open, never leaves a temporary behind, fails without touching the
 // target, and a missing file reads as NotFound.
 
 #include "common/file_io.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <filesystem>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
-#include "common/mmap_file.h"
 
 namespace gks {
 namespace {
@@ -31,16 +32,21 @@ std::vector<std::string> Entries(const std::string& dir) {
   return names;
 }
 
-TEST(FileIoTest, LiveMappingKeepsOldBytesAcrossALongerRewrite) {
-  const std::string path = FreshDir("mapped") + "/index.gksidx";
+TEST(FileIoTest, OpenDescriptorKeepsOldBytesAcrossALongerRewrite) {
+  const std::string path = FreshDir("open_fd") + "/index.gksidx";
   const std::string old_bytes(4096, 'a');
   const std::string new_bytes(3 * 4096, 'b');
   ASSERT_TRUE(WriteStringToFile(path, old_bytes).ok());
-  Result<std::shared_ptr<const MappedFile>> mapped = MappedFile::Open(path);
-  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  const int fd = ::open(path.c_str(), O_RDONLY);
+  ASSERT_GE(fd, 0);
 
   ASSERT_TRUE(WriteStringToFile(path, new_bytes).ok());
-  EXPECT_EQ((*mapped)->bytes(), old_bytes);
+  std::string through_fd(new_bytes.size(), '\0');
+  const ssize_t got = ::pread(fd, through_fd.data(), through_fd.size(), 0);
+  ::close(fd);
+  ASSERT_GE(got, 0);
+  through_fd.resize(static_cast<size_t>(got));
+  EXPECT_EQ(through_fd, old_bytes);
   std::string reread;
   ASSERT_TRUE(ReadFileToString(path, &reread).ok());
   EXPECT_EQ(reread, new_bytes);

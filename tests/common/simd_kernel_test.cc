@@ -98,14 +98,12 @@ TEST(SimdKernelTest, PostingDecodeRoundTripMatchesScalar) {
     if (source.empty()) continue;
     std::string encoded;
     EncodeBlockPostings(source, &encoded);
-    std::string_view input = encoded;
-    BlockPostingsView view;
-    ASSERT_TRUE(BlockPostingsView::Parse(&input, &view).ok());
 
     for (const Kernels* table : Tables()) {
       simd::SetActiveForTest(table);
+      std::string_view input = encoded;
       PackedIds decoded;
-      Status status = view.DecodeAll(&decoded);
+      Status status = DecodeBlockPostings(&input, &decoded);
       simd::SetActiveForTest(nullptr);
       ASSERT_TRUE(status.ok()) << table->name << ": " << status.ToString();
       ExpectSameIds(source, decoded, table->name);

@@ -77,45 +77,40 @@ TEST(GoldenIndexTest, GoldenFileIsUnchangedByteForByte) {
 }
 
 // The second pin: a v2 file WITHOUT the rank_bounds section — the exact
-// byte stream pre-rank-bounds v2 writers produced. Both decode paths must
-// keep accepting it (the section is optional by design), with the bounds
-// read as absent, and answer queries identically to a fresh index.
-TEST(GoldenIndexTest, V2NoBoundsGoldenFileLoadsOnBothPaths) {
+// byte stream pre-rank-bounds v2 writers produced. The loader must keep
+// accepting it (the section is optional by design), with the bounds read
+// as absent, and answer queries identically to a fresh index.
+TEST(GoldenIndexTest, V2NoBoundsGoldenFileLoads) {
   const std::string path =
       std::string(kGoldenDir) + "/library_v2_nobounds.gksidx";
   XmlIndex fresh = BuildFreshIndex();
 
-  Result<XmlIndex> eager = LoadIndex(path);
-  Result<XmlIndex> mapped = LoadIndexMapped(path);
-  ASSERT_TRUE(eager.ok()) << eager.status().ToString();
-  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  Result<XmlIndex> loaded = LoadIndex(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
 
   SearchOptions options;
   options.s = 2;
-  for (XmlIndex* loaded : {&*eager, &*mapped}) {
-    EXPECT_EQ(loaded->inverted.term_count(), fresh.inverted.term_count());
-    EXPECT_EQ(loaded->inverted.posting_count(),
-              fresh.inverted.posting_count());
-    for (const char* query : {"peter buneman", "xml data", "author year"}) {
-      SearchResponse want = SearchOrDie(fresh, query, options);
-      SearchResponse got = SearchOrDie(*loaded, query, options);
-      ASSERT_EQ(want.nodes.size(), got.nodes.size()) << query;
-      for (size_t i = 0; i < want.nodes.size(); ++i) {
-        EXPECT_EQ(want.nodes[i].id, got.nodes[i].id) << query;
-        EXPECT_DOUBLE_EQ(want.nodes[i].rank, got.nodes[i].rank) << query;
-      }
+  EXPECT_EQ(loaded->inverted.term_count(), fresh.inverted.term_count());
+  EXPECT_EQ(loaded->inverted.posting_count(), fresh.inverted.posting_count());
+  for (const char* query : {"peter buneman", "xml data", "author year"}) {
+    SearchResponse want = SearchOrDie(fresh, query, options);
+    SearchResponse got = SearchOrDie(*loaded, query, options);
+    ASSERT_EQ(want.nodes.size(), got.nodes.size()) << query;
+    for (size_t i = 0; i < want.nodes.size(); ++i) {
+      EXPECT_EQ(want.nodes[i].id, got.nodes[i].id) << query;
+      EXPECT_DOUBLE_EQ(want.nodes[i].rank, got.nodes[i].rank) << query;
     }
   }
 
   // Absent section => absent bounds (+inf to the evaluator), and top-k
   // queries still answer exactly.
-  const PostingList* list = eager->inverted.Find("xml");
+  const PostingList* list = loaded->inverted.Find("xml");
   ASSERT_NE(list, nullptr);
   EXPECT_TRUE(list->rank_bounds().empty());
   SearchOptions topk = options;
   topk.top_k = 2;
-  SearchResponse full = SearchOrDie(*eager, "xml data", options);
-  SearchResponse bounded = SearchOrDie(*eager, "xml data", topk);
+  SearchResponse full = SearchOrDie(*loaded, "xml data", options);
+  SearchResponse bounded = SearchOrDie(*loaded, "xml data", topk);
   ASSERT_EQ(bounded.nodes.size(), std::min<size_t>(2, full.nodes.size()));
   for (size_t i = 0; i < bounded.nodes.size(); ++i) {
     EXPECT_EQ(bounded.nodes[i].id, full.nodes[i].id);

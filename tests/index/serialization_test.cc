@@ -1,5 +1,9 @@
 #include "index/serialization.h"
 
+#include <algorithm>
+#include <string>
+#include <utility>
+
 #include "gtest/gtest.h"
 #include "common/file_io.h"
 #include "common/varint.h"
@@ -26,6 +30,30 @@ XmlIndex BuildGoldenCorpusIndex() {
   Status status = ReadFileToString(GoldenPath("library.xml"), &xml);
   EXPECT_TRUE(status.ok()) << status.ToString();
   return BuildIndexFromXml(xml);
+}
+
+// Payload offset and length of section `id` in a serialized v2 index, read
+// from the documented header layout: magic, u32 section count, then
+// 24-byte entries of u32 id, u32 flags, u64 offset, u64 length (all
+// little-endian). {0, 0} when the section is absent.
+std::pair<size_t, size_t> SectionExtent(const std::string& bytes,
+                                        uint32_t id) {
+  auto fixed = [&bytes](size_t pos, int width) {
+    uint64_t v = 0;
+    for (int i = 0; i < width; ++i) {
+      v |= static_cast<uint64_t>(static_cast<uint8_t>(bytes[pos + i]))
+           << (8 * i);
+    }
+    return v;
+  };
+  const uint64_t count = fixed(8, 4);
+  for (uint64_t i = 0; i < count; ++i) {
+    const size_t entry = 12 + i * 24;
+    if (fixed(entry, 4) == id) {
+      return {fixed(entry + 8, 8), fixed(entry + 16, 8)};
+    }
+  }
+  return {0, 0};
 }
 
 TEST(SerializationTest, RoundTripPreservesEverything) {
@@ -101,8 +129,8 @@ TEST(SerializationTest, V2IsDefaultFormat) {
   EXPECT_EQ(SerializeIndex(original).substr(0, 8), "GKSIDX02");
 }
 
-// The three load paths — v1 eager, v2 eager, v2 mmap — must be
-// observationally identical: same search results, same ranks.
+// Both formats must load observationally identical indexes: same search
+// results, same ranks.
 TEST(SerializationTest, AllLoadPathsAnswerQueriesIdentically) {
   XmlIndex original = BuildGoldenCorpusIndex();
   std::string path = ::testing::TempDir() + "/cross_v2.idx";
@@ -110,17 +138,15 @@ TEST(SerializationTest, AllLoadPathsAnswerQueriesIdentically) {
 
   Result<XmlIndex> v1 = LoadIndex(GoldenPath("library_v1.gksidx"));
   Result<XmlIndex> v2 = LoadIndex(path);
-  Result<XmlIndex> v2_mapped = LoadIndexMapped(path);
   ASSERT_TRUE(v1.ok()) << v1.status().ToString();
   ASSERT_TRUE(v2.ok()) << v2.status().ToString();
-  ASSERT_TRUE(v2_mapped.ok()) << v2_mapped.status().ToString();
 
   SearchOptions options;
   options.s = 2;
   for (const char* query :
        {"peter buneman", "xml data", "author year", "database"}) {
     SearchResponse base = SearchOrDie(original, query, options);
-    for (XmlIndex* loaded : {&*v1, &*v2, &*v2_mapped}) {
+    for (XmlIndex* loaded : {&*v1, &*v2}) {
       SearchResponse got = SearchOrDie(*loaded, query, options);
       ASSERT_EQ(base.nodes.size(), got.nodes.size()) << query;
       for (size_t i = 0; i < base.nodes.size(); ++i) {
@@ -129,25 +155,6 @@ TEST(SerializationTest, AllLoadPathsAnswerQueriesIdentically) {
       }
     }
   }
-}
-
-TEST(SerializationTest, MappedLoadFallsBackOnV1Files) {
-  Result<XmlIndex> loaded = LoadIndexMapped(GoldenPath("library_v1.gksidx"));
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_NE(loaded->inverted.Find("buneman"), nullptr);
-}
-
-TEST(SerializationTest, MappedIndexOutlivesTheLoadCall) {
-  // The mapping must stay alive through the index's shared_ptr anchors,
-  // including after the index itself is moved.
-  XmlIndex original = BuildIndexFromXml(data::Figure2aXml());
-  std::string path = ::testing::TempDir() + "/mmap_alive.idx";
-  ASSERT_TRUE(SaveIndex(original, path).ok());
-  Result<XmlIndex> loaded = LoadIndexMapped(path);
-  ASSERT_TRUE(loaded.ok());
-  XmlIndex moved = std::move(*loaded);
-  EXPECT_EQ(moved.nodes.size(), original.nodes.size());
-  EXPECT_EQ(moved.inverted.posting_count(), original.inverted.posting_count());
 }
 
 // Regression: every load draws a fresh epoch from the global sequence, so
@@ -160,12 +167,9 @@ TEST(SerializationTest, EveryLoadGetsADistinctEpoch) {
 
   Result<XmlIndex> first = LoadIndex(path);
   Result<XmlIndex> second = LoadIndex(path);
-  Result<XmlIndex> mapped = LoadIndexMapped(path);
-  ASSERT_TRUE(first.ok() && second.ok() && mapped.ok());
+  ASSERT_TRUE(first.ok() && second.ok());
   EXPECT_NE(first->epoch, 0u);
   EXPECT_NE(first->epoch, second->epoch);
-  EXPECT_NE(second->epoch, mapped->epoch);
-  EXPECT_NE(first->epoch, mapped->epoch);
 }
 
 TEST(SerializationTest, ReloadInvalidatesResultCacheKeys) {
@@ -312,6 +316,9 @@ TEST(SerializationTest, RankBoundsDecoderRejectsStructuralDamage) {
   expect_corrupt(first_block(0, 1, 8), "weight");
   expect_corrupt(first_block(kRankWeightOne + 1, 1, 8), "weight");
   expect_corrupt(first_block(kRankWeightOne, 6, 2), "depth range inverted");
+  // No id of this tiny document is 50 levels deep: the envelope excludes
+  // the block's first and last id.
+  expect_corrupt(first_block(kRankWeightOne, 50, 60), "contradicts block 0");
 
   std::string truncated = first_block(kRankWeightOne, 1, 8);
   truncated.resize(truncated.size() - 1);
@@ -331,36 +338,7 @@ TEST(SerializationTest, RankBoundsDecoderRejectsStructuralDamage) {
 TEST(SerializationTest, RankBoundsSectionSurvivesSingleByteFuzz) {
   XmlIndex original = BuildIndexFromXml(data::Figure2aXml());
   std::string bytes = SerializeIndex(original);
-
-  // Locate the rank_bounds payload via the documented v2 header layout:
-  // magic, u32 section count, then 24-byte entries of u32 id, u32 flags,
-  // u64 offset, u64 length (all little-endian).
-  auto fixed32 = [&bytes](size_t pos) {
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<uint32_t>(static_cast<uint8_t>(bytes[pos + i]))
-           << (8 * i);
-    }
-    return v;
-  };
-  auto fixed64 = [&bytes](size_t pos) {
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<uint64_t>(static_cast<uint8_t>(bytes[pos + i]))
-           << (8 * i);
-    }
-    return v;
-  };
-  const uint32_t count = fixed32(8);
-  size_t offset = 0;
-  size_t length = 0;
-  for (uint32_t i = 0; i < count; ++i) {
-    const size_t entry = 12 + i * 24;
-    if (fixed32(entry) == 5) {  // kSectionRankBounds
-      offset = fixed64(entry + 8);
-      length = fixed64(entry + 16);
-    }
-  }
+  const auto [offset, length] = SectionExtent(bytes, 5);  // rank_bounds
   ASSERT_GT(length, 0u) << "rank_bounds section not found";
 
   size_t rejected = 0;
@@ -377,6 +355,29 @@ TEST(SerializationTest, RankBoundsSectionSurvivesSingleByteFuzz) {
   // The leading term count is always load-bearing, so at least one byte
   // flip must have been caught.
   EXPECT_GT(rejected, 0u);
+}
+
+// Bytes overwritten inside the LZ-wrapped node table or attribute
+// directory must fail the load with Corruption through every entry point:
+// an index that loaded anyway would answer from a wrong or empty table.
+TEST(SerializationTest, CorruptNodeOrAttributeSectionFailsEveryLoad) {
+  const std::string bytes = SerializeIndex(BuildGoldenCorpusIndex());
+  for (uint32_t section : {2u, 3u}) {  // nodes, attributes
+    const auto [offset, length] = SectionExtent(bytes, section);
+    ASSERT_GT(length, 8u) << "section " << section;
+    std::string mutated = bytes;
+    const size_t span = std::min<size_t>(64, length / 2);
+    std::fill_n(mutated.begin() + offset + length / 4, span, '\xff');
+    const std::string path = ::testing::TempDir() + "/corrupt_section_" +
+                             std::to_string(section) + ".idx";
+    ASSERT_TRUE(WriteStringToFile(path, mutated).ok());
+    for (auto load : {&LoadIndex, &LoadIndexMapped}) {
+      Result<XmlIndex> loaded = load(path);
+      EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption)
+          << "section " << section << ": "
+          << (loaded.ok() ? "loaded" : loaded.status().ToString());
+    }
+  }
 }
 
 TEST(SerializationTest, V2RejectsTruncationEverywhere) {

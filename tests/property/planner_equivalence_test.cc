@@ -1,6 +1,5 @@
 // Output-identity property suite for the query planner: every execution
-// strategy (merge, probe, hybrid, auto) over every storage backend (eager
-// PackedIds, mmap'd block postings) must produce byte-identical responses
+// strategy (merge, probe, auto) must produce byte-identical responses
 // — same nodes, same ranks, same masks, same diagnostics counts — on
 // randomized corpora, queries and thresholds s. The probe evaluator is a
 // completely different algorithm from the k-way merge (seek-driven end
@@ -40,15 +39,6 @@ class PlannerEquivalence : public ::testing::TestWithParam<uint32_t> {
                         data::GenerateRandomTree(options));
     }
     eager_ = BuildIndexFromDocs(docs);
-
-    // Round-trip through the v2 block format and the zero-copy loader so
-    // probe seeks exercise the block skip-table/decode-cache backend.
-    std::string path = ::testing::TempDir() + "/planner_eq_" +
-                       std::to_string(GetParam()) + ".idx";
-    ASSERT_TRUE(SaveIndex(eager_, path).ok());
-    Result<XmlIndex> mapped = LoadIndexMapped(path);
-    ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
-    mapped_ = std::move(mapped).value();
   }
 
   SearchResponse Run(const XmlIndex& index, const std::string& text,
@@ -90,12 +80,11 @@ class PlannerEquivalence : public ::testing::TestWithParam<uint32_t> {
   }
 
   XmlIndex eager_;
-  XmlIndex mapped_;
 };
 
 TEST_P(PlannerEquivalence, AllStrategiesAndBackendsAgree) {
   // Keyword-only, tag-constrained, and phrase atoms: the constrained
-  // shapes force the evaluator through its materialized-atom path.
+  // shapes force the evaluator through its built-atom path.
   const std::vector<std::string> queries = {
       "k0 k1 k2 k3",
       "k" + std::to_string(GetParam() % 8) + " k" +
@@ -107,24 +96,18 @@ TEST_P(PlannerEquivalence, AllStrategiesAndBackendsAgree) {
   for (const std::string& text : queries) {
     for (uint32_t s = 1; s <= 4; ++s) {
       SearchResponse expected = Run(eager_, text, s, PlanMode::kMerge);
-      for (PlanMode plan : {PlanMode::kProbe, PlanMode::kHybrid,
-                            PlanMode::kAuto}) {
+      for (PlanMode plan : {PlanMode::kProbe, PlanMode::kAuto}) {
         char label[128];
         std::snprintf(label, sizeof(label), "'%s' s=%u plan=%s", text.c_str(),
                       s, PlanModeName(plan));
-        ExpectIdentical(expected, Run(eager_, text, s, plan),
-                        std::string("eager ") + label);
-        ExpectIdentical(expected, Run(mapped_, text, s, plan),
-                        std::string("mapped ") + label);
+        ExpectIdentical(expected, Run(eager_, text, s, plan), label);
       }
-      ExpectIdentical(expected, Run(mapped_, text, s, PlanMode::kMerge),
-                      "mapped '" + text + "' merge");
     }
   }
 }
 
 // Top-k must be invisible except for the truncation: for every strategy,
-// both backends, every k, and both sides of the planner's scan floor
+// every k, and both sides of the planner's scan floor
 // (floor 0 engages the block-max evaluator for any non-empty anchor set;
 // UINT64_MAX forces the full-scoring-then-truncate path), the k returned
 // nodes are bit-identical to the full response's first k (same order,
@@ -143,52 +126,49 @@ TEST_P(PlannerEquivalence, TopKMatchesFullScoringThenTruncate) {
       const uint32_t past_end = static_cast<uint32_t>(full.nodes.size()) + 7;
       for (uint32_t k : {1u, 3u, past_end}) {
         for (PlanMode plan : {PlanMode::kMerge, PlanMode::kProbe,
-                              PlanMode::kHybrid, PlanMode::kAuto}) {
-          for (const XmlIndex* index : {&eager_, &mapped_}) {
-            for (uint64_t floor : {uint64_t{0}, UINT64_MAX}) {
-              GksSearcher searcher(index);
-              SearchOptions options;
-              options.s = s;
-              options.discover_di = false;
-              options.suggest_refinements = false;
-              options.plan = plan;
-              options.top_k = k;
-              options.topk_scan_floor = floor;
-              Result<SearchResponse> response = searcher.Search(text, options);
-              ASSERT_TRUE(response.ok()) << response.status().ToString();
-              char label[160];
-              std::snprintf(label, sizeof(label),
-                            "'%s' s=%u k=%u plan=%s backend=%s floor=%s",
-                            text.c_str(), s, k, PlanModeName(plan),
-                            index == &eager_ ? "eager" : "mapped",
-                            floor == 0 ? "0" : "max");
-              // Floor 0 engages whenever the anchor estimate is non-zero
-              // (a keyword can be absent from a random corpus, and an
-              // empty anchor bounds the candidates at zero: 0 <= 0
-              // disengages); UINT64_MAX never engages.
-              if (floor == 0) {
-                EXPECT_EQ(response->plan.topk.engaged,
-                          response->plan.anchor_postings > 0)
-                    << label;
-              } else {
-                EXPECT_FALSE(response->plan.topk.engaged) << label;
-              }
-              EXPECT_FALSE(response->plan.topk.reason.empty()) << label;
-              const size_t want =
-                  std::min<size_t>(k, full.nodes.size());
-              ASSERT_EQ(response->nodes.size(), want) << label;
-              for (size_t i = 0; i < want; ++i) {
-                const GksNode& expect = full.nodes[i];
-                const GksNode& got = response->nodes[i];
-                EXPECT_EQ(got.id, expect.id) << label << " node " << i;
-                EXPECT_EQ(got.keyword_mask, expect.keyword_mask)
-                    << label << " node " << i;
-                EXPECT_EQ(got.keyword_count, expect.keyword_count)
-                    << label << " node " << i;
-                EXPECT_EQ(got.is_lce, expect.is_lce) << label << " node " << i;
-                EXPECT_DOUBLE_EQ(got.rank, expect.rank)
-                    << label << " node " << i;
-              }
+                              PlanMode::kAuto}) {
+          for (uint64_t floor : {uint64_t{0}, UINT64_MAX}) {
+            GksSearcher searcher(&eager_);
+            SearchOptions options;
+            options.s = s;
+            options.discover_di = false;
+            options.suggest_refinements = false;
+            options.plan = plan;
+            options.top_k = k;
+            options.topk_scan_floor = floor;
+            Result<SearchResponse> response = searcher.Search(text, options);
+            ASSERT_TRUE(response.ok()) << response.status().ToString();
+            char label[160];
+            std::snprintf(label, sizeof(label),
+                          "'%s' s=%u k=%u plan=%s floor=%s",
+                          text.c_str(), s, k, PlanModeName(plan),
+                          floor == 0 ? "0" : "max");
+            // Floor 0 engages whenever the anchor estimate is non-zero
+            // (a keyword can be absent from a random corpus, and an
+            // empty anchor bounds the candidates at zero: 0 <= 0
+            // disengages); UINT64_MAX never engages.
+            if (floor == 0) {
+              EXPECT_EQ(response->plan.topk.engaged,
+                        response->plan.anchor_postings > 0)
+                  << label;
+            } else {
+              EXPECT_FALSE(response->plan.topk.engaged) << label;
+            }
+            EXPECT_FALSE(response->plan.topk.reason.empty()) << label;
+            const size_t want =
+                std::min<size_t>(k, full.nodes.size());
+            ASSERT_EQ(response->nodes.size(), want) << label;
+            for (size_t i = 0; i < want; ++i) {
+              const GksNode& expect = full.nodes[i];
+              const GksNode& got = response->nodes[i];
+              EXPECT_EQ(got.id, expect.id) << label << " node " << i;
+              EXPECT_EQ(got.keyword_mask, expect.keyword_mask)
+                  << label << " node " << i;
+              EXPECT_EQ(got.keyword_count, expect.keyword_count)
+                  << label << " node " << i;
+              EXPECT_EQ(got.is_lce, expect.is_lce) << label << " node " << i;
+              EXPECT_DOUBLE_EQ(got.rank, expect.rank)
+                  << label << " node " << i;
             }
           }
         }
@@ -201,26 +181,31 @@ TEST_P(PlannerEquivalence, TopKMatchesFullScoringThenTruncate) {
 // LZ match copy, depth counting — src/common/simd/kernels.h) must be
 // invisible end to end: whole responses computed under the forced scalar
 // table are bit-identical to responses under the process's active table
-// (AVX2 where the CPU has it), across strategies and both backends. On a
-// scalar-only build or under GKS_SIMD=off the two tables coincide and
-// this degenerates to a replay check.
+// (AVX2 where the CPU has it), across strategies. Each side also loads the
+// index under its own table, so the load-time posting-decode and LZ
+// kernels are part of the comparison. On a scalar-only build or under
+// GKS_SIMD=off the two tables coincide and this degenerates to a replay
+// check.
 TEST_P(PlannerEquivalence, KernelDispatchIsInvisible) {
+  const std::string bytes = SerializeIndex(eager_);
+  simd::SetActiveForTest(&simd::Scalar());
+  Result<XmlIndex> scalar_index = DeserializeIndex(bytes);
+  simd::SetActiveForTest(nullptr);
+  Result<XmlIndex> active_index = DeserializeIndex(bytes);
+  ASSERT_TRUE(scalar_index.ok()) << scalar_index.status().ToString();
+  ASSERT_TRUE(active_index.ok()) << active_index.status().ToString();
   const std::vector<std::string> queries = {"k0 k1 k2 k3", "\"k1 k3\" k0 k5"};
   for (const std::string& text : queries) {
     for (uint32_t s : {1u, 3u}) {
-      for (PlanMode plan : {PlanMode::kMerge, PlanMode::kProbe,
-                            PlanMode::kHybrid}) {
+      for (PlanMode plan : {PlanMode::kMerge, PlanMode::kProbe}) {
         simd::SetActiveForTest(&simd::Scalar());
-        SearchResponse scalar_eager = Run(eager_, text, s, plan);
-        SearchResponse scalar_mapped = Run(mapped_, text, s, plan);
+        SearchResponse scalar = Run(*scalar_index, text, s, plan);
         simd::SetActiveForTest(nullptr);
         char label[128];
         std::snprintf(label, sizeof(label), "'%s' s=%u plan=%s", text.c_str(),
                       s, PlanModeName(plan));
-        ExpectIdentical(scalar_eager, Run(eager_, text, s, plan),
-                        std::string("kernel eager ") + label);
-        ExpectIdentical(scalar_mapped, Run(mapped_, text, s, plan),
-                        std::string("kernel mapped ") + label);
+        ExpectIdentical(scalar, Run(*active_index, text, s, plan),
+                        std::string("kernel ") + label);
       }
     }
   }
@@ -230,8 +215,7 @@ TEST_P(PlannerEquivalence, KernelDispatchIsInvisible) {
 // the same queries must not be contaminated by earlier scratch state.
 TEST_P(PlannerEquivalence, ArenaReuseIsStateless)  {
   const std::string text = "k0 k2 k4 k6";
-  for (PlanMode plan : {PlanMode::kMerge, PlanMode::kProbe,
-                        PlanMode::kHybrid}) {
+  for (PlanMode plan : {PlanMode::kMerge, PlanMode::kProbe}) {
     SearchResponse first = Run(eager_, text, 2, plan);
     // Interleave a different shape so the pooled buffers get resized.
     Run(eager_, "t0:k1 k3", 1, plan);
@@ -241,10 +225,9 @@ TEST_P(PlannerEquivalence, ArenaReuseIsStateless)  {
 }
 
 // Forced strategies must be honored verbatim (auto may legitimately pick
-// anything; merge/probe/hybrid are contracts).
+// anything; merge/probe are contracts).
 TEST_P(PlannerEquivalence, ForcedStrategyIsHonored) {
-  for (PlanMode plan : {PlanMode::kMerge, PlanMode::kProbe,
-                        PlanMode::kHybrid}) {
+  for (PlanMode plan : {PlanMode::kMerge, PlanMode::kProbe}) {
     SearchResponse response = Run(eager_, "k0 k1 k2", 2, plan);
     EXPECT_EQ(response.plan.strategy, plan);
     EXPECT_EQ(response.plan.requested, plan);

@@ -3,7 +3,7 @@
 // with the coordinator's inner options and merged with MergeShardResults,
 // must reproduce the single-index response byte for byte — ordering,
 // bit-exact ranks, keyword masks, DI keywords, refinements, top-k and
-// display strings — for every shard count and storage backend. This is
+// display strings — for every shard count. This is
 // the contract that makes scatter-gather a pure execution detail.
 //
 // The adversarial half constructs equal-rank, equal-keyword-count nodes
@@ -170,24 +170,20 @@ class ShardedRepo {
 
     for (const ShardSpec& shard : manifest_.shards) {
       std::string path = dir + "/" + shard.file;
-      Result<XmlIndex> eager = LoadIndex(path);
-      EXPECT_TRUE(eager.ok()) << eager.status().ToString();
-      eager_.push_back(std::move(eager).value());
-      Result<XmlIndex> mapped = LoadIndexMapped(path);
-      EXPECT_TRUE(mapped.ok()) << mapped.status().ToString();
-      mapped_.push_back(std::move(mapped).value());
+      Result<XmlIndex> loaded = LoadIndex(path);
+      EXPECT_TRUE(loaded.ok()) << loaded.status().ToString();
+      shards_.push_back(std::move(loaded).value());
     }
   }
 
-  /// Scatter-gathers over one backend and merges. Partials are fed in
+  /// Scatter-gathers over the shards and merges. Partials are fed in
   /// *reverse* topology order — the merge must not care how the network
   /// interleaved them.
-  MergedShardResult Gather(bool mmap, const Query& query,
+  MergedShardResult Gather(const Query& query,
                            const SearchOptions& options) const {
-    const std::vector<XmlIndex>& shards = mmap ? mapped_ : eager_;
     std::vector<ShardPartialResult> partials;
-    for (size_t i = shards.size(); i-- > 0;) {
-      partials.push_back(RunShard(shards[i], manifest_.shards[i].doc_base,
+    for (size_t i = shards_.size(); i-- > 0;) {
+      partials.push_back(RunShard(shards_[i], manifest_.shards[i].doc_base,
                                   query, options));
     }
     return MergeShardResults(query, options, std::move(partials));
@@ -207,8 +203,7 @@ class ShardedRepo {
  private:
   ShardManifest manifest_;
   XmlIndex oracle_;
-  std::vector<XmlIndex> eager_;
-  std::vector<XmlIndex> mapped_;
+  std::vector<XmlIndex> shards_;
 };
 
 class ShardEquivalence : public ::testing::TestWithParam<uint32_t> {};
@@ -245,14 +240,11 @@ TEST_P(ShardEquivalence, RandomCorpusAllShardCountsAndBackends) {
           options.s = s;
           options.max_results = top;
           SearchResponse oracle = repo.Oracle(query, options);
-          for (bool mmap : {false, true}) {
-            char label[160];
-            std::snprintf(label, sizeof(label),
-                          "'%s' s=%u top=%zu shards=%zu %s", text.c_str(), s,
-                          top, shard_count, mmap ? "mmap" : "eager");
-            ExpectIdentical(repo.oracle_index(), oracle,
-                            repo.Gather(mmap, query, options), label);
-          }
+          char label[160];
+          std::snprintf(label, sizeof(label), "'%s' s=%u top=%zu shards=%zu",
+                        text.c_str(), s, top, shard_count);
+          ExpectIdentical(repo.oracle_index(), oracle,
+                          repo.Gather(query, options), label);
         }
       }
     }
@@ -279,24 +271,20 @@ TEST_P(ShardEquivalence, TopKAndMaxResultsSurviveTheMerge) {
     // single-index top-k.
     options.topk_scan_floor = 0;
     SearchResponse oracle = repo.Oracle(query, options);
-    for (bool mmap : {false, true}) {
-      ExpectIdentical(repo.oracle_index(), oracle,
-                      repo.Gather(mmap, query, options),
-                      "top_k=" + std::to_string(top_k) +
-                          (mmap ? " mmap" : " eager"),
-                      /*pin_scan_counts=*/false);
-    }
+    ExpectIdentical(repo.oracle_index(), oracle, repo.Gather(query, options),
+                    "top_k=" + std::to_string(top_k),
+                    /*pin_scan_counts=*/false);
   }
   for (size_t top : {1u, 2u, 3u}) {
     SearchOptions trimmed;
     trimmed.s = 2;
     trimmed.max_results = top;
     ExpectIdentical(repo.oracle_index(), repo.Oracle(query, trimmed),
-                    repo.Gather(false, query, trimmed),
+                    repo.Gather(query, trimmed),
                     "max_results=" + std::to_string(top));
     trimmed.top_k = 5;
     ExpectIdentical(repo.oracle_index(), repo.Oracle(query, trimmed),
-                    repo.Gather(false, query, trimmed),
+                    repo.Gather(query, trimmed),
                     "top_k=5 max_results=" + std::to_string(top),
                     /*pin_scan_counts=*/false);
   }
@@ -327,20 +315,17 @@ TEST(ShardTieBreaking, EqualRankTwinsAcrossShardsOrderById) {
       options.s = s;
       SearchResponse oracle = repo.Oracle(query, options);
       ASSERT_GE(oracle.nodes.size(), 4u) << text;  // one twin per document
-      for (bool mmap : {false, true}) {
-        MergedShardResult merged = repo.Gather(mmap, query, options);
-        ExpectIdentical(repo.oracle_index(), oracle, merged,
-                        std::string(text) + (mmap ? " mmap" : " eager"));
-        // Explicitly: among bit-equal (rank, keyword count) runs, ids
-        // ascend — the twins interleave across the shard boundary in
-        // document order, never grouped by which shard answered first.
-        const std::vector<GksNode>& nodes = merged.response.nodes;
-        for (size_t i = 1; i < nodes.size(); ++i) {
-          if (nodes[i - 1].rank == nodes[i].rank &&
-              nodes[i - 1].keyword_count == nodes[i].keyword_count) {
-            EXPECT_TRUE(nodes[i - 1].id < nodes[i].id)
-                << text << " run at " << i;
-          }
+      MergedShardResult merged = repo.Gather(query, options);
+      ExpectIdentical(repo.oracle_index(), oracle, merged, text);
+      // Explicitly: among bit-equal (rank, keyword count) runs, ids
+      // ascend — the twins interleave across the shard boundary in
+      // document order, never grouped by which shard answered first.
+      const std::vector<GksNode>& nodes = merged.response.nodes;
+      for (size_t i = 1; i < nodes.size(); ++i) {
+        if (nodes[i - 1].rank == nodes[i].rank &&
+            nodes[i - 1].keyword_count == nodes[i].keyword_count) {
+          EXPECT_TRUE(nodes[i - 1].id < nodes[i].id)
+              << text << " run at " << i;
         }
       }
     }
@@ -351,7 +336,7 @@ TEST(ShardTieBreaking, EqualRankTwinsAcrossShardsOrderById) {
   SearchOptions options;
   options.s = 1;
   SearchResponse oracle = repo.Oracle(query, options);
-  MergedShardResult merged = repo.Gather(false, query, options);
+  MergedShardResult merged = repo.Gather(query, options);
   ASSERT_FALSE(oracle.insights.empty());
   ASSERT_EQ(merged.response.insights.size(), oracle.insights.size());
   EXPECT_GE(merged.response.insights[0].support, 2u);
@@ -363,7 +348,7 @@ TEST(ShardTieBreaking, EqualRankTwinsAcrossShardsOrderById) {
     SearchOptions trimmed = options;
     trimmed.max_results = top;
     ExpectIdentical(repo.oracle_index(), repo.Oracle(query, trimmed),
-                    repo.Gather(false, query, trimmed),
+                    repo.Gather(query, trimmed),
                     "twins top=" + std::to_string(top));
   }
 }

@@ -381,40 +381,36 @@ TEST(ServerIntegrationTest, PlanOverrideHonoredAndCountedAcrossReload) {
   MetricsSnapshot before = registry.Snapshot();
   JsonValue merge = query_with_plan("merge");
   JsonValue probe = query_with_plan("probe");
-  JsonValue hybrid = query_with_plan("hybrid");
   JsonValue autop = query_with_plan("auto");
 
   // Forced strategies are echoed verbatim; auto resolves to a concrete one.
   EXPECT_EQ(merge.Find("plan")->GetString(), "merge");
   EXPECT_EQ(probe.Find("plan")->GetString(), "probe");
-  EXPECT_EQ(hybrid.Find("plan")->GetString(), "hybrid");
   const std::string resolved = autop.Find("plan")->GetString();
-  EXPECT_TRUE(resolved == "merge" || resolved == "probe" ||
-              resolved == "hybrid")
-      << resolved;
+  EXPECT_TRUE(resolved == "merge" || resolved == "probe") << resolved;
 
   // Identical results over the wire regardless of strategy.
   ASSERT_EQ(merge.Find("nodes")->size(), probe.Find("nodes")->size());
-  ASSERT_EQ(merge.Find("nodes")->size(), hybrid.Find("nodes")->size());
   for (size_t i = 0; i < merge.Find("nodes")->size(); ++i) {
     const std::string id =
         merge.Find("nodes")->items()[i].Find("id")->GetString();
     EXPECT_EQ(probe.Find("nodes")->items()[i].Find("id")->GetString(), id);
-    EXPECT_EQ(hybrid.Find("nodes")->items()[i].Find("id")->GetString(), id);
   }
 
   MetricsSnapshot mid = registry.Snapshot();
   MetricsSnapshot delta = MetricsSnapshot::Delta(before, mid);
   EXPECT_GE(delta.counters.at("gks.search.plan.merge_total"), 1u);
   EXPECT_GE(delta.counters.at("gks.search.plan.probe_total"), 1u);
-  EXPECT_GE(delta.counters.at("gks.search.plan.hybrid_total"), 1u);
 
-  // A bad plan value is a bad_request, not a silent fallback.
-  Result<JsonValue> bad =
-      connection.Call(R"({"query":"database","plan":"fastest"})");
-  ASSERT_TRUE(bad.ok());
-  EXPECT_FALSE(bad->Find("ok")->GetBool());
-  EXPECT_EQ(bad->Find("error")->GetString(), "bad_request");
+  // A bad plan value is a bad_request, not a silent fallback — and the
+  // hybrid plan, folded into probe, is no longer a plan value.
+  for (const char* plan : {"fastest", "hybrid"}) {
+    Result<JsonValue> bad = connection.Call(
+        std::string(R"({"query":"database","plan":")") + plan + R"("})");
+    ASSERT_TRUE(bad.ok());
+    EXPECT_FALSE(bad->Find("ok")->GetBool()) << plan;
+    EXPECT_EQ(bad->Find("error")->GetString(), "bad_request") << plan;
+  }
 
   // Counters keep advancing on the post-reload snapshot.
   Result<JsonValue> reloaded = connection.Admin("reload");
@@ -425,28 +421,6 @@ TEST(ServerIntegrationTest, PlanOverrideHonoredAndCountedAcrossReload) {
   MetricsSnapshot after = registry.Snapshot();
   MetricsSnapshot reload_delta = MetricsSnapshot::Delta(mid, after);
   EXPECT_GE(reload_delta.counters.at("gks.search.plan.probe_total"), 1u);
-}
-
-TEST(ServerIntegrationTest, MmapLoadServesIdenticalResults) {
-  ServerConfig eager_config;
-  auto eager = StartServer(eager_config);
-  ServerConfig mapped_config;
-  mapped_config.mmap = true;
-  auto mapped = StartServer(mapped_config);
-
-  ServerConnection eager_conn = ConnectOrDie(*eager);
-  ServerConnection mapped_conn = ConnectOrDie(*mapped);
-  for (const std::string& query : LoadQueries()) {
-    Result<JsonValue> a = eager_conn.Query(query);
-    Result<JsonValue> b = mapped_conn.Query(query);
-    ASSERT_TRUE(a.ok() && b.ok());
-    ASSERT_TRUE(a->Find("ok")->GetBool() && b->Find("ok")->GetBool());
-    ASSERT_EQ(a->Find("nodes")->size(), b->Find("nodes")->size()) << query;
-    for (size_t i = 0; i < a->Find("nodes")->size(); ++i) {
-      EXPECT_EQ(a->Find("nodes")->items()[i].Find("id")->GetString(),
-                b->Find("nodes")->items()[i].Find("id")->GetString());
-    }
-  }
 }
 
 }  // namespace

@@ -20,11 +20,8 @@
 // docs/SERVER.md (hot reload, admission control, graceful drain).
 //
 // Every file a command writes replaces its target atomically
-// (common/file_io.h), and `index` and `shard` reject unknown flags.
-//
-// Every index-reading command accepts --mmap to open the file through
-// LoadIndexMapped (zero-copy, lazy v2 sections) instead of the eager
-// loader.
+// (common/file_io.h), and every command but `generate` and `client`
+// rejects unknown flags with exit code 2.
 //
 // Full reference: docs/CLI.md; metric and span contract:
 // docs/OBSERVABILITY.md.
@@ -72,14 +69,13 @@ int Usage() {
       "  gks index  <out.gksidx> <file.xml...> [--threads=N] [--metrics]\n"
       "  gks search <index.gksidx> \"<query>\" [--s=N] [--top=N] [--di=M]\n"
       "             [--refine] [--schema-reconcile] [--explain] [--chunks=N]\n"
-      "             [--explain-json] [--metrics] [--plan=auto|merge|probe|"
-      "hybrid]\n"
+      "             [--explain-json] [--metrics] [--plan=auto|merge|probe]\n"
       "             [--top-k=K] (early-terminating k-best evaluation)\n"
       "             (keywords may be tag-constrained: year:2001,\n"
       "              author:\"peter buneman\")\n"
       "  gks batch  <index.gksidx> <queries.txt> [--threads=N] [--cache=CAP]\n"
       "             [--repeat=R] [--s=N] [--top=N] [--top-k=K] [--print]\n"
-      "             [--metrics] [--plan=auto|merge|probe|hybrid]\n"
+      "             [--di=M] [--metrics] [--plan=auto|merge|probe]\n"
       "             (one query per line; '#' starts a comment)\n"
       "  gks analyze <index.gksidx> \"<query>\" [--s=N] [--facets]\n"
       "             [--agg=TAG] [--hist=TAG:BUCKETS]\n"
@@ -95,7 +91,6 @@ int Usage() {
       "  gks client [--host=H] [--port=N] (--admin=VERB [--path=P] |\n"
       "             --query=Q | --queries=FILE [--connections=C]\n"
       "             [--requests=N]) [--s=N] [--top=N]\n"
-      "  (reader commands accept --mmap for the zero-copy lazy loader)\n"
       "  gks generate <dblp|sigmod|mondial|swissprot|interpro|protein|nasa|"
       "treebank> <out.xml> [--scale=F]\n");
   return 2;
@@ -112,19 +107,11 @@ bool ParsePlanFlag(const FlagParser& flags, SearchOptions* options) {
   std::string plan = flags.GetString("plan", "auto");
   if (!ParsePlanMode(plan, &options->plan)) {
     std::fprintf(stderr,
-                 "error: --plan must be auto, merge, probe or hybrid "
-                 "(got '%s')\n",
+                 "error: --plan must be auto, merge or probe (got '%s')\n",
                  plan.c_str());
     return false;
   }
   return true;
-}
-
-// --mmap selects the zero-copy loader: the file is mapped read-only and
-// v2 sections decode lazily on first touch (docs/PERFORMANCE.md).
-Result<XmlIndex> LoadOrFail(const FlagParser& flags,
-                            const std::string& path) {
-  return flags.GetBool("mmap") ? LoadIndexMapped(path) : LoadIndex(path);
 }
 
 // Builds with --threads=N workers: documents are parsed into per-file
@@ -186,9 +173,15 @@ int CmdIndex(const FlagParser& flags) {
 }
 
 int CmdSearch(const FlagParser& flags) {
+  if (Status status = flags.Validate(
+          {"s", "top", "top-k", "di", "refine", "schema-reconcile", "explain",
+           "explain-json", "chunks", "metrics", "plan"});
+      !status.ok()) {
+    return Fail(status, 2);
+  }
   const auto& args = flags.positional();
   if (args.size() < 3) return Usage();
-  Result<XmlIndex> index = LoadOrFail(flags, args[1]);
+  Result<XmlIndex> index = LoadIndex(args[1]);
   if (!index.ok()) return Fail(index.status());
 
   if (flags.GetBool("schema-reconcile")) {
@@ -271,9 +264,15 @@ int CmdSearch(const FlagParser& flags) {
 // cache (--cache=CAP entries). --repeat=R replays the whole list R times —
 // with a cache attached, rounds after the first are served from it.
 int CmdBatch(const FlagParser& flags) {
+  if (Status status = flags.Validate({"threads", "cache", "repeat", "s", "top",
+                                      "top-k", "di", "print", "metrics",
+                                      "plan"});
+      !status.ok()) {
+    return Fail(status, 2);
+  }
   const auto& args = flags.positional();
   if (args.size() < 3) return Usage();
-  Result<XmlIndex> index = LoadOrFail(flags, args[1]);
+  Result<XmlIndex> index = LoadIndex(args[1]);
   if (!index.ok()) return Fail(index.status());
 
   std::string text;
@@ -361,9 +360,13 @@ int CmdBatch(const FlagParser& flags) {
 }
 
 int CmdAnalyze(const FlagParser& flags) {
+  if (Status status = flags.Validate({"s", "facets", "agg", "hist"});
+      !status.ok()) {
+    return Fail(status, 2);
+  }
   const auto& args = flags.positional();
   if (args.size() < 3) return Usage();
-  Result<XmlIndex> index = LoadOrFail(flags, args[1]);
+  Result<XmlIndex> index = LoadIndex(args[1]);
   if (!index.ok()) return Fail(index.status());
 
   SearchOptions options;
@@ -415,9 +418,12 @@ int CmdAnalyze(const FlagParser& flags) {
 }
 
 int CmdSchema(const FlagParser& flags) {
+  if (Status status = flags.Validate({}); !status.ok()) {
+    return Fail(status, 2);
+  }
   const auto& args = flags.positional();
   if (args.size() < 2) return Usage();
-  Result<XmlIndex> index = LoadOrFail(flags, args[1]);
+  Result<XmlIndex> index = LoadIndex(args[1]);
   if (!index.ok()) return Fail(index.status());
   SchemaSummary summary = SchemaSummary::Build(*index);
   std::printf("%s", summary.ToString(*index).c_str());
@@ -425,9 +431,13 @@ int CmdSchema(const FlagParser& flags) {
 }
 
 int CmdStats(const FlagParser& flags) {
+  if (Status status = flags.Validate({"metrics", "metrics-json"});
+      !status.ok()) {
+    return Fail(status, 2);
+  }
   const auto& args = flags.positional();
   if (args.size() < 2) return Usage();
-  Result<XmlIndex> index = LoadOrFail(flags, args[1]);
+  Result<XmlIndex> index = LoadIndex(args[1]);
   if (!index.ok()) return Fail(index.status());
   const auto& counts = index->nodes.counts();
   std::printf("documents : %zu\n", index->catalog.document_count());
