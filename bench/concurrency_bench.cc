@@ -5,9 +5,7 @@
 //      heap merge, on the Figure-8 workload (n=8 queries, NASA-like
 //      corpus, selectivity swept down the Zipf head).
 //   2. batch — SearchBatch throughput across thread counts on a 100-query
-//      batch (no cache: pure fan-out).
-//   3. cache — the same batch replayed through a shared QueryResultCache:
-//      cold round vs warm rounds, hit/miss/eviction counts.
+//      batch (pure fan-out).
 //   4. parallel-build — BuildIndexParallel vs the sequential IndexBuilder
 //      on the multi-document Plays corpus (outputs verified identical).
 
@@ -21,7 +19,6 @@
 #include "common/metrics.h"
 #include "common/thread_pool.h"
 #include "core/merged_list.h"
-#include "core/result_cache.h"
 #include "data/names.h"
 #include "index/parallel_build.h"
 
@@ -30,7 +27,6 @@ namespace {
 using gks::DeweySpan;
 using gks::PackedIds;
 using gks::Query;
-using gks::QueryResultCache;
 using gks::SearchOptions;
 using gks::ThreadPool;
 using gks::XmlIndex;
@@ -218,8 +214,7 @@ std::vector<std::string> BatchQueries(const std::vector<std::string>& words,
                                       size_t count) {
   // `count` 2-3 keyword queries cycling through the vocabulary. The index
   // stride walks distinct (i, i*7+3, i*13+5) combinations; with a
-  // vocabulary shorter than `count` some combinations repeat — the cache
-  // section reports the actual unique count via its miss counter.
+  // vocabulary shorter than `count` some combinations repeat.
   std::vector<std::string> batch;
   for (size_t i = 0; i < count; ++i) {
     std::string query = words[i % words.size()];
@@ -248,8 +243,7 @@ double TimeBatch(const gks::GksSearcher& searcher,
 
 void BenchBatch(const XmlIndex& index,
                 const std::vector<std::string>& batch) {
-  std::printf("\n[2] SearchBatch fan-out (%zu distinct queries, no cache)\n",
-              batch.size());
+  std::printf("\n[2] SearchBatch fan-out (%zu queries)\n", batch.size());
   std::printf("%8s | %10s | %10s | %8s\n", "threads", "RT (ms)", "q/s",
               "speedup");
   gks::GksSearcher searcher(&index);
@@ -270,37 +264,6 @@ void BenchBatch(const XmlIndex& index,
                 1000.0 * static_cast<double>(batch.size()) / best,
                 sequential_ms / best);
   }
-}
-
-void BenchCache(const XmlIndex& index,
-                const std::vector<std::string>& batch) {
-  std::printf("\n[3] shared result cache (capacity %zu, batch replayed 3x)\n",
-              batch.size() * 2);
-  gks::GksSearcher searcher(&index);
-  QueryResultCache cache(batch.size() * 2);
-  searcher.set_cache(&cache);
-  SearchOptions options;
-  options.discover_di = false;
-  options.suggest_refinements = false;
-
-  gks::MetricsRegistry& registry = gks::MetricsRegistry::Global();
-  gks::Counter* hits = registry.GetCounter("gks.search.cache.hits_total");
-  gks::Counter* misses = registry.GetCounter("gks.search.cache.misses_total");
-  std::printf("%8s | %10s | %10s | %8s | %8s\n", "round", "RT (ms)", "q/s",
-              "hits", "misses");
-  double cold_ms = 0.0;
-  for (int round = 1; round <= 3; ++round) {
-    uint64_t hits_before = hits->value();
-    uint64_t misses_before = misses->value();
-    double ms = TimeBatch(searcher, batch, options, nullptr);
-    if (round == 1) cold_ms = ms;
-    std::printf("%8d | %10.2f | %10.1f | %8llu | %8llu\n", round, ms,
-                1000.0 * static_cast<double>(batch.size()) / ms,
-                (unsigned long long)(hits->value() - hits_before),
-                (unsigned long long)(misses->value() - misses_before));
-  }
-  std::printf("warm round speedup vs cold: see rounds above "
-              "(cold %.2fms)\n", cold_ms);
 }
 
 void BenchParallelBuild(const gks::bench::Corpus& corpus) {
@@ -354,7 +317,6 @@ int main() {
 
   std::vector<std::string> batch = BatchQueries(gks::data::AstroWords(), 100);
   BenchBatch(nasa_index, batch);
-  BenchCache(nasa_index, batch);
 
   gks::bench::Corpus plays = gks::bench::MakePlays();
   BenchParallelBuild(plays);

@@ -29,8 +29,9 @@ fail() { echo "check_server: FAILED — $*" >&2; exit 1; }
 "$gks" generate dblp "$work/dblp.xml" --scale=0.02 >/dev/null
 "$gks" index "$work/dblp.gksidx" "$work/dblp.xml" >/dev/null
 
-# Unknown flags are usage errors, caught before any work: a stale
-# --format must not silently write the one format there is.
+# Unknown flags, and counts that are not whole non-negative numbers, are
+# usage errors, caught before any work: a stale --format must not silently
+# write the one format there is.
 expect_usage_error() {
   local exit_code=0
   "$gks" "$@" >/dev/null 2>&1 || exit_code=$?
@@ -40,22 +41,40 @@ expect_usage_error index "$work/rejected.gksidx" "$work/dblp.xml" --format=v1
 expect_usage_error shard "$work/rejected" "$work/dblp.xml" --format=v1
 [[ ! -e "$work/rejected.gksidx" && ! -e "$work/rejected" ]] \
   || fail "a rejected command wrote its output"
-# The removed --mmap flag fails every reader command, and `gks serve`
-# before it binds: a server that ignored the flag would be listening (the
-# timeout turns that into a failure instead of a hang).
-printf 'database\n' > "$work/mmap_queries.txt"
+# `gks serve` must reject before it binds: a server that ignored the flag
+# would be listening (the timeout turns that into a failure instead of a
+# hang). --port=0 comes first so that a later --port wins.
+expect_serve_usage_error() {
+  local exit_code=0
+  timeout 10 "$gks" serve "$work/dblp.gksidx" --port=0 "$@" \
+    > "$work/rejected_serve.log" 2>&1 || exit_code=$?
+  [[ "$exit_code" -eq 2 ]] || fail "gks serve $* exited $exit_code, want 2"
+  ! grep -q "listening on" "$work/rejected_serve.log" \
+    || fail "gks serve $* started listening"
+}
+# The removed --mmap flag fails every reader command, and `gks serve`.
+printf 'database\n' > "$work/batch_queries.txt"
 expect_usage_error search "$work/dblp.gksidx" database --mmap
-expect_usage_error batch "$work/dblp.gksidx" "$work/mmap_queries.txt" --mmap
+expect_usage_error batch "$work/dblp.gksidx" "$work/batch_queries.txt" --mmap
 expect_usage_error analyze "$work/dblp.gksidx" database --mmap
 expect_usage_error schema "$work/dblp.gksidx" --mmap
 expect_usage_error stats "$work/dblp.gksidx" --mmap
-serve_exit=0
-timeout 10 "$gks" serve "$work/dblp.gksidx" --mmap --port=0 \
-  > "$work/mmap_serve.log" 2>&1 || serve_exit=$?
-[[ "$serve_exit" -eq 2 ]] \
-  || fail "gks serve --mmap exited $serve_exit, want 2"
-! grep -q "listening on" "$work/mmap_serve.log" \
-  || fail "gks serve --mmap started listening"
+expect_serve_usage_error --mmap
+# Removed cache flags fail too: serve's entry count --cache (the budget is
+# --cache-bytes), and batch's --cache and --repeat (the batch keeps no cache).
+expect_serve_usage_error --cache=16
+expect_usage_error batch "$work/dblp.gksidx" "$work/batch_queries.txt" \
+  --cache=8
+expect_usage_error batch "$work/dblp.gksidx" "$work/batch_queries.txt" \
+  --repeat=2
+# A count that does not parse is an error, not atoll's guess: -1 would
+# abort the thread pool or lift the admission bound, and "abc" would bind
+# an ephemeral port.
+expect_serve_usage_error --threads=-1
+expect_serve_usage_error --port=abc
+expect_serve_usage_error --cache-bytes=-1
+expect_usage_error batch "$work/dblp.gksidx" "$work/batch_queries.txt" \
+  --threads=-1
 
 # Starts `gks serve <args>` in the background and sets server_pid and
 # port. --port=0: the kernel picks; parse the bound port from the startup
@@ -131,8 +150,8 @@ quit_server
 # Live rebuild drill. `gks index` replaces the file a running server has
 # loaded, first with a smaller index, then with a larger one. The server
 # answers from the index it loaded, so it must give the old answer at the
-# old epoch until a reload moves it to the new file. --cache=0 makes every
-# query run a search.
+# old epoch until a reload moves it to the new file. --cache-bytes=0 makes
+# every query run a search.
 "$gks" generate dblp "$work/small.xml" --scale=0.005 >/dev/null
 "$gks" generate dblp "$work/large.xml" --scale=0.04 >/dev/null
 drill_query="xml data"
@@ -144,7 +163,7 @@ answer() {
 epoch_of() { sed -nE 's/^epoch ([0-9]+),.*/\1/p' "$1"; }
 drill() { run_client --query="$drill_query" --s=1 --top=5 > "$work/$1.out"; }
 
-start_server "$work/dblp.gksidx" --cache=0 --threads=2
+start_server "$work/dblp.gksidx" --cache-bytes=0 --threads=2
 drill loaded || fail "query on the loaded index failed"
 want="$(answer "$work/loaded.out")"
 loaded_epoch="$(epoch_of "$work/loaded.out")"

@@ -2,10 +2,10 @@
 # ThreadSanitizer sweep (registered with ctest as `check_tsan`): builds the
 # concurrency-sensitive test binaries in a dedicated build tree configured
 # with -DGKS_SANITIZE=thread and runs the suites that exercise the thread
-# pool, SearchBatch fan-out, the shared result cache, the parallel
-# index build, the pooled per-segment search and the query server
-# (accept loop, admission control, hot reload, drain). Any data race
-# TSan reports fails the run.
+# pool, SearchBatch fan-out, the parallel index build, the pooled
+# per-segment search and the query server (accept loop, admission
+# control, hot reload, drain, the response cache under concurrent
+# repeats). Any data race TSan reports fails the run.
 #
 # The build tree (<repo>/build-tsan) is incremental: the first run pays a
 # full compile, later runs only relink what changed.
@@ -45,11 +45,12 @@ export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 # SegmentSearchTest's pooled fan-out feeds per-segment partials from
 # pool workers into the partial-merge core.
 "$build/tests/core_test" \
-  --gtest_filter='QueryResultCache*:SegmentSearchTest.*' --gtest_brief=1
+  --gtest_filter='SegmentSearchTest.*' --gtest_brief=1
 "$build/tests/integration_test" \
   --gtest_filter='Concurrency*:ParallelDeterminism*' --gtest_brief=1
 "$build/tests/server_test" \
-  --gtest_filter='ServerIntegration*' --gtest_brief=1
+  --gtest_filter='ServerIntegration*:ResponseCacheServerTest.ConcurrentRepeatsEqualTheColdReply' \
+  --gtest_brief=1
 # Real-time path: commits racing the background flusher/merger inside
 # RtIndex, and wire writes racing queries across server threads.
 "$build/tests/index_test" \

@@ -1,5 +1,7 @@
 #include "common/flags.h"
 
+#include <algorithm>
+#include <charconv>
 #include <cstdlib>
 
 #include "common/string_util.h"
@@ -58,17 +60,25 @@ bool FlagParser::GetBool(const std::string& name, bool default_value) const {
   return value.empty() || value == "true" || value == "1" || value == "yes";
 }
 
-Status FlagParser::Validate(const std::vector<std::string>& known) const {
+Status FlagParser::Validate(const std::vector<std::string>& known,
+                            const std::vector<std::string>& counts) const {
+  auto listed = [](const std::vector<std::string>& names,
+                   const std::string& name) {
+    return std::find(names.begin(), names.end(), name) != names.end();
+  };
   for (const auto& [name, value] : flags_) {
-    (void)value;
-    bool found = false;
-    for (const std::string& candidate : known) {
-      if (candidate == name) {
-        found = true;
-        break;
+    if (listed(counts, name)) {
+      // GetInt is atoll: "-1" would wrap to a huge size_t and "abc" read
+      // as 0, so the value must be digits only and fit an int64_t.
+      int64_t parsed = 0;
+      const char* end = value.data() + value.size();
+      auto [stop, error] = std::from_chars(value.data(), end, parsed);
+      if (error != std::errc() || stop != end || value[0] == '-') {
+        return Status::InvalidArgument("--" + name +
+                                       " must be a whole non-negative "
+                                       "number, got '" + value + "'");
       }
-    }
-    if (!found) {
+    } else if (!listed(known, name)) {
       return Status::InvalidArgument("unknown flag: --" + name);
     }
   }

@@ -28,9 +28,12 @@ class FlagParser {
   /// Bare `--flag` and `--flag=true/1/yes` are true.
   bool GetBool(const std::string& name, bool default_value = false) const;
 
-  /// InvalidArgument if any parsed flag is not in `known` (comma-separated
-  /// names without the leading dashes).
-  Status Validate(const std::vector<std::string>& known) const;
+  /// InvalidArgument if a parsed flag is in neither list (names without
+  /// the leading dashes), or if a flag of `counts` — a count, size or
+  /// port — is present with a value that is not a whole non-negative
+  /// base-10 number.
+  Status Validate(const std::vector<std::string>& known,
+                  const std::vector<std::string>& counts = {}) const;
 
  private:
   std::map<std::string, std::string> flags_;

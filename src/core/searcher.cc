@@ -16,7 +16,6 @@
 #include "core/partial_merge.h"
 #include "core/planner.h"
 #include "core/probe_eval.h"
-#include "core/result_cache.h"
 #include "core/topk_eval.h"
 #include "core/window_scan.h"
 
@@ -44,10 +43,11 @@ void FinishTimings(const WallTimer& total_timer, SearchResponse* response) {
 
 }  // namespace
 
-// Canonical cache-key form of a parsed query: analyzed terms (lowercased,
-// stemmed, whitespace-collapsed) plus tag constraints — NOT Query::ToString,
-// which preserves the raw spelling ("XML  Data" must hit "xml data").
-// Control separators cannot occur in analyzed tokens.
+// Canonical form of a parsed query: analyzed terms (lowercased, stemmed,
+// whitespace-collapsed) plus tag constraints — NOT Query::ToString, which
+// preserves the raw spelling ("XML  Data" must hit "xml data" in the
+// server's response cache). Control separators cannot occur in analyzed
+// tokens.
 std::string NormalizedQueryText(const Query& query) {
   std::string out;
   for (const QueryAtom& atom : query.atoms()) {
@@ -188,20 +188,12 @@ Result<SearchResponse> GksSearcher::SearchTraced(
 
 Result<SearchResponse> GksSearcher::Search(const Query& query,
                                            const SearchOptions& options) const {
-  std::string cache_key;
-  if (cache_ != nullptr) {
-    cache_key = QueryResultCache::MakeKey(NormalizedQueryText(query), options,
-                                          index_->epoch);
-    SearchResponse cached;
-    if (cache_->Get(cache_key, &cached)) return cached;
-  }
   WallTimer total_timer;
   TraceCollector collector("gks.search");
   Result<SearchResponse> response = SearchTraced(query, options);
   if (!response.ok()) return response;
   response->trace = collector.Finish();
   FinishTimings(total_timer, &*response);
-  if (cache_ != nullptr) cache_->Put(cache_key, *response);
   return response;
 }
 
@@ -214,20 +206,10 @@ Result<SearchResponse> GksSearcher::Search(std::string_view query_text,
     return Query::Parse(query_text);
   }();
   if (!query.ok()) return query.status();
-  std::string cache_key;
-  if (cache_ != nullptr) {
-    // The analyzed form makes equivalent spellings share one entry, and
-    // the epoch pins the index state.
-    cache_key = QueryResultCache::MakeKey(NormalizedQueryText(*query), options,
-                                          index_->epoch);
-    SearchResponse cached;
-    if (cache_->Get(cache_key, &cached)) return cached;
-  }
   Result<SearchResponse> response = SearchTraced(*query, options);
   if (!response.ok()) return response;
   response->trace = collector.Finish();
   FinishTimings(total_timer, &*response);
-  if (cache_ != nullptr) cache_->Put(cache_key, *response);
   return response;
 }
 

@@ -17,8 +17,7 @@
 
 namespace gks {
 
-class QueryResultCache;  // core/result_cache.h (includes this header)
-class ThreadPool;        // common/thread_pool.h
+class ThreadPool;  // common/thread_pool.h
 
 struct SearchOptions {
   /// Minimum number of distinct query keywords a node's subtree must
@@ -116,20 +115,13 @@ std::string ExplainJson(const SearchResponse& response);
 
 /// Facade over the whole Sec. 4-6 pipeline: merged list -> sliding-window
 /// LCP candidates -> LCE mapping with independent witnesses -> potential
-/// flow ranking -> DI -> refinements.
+/// flow ranking -> DI -> refinements. Keeps no state between queries: a
+/// response is a function of the index, the query and the options
+/// (answers are cached, if at all, by the server; docs/PERFORMANCE.md).
 class GksSearcher {
  public:
   /// `index` must outlive the searcher.
   explicit GksSearcher(const XmlIndex* index) : index_(index) {}
-
-  /// Attaches an optional response cache shared by Search/SearchBatch.
-  /// The cache may be shared across searchers and threads; entries are
-  /// keyed by (normalized query, options, index epoch), so a cached hit
-  /// returns the full response of the equivalent cold search — including
-  /// its recorded trace and timings (docs/PERFORMANCE.md). Pass nullptr
-  /// to detach.
-  void set_cache(QueryResultCache* cache) { cache_ = cache; }
-  QueryResultCache* cache() const { return cache_; }
 
   Result<SearchResponse> Search(const Query& query,
                                 const SearchOptions& options = {}) const;
@@ -140,8 +132,7 @@ class GksSearcher {
   /// Answers a batch of text queries, fanning them across `pool` (inline
   /// when null — the searcher is stateless and const, so each query is
   /// independent). Responses are positionally aligned with `query_texts`
-  /// and identical to what sequential Search calls would return; with a
-  /// cache attached, all workers share it.
+  /// and identical to what sequential Search calls would return.
   std::vector<Result<SearchResponse>> SearchBatch(
       const std::vector<std::string>& query_texts,
       const SearchOptions& options, ThreadPool* pool) const;
@@ -160,7 +151,6 @@ class GksSearcher {
                                       const SearchOptions& options) const;
 
   const XmlIndex* index_;
-  QueryResultCache* cache_ = nullptr;
 };
 
 /// One-line description of a response node for CLIs and examples:
@@ -168,9 +158,9 @@ class GksSearcher {
 std::string DescribeNode(const XmlIndex& index, const GksNode& node,
                          size_t max_attrs = 3);
 
-/// Canonical cache-key form of a parsed query: analyzed terms plus tag
-/// constraints, independent of the raw spelling. Shared by the result
-/// cache and the multi-segment searcher (core/segment_search.h).
+/// Canonical form of a parsed query: analyzed terms plus tag constraints,
+/// independent of the raw spelling. The server's response cache keys on
+/// it (server/wire_cache.h), so respellings share an entry.
 std::string NormalizedQueryText(const Query& query);
 
 }  // namespace gks

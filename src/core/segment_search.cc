@@ -8,7 +8,6 @@
 #include "common/timer.h"
 #include "common/trace.h"
 #include "core/partial_merge.h"
-#include "core/result_cache.h"
 
 namespace gks {
 namespace {
@@ -92,13 +91,6 @@ Result<SearchResponse> SegmentSearcher::SearchMerged(
 
 Result<SearchResponse> SegmentSearcher::Search(
     const Query& query, const SearchOptions& options) const {
-  std::string cache_key;
-  if (cache_ != nullptr) {
-    cache_key = QueryResultCache::MakeKey(NormalizedQueryText(query), options,
-                                          snapshot_->epoch);
-    SearchResponse cached;
-    if (cache_->Get(cache_key, &cached)) return cached;
-  }
   WallTimer total_timer;
   // Cross-segment stages trace under their own collector; per-segment
   // pipelines already feed gks.search.* themselves, so this collector
@@ -121,7 +113,6 @@ Result<SearchResponse> SegmentSearcher::Search(
   }
   response->trace.Graft("segments.combine", outer);
   response->timings.total_ms = total_timer.ElapsedMillis();
-  if (cache_ != nullptr) cache_->Put(cache_key, *response);
   return response;
 }
 

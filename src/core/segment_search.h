@@ -13,8 +13,6 @@
 
 namespace gks {
 
-class QueryResultCache;
-
 /// GKS search over a real-time segment set (docs/INDEXING.md): runs the
 /// full single-index pipeline per segment, masks tombstoned documents,
 /// and merges the per-segment results into one response that is
@@ -28,16 +26,11 @@ class QueryResultCache;
 /// dead nodes); truncation to k happens in the merge.
 ///
 /// The snapshot is immutable; a SegmentSearcher can be constructed per
-/// query for the price of a shared_ptr copy. The optional cache is keyed
-/// by (normalized query, options, snapshot epoch), and every commit
-/// publishes a new epoch, so hits are always current.
+/// query for the price of a shared_ptr copy.
 class SegmentSearcher {
  public:
   explicit SegmentSearcher(std::shared_ptr<const SegmentSetSnapshot> snapshot)
       : snapshot_(std::move(snapshot)) {}
-
-  void set_cache(QueryResultCache* cache) { cache_ = cache; }
-  QueryResultCache* cache() const { return cache_; }
 
   /// With a pool, the per-segment pipelines run concurrently (ParallelFor)
   /// and the merge re-establishes the deterministic global order — output
@@ -59,7 +52,6 @@ class SegmentSearcher {
                                       const SearchOptions& options) const;
 
   std::shared_ptr<const SegmentSetSnapshot> snapshot_;
-  QueryResultCache* cache_ = nullptr;
   ThreadPool* pool_ = nullptr;
 };
 

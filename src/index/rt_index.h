@@ -82,7 +82,7 @@ struct RtStats {
 ///     returns.
 ///
 /// Readers never block writers and vice versa: every mutation publishes a
-/// fresh immutable SegmentSetSnapshot (epoch-stamped, so the result cache
+/// fresh immutable SegmentSetSnapshot (epoch-stamped, so the response cache
 /// self-invalidates) and in-flight queries keep the snapshot they
 /// admitted with. Crash recovery replays the WAL over the manifest's
 /// segment set and reproduces the pre-crash state exactly — including

@@ -62,7 +62,7 @@ struct SegmentView {
 };
 
 /// An immutable snapshot of the whole searchable state: the segment set,
-/// the tombstone set, and the epoch the result cache keys on. Published
+/// the tombstone set, and the epoch the response cache keys on. Published
 /// behind a shared_ptr — queries copy the pointer once at admission and
 /// the retired snapshot stays alive until its last query finishes,
 /// exactly like the single-index reload path (src/server/index_state.h).

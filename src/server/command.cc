@@ -33,7 +33,7 @@ int ServeUsage() {
   std::fprintf(stderr,
                "usage: gks serve [<index.gksidx>] [--port=N] [--host=H]\n"
                "        [--threads=N] [--queue=N] [--deadline-ms=D]\n"
-               "        [--cache=CAP] [--max-request-bytes=N]\n"
+               "        [--cache-bytes=N] [--max-request-bytes=N]\n"
                "        [--rt=DIR] [--rt-flush-docs=N] [--rt-flush-bytes=N]\n"
                "        [--rt-merge-fanout=N] [--rt-fsync=always|off]\n"
                "        [--doc-base=N]\n"
@@ -67,15 +67,15 @@ int ClientUsage() {
 }  // namespace
 
 int RunServeCommand(const FlagParser& flags) {
-  // An unknown flag fails before anything binds: a server that silently
-  // ignored a typo'd or removed option would run with a setting nobody
-  // asked for.
+  // An unknown flag, or a count that is not a whole non-negative number,
+  // fails before anything binds: a server that silently ignored a typo'd
+  // or removed option would run with a setting nobody asked for.
   if (Status status = flags.Validate(
-          {"host", "port", "threads", "queue", "deadline-ms", "cache",
-           "max-request-bytes", "rt", "rt-flush-docs", "rt-flush-bytes",
-           "rt-merge-fanout", "rt-fsync", "doc-base", "coord-shards",
-           "coord-deadline-ms", "coord-retries", "coord-backoff-ms",
-           "coord-partial"});
+          {"host", "deadline-ms", "rt", "rt-fsync", "coord-shards",
+           "coord-deadline-ms", "coord-backoff-ms", "coord-partial"},
+          {"port", "threads", "queue", "cache-bytes", "max-request-bytes",
+           "rt-flush-docs", "rt-flush-bytes", "rt-merge-fanout", "doc-base",
+           "coord-retries"});
       !status.ok()) {
     std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
     return 2;
@@ -88,7 +88,8 @@ int RunServeCommand(const FlagParser& flags) {
   config.threads = static_cast<size_t>(flags.GetInt("threads", 0));
   config.queue_depth = static_cast<size_t>(flags.GetInt("queue", 128));
   config.deadline_ms = flags.GetDouble("deadline-ms", 0.0);
-  config.cache_capacity = static_cast<size_t>(flags.GetInt("cache", 1024));
+  config.cache_capacity =
+      static_cast<size_t>(flags.GetInt("cache-bytes", 64 << 20));
   config.max_request_bytes =
       static_cast<size_t>(flags.GetInt("max-request-bytes", 1 << 20));
   config.rt_dir = flags.GetString("rt", "");
@@ -133,7 +134,7 @@ int RunServeCommand(const FlagParser& flags) {
   // One parseable line for operators and the smoke script; keep the
   // `listening on <host>:<port>` phrase stable (scripts/check_server.sh).
   std::printf("gks server listening on %s:%d (epoch %llu, %zu threads, "
-              "queue %zu, cache %zu, deadline %.1fms)\n",
+              "queue %zu, cache %zu bytes, deadline %.1fms)\n",
               config.host.c_str(), server.port(),
               (unsigned long long)server.epoch(),
               config.threads == 0 ? ThreadPool::DefaultThreads()

@@ -11,7 +11,7 @@ namespace gks {
 /// returns a process exit code: 0 success, 1 runtime error, 2 usage.
 
 /// `gks serve <index.gksidx> [--port=N] [--host=H] [--threads=N]
-///            [--queue=N] [--deadline-ms=D] [--cache=CAP]
+///            [--queue=N] [--deadline-ms=D] [--cache-bytes=N]
 ///            [--max-request-bytes=N]`
 /// Runs until SIGTERM/SIGINT (graceful drain) or an admin `quit`;
 /// SIGHUP hot-reloads the index. Prints one parseable line on startup:

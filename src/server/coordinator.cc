@@ -660,8 +660,9 @@ std::string ShardCoordinator::Execute(const WireRequest& request,
     extras.shards_ok = ok_count;
     extras.shards_total = static_cast<uint32_t>(shard_count);
   }
-  return WireResponseBuilder::Query(request, merged, total.ElapsedMillis(),
-                                    extras);
+  return WireResponseBuilder::WithId(
+      request, WireResponseBuilder::Query(request, merged,
+                                          total.ElapsedMillis(), extras));
 }
 
 }  // namespace gks

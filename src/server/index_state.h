@@ -19,8 +19,8 @@ namespace gks {
 /// alive until the last query holding it drops its reference.
 ///
 /// Epoch discipline: every load stamps a fresh process-unique
-/// XmlIndex::epoch, and the QueryResultCache keys
-/// on it, so responses computed against the retired snapshot can never be
+/// XmlIndex::epoch, and the server's response cache (server/wire_cache.h)
+/// keys on it, so answers built against the retired snapshot can never be
 /// served for the new one (and vice versa) — hot reload requires no cache
 /// flush at all (docs/SERVER.md).
 ///

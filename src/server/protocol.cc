@@ -275,7 +275,6 @@ std::string BuildQueryResponse(const WireRequest& request,
   JsonWriter json;
   json.BeginObject();
   json.Key("ok").Bool(true);
-  EmitId(request, &json);
   json.Key("epoch").UInt(epoch);
   json.Key("s").UInt(response.effective_s);
   json.Key("merged_list_size").UInt(response.merged_list_size);
@@ -417,6 +416,19 @@ std::string WireResponseBuilder::Query(const WireRequest& request,
         return merged.describes[static_cast<size_t>(&node - base)];
       },
       extras);
+}
+
+std::string WireResponseBuilder::WithId(const WireRequest& request,
+                                        std::string answer) {
+  if (!request.has_id) return answer;
+  JsonWriter reply;
+  reply.BeginObject();
+  reply.Key("ok").Bool(true);
+  const size_t head = reply.str().size();  // `{"ok":true`
+  EmitId(request, &reply);
+  std::string out = reply.Take();
+  out.append(answer, head);
+  return out;
 }
 
 std::string WireResponseBuilder::Inserted(const WireRequest& request,

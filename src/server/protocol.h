@@ -132,6 +132,8 @@ class WireResponseBuilder {
   /// Success envelope for a query: summary counts, epoch, ranked nodes
   /// (id/tag description/rank/keywords), DI keywords, elapsed wall-clock,
   /// plus the full --explain-json document under "explain" when asked.
+  /// The three Query builders return the answer without the request's
+  /// `id`, so the server can cache it; WithId makes it the reply.
   static std::string Query(const WireRequest& request,
                            const SearchResponse& response,
                            const XmlIndex& index, uint64_t epoch,
@@ -152,6 +154,11 @@ class WireResponseBuilder {
   static std::string Query(const WireRequest& request,
                            const MergedShardResult& merged, double elapsed_ms,
                            const QueryWireExtras& extras = {});
+
+  /// The reply to `request`: `answer` (a Query envelope) with the
+  /// request's id, when it has one, right after the leading "ok" — where
+  /// every other envelope carries it.
+  static std::string WithId(const WireRequest& request, std::string answer);
 
   /// Insert ack: {"ok":true,"status":"inserted","doc":...,"doc_id":N,
   /// "epoch":E,"elapsed_ms":...}. The document is searchable at `epoch`.

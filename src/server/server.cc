@@ -50,6 +50,8 @@ GksServer::GksServer(ServerConfig config, std::string index_path)
   request_latency_ =
       registry.GetHistogram("gks.server.request.latency_ms");
   queue_wait_ = registry.GetHistogram("gks.server.queue_wait_ms");
+  cache_hits_ = registry.GetCounter("gks.search.cache.hits_total");
+  cache_misses_ = registry.GetCounter("gks.search.cache.misses_total");
   shard_cache_hits_ =
       registry.GetCounter("gks.server.shard_cache_hits_total");
   shard_cache_misses_ =
@@ -66,7 +68,7 @@ GksServer::~GksServer() {
 Status GksServer::Start() {
   pool_ = std::make_unique<ThreadPool>(config_.threads);
   if (!config_.coord_shards.empty()) {
-    // Coordinator mode: no local index, no result cache (worker caches
+    // Coordinator mode: no local index, no response cache (worker caches
     // already dedupe; the merged answer depends on worker epochs the
     // coordinator cannot key on).
     if (!config_.rt_dir.empty()) {
@@ -95,12 +97,8 @@ Status GksServer::Start() {
     }
     GKS_RETURN_IF_ERROR(index_state_.Load());
     if (config_.cache_capacity > 0) {
-      cache_ = std::make_unique<QueryResultCache>(config_.cache_capacity);
-      // Shard partials are large (every node + DI contributions
-      // travels); serving repeat fan-outs from serialized bytes is what
-      // keeps a worker's share of a coordinator query at memcpy cost.
-      // 32 MiB ≈ hundreds of busy-query partials.
-      wire_cache_ = std::make_unique<WireResponseCache>(32u << 20);
+      response_cache_ =
+          std::make_unique<WireResponseCache>(config_.cache_capacity);
     }
   }
   if (config_.queue_depth == 0) config_.queue_depth = 1;
@@ -282,7 +280,7 @@ bool GksServer::HandleLine(Connection* connection, const std::string& line) {
         // Coordinator queries run inline on this connection thread: the
         // pool is busy fanning the scatter out (ParallelFor from a pool
         // worker would degrade to a serial walk of the shards).
-        response = RunQuery(*parsed, line, admitted);
+        response = RunQuery(*parsed, admitted);
       } else {
         // Dispatch onto the pool and park until the worker answers. The
         // waiter lives on this stack frame; the pool destructor drains,
@@ -293,8 +291,8 @@ bool GksServer::HandleLine(Connection* connection, const std::string& line) {
           bool done = false;
           std::string response;
         } waiter;
-        pool_->Submit([this, &parsed, &line, &waiter, admitted] {
-          std::string result = RunQuery(*parsed, line, admitted);
+        pool_->Submit([this, &parsed, &waiter, admitted] {
+          std::string result = RunQuery(*parsed, admitted);
           std::lock_guard<std::mutex> lock(waiter.mu);
           waiter.response = std::move(result);
           waiter.done = true;
@@ -328,7 +326,7 @@ bool GksServer::HandleLine(Connection* connection, const std::string& line) {
 }
 
 std::string GksServer::RunQuery(
-    const WireRequest& request, const std::string& line,
+    const WireRequest& request,
     std::chrono::steady_clock::time_point admitted) {
   double waited_ms = MsSince(admitted);
   queue_wait_->Observe(waited_ms);
@@ -359,29 +357,29 @@ std::string GksServer::RunQuery(
     return coordinator_->Execute(request, budget);
   }
   ScopedSpan span("server.search");
-  // Shard partials qualify for the wire-level cache: the coordinator's
-  // downstream line is canonical and carries no `id`, so the raw line
-  // plus the serving epoch keys the exact serialized bytes. Requests
-  // with an `id` (the echo would go stale) or `explain` (per-run stage
-  // timings) always rebuild.
-  const bool wire_cacheable = wire_cache_ != nullptr && request.shard &&
-                              !request.has_id && !request.explain;
   // One body over either snapshot type. The two real differences stay
   // with the callers: only the RT path hands its pool to the searcher,
   // and only the static path has a `doc_base`.
   auto answer = [&](const auto& snapshot, const auto& searcher,
                     uint32_t doc_base) -> std::string {
-    std::string wire_key;
-    if (wire_cacheable) {
-      wire_key = WireResponseCache::MakeKey(line, snapshot.epoch);
+    Result<Query> query = Query::Parse(request.query);
+    // Every query but `explain` (per-run stage timings) goes through the
+    // response cache; the answer is stored without the id, and each reply
+    // gets its own.
+    std::string key;
+    if (response_cache_ != nullptr && !request.explain && query.ok()) {
+      key = WireResponseCache::MakeKey(*query, request, snapshot.epoch);
       std::string cached;
-      if (wire_cache_->Get(wire_key, &cached)) {
-        shard_cache_hits_->Increment();
-        return cached;
-      }
-      shard_cache_misses_->Increment();
+      const bool hit = response_cache_->Get(key, &cached);
+      Counter* counter = request.shard
+                             ? (hit ? shard_cache_hits_ : shard_cache_misses_)
+                             : (hit ? cache_hits_ : cache_misses_);
+      counter->Increment();
+      if (hit) return WireResponseBuilder::WithId(request, std::move(cached));
     }
     WallTimer timer;
+    // The text overload, not `*query`: it records the `parse` span that
+    // an explain document reports.
     Result<SearchResponse> response =
         searcher.Search(request.query, request.options);
     if (!response.ok()) {
@@ -396,25 +394,22 @@ std::string GksServer::RunQuery(
     if (request.shard) {
       extras.shard_mode = true;
       if (request.want_di_contrib) {
-        Result<Query> query = Query::Parse(request.query);
-        if (query.ok()) {
-          contributions = ComputeDiContributions(snapshot, response->nodes,
-                                                 *query, DiOptions{});
-          extras.contributions = &contributions;
-        }
+        // The search succeeded, so the query parsed.
+        contributions = ComputeDiContributions(snapshot, response->nodes,
+                                               *query, DiOptions{});
+        extras.contributions = &contributions;
       }
     }
     std::string result = WireResponseBuilder::Query(
         request, *response, snapshot, snapshot.epoch, timer.ElapsedMillis(),
         extras);
-    if (wire_cacheable) wire_cache_->Put(wire_key, result);
-    return result;
+    if (!key.empty()) response_cache_->Put(key, result);
+    return WireResponseBuilder::WithId(request, std::move(result));
   };
   if (index_state_.rt()) {
     std::shared_ptr<const SegmentSetSnapshot> snapshot =
         index_state_.rt_snapshot();
     SegmentSearcher searcher(snapshot);
-    searcher.set_cache(cache_.get());
     // Degrades to the inline walk here (this thread IS a pool worker);
     // embedders driving SegmentSearcher from their own threads get the
     // parallel per-segment fan-out (docs/PERFORMANCE.md).
@@ -423,7 +418,6 @@ std::string GksServer::RunQuery(
   }
   std::shared_ptr<const XmlIndex> snapshot = index_state_.snapshot();
   GksSearcher searcher(snapshot.get());
-  searcher.set_cache(cache_.get());
   // Shard indexes hold global Dewey doc ids over a dense catalog; the
   // offset is harmless zero everywhere else.
   return answer(*snapshot, searcher, config_.doc_base);

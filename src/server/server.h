@@ -14,7 +14,6 @@
 #include "common/metrics.h"
 #include "common/result.h"
 #include "common/thread_pool.h"
-#include "core/result_cache.h"
 #include "server/coordinator.h"
 #include "server/index_state.h"
 #include "server/protocol.h"
@@ -39,8 +38,9 @@ struct ServerConfig {
   /// running the search (it already missed; searching would only delay
   /// the queries behind it). 0 disables.
   double deadline_ms = 0.0;
-  /// Shared result-cache capacity in entries; 0 disables the cache.
-  size_t cache_capacity = 1024;
+  /// Response-cache budget in bytes (server/wire_cache.h); 0 disables
+  /// the cache. A coordinator keeps no cache.
+  size_t cache_capacity = 64u << 20;
   /// Hard per-line bound; longer requests get `oversized` and the
   /// connection is dropped (the stream can no longer be framed).
   size_t max_request_bytes = 1 << 20;
@@ -146,21 +146,16 @@ class GksServer {
   /// Real-time insert/delete, run inline on the connection thread (the
   /// RtIndex serializes commits; parking a worker would add nothing).
   std::string HandleWrite(const WireRequest& request);
-  /// `line` is the raw request line, used verbatim (plus epoch) as the
-  /// shard wire-cache key when the request qualifies.
-  std::string RunQuery(const WireRequest& request, const std::string& line,
+  std::string RunQuery(const WireRequest& request,
                        std::chrono::steady_clock::time_point admitted);
   void DrainAndCloseConnections();
 
   ServerConfig config_;
   ServerIndexState index_state_;
   std::unique_ptr<ThreadPool> pool_;
-  std::unique_ptr<QueryResultCache> cache_;
-  /// Serialized shard-partial lines (docs/DISTRIBUTED.md): a shard
-  /// response ships every node with describe text and DI contributions,
-  /// so re-serializing per request costs far more than the cached
-  /// search. Enabled together with cache_.
-  std::unique_ptr<WireResponseCache> wire_cache_;
+  /// Serialized answers of every cacheable query; null on a coordinator
+  /// or with cache_capacity 0.
+  std::unique_ptr<WireResponseCache> response_cache_;
   std::unique_ptr<ShardCoordinator> coordinator_;
 
   int listen_fd_ = -1;
@@ -193,6 +188,8 @@ class GksServer {
   Gauge* queue_depth_gauge_;
   Histogram* request_latency_;
   Histogram* queue_wait_;
+  Counter* cache_hits_;
+  Counter* cache_misses_;
   Counter* shard_cache_hits_;
   Counter* shard_cache_misses_;
 };

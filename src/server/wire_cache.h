@@ -5,59 +5,56 @@
 #include <list>
 #include <mutex>
 #include <string>
-#include <string_view>
 #include <unordered_map>
 
 #include "common/hash.h"
+#include "core/query.h"
+#include "server/protocol.h"
 
 namespace gks {
 
-/// Byte-budgeted LRU of fully serialized shard-mode response lines,
-/// keyed by the raw request line plus the serving snapshot's epoch.
+/// The server's one response cache: a byte-budgeted LRU of serialized
+/// query answers (docs/PERFORMANCE.md "Response cache"). Plain, RT and
+/// shard-worker servers consult it for every query request except
+/// `explain`, whose stage timings are per-run diagnostics; a coordinator
+/// keeps none. Caching lives here, not in the engine: the searchers are
+/// pure functions of snapshot, query and options.
 ///
-/// Why a second cache above `QueryResultCache`: a shard partial ships
-/// *every* matching node with its lossless `rank_bits` and keyword mask
-/// plus the dictionary-coded DI contributions, so the coordinator can
-/// reproduce the single-index answer bit-for-bit (docs/DISTRIBUTED.md);
-/// describe text travels only on the partial's first `top` nodes. For a
-/// busy query that still runs past a hundred kilobytes, and re-deriving
-/// the DI contributions plus re-serializing the JSON costs more than
-/// the (cached) search itself. The coordinator builds its downstream
-/// line canonically and without an `id`, so the raw line is a complete
-/// key and the stored bytes are reusable verbatim.
+/// An answer is the response line without the request's `id`
+/// (WireResponseBuilder::Query); each reply, hit or miss, gets its own
+/// id from WireResponseBuilder::WithId. Only `ok` answers are stored. A
+/// cached answer keeps the `elapsed_ms` measured when it was built.
 ///
-/// Only `ok` responses are stored, and callers must skip requests that
-/// carry an `id` (the echo would be wrong for the next caller) or
-/// `explain` (stage timings are per-run diagnostics). `elapsed_ms`
-/// inside a cached line is frozen at build time; shard partials
-/// document that field as diagnostic only and the coordinator discards
-/// it when parsing.
-///
-/// Epoch-based invalidation as in QueryResultCache: a reload or RT
-/// commit bumps the epoch, which changes every key; stale entries age
-/// out of the LRU rather than being purged eagerly.
+/// Epoch-based invalidation: a reload or RT commit publishes a snapshot
+/// with a new epoch, which changes every key; stale entries age out of
+/// the LRU rather than being purged eagerly.
 ///
 /// Thread safety: one mutex — hits are a map probe plus a splice, and
 /// the payload copy-out happens under the lock only because entries
 /// can be evicted by concurrent writers.
 class WireResponseCache {
  public:
-  /// `max_bytes` bounds the sum of stored key + line bytes; inserts
-  /// evict least-recently-used entries until the new one fits. A line
+  /// `max_bytes` bounds the sum of stored key + answer bytes; inserts
+  /// evict least-recently-used entries until the new one fits. An answer
   /// larger than the whole budget is simply not cached.
   explicit WireResponseCache(size_t max_bytes);
 
   WireResponseCache(const WireResponseCache&) = delete;
   WireResponseCache& operator=(const WireResponseCache&) = delete;
 
-  static std::string MakeKey(std::string_view request_line, uint64_t epoch);
+  /// The key of `request`'s answer on the snapshot at `epoch`: the
+  /// normalized text of `query` (the parsed request query, so respellings
+  /// share an entry) plus every field that shapes the answer — s, top,
+  /// top_k, di, refine, plan, shard and di_contrib. Not the id.
+  static std::string MakeKey(const Query& query, const WireRequest& request,
+                             uint64_t epoch);
 
-  /// Copies the cached response line into `*out` and refreshes its LRU
-  /// slot. False when absent.
+  /// Copies the cached answer into `*out` and refreshes its LRU slot.
+  /// False when absent.
   bool Get(const std::string& key, std::string* out);
 
-  /// Inserts or refreshes `line` under `key`.
-  void Put(const std::string& key, const std::string& line);
+  /// Inserts or refreshes `answer` under `key`.
+  void Put(const std::string& key, const std::string& answer);
 
   size_t bytes() const;
   size_t size() const;
@@ -65,7 +62,7 @@ class WireResponseCache {
  private:
   struct Entry {
     std::string key;
-    std::string line;
+    std::string answer;
   };
 
   mutable std::mutex mu_;

@@ -43,6 +43,37 @@ TEST(FlagsTest, ValidateRejectsUnknown) {
   EXPECT_NE(status.message().find("oops"), std::string::npos);
 }
 
+TEST(FlagsTest, ValidateAcceptsWholeNonNegativeCounts) {
+  FlagParser flags = Parse({"--threads=4", "--port=0", "--name=x",
+                            "--cache-bytes=9223372036854775807"});
+  EXPECT_TRUE(
+      flags.Validate({"name"}, {"threads", "port", "cache-bytes"}).ok());
+  // Counts are known flags too, and absent counts are not checked.
+  EXPECT_TRUE(Parse({"--threads=2"}).Validate({}, {"threads", "queue"}).ok());
+  EXPECT_FALSE(Parse({"--threads=2"}).Validate({"queue"}).ok());
+}
+
+TEST(FlagsTest, ValidateRejectsMalformedCounts) {
+  // atoll would read these as -1 (a huge size_t after the cast), 0, 12,
+  // 1, 0 and a wrapped value; each must be a usage error instead.
+  for (const char* arg :
+       {"--threads=-1", "--threads=abc", "--threads=12abc", "--threads=1.5",
+        "--threads=", "--threads= 3", "--threads=+3", "--threads=-0",
+        "--threads=99999999999999999999", "--threads"}) {
+    FlagParser flags = Parse({arg});
+    Status status = flags.Validate({}, {"threads"});
+    ASSERT_FALSE(status.ok()) << arg;
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << arg;
+    EXPECT_NE(status.message().find("--threads"), std::string::npos) << arg;
+  }
+  // `--threads -1`: the parser does not take a dash-led value, so the
+  // flag is present and empty, and `-1` is positional.
+  FlagParser spaced = Parse({"--threads", "-1"});
+  EXPECT_FALSE(spaced.Validate({}, {"threads"}).ok());
+  // Flags outside the count list keep their free-form values.
+  EXPECT_TRUE(Parse({"--deadline-ms=-1"}).Validate({"deadline-ms"}).ok());
+}
+
 TEST(FlagsTest, BareFlagBeforePositionalNeedsEquals) {
   // `--flag value` consumes the value; the documented workaround is
   // `--flag=...` when the next token is positional.

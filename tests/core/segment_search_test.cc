@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "gtest/gtest.h"
-#include "core/result_cache.h"
 #include "index/rt_segment.h"
 #include "tests/test_util.h"
 
@@ -205,29 +204,6 @@ TEST(SegmentSearchTest, MaxResultsTrimsAfterTheMerge) {
   for (size_t i = 0; i < trimmed.nodes.size(); ++i) {
     EXPECT_EQ(full.nodes[i].id.ToString(), trimmed.nodes[i].id.ToString());
   }
-}
-
-TEST(SegmentSearchTest, CacheIsKeyedByTheSnapshotEpoch) {
-  QueryResultCache cache(64);
-  auto snapshot = MakeSnapshot({2, 3}, {}, /*epoch=*/10);
-  SegmentSearcher searcher(snapshot);
-  searcher.set_cache(&cache);
-
-  Result<SearchResponse> first = searcher.Search("keyword");
-  ASSERT_TRUE(first.ok());
-  EXPECT_EQ(cache.size(), 1u);
-  Result<SearchResponse> second = searcher.Search("keyword");
-  ASSERT_TRUE(second.ok());
-  EXPECT_EQ(cache.size(), 1u);  // served from cache, not re-inserted
-  EXPECT_EQ(first->nodes.size(), second->nodes.size());
-
-  // A new snapshot (what every commit publishes) carries a new epoch, so
-  // the same query text misses and recomputes against the new state.
-  auto bumped = MakeSnapshot({2, 3}, {}, /*epoch=*/11);
-  SegmentSearcher after_commit(bumped);
-  after_commit.set_cache(&cache);
-  ASSERT_TRUE(after_commit.Search("keyword").ok());
-  EXPECT_EQ(cache.size(), 2u);
 }
 
 TEST(SegmentSearchTest, PooledSearchIsIdenticalToTheInlineWalk) {

@@ -7,7 +7,6 @@
 #include "gtest/gtest.h"
 #include "common/file_io.h"
 #include "common/varint.h"
-#include "core/result_cache.h"
 #include "data/figures.h"
 #include "index/posting_list.h"
 #include "tests/test_util.h"
@@ -158,8 +157,9 @@ TEST(SerializationTest, AllLoadPathsAnswerQueriesIdentically) {
 }
 
 // Regression: every load draws a fresh epoch from the global sequence, so
-// result-cache entries keyed against one incarnation of an index file can
-// never be served for a reloaded incarnation (whose content may differ).
+// response-cache entries keyed against one incarnation of an index file
+// can never be served for a reloaded incarnation (whose content may
+// differ).
 TEST(SerializationTest, EveryLoadGetsADistinctEpoch) {
   XmlIndex original = BuildIndexFromXml("<r><t>karen</t></r>");
   std::string path = ::testing::TempDir() + "/epoch.idx";
@@ -170,20 +170,6 @@ TEST(SerializationTest, EveryLoadGetsADistinctEpoch) {
   ASSERT_TRUE(first.ok() && second.ok());
   EXPECT_NE(first->epoch, 0u);
   EXPECT_NE(first->epoch, second->epoch);
-}
-
-TEST(SerializationTest, ReloadInvalidatesResultCacheKeys) {
-  XmlIndex original = BuildIndexFromXml(data::Figure2aXml());
-  std::string path = ::testing::TempDir() + "/epoch_cache.idx";
-  ASSERT_TRUE(SaveIndex(original, path).ok());
-  Result<XmlIndex> first = LoadIndex(path);
-  Result<XmlIndex> second = LoadIndex(path);
-  ASSERT_TRUE(first.ok() && second.ok());
-  SearchOptions options;
-  std::string key1 = QueryResultCache::MakeKey("karen", options, first->epoch);
-  std::string key2 =
-      QueryResultCache::MakeKey("karen", options, second->epoch);
-  EXPECT_NE(key1, key2);
 }
 
 TEST(SerializationTest, InspectReportsSectionsForBothFormats) {

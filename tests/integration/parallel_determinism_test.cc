@@ -1,8 +1,7 @@
 // Determinism pins for the concurrency layer: parallel execution must be
 // invisible in the output. SearchBatch over a pool returns responses
 // identical to sequential Search calls; BuildIndexParallel serializes to
-// the same bytes as a sequential IndexBuilder; the shared result cache
-// never serves responses from a superseded index epoch.
+// the same bytes as a sequential IndexBuilder.
 
 #include <cstdio>
 #include <string>
@@ -11,7 +10,6 @@
 
 #include "gtest/gtest.h"
 #include "common/thread_pool.h"
-#include "core/result_cache.h"
 #include "core/searcher.h"
 #include "index/index_builder.h"
 #include "index/parallel_build.h"
@@ -22,7 +20,6 @@ namespace gks {
 namespace {
 
 using gks::testing::BuildIndexFromDocs;
-using gks::testing::NodeIds;
 
 std::vector<NamedDocument> TestCorpus() {
   std::vector<NamedDocument> docs;
@@ -112,32 +109,6 @@ TEST(ParallelDeterminismTest, SearchBatchMatchesSequentialSearch) {
   }
 }
 
-TEST(ParallelDeterminismTest, SearchBatchWithSharedCacheStaysDeterministic) {
-  XmlIndex index = BuildIndexFromDocs(TestCorpus());
-  GksSearcher searcher(&index);
-  QueryResultCache cache(64);
-  searcher.set_cache(&cache);
-  SearchOptions options;
-
-  std::vector<std::string> batch;
-  for (int r = 0; r < 4; ++r) {
-    for (const std::string& q : TestQueries()) batch.push_back(q);
-  }
-
-  ThreadPool pool(8);
-  std::vector<Result<SearchResponse>> responses =
-      searcher.SearchBatch(batch, options, &pool);
-  ASSERT_EQ(responses.size(), batch.size());
-  size_t unique = TestQueries().size();
-  for (size_t i = 0; i < responses.size(); ++i) {
-    ASSERT_TRUE(responses[i].ok()) << batch[i];
-    // Every repetition of a query must equal its first occurrence, whether
-    // it was computed or served from the shared cache.
-    EXPECT_EQ(Canonical(*responses[i]), Canonical(*responses[i % unique]))
-        << batch[i];
-  }
-}
-
 TEST(ParallelDeterminismTest, ParallelBuildIsByteIdenticalToSequential) {
   std::vector<NamedDocument> docs = TestCorpus();
 
@@ -165,43 +136,6 @@ TEST(ParallelDeterminismTest, ParallelBuildPropagatesFirstParseError) {
   ThreadPool pool(4);
   Result<XmlIndex> result = BuildIndexParallel(docs, {}, &pool);
   EXPECT_FALSE(result.ok());
-}
-
-TEST(ParallelDeterminismTest, EpochBumpInvalidatesCachedResponses) {
-  std::vector<NamedDocument> docs = TestCorpus();
-  XmlIndex index = BuildIndexFromDocs(docs);
-  QueryResultCache cache(64);
-  GksSearcher searcher(&index);
-  searcher.set_cache(&cache);
-
-  Result<SearchResponse> before = searcher.Search("freshterm", {});
-  ASSERT_TRUE(before.ok());
-  EXPECT_TRUE(before->nodes.empty());
-  ASSERT_TRUE(cache.size() > 0);  // the empty response was cached
-
-  // Rebuild with one more document and load the result, as a server's
-  // reload does; the load stamps the new epoch.
-  docs.emplace_back("fresh.xml",
-                    "<bib><article><title>freshterm xml</title>"
-                    "</article></bib>");
-  Result<XmlIndex> rebuilt =
-      DeserializeIndex(SerializeIndex(BuildIndexFromDocs(docs)));
-  ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
-  EXPECT_NE(rebuilt->epoch, index.epoch);
-  GksSearcher rebuilt_searcher(&*rebuilt);
-  rebuilt_searcher.set_cache(&cache);
-
-  // Same query text, new epoch -> new key: the stale cached miss must not
-  // be served, and the new document must be found.
-  Result<SearchResponse> after = rebuilt_searcher.Search("freshterm", {});
-  ASSERT_TRUE(after.ok());
-  EXPECT_FALSE(after->nodes.empty());
-
-  // The superseded entry ages out of the LRU instead of being purged, so
-  // both keys may coexist; a repeat query stays on the fresh epoch.
-  Result<SearchResponse> repeat = rebuilt_searcher.Search("freshterm", {});
-  ASSERT_TRUE(repeat.ok());
-  EXPECT_EQ(NodeIds(*repeat), NodeIds(*after));
 }
 
 }  // namespace

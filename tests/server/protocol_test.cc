@@ -125,8 +125,13 @@ TEST(WireResponseBuilderTest, QueryEnvelopeShape) {
   request.has_id = true;
   request.id_int = 7;
 
-  std::string line =
+  // The answer carries no id (the server caches it); the reply does,
+  // right after "ok".
+  std::string answer =
       WireResponseBuilder::Query(request, response, index, 42, 1.25);
+  EXPECT_EQ(answer.find("\"id\":7"), std::string::npos) << answer;
+  std::string line = WireResponseBuilder::WithId(request, answer);
+  EXPECT_EQ(line.rfind("{\"ok\":true,\"id\":7,\"epoch\":42,", 0), 0u) << line;
   auto json = JsonValue::Parse(line);
   ASSERT_TRUE(json.ok()) << json.status().ToString() << "\n" << line;
   EXPECT_TRUE(json->Find("ok")->GetBool());

@@ -5,9 +5,9 @@
 //                                        [--refine] [--schema-reconcile]
 //                                        [--explain] [--explain-json]
 //                                        [--metrics] [--di=M]
-//   gks batch  <index.gksidx> <queries.txt> [--threads=N] [--cache=CAP]
-//                                        [--repeat=R] [--s=N] [--top=N]
-//                                        [--top-k=K] [--print] [--metrics]
+//   gks batch  <index.gksidx> <queries.txt> [--threads=N] [--s=N]
+//                                        [--top=N] [--top-k=K] [--print]
+//                                        [--metrics]
 //   gks analyze <index.gksidx> "<query>" [--s=N] [--facets]
 //                                        [--agg=TAG] [--hist=TAG:BUCKETS]
 //   gks schema <index.gksidx>                      DataGuide-style dump
@@ -21,7 +21,8 @@
 //
 // Every file a command writes replaces its target atomically
 // (common/file_io.h), and every command but `generate` and `client`
-// rejects unknown flags with exit code 2.
+// rejects unknown flags, and counts that are not whole non-negative
+// numbers, with exit code 2.
 //
 // Full reference: docs/CLI.md; metric and span contract:
 // docs/OBSERVABILITY.md.
@@ -43,7 +44,6 @@
 #include "common/timer.h"
 #include "core/analytics.h"
 #include "core/chunk.h"
-#include "core/result_cache.h"
 #include "core/searcher.h"
 #include "data/dblp_gen.h"
 #include "data/mondial_gen.h"
@@ -73,9 +73,9 @@ int Usage() {
       "             [--top-k=K] (early-terminating k-best evaluation)\n"
       "             (keywords may be tag-constrained: year:2001,\n"
       "              author:\"peter buneman\")\n"
-      "  gks batch  <index.gksidx> <queries.txt> [--threads=N] [--cache=CAP]\n"
-      "             [--repeat=R] [--s=N] [--top=N] [--top-k=K] [--print]\n"
-      "             [--di=M] [--metrics] [--plan=auto|merge|probe]\n"
+      "  gks batch  <index.gksidx> <queries.txt> [--threads=N] [--s=N]\n"
+      "             [--top=N] [--top-k=K] [--print] [--di=M] [--metrics]\n"
+      "             [--plan=auto|merge|probe]\n"
       "             (one query per line; '#' starts a comment)\n"
       "  gks analyze <index.gksidx> \"<query>\" [--s=N] [--facets]\n"
       "             [--agg=TAG] [--hist=TAG:BUCKETS]\n"
@@ -86,7 +86,7 @@ int Usage() {
       "              MANIFEST.json for distributed serving,\n"
       "              docs/DISTRIBUTED.md)\n"
       "  gks serve  <index.gksidx> [--port=N] [--host=H] [--threads=N]\n"
-      "             [--queue=N] [--deadline-ms=D] [--cache=CAP]\n"
+      "             [--queue=N] [--deadline-ms=D] [--cache-bytes=N]\n"
       "             [--max-request-bytes=N]\n"
       "  gks client [--host=H] [--port=N] (--admin=VERB [--path=P] |\n"
       "             --query=Q | --queries=FILE [--connections=C]\n"
@@ -147,7 +147,8 @@ Result<XmlIndex> BuildIndexFromArgs(const FlagParser& flags,
 }
 
 int CmdIndex(const FlagParser& flags) {
-  if (Status status = flags.Validate({"threads", "metrics"}); !status.ok()) {
+  if (Status status = flags.Validate({"metrics"}, {"threads"});
+      !status.ok()) {
     return Fail(status, 2);
   }
   const auto& args = flags.positional();
@@ -174,8 +175,9 @@ int CmdIndex(const FlagParser& flags) {
 
 int CmdSearch(const FlagParser& flags) {
   if (Status status = flags.Validate(
-          {"s", "top", "top-k", "di", "refine", "schema-reconcile", "explain",
-           "explain-json", "chunks", "metrics", "plan"});
+          {"refine", "schema-reconcile", "explain", "explain-json", "metrics",
+           "plan"},
+          {"s", "top", "top-k", "di", "chunks"});
       !status.ok()) {
     return Fail(status, 2);
   }
@@ -260,13 +262,10 @@ int CmdSearch(const FlagParser& flags) {
 }
 
 // Runs every query in <queries.txt> through GksSearcher::SearchBatch,
-// optionally on a thread pool (--threads=N) and through a shared result
-// cache (--cache=CAP entries). --repeat=R replays the whole list R times —
-// with a cache attached, rounds after the first are served from it.
+// optionally on a thread pool (--threads=N).
 int CmdBatch(const FlagParser& flags) {
-  if (Status status = flags.Validate({"threads", "cache", "repeat", "s", "top",
-                                      "top-k", "di", "print", "metrics",
-                                      "plan"});
+  if (Status status = flags.Validate({"print", "metrics", "plan"},
+                                     {"threads", "s", "top", "top-k", "di"});
       !status.ok()) {
     return Fail(status, 2);
   }
@@ -290,13 +289,6 @@ int CmdBatch(const FlagParser& flags) {
     std::fprintf(stderr, "error: no queries in %s\n", args[2].c_str());
     return 1;
   }
-  size_t repeat = static_cast<size_t>(flags.GetInt("repeat", 1));
-  if (repeat < 1) repeat = 1;
-  std::vector<std::string> batch;
-  batch.reserve(queries.size() * repeat);
-  for (size_t r = 0; r < repeat; ++r) {
-    batch.insert(batch.end(), queries.begin(), queries.end());
-  }
 
   SearchOptions options;
   options.s = static_cast<uint32_t>(flags.GetInt("s", 1));
@@ -310,19 +302,9 @@ int CmdBatch(const FlagParser& flags) {
   if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
 
   GksSearcher searcher(&*index);
-  std::unique_ptr<QueryResultCache> cache;
-  size_t cache_capacity = static_cast<size_t>(flags.GetInt("cache", 0));
-  if (cache_capacity > 0) {
-    cache = std::make_unique<QueryResultCache>(cache_capacity);
-    searcher.set_cache(cache.get());
-  }
-
-  MetricsRegistry& registry = MetricsRegistry::Global();
-  uint64_t hits_before =
-      registry.GetCounter("gks.search.cache.hits_total")->value();
   WallTimer timer;
   std::vector<Result<SearchResponse>> responses =
-      searcher.SearchBatch(batch, options, pool.get());
+      searcher.SearchBatch(queries, options, pool.get());
   double elapsed_ms = timer.ElapsedMillis();
 
   size_t failures = 0;
@@ -330,28 +312,25 @@ int CmdBatch(const FlagParser& flags) {
   for (size_t i = 0; i < responses.size(); ++i) {
     if (!responses[i].ok()) {
       ++failures;
-      std::fprintf(stderr, "query '%s': %s\n", batch[i].c_str(),
+      std::fprintf(stderr, "query '%s': %s\n", queries[i].c_str(),
                    responses[i].status().ToString().c_str());
       continue;
     }
     total_nodes += responses[i]->nodes.size();
     if (flags.GetBool("print")) {
-      std::printf("## %s -> %zu nodes\n", batch[i].c_str(),
+      std::printf("## %s -> %zu nodes\n", queries[i].c_str(),
                   responses[i]->nodes.size());
       for (const GksNode& node : responses[i]->nodes) {
         std::printf("  %s\n", DescribeNode(*index, node).c_str());
       }
     }
   }
-  uint64_t hits =
-      registry.GetCounter("gks.search.cache.hits_total")->value() -
-      hits_before;
   std::printf(
-      "%zu queries (%zu unique x%zu) on %zu thread(s): %zu nodes, "
-      "%zu failed, %llu cache hits in %.2fms (%.1f q/s)\n",
-      batch.size(), queries.size(), repeat, threads == 0 ? 1 : threads,
-      total_nodes, failures, (unsigned long long)hits, elapsed_ms,
-      elapsed_ms > 0.0 ? 1000.0 * (double)batch.size() / elapsed_ms : 0.0);
+      "%zu queries on %zu thread(s): %zu nodes, %zu failed in %.2fms "
+      "(%.1f q/s)\n",
+      queries.size(), threads == 0 ? 1 : threads, total_nodes, failures,
+      elapsed_ms,
+      elapsed_ms > 0.0 ? 1000.0 * (double)queries.size() / elapsed_ms : 0.0);
   if (flags.GetBool("metrics")) {
     std::printf("-- metrics --\n%s",
                 MetricsRegistry::Global().Snapshot().ToText().c_str());
@@ -360,7 +339,7 @@ int CmdBatch(const FlagParser& flags) {
 }
 
 int CmdAnalyze(const FlagParser& flags) {
-  if (Status status = flags.Validate({"s", "facets", "agg", "hist"});
+  if (Status status = flags.Validate({"facets", "agg", "hist"}, {"s"});
       !status.ok()) {
     return Fail(status, 2);
   }
@@ -533,7 +512,8 @@ int CmdGenerate(const FlagParser& flags) {
 // `gks serve shard_NN.gksidx --doc-base=B` worker behind a
 // `gks serve --coord-shards=...` coordinator (docs/DISTRIBUTED.md).
 int CmdShard(const FlagParser& flags) {
-  if (Status status = flags.Validate({"shards", "threads"}); !status.ok()) {
+  if (Status status = flags.Validate({}, {"shards", "threads"});
+      !status.ok()) {
     return Fail(status, 2);
   }
   const auto& args = flags.positional();
