@@ -127,9 +127,9 @@ void BM_EntityLookup(benchmark::State& state) {
   }
   size_t i = 0;
   for (auto _ : state) {
-    gks::DeweyId out;
+    std::vector<uint32_t> out;
     benchmark::DoNotOptimize(
-        index.nodes.LowestEntityAncestor(sl.IdAt(i++ % sl.size()), &out));
+        gks::LowestEntityOf(index, sl.IdAt(i++ % sl.size()), &out));
   }
 }
 BENCHMARK(BM_EntityLookup);

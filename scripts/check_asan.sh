@@ -5,9 +5,10 @@
 # suites that parse attacker-shaped bytes — varint and LZ decoding, the
 # block-postings codec, the on-disk index readers (v1 and v2), JSON and
 # the wire protocol, hostile shard partials — plus the
-# partial-merge core those partials feed and the file reader and atomic
-# writer every persisted byte goes through. Any ASan/UBSan report fails
-# the run.
+# partial-merge core those partials feed, the file reader and atomic
+# writer every persisted byte goes through, and the node store's
+# owned-value walk behind DI, facets and chunks. Any ASan/UBSan report
+# fails the run.
 #
 # The build tree (<repo>/build-asan) is incremental: the first run pays a
 # full compile, later runs only relink what changed.
@@ -36,7 +37,8 @@ cmake -S "$root" -B "$build" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DGKS_SANITIZE=address,undefined >/dev/null
 cmake --build "$build" -j \
-  --target common_test index_test server_test property_test >/dev/null
+  --target common_test index_test server_test property_test core_test \
+  >/dev/null
 
 # A sanitizer report aborts with a non-zero exit.
 export ASAN_OPTIONS="halt_on_error=1 detect_leaks=1 ${ASAN_OPTIONS:-}"
@@ -63,6 +65,11 @@ export UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1 ${UBSAN_OPTIONS:-}"
 # single-index path it shares.
 "$build/tests/property_test" \
   --gtest_filter='*ShardEquivalence*:ShardTieBreaking.*:DiOracle.*' \
+  --gtest_brief=1
+# The node store's owned-value walk, through its callers: DI, facets and
+# chunks over a real index.
+"$build/tests/core_test" \
+  --gtest_filter='AnalyticsTest.*:ChunkTest.*:DiUnits.*:Figure2aSearch.*' \
   --gtest_brief=1
 # The kernel differential suite again with dispatch forced off: the
 # scalar twins parse the same attacker-shaped bytes under ASan too.

@@ -8,33 +8,24 @@
 namespace gks {
 namespace {
 
-// Calls f(tag_id, value_id) for every attribute value owned by an LCE node
-// of the response (same ownership rule as DI: the value's lowest entity
-// ancestor is the node). `f` also receives the owning node.
+// Calls f(node, tag_id, value_id) for every attribute value owned by an
+// LCE node of the response (same ownership rule as DI: the value's lowest
+// entity ancestor is the node). At most `max_attrs_per_node` valued rows
+// are scanned per node, owned or not.
 template <typename F>
 void ForEachOwnedValue(const XmlIndex& index,
                        const std::vector<GksNode>& nodes,
                        size_t max_attrs_per_node, F f) {
   for (const GksNode& node : nodes) {
     if (!node.is_lce) continue;
-    DeweySpan entity = DeweySpan::Of(node.id);
-    auto [begin, end] = index.attributes.SubtreeRange(entity);
-    end = std::min(end, begin + max_attrs_per_node);
-    for (size_t i = begin; i < end; ++i) {
-      DeweySpan attr_id = index.attributes.IdAt(i);
-      // Owned by this node iff no entity sits strictly between the node
-      // and the attribute (same rule DI discovery applies).
-      bool deeper_entity = false;
-      for (uint32_t len = attr_id.size; len > entity.size; --len) {
-        const NodeInfo* info = index.nodes.Find(DeweySpan{attr_id.data, len});
-        if (info != nullptr && info->is_entity()) {
-          deeper_entity = true;
-          break;
-        }
-      }
-      if (deeper_entity) continue;
-      f(node, index.attributes.TagAt(i), index.attributes.ValueAt(i));
-    }
+    size_t scanned = 0;
+    index.nodes.ForEachValuedRow(
+        DeweySpan::Of(node.id), [&](size_t row, bool owned) {
+          if (scanned++ == max_attrs_per_node) return false;
+          const NodeInfo& info = index.nodes.InfoAt(row);
+          if (owned) f(node, info.tag_id, info.value_id);
+          return true;
+        });
   }
 }
 

@@ -24,18 +24,14 @@ std::vector<ComponentVec> CollectLeafIds(const XmlIndex& index,
 
   // Attribute leaves owned by the node (no deeper entity on the path) —
   // the context Figure 2(b) shows (course names etc.).
-  auto [abegin, aend] = index.attributes.SubtreeRange(root);
-  for (size_t i = abegin; i < aend && leaves.size() < max_leaves; ++i) {
-    DeweySpan id = index.attributes.IdAt(i);
-    bool intercepted = false;
-    for (uint32_t len = id.size; len > root.size; --len) {
-      const NodeInfo* info = index.nodes.Find(DeweySpan{id.data, len});
-      if (info != nullptr && info->is_entity()) {
-        intercepted = true;
-        break;
+  if (leaves.size() < max_leaves) {
+    index.nodes.ForEachValuedRow(root, [&](size_t row, bool owned) {
+      if (owned) {
+        DeweySpan id = index.nodes.IdAt(row);
+        leaves.emplace_back(id.data, id.data + id.size);
       }
-    }
-    if (!intercepted) leaves.emplace_back(id.data, id.data + id.size);
+      return leaves.size() < max_leaves;
+    });
   }
 
   std::sort(leaves.begin(), leaves.end());

@@ -7,43 +7,30 @@
 namespace gks {
 namespace {
 
-bool IsEntityAt(const XmlIndex& index, DeweySpan id, uint32_t len) {
-  const NodeInfo* info = index.nodes.Find(DeweySpan{id.data, len});
-  return info != nullptr && info->is_entity();
-}
-
 /// The owned-attribute walk: calls `fn(tag_name, value, attr_id)` for each
-/// attribute occurrence in `node`'s subtree, in directory order, whose
-/// deepest self-or-ancestor entity is `node` and whose value repeats no
-/// query term.
+/// valued row in `node`'s subtree, in document order, whose deepest
+/// self-or-ancestor entity is `node` and whose value repeats no query
+/// term. At most `max_attrs_per_node` valued rows are scanned, owned or
+/// not.
 template <typename Fn>
 void ForEachOwnedAttribute(const XmlIndex& index, const GksNode& node,
                            const Query& query, const DiOptions& options,
                            Fn&& fn) {
   DeweySpan entity = DeweySpan::Of(node.id);
-  if (entity.size == 0 || !IsEntityAt(index, entity, entity.size)) return;
-  auto [begin, end] = index.attributes.SubtreeRange(entity);
-  end = std::min(end, begin + options.max_attrs_per_node);
-  for (size_t i = begin; i < end; ++i) {
-    DeweySpan attr_id = index.attributes.IdAt(i);
-    // The value belongs to this entity only if no deeper entity owns it.
-    bool owned = true;
-    for (uint32_t len = attr_id.size; len > entity.size && owned; --len) {
-      owned = !IsEntityAt(index, attr_id, len);
-    }
-    if (!owned) continue;
-
-    const std::string& value = index.nodes.Value(index.attributes.ValueAt(i));
-    bool contains_query_term = false;
+  const NodeInfo* info = index.nodes.Find(entity);
+  if (entity.size == 0 || info == nullptr || !info->is_entity()) return;
+  size_t scanned = 0;
+  index.nodes.ForEachValuedRow(entity, [&](size_t row, bool owned) {
+    if (scanned++ == options.max_attrs_per_node) return false;
+    if (!owned) return true;
+    const NodeInfo& attr = index.nodes.InfoAt(row);
+    const std::string& value = index.nodes.Value(attr.value_id);
     for (const std::string& term : text::Analyze(value)) {
-      if (query.ContainsTerm(term)) {
-        contains_query_term = true;
-        break;
-      }
+      if (query.ContainsTerm(term)) return true;
     }
-    if (contains_query_term) continue;
-    fn(index.nodes.TagName(index.attributes.TagAt(i)), value, attr_id);
-  }
+    fn(index.nodes.TagName(attr.tag_id), value, index.nodes.IdAt(row));
+    return true;
+  });
 }
 
 /// Tag names from the entity (a prefix of `attr_id` of `entity_size`

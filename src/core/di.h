@@ -32,8 +32,8 @@ struct DiKeyword {
 struct DiOptions {
   size_t top_m = 5;
   /// Safety valve for LCE nodes with enormous attribute fan-out (e.g. a
-  /// root-level response): at most this many directory entries are
-  /// scanned per node.
+  /// root-level response): at most this many valued node rows are
+  /// scanned per node, owned or not.
   size_t max_attrs_per_node = 100000;
 };
 
@@ -104,14 +104,14 @@ class DiAccumulator {
 /// self-or-ancestor entity of the attribute and its value repeats no
 /// query term ("if a keyword in the attribute node is part of the user
 /// query Q, it is not included in the set"); at most
-/// `max_attrs_per_node` directory entries are scanned. The caller applies
+/// `max_attrs_per_node` valued rows are scanned. The caller applies
 /// GivesDi.
 void AccumulateDi(const XmlIndex& index, const GksNode& node,
                   const Query& query, const DiOptions& options,
                   DiAccumulator* acc);
 
 /// The same occurrences as AccumulateDi, as wire contributions in
-/// directory order.
+/// document order.
 std::vector<DiContribution> NodeDiContributions(const XmlIndex& index,
                                                 const GksNode& node,
                                                 const Query& query,

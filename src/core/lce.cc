@@ -18,6 +18,14 @@ ComponentVec ToComponents(DeweySpan span) {
 
 }  // namespace
 
+DeweySpan LiftAttribute(const XmlIndex& index, DeweySpan candidate) {
+  const NodeInfo* info = index.nodes.Find(candidate);
+  if (info != nullptr && info->is_attribute() && candidate.size > 1) {
+    return DeweySpan{candidate.data, candidate.size - 1};
+  }
+  return candidate;
+}
+
 bool LowestEntityOf(const XmlIndex& index, DeweySpan id, ComponentVec* out) {
   for (uint32_t len = id.size; len >= 1; --len) {
     DeweySpan prefix{id.data, len};
@@ -65,25 +73,15 @@ std::vector<GksNode> ComputeGksNodesPruned(
   };
   std::map<ComponentVec, Agg> nodes;
   for (const LcpCandidate& lcp : lcps) {
-    DeweySpan span = DeweySpan::Of(lcp.node);
-    ComponentVec components = ToComponents(span);
-
-    // Attribute nodes cannot be meaningful response roots: lift to parent.
-    const NodeInfo* info = index.nodes.Find(span);
-    if (info != nullptr && info->is_attribute() && components.size() > 1) {
-      components.pop_back();
-      span = DeweySpan{components.data(),
-                       static_cast<uint32_t>(components.size())};
-    }
-
+    DeweySpan lifted = LiftAttribute(index, DeweySpan::Of(lcp.node));
     ComponentVec entity;
-    bool has_entity = LowestEntityOf(index, span, &entity);
+    bool has_entity = LowestEntityOf(index, lifted, &entity);
     if (has_entity && witnessed.count(entity) > 0) {
       Agg& agg = nodes[entity];
       agg.is_lce = true;
       agg.window_count += lcp.window_count;
     } else {
-      Agg& agg = nodes[components];
+      Agg& agg = nodes[ToComponents(lifted)];
       agg.window_count += lcp.window_count;
     }
   }

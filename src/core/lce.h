@@ -52,10 +52,15 @@ std::vector<GksNode> ComputeGksNodesPruned(
     const XmlIndex& index, const MergedList& sl,
     const std::vector<LcpCandidate>& lcps);
 
+/// Step 1 of the mapping: an attribute node cannot be a meaningful
+/// response root, so a candidate on one lifts to its parent; any other
+/// candidate stays where it is. Returns a prefix of `candidate`.
+DeweySpan LiftAttribute(const XmlIndex& index, DeweySpan candidate);
+
 /// Deepest self-or-ancestor entity node of `id` (the LCE mapping step),
 /// written into `*out` as components. False if no entity ancestor exists.
-/// Exposed so the probe evaluator derives coverage prefixes from the
-/// exact mapping the LCE stage will apply.
+/// LiftAttribute and this walk are exposed so the probe evaluator derives
+/// coverage prefixes from the exact mapping the LCE stage will apply.
 bool LowestEntityOf(const XmlIndex& index, DeweySpan id,
                     std::vector<uint32_t>* out);
 

@@ -348,19 +348,12 @@ void ProbeEvaluator::GatherReduced() {
   std::vector<std::vector<uint32_t>> prefixes;
   prefixes.reserve(pruned_.size());
   for (const LcpCandidate& candidate : pruned_) {
-    DeweySpan span = DeweySpan::Of(candidate.node);
-    std::vector<uint32_t> components(span.data, span.data + span.size);
-    const NodeInfo* info = index_.nodes.Find(span);
-    if (info != nullptr && info->is_attribute() && components.size() > 1) {
-      components.pop_back();
-    }
-    DeweySpan lifted{components.data(),
-                     static_cast<uint32_t>(components.size())};
+    DeweySpan lifted = LiftAttribute(index_, DeweySpan::Of(candidate.node));
     std::vector<uint32_t> entity;
     if (LowestEntityOf(index_, lifted, &entity)) {
       prefixes.push_back(std::move(entity));
     } else {
-      prefixes.push_back(std::move(components));
+      prefixes.emplace_back(lifted.data, lifted.data + lifted.size);
     }
   }
   // Document order == lexicographic component order; a prefix covered by

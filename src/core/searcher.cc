@@ -368,18 +368,21 @@ std::string DescribeNode(const XmlIndex& index, const GksNode& node,
                 node.keyword_count, node.rank);
   out += buf;
 
-  // Show the node's first few own attribute values as context.
-  auto [begin, end] = index.attributes.SubtreeRange(DeweySpan::Of(node.id));
+  // Show the node's first few direct valued children as context.
+  const uint32_t child_size = DeweySpan::Of(node.id).size + 1;
   size_t shown = 0;
   std::string attrs;
-  for (size_t i = begin; i < end && shown < max_attrs; ++i) {
-    DeweySpan attr_id = index.attributes.IdAt(i);
-    if (attr_id.size != DeweySpan::Of(node.id).size + 1) continue;  // direct
-    if (shown > 0) attrs += ", ";
-    attrs += index.nodes.TagName(index.attributes.TagAt(i));
-    attrs += ": ";
-    attrs += index.nodes.Value(index.attributes.ValueAt(i));
-    ++shown;
+  if (max_attrs > 0) {
+    index.nodes.ForEachValuedRow(
+        DeweySpan::Of(node.id), [&](size_t row, bool) {
+          if (index.nodes.IdAt(row).size != child_size) return true;
+          const NodeInfo& child = index.nodes.InfoAt(row);
+          if (shown > 0) attrs += ", ";
+          attrs += index.nodes.TagName(child.tag_id);
+          attrs += ": ";
+          attrs += index.nodes.Value(child.value_id);
+          return ++shown < max_attrs;
+        });
   }
   if (!attrs.empty()) {
     out += " {";

@@ -162,8 +162,6 @@ class IndexBuilder::Handler : public xml::SaxHandler {
     if (facts.direct_text != nullptr && !facts.direct_text->empty() &&
         facts.direct_text->size() <= options_.max_stored_value_bytes) {
       info.value_id = index_->nodes.InternValue(*facts.direct_text);
-      index_->attributes.Add(facts.id.ToDeweyId(), facts.tag_id,
-                             info.value_id);
     }
     index_->nodes.Put(facts.id, info);
   }
@@ -221,7 +219,7 @@ Result<XmlIndex> IndexBuilder::Finalize(ThreadPool* pool) && {
     return Status::InvalidArgument("builder already finalized");
   }
   index_->inverted.Finalize(pool);
-  index_->attributes.Finalize();
+  index_->nodes.Finalize();
   XmlIndex result = std::move(*index_);
   index_.reset();
   return result;

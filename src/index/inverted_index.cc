@@ -219,50 +219,4 @@ Status InvertedIndex::ApplyRankBounds(std::string_view section) {
   return Status::OK();
 }
 
-void AttrDirectory::Add(const DeweyId& id, uint32_t tag_id,
-                        uint32_t value_id) {
-  ids_.Add(id);
-  tag_ids_.push_back(tag_id);
-  value_ids_.push_back(value_id);
-}
-
-void AttrDirectory::Finalize() {
-  std::vector<uint32_t> perm = ids_.SortPermutation();
-  std::vector<uint32_t> tags(perm.size());
-  std::vector<uint32_t> values(perm.size());
-  for (size_t i = 0; i < perm.size(); ++i) {
-    tags[i] = tag_ids_[perm[i]];
-    values[i] = value_ids_[perm[i]];
-  }
-  ids_.ApplyPermutation(perm);
-  tag_ids_ = std::move(tags);
-  value_ids_ = std::move(values);
-}
-
-void AttrDirectory::EncodeTo(std::string* dst) const {
-  ids_.EncodeTo(dst);
-  PutVarint64(dst, tag_ids_.size());
-  for (uint32_t tag : tag_ids_) PutVarint32(dst, tag);
-  for (uint32_t value : value_ids_) PutVarint32(dst, value);
-}
-
-Status AttrDirectory::DecodeFrom(std::string_view* input, AttrDirectory* out) {
-  *out = AttrDirectory();
-  GKS_RETURN_IF_ERROR(PackedIds::DecodeFrom(input, &out->ids_));
-  uint64_t count = 0;
-  GKS_RETURN_IF_ERROR(GetVarint64(input, &count));
-  if (count != out->ids_.size()) {
-    return Status::Corruption("attr directory size mismatch");
-  }
-  out->tag_ids_.resize(count);
-  out->value_ids_.resize(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    GKS_RETURN_IF_ERROR(GetVarint32(input, &out->tag_ids_[i]));
-  }
-  for (uint64_t i = 0; i < count; ++i) {
-    GKS_RETURN_IF_ERROR(GetVarint32(input, &out->value_ids_[i]));
-  }
-  return Status::OK();
-}
-
 }  // namespace gks

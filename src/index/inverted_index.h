@@ -77,41 +77,6 @@ class InvertedIndex {
       lists_;
 };
 
-/// Directory of all attribute nodes, sorted in document order, with their
-/// interned tag and value ids aligned by position. DI discovery (Sec. 6.2)
-/// range-scans it to find the attribute nodes under an LCE node.
-class AttrDirectory {
- public:
-  void Add(const DeweyId& id, uint32_t tag_id, uint32_t value_id);
-
-  /// Sorts entries into document order. Call once after building.
-  void Finalize();
-
-  size_t size() const { return ids_.size(); }
-  DeweySpan IdAt(size_t i) const { return ids_.At(i); }
-  uint32_t TagAt(size_t i) const { return tag_ids_[i]; }
-  uint32_t ValueAt(size_t i) const { return value_ids_[i]; }
-
-  /// Contiguous [begin, end) range of attribute nodes inside `prefix`'s
-  /// subtree.
-  std::pair<size_t, size_t> SubtreeRange(DeweySpan prefix) const {
-    return {ids_.SubtreeBegin(prefix), ids_.SubtreeEnd(prefix)};
-  }
-
-  size_t MemoryUsage() const {
-    return ids_.MemoryUsage() + tag_ids_.capacity() * sizeof(uint32_t) +
-           value_ids_.capacity() * sizeof(uint32_t);
-  }
-
-  void EncodeTo(std::string* dst) const;
-  static Status DecodeFrom(std::string_view* input, AttrDirectory* out);
-
- private:
-  PackedIds ids_;
-  std::vector<uint32_t> tag_ids_;
-  std::vector<uint32_t> value_ids_;
-};
-
 }  // namespace gks
 
 #endif  // GKS_INDEX_INVERTED_INDEX_H_

@@ -6,36 +6,10 @@
 
 namespace gks {
 
-std::string NodeInfoTable::EncodeKey(DeweySpan id) {
-  // Fixed-width big-endian components keep keys compact and unambiguous.
-  std::string key;
-  key.reserve(id.size * sizeof(uint32_t));
-  for (uint32_t i = 0; i < id.size; ++i) {
-    uint32_t c = id.data[i];
-    key.push_back(static_cast<char>(c >> 24));
-    key.push_back(static_cast<char>(c >> 16));
-    key.push_back(static_cast<char>(c >> 8));
-    key.push_back(static_cast<char>(c));
-  }
-  return key;
-}
-
-void NodeInfoTable::DecodeKey(const std::string& key,
-                              std::vector<uint32_t>* components) {
-  components->clear();
-  for (size_t i = 0; i + 4 <= key.size(); i += 4) {
-    components->push_back(
-        (static_cast<uint32_t>(static_cast<uint8_t>(key[i])) << 24) |
-        (static_cast<uint32_t>(static_cast<uint8_t>(key[i + 1])) << 16) |
-        (static_cast<uint32_t>(static_cast<uint8_t>(key[i + 2])) << 8) |
-        static_cast<uint32_t>(static_cast<uint8_t>(key[i + 3])));
-  }
-}
-
 bool NodeInfoTable::AddFlags(DeweySpan id, uint8_t flags) {
-  auto it = map_.find(EncodeKey(id));
-  if (it == map_.end()) return false;
-  NodeInfo& info = it->second;
+  const size_t row = RowOf(id);
+  if (row == size()) return false;
+  NodeInfo& info = infos_[row];
   uint8_t before = info.flags;
   info.flags |= flags;
   if ((flags & (kFlagAttribute | kFlagRepeating | kFlagEntity)) != 0 &&
@@ -95,7 +69,8 @@ uint32_t NodeInfoTable::InternValue(std::string_view value) {
 }
 
 void NodeInfoTable::Put(DeweySpan id, const NodeInfo& info) {
-  map_[EncodeKey(id)] = info;
+  ids_.Add(id);
+  infos_.push_back(info);
   ++counts_.total;
   if (info.is_attribute()) ++counts_.attribute;
   if (info.is_repeating()) ++counts_.repeating;
@@ -103,9 +78,24 @@ void NodeInfoTable::Put(DeweySpan id, const NodeInfo& info) {
   if (info.is_connecting()) ++counts_.connecting;
 }
 
+void NodeInfoTable::Finalize() {
+  std::vector<uint32_t> perm = ids_.SortPermutation();
+  std::vector<NodeInfo> infos;
+  infos.reserve(perm.size());
+  for (uint32_t row : perm) infos.push_back(infos_[row]);
+  ids_.ApplyPermutation(perm);
+  infos_ = std::move(infos);
+}
+
+size_t NodeInfoTable::RowOf(DeweySpan id) const {
+  // An id sorts first in its own subtree.
+  const size_t row = ids_.SubtreeBegin(id);
+  return row < size() && ids_.At(row) == id ? row : size();
+}
+
 const NodeInfo* NodeInfoTable::Find(DeweySpan id) const {
-  auto it = map_.find(EncodeKey(id));
-  return it == map_.end() ? nullptr : &it->second;
+  const size_t row = RowOf(id);
+  return row == size() ? nullptr : &infos_[row];
 }
 
 uint32_t NodeInfoTable::IsEntity(DeweySpan id) const {
@@ -120,25 +110,15 @@ uint32_t NodeInfoTable::IsElement(DeweySpan id) const {
                                                          : 0;
 }
 
-bool NodeInfoTable::LowestEntityAncestor(DeweySpan id, DeweyId* out) const {
-  // Walk prefixes from the node up toward the document root. The minimum
-  // meaningful length is 2 components (document id + root ordinal).
-  for (uint32_t len = id.size; len >= 1; --len) {
-    DeweySpan prefix{id.data, len};
-    const NodeInfo* info = Find(prefix);
-    if (info != nullptr && info->is_entity()) {
-      *out = prefix.ToDeweyId();
-      return true;
-    }
-  }
-  return false;
+size_t NodeInfoTable::ValuedRowCount() const {
+  return static_cast<size_t>(
+      std::count_if(infos_.begin(), infos_.end(), [](const NodeInfo& info) {
+        return info.value_id != kNoValue;
+      }));
 }
 
 size_t NodeInfoTable::MemoryUsage() const {
-  size_t bytes = 0;
-  for (const auto& [key, info] : map_) {
-    bytes += key.capacity() + sizeof(info) + sizeof(void*) * 2;
-  }
+  size_t bytes = ids_.MemoryUsage() + infos_.capacity() * sizeof(NodeInfo);
   for (const auto& tag : tags_) bytes += tag.capacity() + sizeof(tag);
   for (const auto& value : values_) bytes += value.capacity() + sizeof(value);
   return bytes;
@@ -149,36 +129,12 @@ void NodeInfoTable::EncodeTo(std::string* dst) const {
   for (const std::string& tag : tags_) PutLengthPrefixed(dst, tag);
   PutVarint64(dst, values_.size());
   for (const std::string& value : values_) PutLengthPrefixed(dst, value);
-  // Emit nodes in document order and front-code the Dewey keys: adjacent
-  // nodes share most of their path, so each entry stores the shared prefix
-  // length plus the fresh suffix components as varints.
-  std::vector<const std::string*> ordered;
-  ordered.reserve(map_.size());
-  for (const auto& [key, info] : map_) {
-    (void)info;
-    ordered.push_back(&key);
-  }
-  // Byte-wise order of the fixed-width big-endian keys IS document order.
-  std::sort(ordered.begin(), ordered.end(),
-            [](const std::string* a, const std::string* b) { return *a < *b; });
-
-  PutVarint64(dst, map_.size());
-  std::vector<uint32_t> previous;
-  std::vector<uint32_t> current;
-  for (const std::string* key : ordered) {
-    DecodeKey(*key, &current);
-    uint32_t shared = 0;
-    uint32_t limit =
-        static_cast<uint32_t>(std::min(previous.size(), current.size()));
-    while (shared < limit && previous[shared] == current[shared]) ++shared;
-    PutVarint32(dst, shared);
-    PutVarint32(dst, static_cast<uint32_t>(current.size()) - shared);
-    for (size_t i = shared; i < current.size(); ++i) {
-      PutVarint32(dst, current[i]);
-    }
-    previous = current;
-
-    const NodeInfo& info = map_.find(*key)->second;
+  PutVarint64(dst, size());
+  DeweySpan previous;
+  for (size_t row = 0; row < size(); ++row) {
+    PutFrontCoded(dst, previous, ids_.At(row));
+    previous = ids_.At(row);
+    const NodeInfo& info = infos_[row];
     dst->push_back(static_cast<char>(info.flags));
     PutVarint32(dst, info.child_count);
     PutVarint32(dst, info.tag_id);
@@ -205,26 +161,13 @@ Status NodeInfoTable::DecodeFrom(std::string_view* input, NodeInfoTable* out) {
   }
   uint64_t node_count = 0;
   GKS_RETURN_IF_ERROR(GetVarint64(input, &node_count));
-  std::vector<uint32_t> previous;
+  std::vector<uint32_t> id;
   for (uint64_t i = 0; i < node_count; ++i) {
-    uint32_t shared = 0;
-    uint32_t fresh = 0;
-    GKS_RETURN_IF_ERROR(GetVarint32(input, &shared));
-    GKS_RETURN_IF_ERROR(GetVarint32(input, &fresh));
-    if (shared > previous.size()) {
-      return Status::Corruption("front-coded node key exceeds predecessor");
+    GKS_RETURN_IF_ERROR(GetFrontCoded(input, &id));
+    const DeweySpan span{id.data(), static_cast<uint32_t>(id.size())};
+    if (i > 0 && out->ids_.At(i - 1).Compare(span) >= 0) {
+      return Status::Corruption("node keys not in strictly ascending order");
     }
-    if (fresh > 1u << 20) {
-      return Status::Corruption("implausible node key length");
-    }
-    previous.resize(shared);
-    for (uint32_t j = 0; j < fresh; ++j) {
-      uint32_t component = 0;
-      GKS_RETURN_IF_ERROR(GetVarint32(input, &component));
-      previous.push_back(component);
-    }
-    std::string key = EncodeKey(DeweySpan{
-        previous.data(), static_cast<uint32_t>(previous.size())});
     if (input->size() < 1) return Status::Corruption("truncated node info");
     NodeInfo info;
     info.flags = static_cast<uint8_t>(input->front());
@@ -240,13 +183,35 @@ Status NodeInfoTable::DecodeFrom(std::string_view* input, NodeInfoTable* out) {
     if (info.value_id != kNoValue && info.value_id >= out->values_.size()) {
       return Status::Corruption("node value id out of range");
     }
-    ++out->counts_.total;
-    if (info.is_attribute()) ++out->counts_.attribute;
-    if (info.is_repeating()) ++out->counts_.repeating;
-    if (info.is_entity()) ++out->counts_.entity;
-    if (info.is_connecting()) ++out->counts_.connecting;
-    out->map_.emplace(std::move(key), info);
+    out->Put(span, info);
   }
+  return Status::OK();
+}
+
+void NodeInfoTable::EncodeAttributesTo(std::string* dst) const {
+  std::vector<size_t> valued;
+  for (size_t row = 0; row < size(); ++row) {
+    if (infos_[row].value_id != kNoValue) valued.push_back(row);
+  }
+  PutVarint64(dst, valued.size());
+  DeweySpan previous;
+  for (size_t row : valued) {
+    PutFrontCoded(dst, previous, ids_.At(row));
+    previous = ids_.At(row);
+  }
+  PutVarint64(dst, valued.size());
+  for (size_t row : valued) PutVarint32(dst, infos_[row].tag_id);
+  for (size_t row : valued) PutVarint32(dst, infos_[row].value_id);
+}
+
+Status NodeInfoTable::CheckAttributes(std::string_view* input) const {
+  std::string expected;
+  EncodeAttributesTo(&expected);
+  if (!input->starts_with(expected)) {
+    return Status::Corruption(
+        "attributes section does not match the valued node rows");
+  }
+  input->remove_prefix(expected.size());
   return Status::OK();
 }
 

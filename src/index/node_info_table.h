@@ -17,10 +17,13 @@ namespace gks {
 
 /// The paper keeps two hash tables — `entityHash` (entity nodes) and
 /// `elementHash` (repeating + connecting nodes) — each mapping a Dewey id
-/// to the node's direct-child count (Sec. 2.4). This class stores one map
-/// of Dewey id -> NodeInfo (flags + child count + tag + optional attribute
-/// value) and exposes the paper's `isEntity` / `isElement` functions on
-/// top, plus tag/value dictionaries shared with DI discovery.
+/// to the node's direct-child count (Sec. 2.4). This class is one
+/// document-ordered store of every element instead: a sorted PackedIds of
+/// Dewey ids with an aligned NodeInfo row each (flags + child count + tag
+/// + optional value), looked up by binary search. It exposes the paper's
+/// `isEntity` / `isElement` functions on top, plus the tag/value
+/// dictionaries. The valued rows (value_id != kNoValue) are the attribute
+/// directory DI discovery (Sec. 6.2) range-scans.
 class NodeInfoTable {
  public:
   /// Interns `tag`, returning a dense id. Idempotent per distinct string.
@@ -41,10 +44,16 @@ class NodeInfoTable {
   }
   size_t value_count() const { return values_.size(); }
 
+  /// Appends the row of an element not stored yet. Rows may arrive in any
+  /// order; lookups need Finalize first, unless every row was appended in
+  /// document order (the parallel build's merge appends later documents).
   void Put(DeweySpan id, const NodeInfo& info);
   void Put(const DeweyId& id, const NodeInfo& info) {
     Put(DeweySpan::Of(id), info);
   }
+
+  /// Sorts the rows into document order. Call once after the last Put.
+  void Finalize();
 
   /// Returns the node's info or nullptr if the id names no element.
   const NodeInfo* Find(DeweySpan id) const;
@@ -58,22 +67,38 @@ class NodeInfoTable {
   /// Paper API: child count if the node is a repeating/connecting node.
   uint32_t IsElement(DeweySpan id) const;
 
-  /// Deepest self-or-ancestor of `id` (within the same document) that is an
-  /// entity node; false if none exists. `out` receives the entity's id.
-  bool LowestEntityAncestor(DeweySpan id, DeweyId* out) const;
+  size_t size() const { return infos_.size(); }
+  /// Rows carrying a value: the attribute directory's entries.
+  size_t ValuedRowCount() const;
 
-  size_t size() const { return map_.size(); }
+  /// Row access, for the rows ForEachValuedRow reports.
+  DeweySpan IdAt(size_t row) const { return ids_.At(row); }
+  const NodeInfo& InfoAt(size_t row) const { return infos_[row]; }
 
-  /// Iterates every (id, info) pair in unspecified order. The DeweySpan is
-  /// valid only during the callback.
+  /// Iterates every (id, info) pair in document order.
   template <typename F>
   void ForEach(F f) const {
-    std::vector<uint32_t> components;
-    for (const auto& [key, info] : map_) {
-      DecodeKey(key, &components);
-      f(DeweySpan{components.data(),
-                  static_cast<uint32_t>(components.size())},
-        info);
+    for (size_t row = 0; row < size(); ++row) f(ids_.At(row), infos_[row]);
+  }
+
+  /// The ownership rule of DI, facets and chunks (Sec. 6.2): calls
+  /// `fn(row, owned)` for every valued row in `root`'s subtree, `root`
+  /// included, in document order, until `fn` returns false. `owned` is
+  /// false when an entity sits strictly below `root` on the row's path,
+  /// the row itself counted. One forward scan: the shallowest such entity
+  /// seen so far covers every following row that it prefixes.
+  template <typename Fn>
+  void ForEachValuedRow(DeweySpan root, Fn&& fn) const {
+    const size_t begin = ids_.SubtreeBegin(root);
+    const size_t end = ids_.SubtreeEndFrom(root, begin);
+    DeweySpan entity;  // size 0: no entity below root on the current path
+    for (size_t row = begin; row < end; ++row) {
+      const DeweySpan id = ids_.At(row);
+      const NodeInfo& info = infos_[row];
+      if (entity.size == 0 || !entity.IsPrefixOf(id)) {
+        entity = id.size > root.size && info.is_entity() ? id : DeweySpan{};
+      }
+      if (info.value_id != kNoValue && !fn(row, entity.size == 0)) return;
     }
   }
 
@@ -98,17 +123,26 @@ class NodeInfoTable {
   /// Approximate heap footprint for index-size reporting.
   size_t MemoryUsage() const;
 
+  /// The nodes section: dictionaries, then the rows in document order
+  /// with front-coded ids.
   void EncodeTo(std::string* dst) const;
+  /// Corruption unless the row ids ascend strictly: binary search relies
+  /// on it.
   static Status DecodeFrom(std::string_view* input, NodeInfoTable* out);
 
- private:
-  static std::string EncodeKey(DeweySpan id);
-  static void DecodeKey(const std::string& key,
-                        std::vector<uint32_t>* components);
+  /// The `attributes` section, written from the valued rows: their
+  /// front-coded ids, then their tag ids, then their value ids.
+  void EncodeAttributesTo(std::string* dst) const;
+  /// Consumes an `attributes` section from the front of `*input`;
+  /// Corruption unless it is exactly what EncodeAttributesTo writes.
+  Status CheckAttributes(std::string_view* input) const;
 
-  std::unordered_map<std::string, NodeInfo, TransparentStringHash,
-                     std::equal_to<>>
-      map_;
+ private:
+  // Row of `id`, or size() when no element has that id.
+  size_t RowOf(DeweySpan id) const;
+
+  PackedIds ids_;
+  std::vector<NodeInfo> infos_;  // aligned with ids_
   std::vector<std::string> tags_;
   std::unordered_map<std::string, uint32_t, TransparentStringHash,
                      std::equal_to<>>

@@ -11,8 +11,8 @@ namespace {
 
 /// Merges a finalized single-document delta index (whose Dewey ids already
 /// carry a document id larger than every document in `index`) into
-/// `index`: catalog entry, remapped dictionaries and node table, attribute
-/// directory and posting-list concatenation.
+/// `index`: catalog entry, remapped dictionaries, node rows and posting
+/// lists, all appended.
 Status MergeDeltaIndex(XmlIndex* index, XmlIndex&& delta) {
   // Catalog: the delta holds exactly one document.
   uint32_t new_id =
@@ -32,7 +32,9 @@ Status MergeDeltaIndex(XmlIndex* index, XmlIndex&& delta) {
     value_map[value] = index->nodes.InternValue(delta.nodes.Value(value));
   }
 
-  // Node table: every delta node, with remapped dictionary ids.
+  // Node rows: every delta row, with remapped dictionary ids. Delta ids
+  // all carry the new (largest) document id, so appending in the delta's
+  // document order keeps the store sorted.
   delta.nodes.ForEach([&](DeweySpan id, const NodeInfo& info) {
     NodeInfo remapped = info;
     remapped.tag_id = tag_map[info.tag_id];
@@ -41,14 +43,6 @@ Status MergeDeltaIndex(XmlIndex* index, XmlIndex&& delta) {
     }
     index->nodes.Put(id, remapped);
   });
-
-  // Attribute directory: delta ids all carry the new (largest) document
-  // id, so plain appends keep the directory sorted.
-  for (size_t i = 0; i < delta.attributes.size(); ++i) {
-    index->attributes.Add(delta.attributes.IdAt(i).ToDeweyId(),
-                          tag_map[delta.attributes.TagAt(i)],
-                          value_map[delta.attributes.ValueAt(i)]);
-  }
 
   // Posting lists: same argument — each delta list extends the existing
   // one by concatenation.

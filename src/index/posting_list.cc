@@ -157,26 +157,41 @@ size_t PackedIds::SubtreeEnd(DeweySpan prefix) const {
   return lo;
 }
 
+void PutFrontCoded(std::string* dst, DeweySpan previous, DeweySpan id) {
+  uint32_t shared = 0;
+  const uint32_t limit = std::min(id.size, previous.size);
+  while (shared < limit && id.data[shared] == previous.data[shared]) {
+    ++shared;
+  }
+  PutVarint32(dst, shared);
+  PutVarint32(dst, id.size - shared);
+  for (uint32_t j = shared; j < id.size; ++j) PutVarint32(dst, id.data[j]);
+}
+
+Status GetFrontCoded(std::string_view* input, std::vector<uint32_t>* id) {
+  uint32_t shared = 0;
+  uint32_t fresh = 0;
+  GKS_RETURN_IF_ERROR(GetVarint32(input, &shared));
+  GKS_RETURN_IF_ERROR(GetVarint32(input, &fresh));
+  if (shared > id->size()) {
+    return Status::Corruption("front-coded prefix exceeds predecessor");
+  }
+  if (fresh > 1u << 20) return Status::Corruption("implausible id length");
+  id->resize(shared);
+  for (uint32_t j = 0; j < fresh; ++j) {
+    uint32_t component = 0;
+    GKS_RETURN_IF_ERROR(GetVarint32(input, &component));
+    id->push_back(component);
+  }
+  return Status::OK();
+}
+
 void PackedIds::EncodeTo(std::string* dst) const {
-  // Front coding: consecutive ids in a sorted list share long prefixes
-  // (same document, same entry subtree), so each id stores only the length
-  // of the prefix shared with its predecessor plus the fresh suffix. This
-  // is what keeps the serialized index smaller than the source XML.
   PutVarint64(dst, size());
   DeweySpan previous{nullptr, 0};
   for (size_t i = 0; i < size(); ++i) {
-    DeweySpan span = At(i);
-    uint32_t shared = 0;
-    uint32_t limit = std::min(span.size, previous.size);
-    while (shared < limit && span.data[shared] == previous.data[shared]) {
-      ++shared;
-    }
-    PutVarint32(dst, shared);
-    PutVarint32(dst, span.size - shared);
-    for (uint32_t j = shared; j < span.size; ++j) {
-      PutVarint32(dst, span.data[j]);
-    }
-    previous = span;
+    PutFrontCoded(dst, previous, At(i));
+    previous = At(i);
   }
 }
 
@@ -184,24 +199,10 @@ Status PackedIds::DecodeFrom(std::string_view* input, PackedIds* out) {
   *out = PackedIds();
   uint64_t count = 0;
   GKS_RETURN_IF_ERROR(GetVarint64(input, &count));
-  std::vector<uint32_t> previous;
+  std::vector<uint32_t> id;
   for (uint64_t i = 0; i < count; ++i) {
-    uint32_t shared = 0;
-    uint32_t fresh = 0;
-    GKS_RETURN_IF_ERROR(GetVarint32(input, &shared));
-    GKS_RETURN_IF_ERROR(GetVarint32(input, &fresh));
-    if (shared > previous.size()) {
-      return Status::Corruption("front-coded prefix exceeds predecessor");
-    }
-    if (fresh > 1u << 20) return Status::Corruption("implausible id length");
-    previous.resize(shared);
-    for (uint32_t j = 0; j < fresh; ++j) {
-      uint32_t component = 0;
-      GKS_RETURN_IF_ERROR(GetVarint32(input, &component));
-      previous.push_back(component);
-    }
-    out->Add(DeweySpan{previous.data(),
-                       static_cast<uint32_t>(previous.size())});
+    GKS_RETURN_IF_ERROR(GetFrontCoded(input, &id));
+    out->Add(DeweySpan{id.data(), static_cast<uint32_t>(id.size())});
   }
   return Status::OK();
 }

@@ -43,10 +43,20 @@ struct DeweySpan {
   bool operator==(const DeweySpan& other) const { return Compare(other) == 0; }
 };
 
+/// Front coding of one id of a sorted sequence: varints for the length of
+/// the prefix it shares with `previous` and for the fresh suffix length,
+/// then the suffix components. Adjacent ids share most of their path
+/// (same document, same entry subtree), which is what keeps the
+/// serialized index smaller than the source XML.
+void PutFrontCoded(std::string* dst, DeweySpan previous, DeweySpan id);
+/// Reads one front-coded id from the front of `*input`; `*id` holds its
+/// predecessor on entry and the decoded id on return.
+Status GetFrontCoded(std::string_view* input, std::vector<uint32_t>* id);
+
 /// A flat, cache-friendly sequence of Dewey ids: all components live in one
 /// contiguous buffer with an offsets side-array. This is the storage format
-/// for posting lists and the attribute directory — per-id heap allocations
-/// would dominate memory on multi-million-posting corpora.
+/// for posting lists and the node store — per-id heap allocations would
+/// dominate memory on multi-million-posting corpora.
 class PackedIds {
  public:
   PackedIds() { offsets_.push_back(0); }

@@ -172,7 +172,7 @@ std::string SerializeIndexV2(const XmlIndex& index) {
   LzCompress(nodes_raw, &nodes);
 
   std::string attrs_raw;
-  index.attributes.EncodeTo(&attrs_raw);
+  index.nodes.EncodeAttributesTo(&attrs_raw);
   std::string attrs;
   LzCompress(attrs_raw, &attrs);
 
@@ -218,7 +218,7 @@ Result<XmlIndex> DeserializeIndexV1(std::string_view bytes) {
   XmlIndex index;
   GKS_RETURN_IF_ERROR(Catalog::DecodeFrom(&bytes, &index.catalog));
   GKS_RETURN_IF_ERROR(NodeInfoTable::DecodeFrom(&bytes, &index.nodes));
-  GKS_RETURN_IF_ERROR(AttrDirectory::DecodeFrom(&bytes, &index.attributes));
+  GKS_RETURN_IF_ERROR(index.nodes.CheckAttributes(&bytes));
   GKS_RETURN_IF_ERROR(InvertedIndex::DecodeFrom(&bytes, &index.inverted));
   if (!bytes.empty()) {
     return Status::Corruption("trailing bytes after index payload");
@@ -256,9 +256,9 @@ Result<XmlIndex> DeserializeIndexV2(std::string_view bytes) {
   GKS_RETURN_IF_ERROR(FindSection(table, kSectionAttributes, &entry));
   GKS_RETURN_IF_ERROR(
       UnwrapSection(entry.PayloadIn(bytes), entry.lz(), &storage, &payload));
-  GKS_RETURN_IF_ERROR(AttrDirectory::DecodeFrom(&payload, &index.attributes));
+  GKS_RETURN_IF_ERROR(index.nodes.CheckAttributes(&payload));
   if (!payload.empty()) {
-    return Status::Corruption("trailing bytes after attr directory section");
+    return Status::Corruption("trailing bytes after attributes section");
   }
 
   GKS_RETURN_IF_ERROR(FindSection(table, kSectionInverted, &entry));
@@ -366,8 +366,7 @@ Result<IndexFileInfo> InspectIndexFile(const std::string& path) {
   info.sections.push_back({"nodes", before - view.size(), false});
   before = view.size();
 
-  AttrDirectory attributes;
-  GKS_RETURN_IF_ERROR(AttrDirectory::DecodeFrom(&view, &attributes));
+  GKS_RETURN_IF_ERROR(nodes.CheckAttributes(&view));
   info.sections.push_back({"attributes", before - view.size(), false});
   before = view.size();
 

@@ -21,6 +21,11 @@ namespace gks {
 ///     varint-encoded. No section table — the file must be decoded front
 ///     to back, eagerly.
 ///
+///   In both versions the attribute directory (v2 section `attributes`)
+///     is written from the node table's valued rows, and a load checks
+///     that it equals them byte for byte (Corruption otherwise); nothing
+///     is read from it.
+///
 ///   v2 ("GKSIDX02"): magic, a fixed-width little-endian section table
 ///     (u32 count, then per section: u32 id, u32 flags, u64 offset,
 ///     u64 length — offsets from the file start), then the payloads. The

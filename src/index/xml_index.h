@@ -11,12 +11,12 @@ namespace gks {
 
 /// Everything the GKS search/analysis engines need at query time, produced
 /// by one pass of the IndexBuilder over the XML repository (Sec. 2.4):
-/// the keyword inverted index, the node-category hash tables, the
-/// attribute-node directory for DI, and the document catalog.
+/// the keyword inverted index, the node store (the paper's two category
+/// hash tables as one document-ordered table, whose valued rows are the
+/// attribute directory DI reads), and the document catalog.
 struct XmlIndex {
   InvertedIndex inverted;
   NodeInfoTable nodes;
-  AttrDirectory attributes;
   Catalog catalog;
 
   /// Mutation epoch: stamped from NextIndexEpoch() by every load and
@@ -32,8 +32,7 @@ struct XmlIndex {
 
   /// Approximate in-memory footprint — the paper's "Index Size" column.
   size_t MemoryUsage() const {
-    return inverted.MemoryUsage() + nodes.MemoryUsage() +
-           attributes.MemoryUsage();
+    return inverted.MemoryUsage() + nodes.MemoryUsage();
   }
 };
 

@@ -149,14 +149,38 @@ TEST(DiUnits, MaxAttrsPerNodeCapsScan) {
   Result<SearchResponse> response = searcher.Search(query, search);
   ASSERT_TRUE(response.ok());
 
-  DiOptions capped;
-  capped.max_attrs_per_node = 1;
-  std::vector<DiKeyword> di =
-      DiscoverDi(index, response->nodes, query, capped);
-  DiOptions uncapped;
-  std::vector<DiKeyword> full =
-      DiscoverDi(index, response->nodes, query, uncapped);
-  EXPECT_LE(di.size(), full.size());
+  // The cap counts valued rows scanned, even those DI drops, so a cap of
+  // 1 keeps only each course's <Name>, and a cap of 4 stops before Peter,
+  // the AI course's fifth valued row (Karen and Mike repeat the query).
+  auto render = [&](size_t cap) {
+    DiOptions options;
+    options.max_attrs_per_node = cap;
+    std::vector<std::string> out;
+    for (const DiKeyword& di :
+         DiscoverDi(index, response->nodes, query, options)) {
+      out.push_back(di.ToString() + " w=" + std::to_string(di.weight) +
+                    " n=" + std::to_string(di.support));
+    }
+    return out;
+  };
+  EXPECT_EQ(render(1), (std::vector<std::string>{
+                           "<Name: Data Mining> w=0.666667 n=1",
+                           "<Name: AI> w=0.500000 n=1",
+                       }));
+  EXPECT_EQ(render(4), (std::vector<std::string>{
+                           "<Name: Data Mining> w=0.666667 n=1",
+                           "<Course: Students: John> w=0.666667 n=1",
+                           "<Name: AI> w=0.500000 n=1",
+                           "<Course: Students: Serena> w=0.500000 n=1",
+                       }));
+  EXPECT_EQ(render(100000), (std::vector<std::string>{
+                                "<Name: Data Mining> w=0.666667 n=1",
+                                "<Course: Students: John> w=0.666667 n=1",
+                                "<Name: AI> w=0.500000 n=1",
+                                "<Course: Students: Peter> w=0.500000 n=1",
+                                "<Course: Students: Serena> w=0.500000 n=1",
+                            }));
+  EXPECT_TRUE(render(0).empty());
 }
 
 TEST(SearcherUnits, MaxResultsTruncatesAfterRanking) {

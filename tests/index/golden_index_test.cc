@@ -36,7 +36,7 @@ TEST(GoldenIndexTest, V1GoldenFileLoads) {
   EXPECT_EQ(golden->nodes.size(), fresh.nodes.size());
   EXPECT_EQ(golden->inverted.term_count(), fresh.inverted.term_count());
   EXPECT_EQ(golden->inverted.posting_count(), fresh.inverted.posting_count());
-  EXPECT_EQ(golden->attributes.size(), fresh.attributes.size());
+  EXPECT_EQ(golden->nodes.ValuedRowCount(), fresh.nodes.ValuedRowCount());
   EXPECT_EQ(golden->nodes.counts().entity, fresh.nodes.counts().entity);
 }
 

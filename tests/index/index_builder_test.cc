@@ -88,15 +88,38 @@ TEST(IndexBuilderTest, CatalogTracksStats) {
   EXPECT_GT(doc.text_bytes, 0u);
 }
 
-TEST(IndexBuilderTest, AttrDirectoryHoldsLeafValues) {
-  XmlIndex index = BuildIndexFromXml(data::Figure2aXml());
-  ASSERT_GT(index.attributes.size(), 0u);
-  // Every directory entry must be a known node with a stored value.
-  for (size_t i = 0; i < index.attributes.size(); ++i) {
-    const NodeInfo* info = index.nodes.Find(index.attributes.IdAt(i));
-    ASSERT_NE(info, nullptr);
-    EXPECT_NE(info->value_id, kNoValue);
-    EXPECT_EQ(info->value_id, index.attributes.ValueAt(i));
+TEST(IndexBuilderTest, NodeStoreRowsAscendWithLeafValues) {
+  // Rows arrive as elements close (children before parents); the store
+  // must hold them in document order, each valued row carrying its
+  // element's text.
+  XmlIndex index = BuildIndexFromXml(
+      "<r><a><b>x</b><c>y</c></a><d>z</d><a><b>w</b></a></r>");
+  std::vector<std::string> ids;
+  std::vector<std::string> valued;
+  index.nodes.ForEach([&](DeweySpan id, const NodeInfo& info) {
+    ids.push_back(id.ToDeweyId().ToString());
+    if (info.value_id != kNoValue) {
+      valued.push_back(ids.back() + "=" + index.nodes.Value(info.value_id));
+    }
+  });
+  EXPECT_EQ(ids, (std::vector<std::string>{"d0.0", "d0.0.0", "d0.0.0.0",
+                                           "d0.0.0.1", "d0.0.1", "d0.0.2",
+                                           "d0.0.2.0"}));
+  EXPECT_EQ(valued, (std::vector<std::string>{"d0.0.0.0=x", "d0.0.0.1=y",
+                                              "d0.0.1=z", "d0.0.2.0=w"}));
+  EXPECT_EQ(index.nodes.ValuedRowCount(), 4u);
+
+  // A bigger document: rows ascend strictly, and every row is found again
+  // by binary search.
+  XmlIndex figure = BuildIndexFromXml(data::Figure2aXml());
+  ASSERT_GT(figure.nodes.ValuedRowCount(), 0u);
+  for (size_t row = 0; row < figure.nodes.size(); ++row) {
+    if (row > 0) {
+      EXPECT_LT(figure.nodes.IdAt(row - 1).Compare(figure.nodes.IdAt(row)),
+                0);
+    }
+    EXPECT_EQ(figure.nodes.Find(figure.nodes.IdAt(row)),
+              &figure.nodes.InfoAt(row));
   }
 }
 
@@ -130,7 +153,7 @@ TEST(IndexBuilderTest, LongValuesNotStoredButIndexed) {
   Result<XmlIndex> index = std::move(builder).Finalize();
   ASSERT_TRUE(index.ok());
   EXPECT_NE(index->inverted.Find("verbos"), nullptr);
-  EXPECT_EQ(index->attributes.size(), 0u);  // too long for the value pool
+  EXPECT_EQ(index->nodes.ValuedRowCount(), 0u);  // too long for the pool
 }
 
 }  // namespace

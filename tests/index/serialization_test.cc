@@ -6,6 +6,7 @@
 
 #include "gtest/gtest.h"
 #include "common/file_io.h"
+#include "common/lz.h"
 #include "common/varint.h"
 #include "data/figures.h"
 #include "index/posting_list.h"
@@ -31,6 +32,16 @@ XmlIndex BuildGoldenCorpusIndex() {
   return BuildIndexFromXml(xml);
 }
 
+// Little-endian integer of `width` bytes at `pos`.
+uint64_t FixedAt(const std::string& bytes, size_t pos, int width) {
+  uint64_t v = 0;
+  for (int i = 0; i < width; ++i) {
+    v |= static_cast<uint64_t>(static_cast<uint8_t>(bytes[pos + i]))
+         << (8 * i);
+  }
+  return v;
+}
+
 // Payload offset and length of section `id` in a serialized v2 index, read
 // from the documented header layout: magic, u32 section count, then
 // 24-byte entries of u32 id, u32 flags, u64 offset, u64 length (all
@@ -38,12 +49,7 @@ XmlIndex BuildGoldenCorpusIndex() {
 std::pair<size_t, size_t> SectionExtent(const std::string& bytes,
                                         uint32_t id) {
   auto fixed = [&bytes](size_t pos, int width) {
-    uint64_t v = 0;
-    for (int i = 0; i < width; ++i) {
-      v |= static_cast<uint64_t>(static_cast<uint8_t>(bytes[pos + i]))
-           << (8 * i);
-    }
-    return v;
+    return FixedAt(bytes, pos, width);
   };
   const uint64_t count = fixed(8, 4);
   for (uint64_t i = 0; i < count; ++i) {
@@ -70,7 +76,7 @@ TEST(SerializationTest, RoundTripPreservesEverything) {
   EXPECT_EQ(loaded->inverted.term_count(), original.inverted.term_count());
   EXPECT_EQ(loaded->inverted.posting_count(),
             original.inverted.posting_count());
-  EXPECT_EQ(loaded->attributes.size(), original.attributes.size());
+  EXPECT_EQ(loaded->nodes.ValuedRowCount(), original.nodes.ValuedRowCount());
 }
 
 TEST(SerializationTest, LoadedIndexAnswersQueriesIdentically) {
@@ -364,6 +370,162 @@ TEST(SerializationTest, CorruptNodeOrAttributeSectionFailsEveryLoad) {
           << (loaded.ok() ? "loaded" : loaded.status().ToString());
     }
   }
+}
+
+// Rebuilds a serialized v2 index with the payload of section `id`
+// replaced, laying the payloads out again in table order and fixing every
+// table offset and length.
+std::string ReplaceSection(const std::string& bytes, uint32_t id,
+                           const std::string& payload) {
+  auto fixed = [&bytes](size_t pos, int width) {
+    return FixedAt(bytes, pos, width);
+  };
+  auto put = [](std::string* dst, uint64_t v, int width) {
+    for (int i = 0; i < width; ++i) {
+      dst->push_back(static_cast<char>(v >> (8 * i)));
+    }
+  };
+  const uint64_t count = fixed(8, 4);
+  std::string out = bytes.substr(0, 12);
+  std::string body;
+  uint64_t offset = 12 + count * 24;
+  for (uint64_t i = 0; i < count; ++i) {
+    const size_t entry = 12 + i * 24;
+    const uint32_t section = static_cast<uint32_t>(fixed(entry, 4));
+    const std::string old_payload =
+        bytes.substr(fixed(entry + 8, 8), fixed(entry + 16, 8));
+    const std::string& now = section == id ? payload : old_payload;
+    put(&out, section, 4);
+    put(&out, fixed(entry + 4, 4), 4);
+    put(&out, offset + body.size(), 8);
+    put(&out, now.size(), 8);
+    body += now;
+  }
+  return out + body;
+}
+
+// The attributes section must equal the node store's valued rows. A
+// section that still decodes but disagrees with them — ids past the
+// dictionaries, a missing row, a moved row — is Corruption at load, never
+// a crash at query time.
+TEST(SerializationTest, InconsistentAttributesSectionIsCorruption) {
+  const std::string bytes =
+      SerializeIndex(BuildIndexFromXml(data::Figure2aXml()));
+  const auto [offset, length] = SectionExtent(bytes, 3);  // attributes
+  ASSERT_GT(length, 0u);
+  std::string raw;
+  ASSERT_TRUE(LzDecompress(bytes.substr(offset, length), &raw).ok());
+
+  // The section's layout: front-coded ids, then the count, the tag ids and
+  // the value ids.
+  std::string_view in = raw;
+  PackedIds ids;
+  ASSERT_TRUE(PackedIds::DecodeFrom(&in, &ids).ok());
+  uint64_t count = 0;
+  ASSERT_TRUE(GetVarint64(&in, &count).ok());
+  ASSERT_EQ(count, ids.size());
+  ASSERT_GE(count, 2u);
+  std::vector<uint32_t> tags(count);
+  std::vector<uint32_t> values(count);
+  for (uint32_t& tag : tags) ASSERT_TRUE(GetVarint32(&in, &tag).ok());
+  for (uint32_t& value : values) ASSERT_TRUE(GetVarint32(&in, &value).ok());
+  ASSERT_TRUE(in.empty());
+
+  auto rewrite = [&](const PackedIds& new_ids,
+                     const std::vector<uint32_t>& new_tags,
+                     const std::vector<uint32_t>& new_values) {
+    std::string section;
+    new_ids.EncodeTo(&section);
+    PutVarint64(&section, new_tags.size());
+    for (uint32_t tag : new_tags) PutVarint32(&section, tag);
+    for (uint32_t value : new_values) PutVarint32(&section, value);
+    std::string packed;
+    LzCompress(section, &packed);
+    return ReplaceSection(bytes, 3, packed);
+  };
+  // The unchanged rows re-encode to a file that loads.
+  ASSERT_TRUE(DeserializeIndex(rewrite(ids, tags, values)).ok());
+
+  std::vector<std::pair<std::string, std::string>> cases;
+  cases.emplace_back("value id past the dictionary",
+                     rewrite(ids, tags,
+                             std::vector<uint32_t>(count, 1000000)));
+  cases.emplace_back("tag id past the dictionary",
+                     rewrite(ids, std::vector<uint32_t>(count, 1000000),
+                             values));
+  {
+    PackedIds fewer;
+    for (size_t i = 1; i < ids.size(); ++i) fewer.Add(ids.At(i));
+    cases.emplace_back(
+        "one row dropped",
+        rewrite(fewer, std::vector<uint32_t>(tags.begin() + 1, tags.end()),
+                std::vector<uint32_t>(values.begin() + 1, values.end())));
+  }
+  {
+    PackedIds moved;
+    for (size_t i = 0; i < ids.size(); ++i) {
+      DeweyId id = ids.IdAt(i);
+      if (i == 0) id = id.Child(7);
+      moved.Add(id);
+    }
+    cases.emplace_back("one row's Dewey id changed",
+                       rewrite(moved, tags, values));
+  }
+
+  for (const auto& [name, file] : cases) {
+    Result<XmlIndex> decoded = DeserializeIndex(file);
+    EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption)
+        << name << ": "
+        << (decoded.ok() ? "loaded" : decoded.status().ToString());
+    const std::string path = ::testing::TempDir() + "/bad_attributes.idx";
+    ASSERT_TRUE(WriteStringToFile(path, file).ok());
+    Result<XmlIndex> loaded = LoadIndex(path);
+    EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption)
+        << name << ": "
+        << (loaded.ok() ? "loaded" : loaded.status().ToString());
+  }
+}
+
+// Binary search over the node store needs strictly ascending ids, so the
+// nodes decoder rejects a repeated key and a descending pair.
+TEST(SerializationTest, NodeKeysOutOfOrderAreCorruption) {
+  // One tag, no values, then two rows: `first`, and `first`'s leading
+  // `shared` components followed by `fresh`.
+  auto section = [](std::vector<uint32_t> first, uint32_t shared,
+                    std::vector<uint32_t> fresh) {
+    std::string out;
+    PutVarint64(&out, 1);
+    PutLengthPrefixed(&out, "a");
+    PutVarint64(&out, 0);
+    PutVarint64(&out, 2);
+    auto row = [&out](uint32_t keep, const std::vector<uint32_t>& suffix) {
+      PutVarint32(&out, keep);
+      PutVarint32(&out, static_cast<uint32_t>(suffix.size()));
+      for (uint32_t c : suffix) PutVarint32(&out, c);
+      out.push_back(static_cast<char>(kFlagConnecting));
+      PutVarint32(&out, 1);  // child count
+      PutVarint32(&out, 0);  // tag id
+      PutVarint32(&out, 0);  // no value
+    };
+    row(0, first);
+    row(shared, fresh);
+    return out;
+  };
+
+  auto decode = [](const std::string& bytes) {
+    std::string_view in = bytes;
+    NodeInfoTable table;
+    return NodeInfoTable::DecodeFrom(&in, &table);
+  };
+  // d0.0.1 then d0.0.2 is in order; the test's encoding loads.
+  EXPECT_TRUE(decode(section({0, 0, 1}, 2, {2})).ok());
+  // d0.0.1 twice.
+  Status repeated = decode(section({0, 0, 1}, 3, {}));
+  EXPECT_EQ(repeated.code(), StatusCode::kCorruption) << repeated.ToString();
+  // d0.0.2 then d0.0.1.
+  Status descending = decode(section({0, 0, 2}, 2, {1}));
+  EXPECT_EQ(descending.code(), StatusCode::kCorruption)
+      << descending.ToString();
 }
 
 TEST(SerializationTest, V2RejectsTruncationEverywhere) {

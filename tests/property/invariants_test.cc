@@ -11,6 +11,7 @@
 #include "baseline/match_trie.h"
 #include "baseline/slca_ile.h"
 #include "baseline/stack_scan.h"
+#include "core/lce.h"
 #include "core/merged_list.h"
 #include "core/searcher.h"
 #include "core/window_scan.h"
@@ -123,9 +124,9 @@ TEST_P(RandomTreeProperty, EveryLceHasIndependentWitness) {
       bool witnessed = false;
       auto [begin, end] = sl.SubtreeRange(DeweySpan::Of(node.id));
       for (size_t i = begin; i < end && !witnessed; ++i) {
-        DeweyId lowest;
-        if (index_.nodes.LowestEntityAncestor(sl.IdAt(i), &lowest) &&
-            lowest == node.id) {
+        std::vector<uint32_t> lowest;
+        if (LowestEntityOf(index_, sl.IdAt(i), &lowest) &&
+            lowest == node.id.components()) {
           witnessed = true;
         }
       }

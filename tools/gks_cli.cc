@@ -434,7 +434,7 @@ int CmdStats(const FlagParser& flags) {
   std::printf("terms     : %zu\n", index->inverted.term_count());
   std::printf("postings  : %llu\n",
               (unsigned long long)index->inverted.posting_count());
-  std::printf("attr dir  : %zu values\n", index->attributes.size());
+  std::printf("attr dir  : %zu values\n", index->nodes.ValuedRowCount());
   std::printf("memory    : %s\n", HumanBytes(index->MemoryUsage()).c_str());
   std::printf("cpu       : %s\n", simd::DispatchDescription().c_str());
   if (Result<IndexFileInfo> info = InspectIndexFile(args[1]); info.ok()) {
