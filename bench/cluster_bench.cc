@@ -51,11 +51,9 @@ std::string Endpoint(const GksServer& server) {
   return "127.0.0.1:" + std::to_string(server.port());
 }
 
-std::unique_ptr<GksServer> StartWorker(const std::string& index_path,
-                                       uint32_t doc_base) {
+std::unique_ptr<GksServer> StartWorker(const std::string& index_path) {
   ServerConfig config;
   config.port = 0;
-  config.doc_base = doc_base;
   auto server = std::make_unique<GksServer>(config, index_path);
   Status status = server->Start();
   if (!status.ok()) Die("worker start failed:", status.ToString());
@@ -71,12 +69,12 @@ Cluster StartCluster(const std::string& dir, const ShardManifest& manifest,
   for (size_t i = 0; i < manifest.shards.size(); ++i) {
     const ShardSpec& shard = manifest.shards[i];
     cluster.workers.push_back(
-        StartWorker(dir + "/" + shard.file, shard.doc_base));
+        StartWorker(dir + "/" + shard.file));
     if (i > 0) topology += ",";
     topology += Endpoint(*cluster.workers.back());
     if (static_cast<int>(i) == mirrored) {
       cluster.workers.push_back(
-          StartWorker(dir + "/" + shard.file, shard.doc_base));
+          StartWorker(dir + "/" + shard.file));
       topology += "|" + Endpoint(*cluster.workers.back());
     }
   }

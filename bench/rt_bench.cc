@@ -21,7 +21,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "core/segment_search.h"
+#include "core/searcher.h"
 #include "index/rt_index.h"
 
 namespace {
@@ -31,7 +31,6 @@ using gks::RtIndex;
 using gks::RtOptions;
 using gks::RtStats;
 using gks::SearchResponse;
-using gks::SegmentSearcher;
 using gks::WallTimer;
 using gks::XmlIndex;
 
@@ -108,7 +107,7 @@ int main() {
     }
     if (probe) {
       // ---- 2. freshness: the nonce must be findable right now. -------
-      SegmentSearcher searcher(rt->snapshot());
+      GksSearcher searcher(rt->snapshot());
       gks::Result<SearchResponse> hit =
           searcher.Search("nonce" + std::to_string(i));
       if (!hit.ok() || hit->nodes.empty()) {
@@ -174,7 +173,7 @@ int main() {
       "query index study"};
   const int rounds = 5;
   double rt_ms = 0.0, offline_ms = 0.0;
-  SegmentSearcher segmented(rt->snapshot());
+  GksSearcher segmented(rt->snapshot());
   GksSearcher plain(&*offline);
   for (int round = 0; round < rounds; ++round) {
     for (const std::string& query : queries) {

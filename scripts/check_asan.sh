@@ -5,10 +5,10 @@
 # suites that parse attacker-shaped bytes — varint and LZ decoding, the
 # block-postings codec, the on-disk index readers (v1 and v2), JSON and
 # the wire protocol, hostile shard partials — plus the
-# partial-merge core those partials feed, the file reader and atomic
-# writer every persisted byte goes through, and the node store's
-# owned-value walk behind DI, facets and chunks. Any ASan/UBSan report
-# fails the run.
+# partial-merge core those partials feed, segment-set search with its
+# tombstone masking, the file reader and atomic writer every persisted
+# byte goes through, and the node store's owned-value walk behind DI,
+# facets and chunks. Any ASan/UBSan report fails the run.
 #
 # The build tree (<repo>/build-asan) is incremental: the first run pays a
 # full compile, later runs only relink what changed.
@@ -55,11 +55,11 @@ export UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1 ${UBSAN_OPTIONS:-}"
 "$build/tests/index_test" \
   --gtest_filter='Wal*:RtIndex*:SizeTier*:PickMergeInputs*:MergeDocstores*' \
   --gtest_brief=1
-# Wire lines from clients and shard workers: request parsing, response
-# building, and the coordinator decoding hostile partials, which must
-# come back as a Status, never a crash.
+# Wire lines from clients and shard workers: line framing, request
+# parsing, response building, and the coordinator decoding hostile
+# partials, which must come back as a Status, never a crash.
 "$build/tests/server_test" \
-  --gtest_filter='ParseWireRequestTest.*:WireResponseBuilderTest.*:CoordinatorTest.FakeWorkerPartialDecodes:CoordinatorTest.HostilePartialsAreShardUnavailable:CoordinatorTest.NonLceContributionsLeaveDiUnchanged' \
+  --gtest_filter='LineReaderTest.*:ParseWireRequestTest.*:WireResponseBuilderTest.*:CoordinatorTest.FakeWorkerPartialDecodes:CoordinatorTest.HostilePartialsAreShardUnavailable:CoordinatorTest.NonLceContributionsLeaveDiUnchanged' \
   --gtest_brief=1
 # The partial-merge core over shard partials, and the DI oracle over the
 # single-index path it shares.
@@ -67,9 +67,10 @@ export UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1 ${UBSAN_OPTIONS:-}"
   --gtest_filter='*ShardEquivalence*:ShardTieBreaking.*:DiOracle.*' \
   --gtest_brief=1
 # The node store's owned-value walk, through its callers: DI, facets and
-# chunks over a real index.
+# chunks over a real index; and segment-set search, whose partials index
+# the segments and mask tombstoned documents.
 "$build/tests/core_test" \
-  --gtest_filter='AnalyticsTest.*:ChunkTest.*:DiUnits.*:Figure2aSearch.*' \
+  --gtest_filter='AnalyticsTest.*:ChunkTest.*:DiUnits.*:Figure2aSearch.*:SegmentSearchTest.*' \
   --gtest_brief=1
 # The kernel differential suite again with dispatch forced off: the
 # scalar twins parse the same attacker-shaped bytes under ASan too.

@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Distributed-mode smoke test (registered with ctest as
 # `check_cluster_smoke`): exercises the real binaries end to end —
-# shard a four-document repository with `gks shard`, start two shard
-# workers (the second with a replica mirror) plus a coordinator, and
+# shard a four-document repository with `gks shard`, check that a shard
+# file names only its own documents (`gks search`) and that the removed
+# `--doc-base` flag exits 2, start two shard workers (plain `gks serve
+# <shard>`; the second with a replica mirror) plus a coordinator, and
 # check against a single-index `gks serve` over the same repository that
 #
 #   1. every coordinator answer matches the single-index answer
@@ -44,11 +46,42 @@ files=("$work"/d0.xml "$work"/d1.xml "$work"/d2.xml "$work"/d3.xml)
 [[ -f "$work/shards/MANIFEST.json" ]] || fail "no MANIFEST.json written"
 "$gks" index "$work/single.gksidx" "${files[@]}" >/dev/null
 
-# doc_base per shard, in shard order, straight from the manifest.
+# doc_base and doc_count per shard, in shard order, straight from the
+# manifest.
 mapfile -t doc_bases < <(grep -oE '"doc_base":[0-9]+' \
     "$work/shards/MANIFEST.json" | cut -d: -f2)
-[[ "${#doc_bases[@]}" -eq 2 ]] \
+mapfile -t doc_counts < <(grep -oE '"doc_count":[0-9]+' \
+    "$work/shards/MANIFEST.json" | cut -d: -f2)
+[[ "${#doc_bases[@]}" -eq 2 && "${#doc_counts[@]}" -eq 2 ]] \
   || fail "expected 2 shards in the manifest, got ${#doc_bases[@]}"
+
+# A shard file records which documents it holds: `gks search` on shard 1
+# names only the files of shard 1 (files[doc_base .. doc_base+count-1]).
+shard1_files=("${files[@]:${doc_bases[1]}:${doc_counts[1]}}")
+in_shard1() {  # in_shard1 <path> — no pipe, so pipefail cannot misfire
+  local file
+  for file in "${shard1_files[@]}"; do [[ "$file" == "$1" ]] && return 0; done
+  return 1
+}
+named=0
+for query in database system "country population" title; do
+  while IFS= read -r doc; do
+    named=$((named + 1))
+    in_shard1 "$doc" \
+      || fail "gks search on shard_01 named '$doc', not a shard-1 file"
+  done < <("$gks" search "$work/shards/shard_01.gksidx" "$query" --top=50 \
+             | sed -nE 's/^  <.*\[([^]]*)\]$/\1/p')
+done
+[[ "$named" -gt 0 ]] || fail "gks search on shard_01 named no documents"
+
+# A worker reads its base from its shard file; --doc-base is gone and,
+# like every unknown flag, exits 2 before the server binds.
+rc=0
+timeout 10 "$gks" serve "$work/shards/shard_01.gksidx" \
+    --doc-base="${doc_bases[1]}" --port=0 > "$work/doc_base.out" 2>&1 \
+  || rc=$?
+[[ "$rc" -eq 2 ]] \
+  || fail "gks serve --doc-base exited $rc, want 2: $(cat "$work/doc_base.out")"
 
 # start_server <logfile> <args...> — echoes "pid port".
 start_server() {
@@ -72,11 +105,11 @@ start_server() {
 read -r single_pid single_port \
   < <(start_server "$work/single.log" "$work/single.gksidx")
 read -r w0_pid w0_port < <(start_server "$work/w0.log" \
-    "$work/shards/shard_00.gksidx" --doc-base="${doc_bases[0]}")
+    "$work/shards/shard_00.gksidx")
 read -r w1_pid w1_port < <(start_server "$work/w1.log" \
-    "$work/shards/shard_01.gksidx" --doc-base="${doc_bases[1]}")
+    "$work/shards/shard_01.gksidx")
 read -r w1r_pid w1r_port < <(start_server "$work/w1r.log" \
-    "$work/shards/shard_01.gksidx" --doc-base="${doc_bases[1]}")
+    "$work/shards/shard_01.gksidx")
 read -r coord_pid coord_port < <(start_server "$work/coord.log" \
     --coord-shards="127.0.0.1:$w0_port,127.0.0.1:$w1_port|127.0.0.1:$w1r_port" \
     --coord-retries=2 --coord-backoff-ms=5)

@@ -22,8 +22,8 @@
 #      tools/, both directions.
 #   9. Relative markdown links in docs/INDEXING.md must resolve.
 #  10. The coordinator flags documented between the coord-flags markers
-#      of docs/DISTRIBUTED.md must match the `--coord-*` / `--doc-base`
-#      flags the serve command reads, both directions.
+#      of docs/DISTRIBUTED.md must match the `--coord-*` flags the serve
+#      command reads, both directions.
 #  11. The metric names between the coord-metrics markers of
 #      docs/DISTRIBUTED.md must match the `gks.coord.*` literals in src/
 #      and tools/, both directions.
@@ -221,7 +221,7 @@ done < <(grep -oE '\]\([^)]+\)' "$indexing_doc" | sed 's/^](//; s/)$//' \
          | grep -vE '^(https?:|#)' | sort -u)
 
 # 10. coordinator flags: docs/DISTRIBUTED.md coord-flags block <-> the
-# serve command's --coord-* / --doc-base flags, both ways
+# serve command's --coord-* flags, both ways
 coord_doc_flags=$(extract_block "coord-flags" "$distributed_doc" \
   | sed 's/^--//')
 if [[ -z "$coord_doc_flags" ]]; then
@@ -229,7 +229,7 @@ if [[ -z "$coord_doc_flags" ]]; then
        "docs/DISTRIBUTED.md" >&2
   fail=1
 fi
-coord_src_flags=$(grep -E '^(coord-|doc-base$)' <<<"$src_flags" || true)
+coord_src_flags=$(grep -E '^coord-' <<<"$src_flags" || true)
 for name in $coord_doc_flags; do
   if ! grep -qx "$name" <<<"$coord_src_flags"; then
     echo "check_docs: flag '--$name' is documented in docs/DISTRIBUTED.md" \

@@ -2,10 +2,10 @@
 # ThreadSanitizer sweep (registered with ctest as `check_tsan`): builds the
 # concurrency-sensitive test binaries in a dedicated build tree configured
 # with -DGKS_SANITIZE=thread and runs the suites that exercise the thread
-# pool, SearchBatch fan-out, the parallel index build, the pooled
-# per-segment search and the query server (accept loop, admission
-# control, hot reload, drain, the response cache under concurrent
-# repeats). Any data race TSan reports fails the run.
+# pool, SearchBatch fan-out, the parallel index build, segment-set search
+# and the query server (accept loop, admission control, hot reload,
+# drain, the response cache under concurrent repeats). Any data race TSan
+# reports fails the run.
 #
 # The build tree (<repo>/build-tsan) is incremental: the first run pays a
 # full compile, later runs only relink what changed.
@@ -42,8 +42,8 @@ export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 
 "$build/tests/common_test" \
   --gtest_filter='ThreadPool*:ParallelFor*' --gtest_brief=1
-# SegmentSearchTest's pooled fan-out feeds per-segment partials from
-# pool workers into the partial-merge core.
+# Segment-set search: per-segment partials into the partial-merge core,
+# with the process-wide metrics and thread-local arenas it touches.
 "$build/tests/core_test" \
   --gtest_filter='SegmentSearchTest.*' --gtest_brief=1
 "$build/tests/integration_test" \

@@ -28,27 +28,6 @@ double Trace::ElapsedMs(std::string_view name) const {
   return span != nullptr ? span->elapsed_ms : 0.0;
 }
 
-void Trace::Graft(std::string_view root_name, const Trace& subtree) {
-  TraceSpan root;
-  root.name = std::string(root_name);
-  for (const TraceSpan& span : subtree.spans_) {
-    if (span.parent == -1) {
-      root.elapsed_ms += span.elapsed_ms;
-      root.items += span.items;
-      root.bytes += span.bytes;
-    }
-  }
-  int32_t root_index = static_cast<int32_t>(spans_.size());
-  spans_.push_back(std::move(root));
-  int32_t offset = static_cast<int32_t>(spans_.size());
-  for (const TraceSpan& span : subtree.spans_) {
-    TraceSpan copy = span;
-    copy.parent = span.parent == -1 ? root_index : span.parent + offset;
-    copy.depth = span.depth + 1;
-    spans_.push_back(std::move(copy));
-  }
-}
-
 namespace {
 
 void SpanToJson(const std::vector<TraceSpan>& spans, int32_t index,
@@ -140,7 +119,8 @@ void TraceCollector::Close(int32_t index, uint64_t items, uint64_t bytes) {
   span.bytes += bytes;
   current_ = span.parent;
 
-  if (registry_ != nullptr) {
+  // A `<kind>:<label>` span only groups its children in the tree.
+  if (registry_ != nullptr && span.name.find(':') == std::string::npos) {
     std::string base = metric_prefix_ + "." + span.name;
     registry_->GetHistogram(base + ".latency_ms")->Observe(span.elapsed_ms);
     if (span.items > 0) {

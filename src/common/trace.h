@@ -47,12 +47,6 @@ class Trace {
   /// omitted when empty). Schema documented in docs/OBSERVABILITY.md.
   std::string ToJson() const;
 
-  /// Appends `subtree` under a new top-level span named `root_name` whose
-  /// elapsed/items/bytes are the sums over the subtree's top-level spans.
-  /// Used to compose one operation's trace from sub-operations recorded by
-  /// their own collectors (e.g. per-segment searches inside one query).
-  void Graft(std::string_view root_name, const Trace& subtree);
-
  private:
   friend class TraceCollector;
   std::vector<TraceSpan> spans_;
@@ -67,7 +61,9 @@ class Trace {
 /// `<prefix>.<name>.latency_ms` observes the span's wall-clock, and
 /// counters `<prefix>.<name>.items_total` / `.bytes_total` accumulate its
 /// payload counts — per-query traces and fleet-level metrics stay in sync
-/// by construction.
+/// by construction. A span named `<kind>:<label>` (one per segment of a
+/// search, `segment:<label>`) feeds no instrument, so metric names never
+/// carry a runtime label.
 class TraceCollector {
  public:
   explicit TraceCollector(std::string metric_prefix = "",

@@ -14,10 +14,10 @@
 namespace gks {
 
 /// The one partial-merge core. A *partial* is one ranked answer from one
-/// index: the single index gives one, a real-time snapshot one per segment
-/// (core/segment_search.h), a coordinator decodes one per shard
-/// (core/shard_merge.h). Every decision those three paths share is made
-/// here, once: the result order, the effective s, how partials combine,
+/// index: GksSearcher evaluates one per segment of the set it searches (a
+/// single index is a set of one; core/searcher.h), a coordinator decodes
+/// one per shard (core/shard_merge.h). Every decision those paths share
+/// is made here, once: the result order, the effective s, how partials combine,
 /// and the stages that follow ranking — the top_k cut, DI, refinements
 /// and the max_results cut. Ranks are potential-flow scores (Sec. 5),
 /// functions of a node's own subtree, so ranks from different indexes

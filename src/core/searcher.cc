@@ -22,16 +22,27 @@
 namespace gks {
 namespace {
 
-// Backfills the legacy Timings struct from the recorded span tree and the
-// end-to-end timer, and feeds the query-level registry instruments.
+// Backfills the legacy Timings struct from the recorded span tree (each
+// stage field sums that stage's spans: one per segment) and the
+// end-to-end timer, and feeds the query-level registry instruments once
+// per query.
 void FinishTimings(const WallTimer& total_timer, SearchResponse* response) {
   SearchResponse::Timings& t = response->timings;
-  t.parse_ms = response->trace.ElapsedMs("parse");
-  t.merge_ms = response->trace.ElapsedMs("merged_list");
-  t.window_ms = response->trace.ElapsedMs("window_scan");
-  t.lce_ms = response->trace.ElapsedMs("lce");  // includes prune + ranking
-  t.di_ms = response->trace.ElapsedMs("di");
-  t.refine_ms = response->trace.ElapsedMs("refinement");
+  for (const TraceSpan& span : response->trace.spans()) {
+    if (span.name == "parse") {
+      t.parse_ms += span.elapsed_ms;
+    } else if (span.name == "merged_list") {
+      t.merge_ms += span.elapsed_ms;
+    } else if (span.name == "window_scan") {
+      t.window_ms += span.elapsed_ms;
+    } else if (span.name == "lce") {  // includes prune + ranking
+      t.lce_ms += span.elapsed_ms;
+    } else if (span.name == "di") {
+      t.di_ms += span.elapsed_ms;
+    } else if (span.name == "refinement") {
+      t.refine_ms += span.elapsed_ms;
+    }
+  }
   t.total_ms = total_timer.ElapsedMillis();
 
   MetricsRegistry& registry = MetricsRegistry::Global();
@@ -41,40 +52,28 @@ void FinishTimings(const WallTimer& total_timer, SearchResponse* response) {
       ->Add(response->nodes.size());
 }
 
-}  // namespace
-
-// Canonical form of a parsed query: analyzed terms (lowercased, stemmed,
-// whitespace-collapsed) plus tag constraints — NOT Query::ToString, which
-// preserves the raw spelling ("XML  Data" must hit "xml data" in the
-// server's response cache). Control separators cannot occur in analyzed
-// tokens.
-std::string NormalizedQueryText(const Query& query) {
-  std::string out;
-  for (const QueryAtom& atom : query.atoms()) {
-    if (!out.empty()) out.push_back('\x01');
-    out += atom.tag_constraint;
-    for (const std::string& term : atom.terms) {
-      out.push_back('\x02');
-      out += term;
-    }
-  }
-  return out;
+// True when any tombstone falls inside the segment's doc-id range.
+bool HasTombstones(const SegmentSetSnapshot& snapshot,
+                   const SegmentView& segment) {
+  if (snapshot.deleted == nullptr || snapshot.deleted->empty()) return false;
+  auto it = std::lower_bound(snapshot.deleted->begin(),
+                             snapshot.deleted->end(), segment.doc_base);
+  return it != snapshot.deleted->end() &&
+         *it < segment.doc_base + segment.doc_count;
 }
 
-Result<SearchResponse> GksSearcher::SearchTraced(
-    const Query& query, const SearchOptions& options) const {
-  // The index's one partial: the evaluators fill it, the merge core ranks
-  // it and runs the stages after ranking (core/partial_merge.h).
+// One segment's evaluation, up to its partial: the planner picks the
+// strategy, the chosen evaluator fills the ranked nodes (in any order).
+// `top_k` is the cut the planner may engage the block-max evaluator for.
+Partial EvaluateSegment(const XmlIndex& index, const Query& query, uint32_t s,
+                        const SearchOptions& options, uint32_t top_k) {
   Partial partial;
-  const uint32_t s = EffectiveS(query, options);
-
   // The arena is per worker thread: scratch buffers (atom lists, merged
   // list storage, gather buffers) cycle through it across queries instead
   // of hitting the allocator each time.
   QueryArena& arena = QueryArena::ThreadLocal();
-  PlannerDecision decision =
-      ChoosePlan(*index_, query, s, options.plan, options.top_k,
-                 options.topk_scan_floor);
+  PlannerDecision decision = ChoosePlan(index, query, s, options.plan, top_k,
+                                        options.topk_scan_floor);
   partial.plan = std::move(decision.info);
 
   MetricsRegistry& registry = MetricsRegistry::Global();
@@ -100,8 +99,7 @@ Result<SearchResponse> GksSearcher::SearchTraced(
     // strategy (its nodes equal any strategy's, truncated to the k best,
     // already in final order). Spans `topk.scan` / `topk.finalize` and the
     // gks.search.topk.* counters are recorded inside.
-    TopKResult topk =
-        EvaluateTopK(*index_, query, s, options.top_k, &arena);
+    TopKResult topk = EvaluateTopK(index, query, s, top_k, &arena);
     partial.nodes = std::move(topk.nodes);
     partial.merged_list_size = topk.merged_list_size;
     partial.candidate_count = topk.candidate_count;
@@ -114,7 +112,7 @@ Result<SearchResponse> GksSearcher::SearchTraced(
   } else if (partial.plan.strategy == PlanMode::kMerge) {
     MergedList sl = [&] {
       ScopedSpan span("merged_list");
-      MergedList merged = MergedList::Build(*index_, query, &arena);
+      MergedList merged = MergedList::Build(index, query, &arena);
       span.AddItems(merged.size());
       return merged;
     }();
@@ -130,12 +128,12 @@ Result<SearchResponse> GksSearcher::SearchTraced(
 
     {
       ScopedSpan span("lce");
-      partial.nodes = ComputeGksNodes(*index_, sl, candidates);
+      partial.nodes = ComputeGksNodes(index, sl, candidates);
       span.AddItems(partial.nodes.size());
     }
     sl.ReleaseTo(&arena);
   } else {
-    ProbeEvaluator eval(*index_, query, s, {}, &arena);
+    ProbeEvaluator eval(index, query, s, {}, &arena);
     {
       ScopedSpan span("merged_list");
       eval.PrepareLists();
@@ -173,14 +171,67 @@ Result<SearchResponse> GksSearcher::SearchTraced(
       }
       partial.plan.gathered_postings = eval.reduced().size();
       partial.nodes =
-          ComputeGksNodesPruned(*index_, eval.reduced(), eval.pruned());
+          ComputeGksNodesPruned(index, eval.reduced(), eval.pruned());
       lce_span.AddItems(partial.nodes.size());
     }
   }
-  std::vector<Partial> partials;
-  partials.push_back(std::move(partial));
-  auto di_source = [&](NodeOrigin, const GksNode& node, DiAccumulator* acc) {
-    AccumulateDi(*index_, node, query, DiOptions{}, acc);
+  return partial;
+}
+
+}  // namespace
+
+GksSearcher::GksSearcher(const XmlIndex* index) {
+  // The index is borrowed: an owner-less shared_ptr points at it.
+  snapshot_ = OneSegmentSnapshot(
+      std::shared_ptr<const XmlIndex>(std::shared_ptr<const XmlIndex>(),
+                                      index));
+}
+
+// Canonical form of a parsed query: analyzed terms (lowercased, stemmed,
+// whitespace-collapsed) plus tag constraints — NOT Query::ToString, which
+// preserves the raw spelling ("XML  Data" must hit "xml data" in the
+// server's response cache). Control separators cannot occur in analyzed
+// tokens.
+std::string NormalizedQueryText(const Query& query) {
+  std::string out;
+  for (const QueryAtom& atom : query.atoms()) {
+    if (!out.empty()) out.push_back('\x01');
+    out += atom.tag_constraint;
+    for (const std::string& term : atom.terms) {
+      out.push_back('\x02');
+      out += term;
+    }
+  }
+  return out;
+}
+
+Result<SearchResponse> GksSearcher::SearchTraced(
+    const Query& query, const SearchOptions& options) const {
+  const std::vector<SegmentView>& segments = snapshot_->segments;
+  const uint32_t s = EffectiveS(query, options);
+  std::vector<Partial> partials(segments.size());
+  for (size_t i = 0; i < segments.size(); ++i) {
+    // A single index records the plain stage spans; over several segments
+    // each segment's stages nest under its own span.
+    std::optional<ScopedSpan> span;
+    if (segments.size() > 1) span.emplace("segment:" + segments[i].label);
+    // Exactness under deletion: a segment's k best survivors may rank
+    // below k masked nodes, so a segment holding tombstones is evaluated
+    // in full and the merge cuts to k.
+    const bool masked = HasTombstones(*snapshot_, segments[i]);
+    partials[i] = EvaluateSegment(*segments[i].index, query, s, options,
+                                  masked ? 0 : options.top_k);
+    if (masked) {
+      std::erase_if(partials[i].nodes, [&](const GksNode& node) {
+        return snapshot_->IsDeleted(node.id.doc_id());
+      });
+    }
+  }
+  // A node's DI resolves through the segment it came from.
+  auto di_source = [&](NodeOrigin origin, const GksNode& node,
+                       DiAccumulator* acc) {
+    AccumulateDi(*segments[origin.partial].index, node, query, DiOptions{},
+                 acc);
   };
   return MergePartials(query, options, std::move(partials), di_source)
       .response;
@@ -388,6 +439,26 @@ std::string DescribeNode(const XmlIndex& index, const GksNode& node,
     out += " {";
     out += attrs;
     out += "}";
+  }
+  return out;
+}
+
+std::string DescribeNode(const SegmentSetSnapshot& snapshot,
+                         const GksNode& node, size_t max_attrs) {
+  const SegmentView* segment = snapshot.SegmentFor(node.id.doc_id());
+  if (segment == nullptr) return "<?> " + node.id.ToString();
+  return DescribeNode(*segment->index, node, max_attrs);
+}
+
+std::vector<std::vector<DiContribution>> ComputeDiContributions(
+    const SegmentSetSnapshot& snapshot, const std::vector<GksNode>& nodes,
+    const Query& query, const DiOptions& options) {
+  std::vector<std::vector<DiContribution>> out(nodes.size());
+  for (size_t n = 0; n < nodes.size(); ++n) {
+    if (!GivesDi(nodes[n])) continue;
+    const SegmentView* segment = snapshot.SegmentFor(nodes[n].id.doc_id());
+    if (segment == nullptr) continue;
+    out[n] = NodeDiContributions(*segment->index, nodes[n], query, options);
   }
   return out;
 }

@@ -2,8 +2,10 @@
 #define GKS_CORE_SEARCHER_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -13,6 +15,7 @@
 #include "core/plan.h"
 #include "core/query.h"
 #include "core/refinement.h"
+#include "index/rt_segment.h"
 #include "index/xml_index.h"
 
 namespace gks {
@@ -70,10 +73,12 @@ struct SearchResponse {
   PlanInfo plan;
 
   /// Per-stage wall-clock, for the complexity analysis and --explain.
-  /// Populated from `trace` (the span tree is the source of truth);
-  /// total_ms >= parse_ms + stage sum, the difference — reported as
-  /// `other_ms` — being sort/allocation overhead outside any stage span
-  /// (see docs/OBSERVABILITY.md).
+  /// Each stage field is the sum of that stage's spans in `trace` (the
+  /// span tree is the source of truth; a multi-segment set records one
+  /// `merged_list` / `window_scan` / `lce` per segment); total_ms >=
+  /// parse_ms + stage sum, the difference — reported as `other_ms` —
+  /// being sort/allocation overhead outside any stage span (see
+  /// docs/OBSERVABILITY.md).
   struct Timings {
     double parse_ms = 0.0;    // query-text parse (string overload only)
     double merge_ms = 0.0;    // k-way merge of the posting lists
@@ -101,7 +106,9 @@ struct SearchResponse {
   /// Full span tree for this query (stage spans `merged_list`,
   /// `window_scan`, `lce` (children `prune`, `ranking`, and
   /// `probe.gather` on probe plans), `di`, `refinement`, plus `parse`
-  /// for text queries and a zero-length `plan.<strategy>` marker).
+  /// for text queries and a zero-length `plan.<strategy>` marker). Over
+  /// more than one segment the evaluation stages of each segment nest
+  /// under a `segment:<label>` span, between `parse` and `di`.
   Trace trace;
 };
 
@@ -115,13 +122,29 @@ std::string ExplainJson(const SearchResponse& response);
 
 /// Facade over the whole Sec. 4-6 pipeline: merged list -> sliding-window
 /// LCP candidates -> LCE mapping with independent witnesses -> potential
-/// flow ranking -> DI -> refinements. Keeps no state between queries: a
-/// response is a function of the index, the query and the options
-/// (answers are cached, if at all, by the server; docs/PERFORMANCE.md).
+/// flow ranking -> DI -> refinements. It searches a segment set
+/// (docs/INDEXING.md § Search over segments): a single index is a set of
+/// one segment, a real-time snapshot one per segment. Each segment is
+/// evaluated into one partial with its tombstoned documents masked, and
+/// the merge core (core/partial_merge.h) ranks the partials once and
+/// derives DI and refinements from the merged nodes, so a segment set
+/// answers node for node as one index over its live documents would.
+/// Keeps no state between queries: a response is a function of the
+/// segments, the query and the options (answers are cached, if at all,
+/// by the server; docs/PERFORMANCE.md).
+///
+/// `top_k` stays exact under deletions: a segment holding tombstones is
+/// evaluated in full (the k-th survivor may sit below k dead nodes), and
+/// the merge cuts to k.
 class GksSearcher {
  public:
-  /// `index` must outlive the searcher.
-  explicit GksSearcher(const XmlIndex* index) : index_(index) {}
+  /// Searches `index` as a set of one segment; `index` must outlive the
+  /// searcher.
+  explicit GksSearcher(const XmlIndex* index);
+  /// Searches `snapshot`. The snapshot is immutable, so a searcher can be
+  /// constructed per query for the price of a shared_ptr copy.
+  explicit GksSearcher(std::shared_ptr<const SegmentSetSnapshot> snapshot)
+      : snapshot_(std::move(snapshot)) {}
 
   Result<SearchResponse> Search(const Query& query,
                                 const SearchOptions& options = {}) const;
@@ -143,20 +166,29 @@ class GksSearcher {
   Result<std::vector<std::vector<DiKeyword>>> DiscoverRecursiveDi(
       const Query& query, const SearchOptions& options, size_t rounds) const;
 
-  const XmlIndex& index() const { return *index_; }
-
  private:
   /// Pipeline body; runs under the caller-installed TraceCollector.
   Result<SearchResponse> SearchTraced(const Query& query,
                                       const SearchOptions& options) const;
 
-  const XmlIndex* index_;
+  std::shared_ptr<const SegmentSetSnapshot> snapshot_;
 };
 
 /// One-line description of a response node for CLIs and examples:
 /// "<Course> d0.0.1.1.0 [EN] keywords=3 rank=3.00 {Name: Data Mining}".
 std::string DescribeNode(const XmlIndex& index, const GksNode& node,
                          size_t max_attrs = 3);
+
+/// DescribeNode over a segment set: resolves the node's segment by doc id
+/// and formats with that segment's index.
+std::string DescribeNode(const SegmentSetSnapshot& snapshot,
+                         const GksNode& node, size_t max_attrs = 3);
+
+/// ComputeDiContributions over a segment set: each node's contributions
+/// resolve through the segment that holds its document.
+std::vector<std::vector<DiContribution>> ComputeDiContributions(
+    const SegmentSetSnapshot& snapshot, const std::vector<GksNode>& nodes,
+    const Query& query, const DiOptions& options);
 
 /// Canonical form of a parsed query: analyzed terms plus tag constraints,
 /// independent of the raw spelling. The server's response cache keys on

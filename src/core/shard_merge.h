@@ -18,8 +18,8 @@ namespace gks {
 /// Each shard worker runs the full single-index pipeline over its
 /// document range with the cross-shard stages disabled (`"shard": true`
 /// on the wire maps to discover_di = suggest_refinements = false,
-/// max_results = 0 — exactly the inner options SegmentSearcher uses per
-/// segment). MergeShardResults is an adapter over the one partial-merge
+/// max_results = 0, so a worker returns its one segment's partial).
+/// MergeShardResults is an adapter over the one partial-merge
 /// core (core/partial_merge.h): each shard is one partial, and the core
 /// re-establishes the global order and runs the cross-shard stages from
 /// partition-independent inputs:

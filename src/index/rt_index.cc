@@ -123,13 +123,22 @@ Result<std::unique_ptr<RtIndex>> RtIndex::Open(RtOptions options) {
   return index;
 }
 
-Status RtIndex::LoadSegmentFile(const std::string& file,
-                                uint64_t expected_base,
-                                std::shared_ptr<const XmlIndex>* out) const {
-  Result<XmlIndex> loaded = LoadIndex(PathIn(file));
+Status RtIndex::LoadSegmentFile(DiskSegment* segment) const {
+  Result<XmlIndex> loaded = LoadIndex(PathIn(segment->file));
   if (!loaded.ok()) return loaded.status();
-  (void)expected_base;
-  *out = std::make_shared<const XmlIndex>(std::move(*loaded));
+  // The file records which documents it holds; a MANIFEST entry that
+  // disagrees would map names and tombstones to the wrong documents.
+  const uint32_t base = loaded->DocBase();
+  const size_t count = loaded->catalog.document_count();
+  if (base != segment->doc_base || count != segment->doc_count) {
+    return Status::Corruption(
+        "MANIFEST entry for '" + segment->file + "' says doc_base " +
+        std::to_string(segment->doc_base) + ", doc_count " +
+        std::to_string(segment->doc_count) + ", but the file holds " +
+        "doc_base " + std::to_string(base) + ", doc_count " +
+        std::to_string(count));
+  }
+  segment->index = std::make_shared<const XmlIndex>(std::move(*loaded));
   return Status::OK();
 }
 
@@ -207,8 +216,7 @@ Status RtIndex::OpenInternal() {
           return Status::Corruption("MANIFEST segment entry without a file");
         }
         GKS_ASSIGN_OR_RETURN(segment.bytes, FileBytes(PathIn(segment.file)));
-        GKS_RETURN_IF_ERROR(
-            LoadSegmentFile(segment.file, segment.doc_base, &segment.index));
+        GKS_RETURN_IF_ERROR(LoadSegmentFile(&segment));
         referenced.insert(segment.file);
         if (!segment.docstore.empty()) referenced.insert(segment.docstore);
         disk_.push_back(std::move(segment));
@@ -537,8 +545,7 @@ Status RtIndex::DoFlush() {
       GKS_RETURN_IF_ERROR(SaveIndex(index, PathIn(segment.file)));
       GKS_RETURN_IF_ERROR(WriteDocstore(PathIn(segment.docstore), run.docs));
       GKS_ASSIGN_OR_RETURN(segment.bytes, FileBytes(PathIn(segment.file)));
-      GKS_RETURN_IF_ERROR(
-          LoadSegmentFile(segment.file, segment.doc_base, &segment.index));
+      GKS_RETURN_IF_ERROR(LoadSegmentFile(&segment));
       span.AddItems(segment.doc_count);
       span.AddBytes(segment.bytes);
       built.push_back(std::move(segment));
@@ -639,8 +646,7 @@ Status RtIndex::DoMerge() {
     GKS_RETURN_IF_ERROR(SaveIndex(index, PathIn(output.file)));
     GKS_RETURN_IF_ERROR(WriteDocstore(PathIn(output.docstore), merged));
     GKS_ASSIGN_OR_RETURN(output.bytes, FileBytes(PathIn(output.file)));
-    GKS_RETURN_IF_ERROR(
-        LoadSegmentFile(output.file, output.doc_base, &output.index));
+    GKS_RETURN_IF_ERROR(LoadSegmentFile(&output));
     span.AddItems(output.doc_count);
     span.AddBytes(output.bytes);
   }

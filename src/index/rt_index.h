@@ -149,8 +149,9 @@ class RtIndex {
   Status DoFlush();
   Status DoMerge();
   Status WriteManifestLocked();
-  Status LoadSegmentFile(const std::string& file, uint64_t expected_base,
-                         std::shared_ptr<const XmlIndex>* out) const;
+  /// Loads `segment->file` into `segment->index`; Corruption when the
+  /// file's document range differs from doc_base / doc_count.
+  Status LoadSegmentFile(DiskSegment* segment) const;
   void PublishLocked();
   std::vector<SegmentView> WindowViewsLocked() const;
   void BackgroundLoop();

@@ -97,8 +97,7 @@ const SegmentView* SegmentSetSnapshot::SegmentFor(uint32_t doc_id) const {
 const Catalog::DocumentInfo* SegmentSetSnapshot::Document(
     uint32_t doc_id) const {
   const SegmentView* view = SegmentFor(doc_id);
-  if (view == nullptr) return nullptr;
-  return &view->index->catalog.document(doc_id - view->doc_base);
+  return view != nullptr ? view->index->Document(doc_id) : nullptr;
 }
 
 uint64_t SegmentSetSnapshot::TotalDocuments() const {
@@ -111,6 +110,18 @@ uint64_t SegmentSetSnapshot::LiveDocuments() const {
   uint64_t total = TotalDocuments();
   uint64_t dead = deleted == nullptr ? 0 : deleted->size();
   return total >= dead ? total - dead : 0;
+}
+
+std::shared_ptr<const SegmentSetSnapshot> OneSegmentSnapshot(
+    std::shared_ptr<const XmlIndex> index) {
+  auto snapshot = std::make_shared<SegmentSetSnapshot>();
+  const uint32_t doc_base = index->DocBase();
+  const auto doc_count =
+      static_cast<uint32_t>(index->catalog.document_count());
+  snapshot->epoch = index->epoch;
+  snapshot->segments.push_back(
+      {std::move(index), doc_base, doc_count, "index"});
+  return snapshot;
 }
 
 }  // namespace gks

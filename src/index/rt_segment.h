@@ -76,12 +76,20 @@ struct SegmentSetSnapshot {
   bool IsDeleted(uint32_t doc_id) const;
   /// The segment whose id range contains `doc_id`; nullptr when none.
   const SegmentView* SegmentFor(uint32_t doc_id) const;
-  /// Catalog entry for a global doc id; nullptr when unknown.
+  /// Catalog entry for a global doc id (XmlIndex::Document of its
+  /// segment); nullptr when no segment holds it.
   const Catalog::DocumentInfo* Document(uint32_t doc_id) const;
 
   uint64_t TotalDocuments() const;  // catalog entries incl. tombstones
   uint64_t LiveDocuments() const;
 };
+
+/// A set of one segment over `index` — how a static or shard index file
+/// is searched and served. Its document range is the index's own
+/// (XmlIndex::DocBase), its epoch the index's epoch, and it has no
+/// tombstones.
+std::shared_ptr<const SegmentSetSnapshot> OneSegmentSnapshot(
+    std::shared_ptr<const XmlIndex> index);
 
 }  // namespace gks
 

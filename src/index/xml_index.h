@@ -30,6 +30,18 @@ struct XmlIndex {
   /// readers, so a plain integer suffices.
   uint64_t epoch = 0;
 
+  /// The global document ids this index holds are [DocBase(), DocBase() +
+  /// catalog.document_count()): the catalog is dense from 0, while Dewey
+  /// ids carry IndexBuilderOptions::first_doc_id onwards (shards, RT
+  /// segments). Read from the file itself — the document component of
+  /// the first node row, since rows are in document order and every
+  /// document has its root row — and 0 for an index without rows.
+  uint32_t DocBase() const;
+
+  /// Catalog entry of global document `doc_id`; nullptr outside
+  /// [DocBase(), DocBase() + catalog.document_count()).
+  const Catalog::DocumentInfo* Document(uint32_t doc_id) const;
+
   /// Approximate in-memory footprint — the paper's "Index Size" column.
   size_t MemoryUsage() const {
     return inverted.MemoryUsage() + nodes.MemoryUsage();

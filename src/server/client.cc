@@ -1,9 +1,6 @@
 #include "server/client.h"
 
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <thread>
@@ -14,60 +11,40 @@
 #include "server/net.h"
 
 namespace gks {
+namespace {
+
+/// The reader of a connection that has no socket.
+net::LineReader Unconnected() {
+  return net::LineReader(-1, net::LineReader::kUnbounded);
+}
+
+}  // namespace
 
 ServerConnection::~ServerConnection() { Close(); }
 
 ServerConnection::ServerConnection(ServerConnection&& other) noexcept
-    : fd_(other.fd_), buffer_(std::move(other.buffer_)) {
-  other.fd_ = -1;
-}
+    : reader_(std::exchange(other.reader_, Unconnected())) {}
 
 ServerConnection& ServerConnection::operator=(
     ServerConnection&& other) noexcept {
   if (this != &other) {
     Close();
-    fd_ = other.fd_;
-    buffer_ = std::move(other.buffer_);
-    other.fd_ = -1;
+    reader_ = std::exchange(other.reader_, Unconnected());
   }
   return *this;
 }
 
 void ServerConnection::Close() {
-  net::CloseFd(fd_);
-  fd_ = -1;
-  buffer_.clear();
+  net::CloseFd(reader_.fd());
+  reader_ = Unconnected();
 }
 
 Result<ServerConnection> ServerConnection::Open(const std::string& host,
                                                 int port) {
   ServerConnection connection;
-  GKS_ASSIGN_OR_RETURN(connection.fd_, net::Connect(host, port));
+  GKS_ASSIGN_OR_RETURN(int fd, net::Connect(host, port));
+  connection.reader_ = net::LineReader(fd, net::LineReader::kUnbounded);
   return connection;
-}
-
-Status ServerConnection::ReadResponseLine(std::string* line) {
-  // A fresh LineReader per call would drop buffered bytes; keep our own
-  // buffer with the same framing rules instead (responses are
-  // server-generated, so no per-line size cap is needed here).
-  while (true) {
-    size_t newline = buffer_.find('\n');
-    if (newline != std::string::npos) {
-      size_t end = newline;
-      if (end > 0 && buffer_[end - 1] == '\r') --end;
-      line->assign(buffer_, 0, end);
-      buffer_.erase(0, newline + 1);
-      return Status::OK();
-    }
-    char chunk[4096];
-    ssize_t n = ::read(fd_, chunk, sizeof(chunk));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::IOError("read from server failed");
-    }
-    if (n == 0) return Status::IOError("server closed the connection");
-    buffer_.append(chunk, static_cast<size_t>(n));
-  }
 }
 
 Result<JsonValue> ServerConnection::Call(const std::string& request_json) {
@@ -77,10 +54,14 @@ Result<JsonValue> ServerConnection::Call(const std::string& request_json) {
 
 Result<std::string> ServerConnection::CallRaw(
     const std::string& request_json) {
-  if (fd_ < 0) return Status::IOError("not connected");
-  GKS_RETURN_IF_ERROR(net::WriteAll(fd_, request_json + "\n"));
+  if (!connected()) return Status::IOError("not connected");
+  GKS_RETURN_IF_ERROR(net::WriteAll(reader_.fd(), request_json + "\n"));
   std::string line;
-  GKS_RETURN_IF_ERROR(ReadResponseLine(&line));
+  Status status = reader_.ReadLine(&line);
+  if (status.code() == StatusCode::kNotFound) {
+    return Status::IOError("server closed the connection");
+  }
+  GKS_RETURN_IF_ERROR(status);
   return line;
 }
 

@@ -7,6 +7,7 @@
 
 #include "common/json_value.h"
 #include "common/result.h"
+#include "server/net.h"
 
 namespace gks {
 
@@ -46,14 +47,13 @@ class ServerConnection {
   Result<JsonValue> Insert(const std::string& name, const std::string& xml);
   Result<JsonValue> Remove(const std::string& name);
 
-  bool connected() const { return fd_ >= 0; }
+  bool connected() const { return reader_.fd() >= 0; }
   void Close();
 
  private:
-  int fd_ = -1;
-  // LineReader buffers ahead; kept via pimpl-free composition.
-  std::string buffer_;
-  Status ReadResponseLine(std::string* line);
+  /// The socket and its buffered response reader; responses are
+  /// server-generated, so their lines are not capped.
+  net::LineReader reader_{-1, net::LineReader::kUnbounded};
 };
 
 /// Load-generator verdict — everything the bench, smoke script and

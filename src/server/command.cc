@@ -36,7 +36,6 @@ int ServeUsage() {
                "        [--cache-bytes=N] [--max-request-bytes=N]\n"
                "        [--rt=DIR] [--rt-flush-docs=N] [--rt-flush-bytes=N]\n"
                "        [--rt-merge-fanout=N] [--rt-fsync=always|off]\n"
-               "        [--doc-base=N]\n"
                "        [--coord-shards=H:P[|H:P..][,H:P..]]\n"
                "        [--coord-deadline-ms=D] [--coord-retries=N]\n"
                "        [--coord-backoff-ms=D] [--coord-partial]\n"
@@ -74,7 +73,7 @@ int RunServeCommand(const FlagParser& flags) {
           {"host", "deadline-ms", "rt", "rt-fsync", "coord-shards",
            "coord-deadline-ms", "coord-backoff-ms", "coord-partial"},
           {"port", "threads", "queue", "cache-bytes", "max-request-bytes",
-           "rt-flush-docs", "rt-flush-bytes", "rt-merge-fanout", "doc-base",
+           "rt-flush-docs", "rt-flush-bytes", "rt-merge-fanout",
            "coord-retries"});
       !status.ok()) {
     std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
@@ -105,7 +104,6 @@ int RunServeCommand(const FlagParser& flags) {
     return 2;
   }
   config.rt_fsync = rt_fsync == "always";
-  config.doc_base = static_cast<uint32_t>(flags.GetInt("doc-base", 0));
   config.coord_shards = flags.GetString("coord-shards", "");
   config.coord_deadline_ms = flags.GetDouble("coord-deadline-ms", 2000.0);
   config.coord_retries = static_cast<int>(flags.GetInt("coord-retries", 2));

@@ -1,11 +1,7 @@
 #include "server/coordinator.h"
 
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <cmath>
-#include <cstring>
 #include <optional>
 #include <thread>
 #include <utility>
@@ -236,36 +232,6 @@ bool ParseShardPartial(const JsonValue& root, size_t describe_top,
   return true;
 }
 
-/// Reads one newline-framed response within the budget, keeping any
-/// over-read with the connection's buffer.
-Status ReadLineBudgeted(int fd, std::string* buffer,
-                        std::chrono::steady_clock::time_point deadline,
-                        std::string* line) {
-  while (true) {
-    size_t newline = buffer->find('\n');
-    if (newline != std::string::npos) {
-      line->assign(*buffer, 0, newline);
-      buffer->erase(0, newline + 1);
-      if (!line->empty() && line->back() == '\r') line->pop_back();
-      return Status::OK();
-    }
-    double remaining = MsUntil(deadline);
-    if (remaining <= 0.0) {
-      return Status::DeadlineExceeded("shard response timed out");
-    }
-    GKS_RETURN_IF_ERROR(
-        net::WaitReadable(fd, static_cast<int>(std::ceil(remaining))));
-    char chunk[8192];
-    ssize_t n = ::read(fd, chunk, sizeof(chunk));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::IOError(std::string("read: ") + std::strerror(errno));
-    }
-    if (n == 0) return Status::IOError("shard closed the connection");
-    buffer->append(chunk, static_cast<size_t>(n));
-  }
-}
-
 }  // namespace
 
 Result<std::vector<CoordShardSpec>> ParseShardTopology(
@@ -339,7 +305,7 @@ void ShardCoordinator::CloseAll() {
   for (auto& mirrors : endpoints_) {
     for (auto& endpoint : mirrors) {
       std::lock_guard<std::mutex> lock(endpoint->mu);
-      for (PooledConn& conn : endpoint->idle) net::CloseFd(conn.fd);
+      for (PooledConn& conn : endpoint->idle) net::CloseFd(conn.fd());
       endpoint->idle.clear();
     }
   }
@@ -381,7 +347,7 @@ void ShardCoordinator::MarkDown(Endpoint& endpoint) {
       std::chrono::steady_clock::now() +
       std::chrono::microseconds(static_cast<int64_t>(blackout * 1000.0));
   // Pooled connections to a failing endpoint are suspect; start fresh.
-  for (PooledConn& conn : endpoint.idle) net::CloseFd(conn.fd);
+  for (PooledConn& conn : endpoint.idle) net::CloseFd(conn.fd());
   endpoint.idle.clear();
 }
 
@@ -438,15 +404,14 @@ bool ShardCoordinator::AcquireConn(Endpoint& endpoint, double remaining_ms,
     std::lock_guard<std::mutex> lock(endpoint.mu);
     endpoint.ever_connected = true;
   }
-  conn->fd = *fd;
-  conn->buffer.clear();
+  *conn = PooledConn(*fd, PooledConn::kUnbounded);
   return true;
 }
 
 void ShardCoordinator::ReleaseConn(Endpoint& endpoint, PooledConn conn) {
   std::lock_guard<std::mutex> lock(endpoint.mu);
   if (endpoint.idle.size() >= 8) {
-    net::CloseFd(conn.fd);
+    net::CloseFd(conn.fd());
     return;
   }
   endpoint.idle.push_back(std::move(conn));
@@ -471,12 +436,13 @@ ShardCoordinator::AttemptResult ShardCoordinator::TryEndpoint(
   shard_requests_total_->Increment();
   WallTimer latency;
   std::string line;
-  Status status = net::WriteAll(conn.fd, request.line);
-  if (status.ok()) {
-    status = ReadLineBudgeted(conn.fd, &conn.buffer, deadline, &line);
+  Status status = net::WriteAll(conn.fd(), request.line);
+  if (status.ok()) status = conn.ReadLine(&line, deadline);
+  if (status.code() == StatusCode::kNotFound) {
+    status = Status::IOError("shard closed the connection");
   }
   if (!status.ok()) {
-    net::CloseFd(conn.fd);
+    net::CloseFd(conn.fd());
     *code = std::string(wire_error::kShardUnavailable);
     *message = endpoint.address.ToString() + ": " + status.ToString();
     return AttemptResult::kRetryable;
@@ -487,7 +453,7 @@ ShardCoordinator::AttemptResult ShardCoordinator::TryEndpoint(
   Result<JsonValue> root = JsonValue::Parse(line);
   if (!root.ok() || !root->is_object() || root->Find("ok") == nullptr ||
       !root->Find("ok")->is_bool()) {
-    net::CloseFd(conn.fd);
+    net::CloseFd(conn.fd());
     *code = std::string(wire_error::kShardUnavailable);
     *message = endpoint.address.ToString() + ": unparseable shard response";
     return AttemptResult::kRetryable;
@@ -495,7 +461,7 @@ ShardCoordinator::AttemptResult ShardCoordinator::TryEndpoint(
   if (!root->Find("ok")->GetBool()) {
     // A well-formed refusal: the stream stays framed, but a failing
     // worker should not be repooled ahead of healthy reuse.
-    net::CloseFd(conn.fd);
+    net::CloseFd(conn.fd());
     const JsonValue* error = root->Find("error");
     const JsonValue* error_message = root->Find("message");
     *code = error != nullptr ? error->GetString()
@@ -509,7 +475,7 @@ ShardCoordinator::AttemptResult ShardCoordinator::TryEndpoint(
   std::string parse_error;
   if (!ParseShardPartial(*root, request.describe_top, partial,
                          &parse_error)) {
-    net::CloseFd(conn.fd);
+    net::CloseFd(conn.fd());
     *code = std::string(wire_error::kShardUnavailable);
     *message = endpoint.address.ToString() + ": " + parse_error;
     return AttemptResult::kRetryable;

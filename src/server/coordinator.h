@@ -14,6 +14,7 @@
 #include "common/result.h"
 #include "common/thread_pool.h"
 #include "core/shard_merge.h"
+#include "server/net.h"
 #include "server/protocol.h"
 
 namespace gks {
@@ -23,8 +24,8 @@ namespace gks {
 /// query to every shard's worker over the ordinary newline-JSON wire
 /// protocol (with `"shard": true`), retries failed shards on their
 /// configured mirrors with exponential backoff, and merges the partials
-/// with the exact SegmentSearcher comparator (core/shard_merge.h) so the
-/// merged response is bit-identical to a single-index run.
+/// in the one partial-merge core's result order (core/shard_merge.h) so
+/// the merged response is bit-identical to a single-index run.
 
 /// One worker address.
 struct CoordEndpoint {
@@ -91,13 +92,10 @@ class ShardCoordinator {
   void CloseAll();
 
  private:
-  /// A kept-alive downstream connection: the socket plus any bytes read
-  /// past the last response's newline (must stay with the fd or the
-  /// stream can no longer be framed).
-  struct PooledConn {
-    int fd = -1;
-    std::string buffer;
-  };
+  /// A kept-alive downstream connection: the socket's reader, which
+  /// holds any bytes read past the last response's newline (they must
+  /// stay with the fd or the stream can no longer be framed).
+  using PooledConn = net::LineReader;
 
   /// Health + connection pool for one mirror.
   struct Endpoint {

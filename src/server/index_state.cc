@@ -15,12 +15,13 @@ Status ServerIndexState::Load() {
                          RtIndex::Open(rt_options_));
     std::lock_guard<std::mutex> lock(mu_);
     rt_ = std::move(rt);
-    rt_snapshot_cache_ = rt_->snapshot();
+    snapshot_ = rt_->snapshot();
     path_ = rt_options_.dir;
     return Status::OK();
   }
   GKS_ASSIGN_OR_RETURN(XmlIndex index, LoadIndex(path_));
-  auto loaded = std::make_shared<const XmlIndex>(std::move(index));
+  auto loaded =
+      OneSegmentSnapshot(std::make_shared<const XmlIndex>(std::move(index)));
   std::lock_guard<std::mutex> lock(mu_);
   snapshot_ = std::move(loaded);
   return Status::OK();
@@ -45,7 +46,7 @@ Result<uint64_t> ServerIndexState::Reload(const std::string& path_override) {
     GKS_RETURN_IF_ERROR(old->Flush());
     {
       std::lock_guard<std::mutex> lock(mu_);
-      rt_.reset();  // queries fall back to rt_snapshot_cache_
+      rt_.reset();  // queries fall back to snapshot_
     }
     // Wait out transient rt_index() copies (no new ones can appear: rt_
     // is null and writes serialize behind reload_mu_), so the old index —
@@ -60,7 +61,7 @@ Result<uint64_t> ServerIndexState::Reload(const std::string& path_override) {
     {
       std::lock_guard<std::mutex> lock(mu_);
       rt_ = std::move(reopened);
-      rt_snapshot_cache_ = rt_->snapshot();
+      snapshot_ = rt_->snapshot();
     }
     MetricsRegistry::Global().GetCounter("gks.server.reloads_total")
         ->Increment();
@@ -70,7 +71,8 @@ Result<uint64_t> ServerIndexState::Reload(const std::string& path_override) {
   // The load runs outside mu_: queries keep taking snapshots of the old
   // index while the new one decodes.
   GKS_ASSIGN_OR_RETURN(XmlIndex index, LoadIndex(path));
-  auto loaded = std::make_shared<const XmlIndex>(std::move(index));
+  auto loaded =
+      OneSegmentSnapshot(std::make_shared<const XmlIndex>(std::move(index)));
   uint64_t epoch = loaded->epoch;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -82,21 +84,15 @@ Result<uint64_t> ServerIndexState::Reload(const std::string& path_override) {
   return epoch;
 }
 
-std::shared_ptr<const XmlIndex> ServerIndexState::snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return snapshot_;
-}
-
 std::shared_ptr<RtIndex> ServerIndexState::rt_index() const {
   std::lock_guard<std::mutex> lock(mu_);
   return rt_;
 }
 
-std::shared_ptr<const SegmentSetSnapshot> ServerIndexState::rt_snapshot()
-    const {
+std::shared_ptr<const SegmentSetSnapshot> ServerIndexState::snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
-  if (rt_ != nullptr) rt_snapshot_cache_ = rt_->snapshot();
-  return rt_snapshot_cache_;
+  if (rt_ != nullptr) snapshot_ = rt_->snapshot();
+  return snapshot_;
 }
 
 Result<uint32_t> ServerIndexState::RtInsert(std::string name,
@@ -140,12 +136,8 @@ Result<RtStats> ServerIndexState::GetRtStats() const {
 }
 
 uint64_t ServerIndexState::epoch() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (rt_mode_) {
-    if (rt_ != nullptr) rt_snapshot_cache_ = rt_->snapshot();
-    return rt_snapshot_cache_ != nullptr ? rt_snapshot_cache_->epoch : 0;
-  }
-  return snapshot_ ? snapshot_->epoch : 0;
+  std::shared_ptr<const SegmentSetSnapshot> current = snapshot();
+  return current != nullptr ? current->epoch : 0;
 }
 
 std::string ServerIndexState::path() const {

@@ -12,28 +12,30 @@
 
 namespace gks {
 
-/// The server's resident index: an atomically swappable snapshot behind a
-/// shared_ptr. Queries copy the pointer once at admission and run against
-/// that immutable snapshot for their whole lifetime, so a concurrent
-/// Reload never invalidates an in-flight query — the retired index stays
-/// alive until the last query holding it drops its reference.
+/// The server's resident index: an atomically swappable segment-set
+/// snapshot behind a shared_ptr, in every mode. Queries copy the pointer
+/// once at admission and run against that immutable snapshot for their
+/// whole lifetime, so a concurrent Reload never invalidates an in-flight
+/// query — the retired index stays alive until the last query holding it
+/// drops its reference.
 ///
-/// Epoch discipline: every load stamps a fresh process-unique
-/// XmlIndex::epoch, and the server's response cache (server/wire_cache.h)
-/// keys on it, so answers built against the retired snapshot can never be
-/// served for the new one (and vice versa) — hot reload requires no cache
-/// flush at all (docs/SERVER.md).
+/// A static or shard index file is served as a set of one segment
+/// (OneSegmentSnapshot), its document range read from the file. Epoch
+/// discipline: every load stamps a fresh process-unique XmlIndex::epoch,
+/// which is the snapshot's epoch, and the server's response cache
+/// (server/wire_cache.h) keys on it, so answers built against the retired
+/// snapshot can never be served for the new one (and vice versa) — hot
+/// reload requires no cache flush at all (docs/SERVER.md).
 ///
 /// The swap itself is a pointer assignment under a mutex (shared_ptr copy
 /// in/out); the expensive load happens outside the lock, so readers are
 /// never blocked behind disk I/O.
 ///
 /// Real-time mode (docs/INDEXING.md): constructed with RtOptions, the
-/// state owns an RtIndex instead of a single XmlIndex. Queries take
-/// rt_snapshot() (a SegmentSetSnapshot; same epoch discipline — every
-/// commit publishes a new one), writes go through RtInsert/RtDelete, and
-/// Reload closes and reopens the whole RT directory — recovery-from-WAL
-/// exercised as a hot path.
+/// state owns an RtIndex instead of a single XmlIndex. Its snapshots
+/// follow the same epoch discipline (every commit publishes a new one);
+/// writes go through RtInsert/RtDelete, and Reload closes and reopens the
+/// whole RT directory — recovery-from-WAL exercised as a hot path.
 class ServerIndexState {
  public:
   explicit ServerIndexState(std::string path) : path_(std::move(path)) {}
@@ -60,13 +62,10 @@ class ServerIndexState {
   /// writes queue behind a reload.
   Result<uint64_t> Reload(const std::string& path_override = "");
 
-  /// The current snapshot (never null after a successful Load in classic
-  /// mode; null in RT mode — use rt_snapshot()).
-  std::shared_ptr<const XmlIndex> snapshot() const;
-
-  /// RT mode: the current segment-set snapshot. Never null after Load;
-  /// stays valid (possibly one commit stale) during a reload swap.
-  std::shared_ptr<const SegmentSetSnapshot> rt_snapshot() const;
+  /// The current snapshot. Never null after a successful Load; in RT
+  /// mode it stays valid (possibly one commit stale) during a reload
+  /// swap.
+  std::shared_ptr<const SegmentSetSnapshot> snapshot() const;
 
   /// RT writes; RtDisabled-equivalent (NotSupported) in classic mode.
   /// Serialized against Reload, so a write never lands in a closing
@@ -92,11 +91,11 @@ class ServerIndexState {
   bool rt_mode_ = false;
   mutable std::mutex mu_;        // guards snapshot_/rt_/path_ swaps
   std::mutex reload_mu_;         // serializes reloads (and RT writes)
-  std::shared_ptr<const XmlIndex> snapshot_;
   std::shared_ptr<RtIndex> rt_;
-  /// Last snapshot handed out; keeps queries served during the brief
-  /// close-reopen window of an RT reload.
-  mutable std::shared_ptr<const SegmentSetSnapshot> rt_snapshot_cache_;
+  /// The static index's one-segment set; in RT mode the last snapshot
+  /// handed out, which keeps queries served during the brief close-reopen
+  /// window of an RT reload.
+  mutable std::shared_ptr<const SegmentSetSnapshot> snapshot_;
 };
 
 }  // namespace gks

@@ -4,6 +4,7 @@
 #include <fcntl.h>
 
 #include <cerrno>
+#include <cmath>
 #include <cstring>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
@@ -16,6 +17,12 @@ namespace {
 
 Status Errno(const std::string& what) {
   return Status::IOError(what + ": " + std::strerror(errno));
+}
+
+// Only request readers set a cap (responses are read uncapped).
+Status LineTooLong(size_t max_line) {
+  return Status::OutOfRange("request line exceeds " +
+                            std::to_string(max_line) + " bytes");
 }
 
 }  // namespace
@@ -182,30 +189,37 @@ Status WriteAll(int fd, std::string_view data) {
   return Status::OK();
 }
 
-Status LineReader::ReadLine(std::string* line) {
+Status LineReader::ReadLine(std::string* line, Deadline deadline) {
   while (true) {
-    size_t newline = buffer_.find('\n');
+    const size_t newline = buffer_.find('\n', scanned_);
     if (newline != std::string::npos) {
       // The cap applies even when the whole line arrived in one chunk.
-      if (newline > max_line_) {
-        return Status::OutOfRange("request line exceeds " +
-                                  std::to_string(max_line_) + " bytes");
-      }
+      if (newline > max_line_) return LineTooLong(max_line_);
       size_t end = newline;
       if (end > 0 && buffer_[end - 1] == '\r') --end;
       line->assign(buffer_, 0, end);
       buffer_.erase(0, newline + 1);
+      scanned_ = 0;
       return Status::OK();
     }
-    if (buffer_.size() > max_line_) {
-      return Status::OutOfRange("request line exceeds " +
-                                std::to_string(max_line_) + " bytes");
-    }
+    scanned_ = buffer_.size();
+    if (buffer_.size() > max_line_) return LineTooLong(max_line_);
     if (eof_) {
       if (buffer_.empty()) return Status::NotFound("eof");
       return Status::IOError("connection closed mid-line");
     }
-    char chunk[4096];
+    if (deadline != Deadline::max()) {
+      const double remaining_ms =
+          std::chrono::duration<double, std::milli>(
+              deadline - std::chrono::steady_clock::now())
+              .count();
+      if (remaining_ms <= 0.0) {
+        return Status::DeadlineExceeded("no whole line before the deadline");
+      }
+      GKS_RETURN_IF_ERROR(
+          WaitReadable(fd_, static_cast<int>(std::ceil(remaining_ms))));
+    }
+    char chunk[16384];
     ssize_t n = ::read(fd_, chunk, sizeof(chunk));
     if (n < 0) {
       if (errno == EINTR) continue;

@@ -1,7 +1,9 @@
 #ifndef GKS_SERVER_NET_H_
 #define GKS_SERVER_NET_H_
 
+#include <chrono>
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <string_view>
 
@@ -52,26 +54,39 @@ void ShutdownFd(int fd);
 /// Writes the whole buffer, looping over partial writes and EINTR.
 Status WriteAll(int fd, std::string_view data);
 
-/// Buffered newline-delimited reader over one socket — the wire framing
-/// of the query protocol (docs/SERVER.md). Lines longer than `max_line`
-/// fail with OutOfRange *before* buffering the rest, which is how the
-/// server bounds per-connection memory against oversized requests.
+/// Buffered newline-delimited reader over one socket — the one wire
+/// framing of the query protocol (docs/SERVER.md): the server reads
+/// requests through it, the client and the coordinator read responses.
+/// Lines longer than `max_line` fail with OutOfRange *before* buffering
+/// the rest, which is how the server bounds per-connection memory against
+/// oversized requests; response readers pass kUnbounded. Each buffered
+/// byte is scanned for the newline once, however many reads a long line
+/// (a shard partial of hundreds of KB) takes to arrive. The reader does
+/// not own the fd.
 class LineReader {
  public:
-  explicit LineReader(int fd, size_t max_line = 1 << 20)
+  static constexpr size_t kUnbounded = SIZE_MAX;
+  using Deadline = std::chrono::steady_clock::time_point;
+
+  explicit LineReader(int fd = -1, size_t max_line = 1 << 20)
       : fd_(fd), max_line_(max_line) {}
+
+  int fd() const { return fd_; }
 
   /// OK: one line in `*line`, terminator stripped (\n or \r\n).
   /// NotFound: clean EOF with no buffered partial line.
   /// OutOfRange: line exceeded max_line (connection should be dropped —
   ///   the stream can no longer be framed).
   /// IOError: read failure / EOF mid-line.
-  Status ReadLine(std::string* line);
+  /// DeadlineExceeded: `deadline` passed before the whole line arrived
+  ///   (the default never passes).
+  Status ReadLine(std::string* line, Deadline deadline = Deadline::max());
 
  private:
   int fd_;
   size_t max_line_;
   std::string buffer_;
+  size_t scanned_ = 0;  // buffer_[0, scanned_) holds no newline
   bool eof_ = false;
 };
 

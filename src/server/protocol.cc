@@ -208,9 +208,9 @@ Result<WireRequest> ParseWireRequest(std::string_view line) {
         return Status::InvalidArgument(
             "'explain' is not available on shard partials");
       }
-      // A shard partial is exactly SegmentSearcher's inner per-segment
-      // request: cross-shard stages run on the coordinator. The client's
-      // `top` only limits which nodes carry display strings.
+      // A shard partial is the worker's ranked nodes alone: cross-shard
+      // stages run on the coordinator. The client's `top` only limits
+      // which nodes carry display strings.
       request.options.discover_di = false;
       request.options.suggest_refinements = false;
       request.describe_top = request.options.max_results;
@@ -263,6 +263,12 @@ class DiDictionary {
   std::unordered_map<const DiContribution*, uint32_t, Hash, Equal> index_;
   std::vector<const DiContribution*> entries_;
 };
+
+/// A node's `doc` string: its catalog name, or "?" for a document id
+/// outside the searched index's range.
+std::string_view DocName(const Catalog::DocumentInfo* info) {
+  return info != nullptr ? std::string_view(info->name) : "?";
+}
 
 /// Shared body of the Query overloads: `doc_name` and `describe` resolve
 /// a node against whatever index form the caller searched.
@@ -376,11 +382,8 @@ std::string WireResponseBuilder::Query(const WireRequest& request,
                                        const QueryWireExtras& extras) {
   return BuildQueryResponse(
       request, response, epoch, elapsed_ms,
-      [&](const GksNode& node) -> const std::string& {
-        // Shard indexes carry global Dewey doc ids over a dense catalog
-        // (docs/DISTRIBUTED.md); doc_base is 0 everywhere else.
-        return index.catalog.document(node.id.doc_id() - extras.doc_base)
-            .name;
+      [&](const GksNode& node) {
+        return DocName(index.Document(node.id.doc_id()));
       },
       [&](const GksNode& node) { return DescribeNode(index, node); }, extras);
 }
@@ -392,10 +395,8 @@ std::string WireResponseBuilder::Query(const WireRequest& request,
                                        const QueryWireExtras& extras) {
   return BuildQueryResponse(
       request, response, epoch, elapsed_ms,
-      [&](const GksNode& node) -> std::string {
-        const Catalog::DocumentInfo* info =
-            snapshot.Document(node.id.doc_id());
-        return info != nullptr ? info->name : "?";
+      [&](const GksNode& node) {
+        return DocName(snapshot.Document(node.id.doc_id()));
       },
       [&](const GksNode& node) { return DescribeNode(snapshot, node); },
       extras);

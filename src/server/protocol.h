@@ -10,7 +10,6 @@
 #include "common/json_value.h"
 #include "common/result.h"
 #include "core/searcher.h"
-#include "core/segment_search.h"
 #include "core/shard_merge.h"
 
 namespace gks {
@@ -114,8 +113,9 @@ struct QueryWireExtras {
   /// distinct [tag, value, path...] entries, and per contributing node a
   /// "di_contrib" array of indices into it, in contribution order.
   const std::vector<std::vector<DiContribution>>* contributions = nullptr;
-  /// Shard workers hold global Dewey doc ids but a dense catalog starting
-  /// at this base (IndexBuilderOptions::first_doc_id).
+  /// Read by nothing: an index resolves its global doc ids itself
+  /// (XmlIndex::Document). Kept only because the benchmark in
+  /// perfbench/ still sets it.
   uint32_t doc_base = 0;
   /// Coordinator only, and only on a partial answer: "degraded": true
   /// plus "shards_ok"/"shards_total". A full fan-out emits none of these,
@@ -132,6 +132,8 @@ class WireResponseBuilder {
   /// Success envelope for a query: summary counts, epoch, ranked nodes
   /// (id/tag description/rank/keywords), DI keywords, elapsed wall-clock,
   /// plus the full --explain-json document under "explain" when asked.
+  /// A node's `doc` comes from the index's checked lookup
+  /// (XmlIndex::Document): "?" for an id outside its documents.
   /// The three Query builders return the answer without the request's
   /// `id`, so the server can cache it; WithId makes it the reply.
   static std::string Query(const WireRequest& request,
@@ -140,8 +142,9 @@ class WireResponseBuilder {
                            double elapsed_ms,
                            const QueryWireExtras& extras = {});
 
-  /// Query envelope over a real-time segment set: identical schema, with
-  /// document names and node descriptions resolved through the snapshot.
+  /// Query envelope over a segment set — what the server sends in every
+  /// mode: identical schema, with document names and node descriptions
+  /// resolved through the segment that holds each node.
   static std::string Query(const WireRequest& request,
                            const SearchResponse& response,
                            const SegmentSetSnapshot& snapshot, uint64_t epoch,

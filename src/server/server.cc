@@ -357,70 +357,51 @@ std::string GksServer::RunQuery(
     return coordinator_->Execute(request, budget);
   }
   ScopedSpan span("server.search");
-  // One body over either snapshot type. The two real differences stay
-  // with the callers: only the RT path hands its pool to the searcher,
-  // and only the static path has a `doc_base`.
-  auto answer = [&](const auto& snapshot, const auto& searcher,
-                    uint32_t doc_base) -> std::string {
-    Result<Query> query = Query::Parse(request.query);
-    // Every query but `explain` (per-run stage timings) goes through the
-    // response cache; the answer is stored without the id, and each reply
-    // gets its own.
-    std::string key;
-    if (response_cache_ != nullptr && !request.explain && query.ok()) {
-      key = WireResponseCache::MakeKey(*query, request, snapshot.epoch);
-      std::string cached;
-      const bool hit = response_cache_->Get(key, &cached);
-      Counter* counter = request.shard
-                             ? (hit ? shard_cache_hits_ : shard_cache_misses_)
-                             : (hit ? cache_hits_ : cache_misses_);
-      counter->Increment();
-      if (hit) return WireResponseBuilder::WithId(request, std::move(cached));
-    }
-    WallTimer timer;
-    // The text overload, not `*query`: it records the `parse` span that
-    // an explain document reports.
-    Result<SearchResponse> response =
-        searcher.Search(request.query, request.options);
-    if (!response.ok()) {
-      errors_total_->Increment();
-      return WireResponseBuilder::Error(&request, wire_error::kSearchFailed,
-                                        response.status().ToString());
-    }
-    span.AddItems(response->nodes.size());
-    QueryWireExtras extras;
-    extras.doc_base = doc_base;
-    std::vector<std::vector<DiContribution>> contributions;
-    if (request.shard) {
-      extras.shard_mode = true;
-      if (request.want_di_contrib) {
-        // The search succeeded, so the query parsed.
-        contributions = ComputeDiContributions(snapshot, response->nodes,
-                                               *query, DiOptions{});
-        extras.contributions = &contributions;
-      }
-    }
-    std::string result = WireResponseBuilder::Query(
-        request, *response, snapshot, snapshot.epoch, timer.ElapsedMillis(),
-        extras);
-    if (!key.empty()) response_cache_->Put(key, result);
-    return WireResponseBuilder::WithId(request, std::move(result));
-  };
-  if (index_state_.rt()) {
-    std::shared_ptr<const SegmentSetSnapshot> snapshot =
-        index_state_.rt_snapshot();
-    SegmentSearcher searcher(snapshot);
-    // Degrades to the inline walk here (this thread IS a pool worker);
-    // embedders driving SegmentSearcher from their own threads get the
-    // parallel per-segment fan-out (docs/PERFORMANCE.md).
-    searcher.set_pool(pool_.get());
-    return answer(*snapshot, searcher, 0);
+  // One path for plain, shard-worker and RT servers: each serves a segment
+  // set (a static or shard file is a set of one segment).
+  std::shared_ptr<const SegmentSetSnapshot> snapshot = index_state_.snapshot();
+  Result<Query> query = Query::Parse(request.query);
+  // Every query but `explain` (per-run stage timings) goes through the
+  // response cache; the answer is stored without the id, and each reply
+  // gets its own.
+  std::string key;
+  if (response_cache_ != nullptr && !request.explain && query.ok()) {
+    key = WireResponseCache::MakeKey(*query, request, snapshot->epoch);
+    std::string cached;
+    const bool hit = response_cache_->Get(key, &cached);
+    Counter* counter = request.shard
+                           ? (hit ? shard_cache_hits_ : shard_cache_misses_)
+                           : (hit ? cache_hits_ : cache_misses_);
+    counter->Increment();
+    if (hit) return WireResponseBuilder::WithId(request, std::move(cached));
   }
-  std::shared_ptr<const XmlIndex> snapshot = index_state_.snapshot();
-  GksSearcher searcher(snapshot.get());
-  // Shard indexes hold global Dewey doc ids over a dense catalog; the
-  // offset is harmless zero everywhere else.
-  return answer(*snapshot, searcher, config_.doc_base);
+  WallTimer timer;
+  // The text overload, not `*query`: it records the `parse` span that an
+  // explain document reports.
+  Result<SearchResponse> response =
+      GksSearcher(snapshot).Search(request.query, request.options);
+  if (!response.ok()) {
+    errors_total_->Increment();
+    return WireResponseBuilder::Error(&request, wire_error::kSearchFailed,
+                                      response.status().ToString());
+  }
+  span.AddItems(response->nodes.size());
+  QueryWireExtras extras;
+  std::vector<std::vector<DiContribution>> contributions;
+  if (request.shard) {
+    extras.shard_mode = true;
+    if (request.want_di_contrib) {
+      // The search succeeded, so the query parsed.
+      contributions = ComputeDiContributions(*snapshot, response->nodes,
+                                             *query, DiOptions{});
+      extras.contributions = &contributions;
+    }
+  }
+  std::string result = WireResponseBuilder::Query(
+      request, *response, *snapshot, snapshot->epoch, timer.ElapsedMillis(),
+      extras);
+  if (!key.empty()) response_cache_->Put(key, result);
+  return WireResponseBuilder::WithId(request, std::move(result));
 }
 
 std::string GksServer::HandleWrite(const WireRequest& request) {
@@ -531,14 +512,16 @@ std::string GksServer::HandleAdmin(const WireRequest& request) {
                                           index_state_.epoch(), "rt",
                                           stats.str());
       }
-      std::shared_ptr<const XmlIndex> snapshot = index_state_.snapshot();
+      std::shared_ptr<const SegmentSetSnapshot> snapshot =
+          index_state_.snapshot();
+      const XmlIndex& index = *snapshot->segments.front().index;
       JsonWriter stats;
       stats.BeginObject();
       stats.Key("path").String(index_state_.path());
-      stats.Key("documents").UInt(snapshot->catalog.document_count());
-      stats.Key("elements").UInt(snapshot->nodes.counts().total);
-      stats.Key("terms").UInt(snapshot->inverted.term_count());
-      stats.Key("postings").UInt(snapshot->inverted.posting_count());
+      stats.Key("documents").UInt(index.catalog.document_count());
+      stats.Key("elements").UInt(index.nodes.counts().total);
+      stats.Key("terms").UInt(index.inverted.term_count());
+      stats.Key("postings").UInt(index.inverted.posting_count());
       stats.EndObject();
       return WireResponseBuilder::Admin(request, "ok", snapshot->epoch,
                                         "index", stats.str());

@@ -75,9 +75,10 @@ struct ServerConfig {
   /// of failing with shard_unavailable when a shard stays down.
   bool coord_partial = false;
 
-  /// Shard-worker mode: this index's documents start at this global
-  /// Dewey doc id (the shard's doc_base in MANIFEST.json). Display-only
-  /// offset into the dense catalog; 0 for ordinary servers.
+  /// Read by nothing: a shard worker reads its documents' global ids
+  /// from its shard file (XmlIndex::DocBase). Kept only because the
+  /// benchmark in perfbench/ still sets it; `gks serve` has no flag for
+  /// it.
   uint32_t doc_base = 0;
 };
 

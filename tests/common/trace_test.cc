@@ -102,6 +102,10 @@ TEST(TraceTest, SpansFeedMetricsRegistry) {
   {
     TraceCollector collector("test.trace", &registry);
     {
+      // A `<kind>:<label>` span only groups: it feeds no instrument, so
+      // no metric name carries the label.
+      ScopedSpan group("segment:seg-1");
+      group.AddItems(1);
       ScopedSpan span("stage");
       span.AddItems(4);
       span.AddBytes(32);
@@ -112,6 +116,8 @@ TEST(TraceTest, SpansFeedMetricsRegistry) {
   EXPECT_EQ(snapshot.histograms.at("test.trace.stage.latency_ms").count, 1u);
   EXPECT_EQ(snapshot.counters.at("test.trace.stage.items_total"), 4u);
   EXPECT_EQ(snapshot.counters.at("test.trace.stage.bytes_total"), 32u);
+  EXPECT_EQ(snapshot.histograms.size(), 1u);
+  EXPECT_EQ(snapshot.counters.size(), 2u);
 }
 
 }  // namespace

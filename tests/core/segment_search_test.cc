@@ -1,16 +1,18 @@
-// SegmentSearcher exactness (docs/INDEXING.md § Search over segments):
-// searching a segment set must be node-for-node identical to searching
-// one offline index built over the same live documents — ranks, DI,
-// refinements and top-k included — with tombstones masked exactly.
+// Segment-set search exactness (docs/INDEXING.md § Search over
+// segments): GksSearcher over a segment set must be node-for-node
+// identical to searching one offline index built over the same live
+// documents — ranks, DI, refinements and top-k included — with tombstones
+// masked exactly, and must account one query once.
 
-#include "core/segment_search.h"
-
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/metrics.h"
+#include "core/searcher.h"
 #include "gtest/gtest.h"
 #include "index/rt_segment.h"
 #include "tests/test_util.h"
@@ -110,7 +112,7 @@ void ExpectEquivalent(const SearchResponse& combined,
 SearchResponse SearchSnapshot(
     std::shared_ptr<const SegmentSetSnapshot> snapshot, std::string_view text,
     const SearchOptions& options = {}) {
-  SegmentSearcher searcher(std::move(snapshot));
+  GksSearcher searcher(std::move(snapshot));
   Result<SearchResponse> response = searcher.Search(text, options);
   EXPECT_TRUE(response.ok()) << response.status().ToString();
   return std::move(response).value();
@@ -206,30 +208,69 @@ TEST(SegmentSearchTest, MaxResultsTrimsAfterTheMerge) {
   }
 }
 
-TEST(SegmentSearchTest, PooledSearchIsIdenticalToTheInlineWalk) {
-  // With a pool the per-segment pipelines fan out on ParallelFor and the
-  // merge re-establishes the deterministic order; responses must be
-  // indistinguishable from the sequential loop, DI and refinements
-  // included.
-  ThreadPool pool(4);
-  auto snapshot = MakeSnapshot({2, 2, 1});
-  SegmentSearcher inline_searcher(snapshot);
-  SegmentSearcher pooled_searcher(snapshot);
-  pooled_searcher.set_pool(&pool);
-  for (const char* query : {"keyword", "xml keyword search",
-                            "database ranking", "\"keyword search\""}) {
-    SCOPED_TRACE(query);
-    for (uint32_t s : {1u, 2u}) {
-      SearchOptions options;
-      options.s = s;
-      Result<SearchResponse> expected =
-          inline_searcher.Search(query, options);
-      Result<SearchResponse> pooled = pooled_searcher.Search(query, options);
-      ASSERT_TRUE(expected.ok()) << expected.status().ToString();
-      ASSERT_TRUE(pooled.ok()) << pooled.status().ToString();
-      ExpectEquivalent(*expected, *pooled);
+TEST(SegmentSearchTest, OneQueryCountsOnceAndNestsEachSegment) {
+  // One document per segment: three partials, one query, one merge.
+  auto snapshot = MakeSnapshot({1, 1, 1});
+  MetricsRegistry& registry = MetricsRegistry::Global();
+  const MetricsSnapshot before = registry.Snapshot();
+  SearchResponse response = SearchSnapshot(snapshot, "keyword");
+  const MetricsSnapshot after = registry.Snapshot();
+  MetricsSnapshot delta = MetricsSnapshot::Delta(before, after);
+
+  // Per query.
+  EXPECT_EQ(delta.counters["gks.search.queries_total"], 1u);
+  EXPECT_EQ(delta.counters["gks.search.nodes_total"], response.nodes.size());
+  EXPECT_EQ(delta.histograms["gks.search.total.latency_ms"].count, 1u);
+  EXPECT_EQ(delta.histograms["gks.search.di.latency_ms"].count, 1u);
+  EXPECT_EQ(delta.histograms["gks.search.refinement.latency_ms"].count, 1u);
+  // Per segment evaluation.
+  EXPECT_EQ(delta.counters["gks.search.plan.merge_total"] +
+                delta.counters["gks.search.plan.probe_total"],
+            3u);
+  // Metric names never carry a segment label.
+  for (const auto& [name, value] : after.counters) {
+    EXPECT_EQ(name.find("seg-"), std::string::npos) << name;
+  }
+  for (const auto& [name, value] : after.histograms) {
+    EXPECT_EQ(name.find("seg-"), std::string::npos) << name;
+  }
+
+  // The span tree: `parse`, one `segment:<label>` subtree per segment in
+  // snapshot order, then `di` and `refinement` at the top level.
+  const std::vector<TraceSpan>& spans = response.trace.spans();
+  std::vector<std::string> top_level;
+  for (const TraceSpan& span : spans) {
+    if (span.parent == -1) top_level.push_back(span.name);
+  }
+  EXPECT_EQ(top_level,
+            (std::vector<std::string>{"parse", "segment:seg-0",
+                                      "segment:seg-1", "segment:seg-2", "di",
+                                      "refinement"}));
+  for (int32_t i = 0; i < static_cast<int32_t>(spans.size()); ++i) {
+    if (spans[i].name.rfind("segment:", 0) != 0) continue;
+    std::vector<std::string> stages;
+    for (const TraceSpan& span : spans) {
+      if (span.parent == i) stages.push_back(span.name);
+    }
+    SCOPED_TRACE(spans[i].name);
+    for (const char* stage : {"merged_list", "window_scan", "lce"}) {
+      EXPECT_EQ(std::count(stages.begin(), stages.end(), stage), 1) << stage;
     }
   }
+
+  // Each stage timing is the sum of that stage's spans.
+  SearchResponse::Timings sums;
+  for (const TraceSpan& span : spans) {
+    if (span.name == "merged_list") sums.merge_ms += span.elapsed_ms;
+    if (span.name == "window_scan") sums.window_ms += span.elapsed_ms;
+    if (span.name == "lce") sums.lce_ms += span.elapsed_ms;
+  }
+  EXPECT_DOUBLE_EQ(response.timings.merge_ms, sums.merge_ms);
+  EXPECT_DOUBLE_EQ(response.timings.window_ms, sums.window_ms);
+  EXPECT_DOUBLE_EQ(response.timings.lce_ms, sums.lce_ms);
+  EXPECT_DOUBLE_EQ(response.timings.parse_ms,
+                   response.trace.ElapsedMs("parse"));
+  EXPECT_DOUBLE_EQ(response.timings.di_ms, response.trace.ElapsedMs("di"));
 }
 
 TEST(SegmentSearchTest, DescribeNodeResolvesTheOwningSegment) {

@@ -1,5 +1,8 @@
 #include "index/index_builder.h"
 
+#include <cstdint>
+#include <utility>
+
 #include "gtest/gtest.h"
 #include "data/figures.h"
 #include "tests/test_util.h"
@@ -75,6 +78,35 @@ TEST(IndexBuilderTest, MultipleDocumentsGetDistinctDocIds) {
   ASSERT_EQ(list->size(), 2u);
   EXPECT_EQ(list->IdAt(0).doc_id(), 0u);
   EXPECT_EQ(list->IdAt(1).doc_id(), 1u);
+}
+
+TEST(IndexBuilderTest, DocumentLookupCoversExactlyTheIndexRange) {
+  // A shard or segment built from global document 5 holds ids [5, 7):
+  // the range comes from the index itself, and every id outside it is
+  // unknown rather than an out-of-bounds catalog read.
+  IndexBuilderOptions options;
+  options.first_doc_id = 5;
+  IndexBuilder builder(options);
+  ASSERT_TRUE(builder.AddDocument("<r><t>karen</t></r>", "five.xml").ok());
+  ASSERT_TRUE(builder.AddDocument("<r><t>mike</t></r>", "six.xml").ok());
+  Result<XmlIndex> index = std::move(builder).Finalize();
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  EXPECT_EQ(index->DocBase(), 5u);
+  for (uint32_t below : {0u, 1u, 4u}) {
+    EXPECT_EQ(index->Document(below), nullptr) << below;
+  }
+  ASSERT_NE(index->Document(5), nullptr);
+  EXPECT_EQ(index->Document(5)->name, "five.xml");
+  ASSERT_NE(index->Document(6), nullptr);
+  EXPECT_EQ(index->Document(6)->name, "six.xml");
+  for (uint32_t past : {7u, 8u, UINT32_MAX}) {
+    EXPECT_EQ(index->Document(past), nullptr) << past;
+  }
+
+  // An index without rows holds no documents and starts at 0.
+  XmlIndex empty;
+  EXPECT_EQ(empty.DocBase(), 0u);
+  EXPECT_EQ(empty.Document(0), nullptr);
 }
 
 TEST(IndexBuilderTest, CatalogTracksStats) {

@@ -12,6 +12,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -172,6 +173,47 @@ TEST(RtIndexTest, FlushMakesSegmentsDurableAcrossReopen) {
   EXPECT_EQ(rt->Stats().replayed_records, 0u);  // the WAL was retired
   EXPECT_EQ(LiveNames(*rt), std::vector<std::string>{"a.xml"});
   EXPECT_EQ(rt->Stats().next_doc_id, 2u);  // allocation point survives
+}
+
+TEST(RtIndexTest, ManifestDisagreeingWithItsSegmentFileFailsToOpen) {
+  // A segment file records which documents it holds; a MANIFEST entry
+  // with another doc_base or doc_count would map names and tombstones to
+  // the wrong documents, so Open refuses it, naming the file.
+  std::string dir = FreshDir("manifest_range");
+  {
+    auto rt = OpenOrDie(TestOptions(dir));
+    InsertOrDie(*rt, "a.xml", BookXml("alpha"));
+    InsertOrDie(*rt, "b.xml", BookXml("beta"));
+    Status status = rt->Flush();
+    ASSERT_TRUE(status.ok()) << status.ToString();
+  }
+  const std::string manifest_path = dir + "/MANIFEST";
+  const std::string manifest = FileContents(manifest_path);
+  const size_t file_at = manifest.find("seg-");
+  ASSERT_NE(file_at, std::string::npos) << manifest;
+  const std::string segment_file =
+      manifest.substr(file_at, manifest.find('"', file_at) - file_at);
+  const std::vector<std::pair<std::string, std::string>> rewrites = {
+      {"\"doc_base\":0", "\"doc_base\":1"},
+      {"\"doc_count\":2", "\"doc_count\":1"},
+  };
+  for (const auto& [field, wrong] : rewrites) {
+    SCOPED_TRACE(wrong);
+    std::string rewritten = manifest;
+    const size_t at = rewritten.find(field);
+    ASSERT_NE(at, std::string::npos) << manifest;
+    rewritten.replace(at, field.size(), wrong);
+    ASSERT_TRUE(WriteStringToFile(manifest_path, rewritten).ok());
+    Result<std::unique_ptr<RtIndex>> rt = RtIndex::Open(TestOptions(dir));
+    ASSERT_FALSE(rt.ok());
+    EXPECT_EQ(rt.status().code(), StatusCode::kCorruption);
+    EXPECT_NE(rt.status().message().find(segment_file), std::string::npos)
+        << rt.status().ToString();
+  }
+  // The intact MANIFEST still opens, every document where it was.
+  ASSERT_TRUE(WriteStringToFile(manifest_path, manifest).ok());
+  auto rt = OpenOrDie(TestOptions(dir));
+  EXPECT_EQ(LiveNames(*rt), (std::vector<std::string>{"a.xml", "b.xml"}));
 }
 
 TEST(RtIndexTest, WalReplayRestoresUnflushedState) {

@@ -23,7 +23,6 @@
 #include "gtest/gtest.h"
 #include "common/file_io.h"
 #include "core/searcher.h"
-#include "core/segment_search.h"
 #include "core/shard_merge.h"
 #include "data/random_tree_gen.h"
 #include "index/serialization.h"
@@ -42,8 +41,7 @@ using gks::testing::ParseQueryOrDie;
 /// DI contributions only the owning shard can resolve, and with display
 /// strings on its first `max_results` nodes only (all when 0), as the
 /// worker does for the `top` the coordinator forwards.
-ShardPartialResult RunShard(const XmlIndex& index, uint32_t doc_base,
-                            const Query& query,
+ShardPartialResult RunShard(const XmlIndex& index, const Query& query,
                             const SearchOptions& client_options) {
   SearchOptions inner = client_options;
   inner.discover_di = false;
@@ -70,9 +68,10 @@ ShardPartialResult RunShard(const XmlIndex& index, uint32_t doc_base,
     node.node = response->nodes[i];
     if (client_options.max_results == 0 || i < client_options.max_results) {
       // Shard catalogs are dense from 0 while Dewey ids carry the global
-      // offset — the same doc_base translation the worker applies.
-      node.doc_name =
-          index.catalog.document(node.node.id.doc_id() - doc_base).name;
+      // offset; the index maps them back itself, as on the worker.
+      const Catalog::DocumentInfo* doc = index.Document(node.node.id.doc_id());
+      EXPECT_NE(doc, nullptr);
+      if (doc != nullptr) node.doc_name = doc->name;
       node.describe = DescribeNode(index, node.node);
     }
     if (i < contributions.size()) node.di = std::move(contributions[i]);
@@ -183,8 +182,7 @@ class ShardedRepo {
                            const SearchOptions& options) const {
     std::vector<ShardPartialResult> partials;
     for (size_t i = shards_.size(); i-- > 0;) {
-      partials.push_back(RunShard(shards_[i], manifest_.shards[i].doc_base,
-                                  query, options));
+      partials.push_back(RunShard(shards_[i], query, options));
     }
     return MergeShardResults(query, options, std::move(partials));
   }

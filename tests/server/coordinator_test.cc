@@ -87,13 +87,13 @@ const Repo& BuildRepo() {
   return *repo;
 }
 
+/// A worker is an ordinary server over its shard file: the file records
+/// its documents' global ids, so the config names no base.
 std::unique_ptr<GksServer> StartWorker(size_t shard) {
-  const Repo& repo = BuildRepo();
   ServerConfig config;
   config.port = 0;
-  config.doc_base = repo.manifest.shards[shard].doc_base;
   auto server =
-      std::make_unique<GksServer>(config, repo.shard_paths[shard]);
+      std::make_unique<GksServer>(config, BuildRepo().shard_paths[shard]);
   Status status = server->Start();
   EXPECT_TRUE(status.ok()) << status.ToString();
   return server;
@@ -230,6 +230,50 @@ TEST(CoordinatorTest, MergedAnswersMatchSingleIndexByteForByte) {
   Stop(coord);
   Stop(single);
   Stop(worker0);
+  Stop(worker1);
+}
+
+TEST(CoordinatorTest, WorkerReadsItsDocumentsFromItsShardFile) {
+  // Shard 1 starts past global document 0; a default-config worker over
+  // it must name and describe every node as the single index does.
+  ASSERT_GT(BuildRepo().manifest.shards[1].doc_base, 0u);
+  auto worker1 = StartWorker(1);
+  auto single = StartSingle();
+  ServerConnection worker_conn = ConnectOrDie(*worker1);
+  ServerConnection single_conn = ConnectOrDie(*single);
+  for (const std::string query : {"keyword", "xml database"}) {
+    Result<JsonValue> from_single =
+        single_conn.Call(R"({"query":")" + query + R"(","s":1})");
+    ASSERT_TRUE(from_single.ok()) << from_single.status().ToString();
+    const JsonValue* single_nodes = from_single->Find("nodes");
+    // Plain and shard-partial answers: without `top`, every node carries
+    // its `doc` and `describe`.
+    for (const std::string extra : {"", R"(,"shard":true,"di_contrib":true)"}) {
+      const std::string request =
+          R"({"query":")" + query + R"(","s":1)" + extra + "}";
+      SCOPED_TRACE(request);
+      Result<JsonValue> from_worker = worker_conn.Call(request);
+      ASSERT_TRUE(from_worker.ok()) << from_worker.status().ToString();
+      ASSERT_TRUE(from_worker->Find("ok")->GetBool());
+      const JsonValue* worker_nodes = from_worker->Find("nodes");
+      ASSERT_GT(worker_nodes->size(), 0u);
+      for (const JsonValue& node : worker_nodes->items()) {
+        const std::string& id = node.Find("id")->GetString();
+        SCOPED_TRACE(id);
+        const JsonValue* twin = nullptr;
+        for (const JsonValue& candidate : single_nodes->items()) {
+          if (candidate.Find("id")->GetString() == id) twin = &candidate;
+        }
+        ASSERT_NE(twin, nullptr);
+        ASSERT_NE(node.Find("doc"), nullptr);
+        EXPECT_EQ(node.Find("doc")->GetString(),
+                  twin->Find("doc")->GetString());
+        EXPECT_EQ(node.Find("describe")->GetString(),
+                  twin->Find("describe")->GetString());
+      }
+    }
+  }
+  Stop(single);
   Stop(worker1);
 }
 

@@ -227,8 +227,9 @@ int CmdSearch(const FlagParser& flags) {
     std::printf("%s\n", FormatSearchDiagnostics(*response).c_str());
   }
   for (const GksNode& node : response->nodes) {
+    const Catalog::DocumentInfo* doc = index->Document(node.id.doc_id());
     std::printf("  %s [%s]\n", DescribeNode(*index, node).c_str(),
-                index->catalog.document(node.id.doc_id()).name.c_str());
+                doc != nullptr ? doc->name.c_str() : "?");
   }
   size_t chunks = static_cast<size_t>(flags.GetInt("chunks", 0));
   if (chunks > 0) {
@@ -509,8 +510,9 @@ int CmdGenerate(const FlagParser& flags) {
 
 // `gks shard`: split a repository into contiguous document-range shard
 // indexes plus a MANIFEST.json, each servable by an ordinary
-// `gks serve shard_NN.gksidx --doc-base=B` worker behind a
-// `gks serve --coord-shards=...` coordinator (docs/DISTRIBUTED.md).
+// `gks serve shard_NN.gksidx` worker (the file records its documents'
+// global ids) behind a `gks serve --coord-shards=...` coordinator
+// (docs/DISTRIBUTED.md).
 int CmdShard(const FlagParser& flags) {
   if (Status status = flags.Validate({}, {"shards", "threads"});
       !status.ok()) {
