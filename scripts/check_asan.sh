@@ -7,8 +7,9 @@
 # the wire protocol, hostile shard partials — plus the
 # partial-merge core those partials feed, segment-set search with its
 # tombstone masking, the file reader and atomic writer every persisted
-# byte goes through, and the node store's owned-value walk behind DI,
-# facets and chunks. Any ASan/UBSan report fails the run.
+# byte goes through, and the node store: its owned-value walk behind DI,
+# facets and chunks, and the parent rows every ancestor walk follows,
+# over hostile node sections too. Any ASan/UBSan report fails the run.
 #
 # The build tree (<repo>/build-asan) is incremental: the first run pays a
 # full compile, later runs only relink what changed.
@@ -61,16 +62,19 @@ export UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1 ${UBSAN_OPTIONS:-}"
 "$build/tests/server_test" \
   --gtest_filter='LineReaderTest.*:ParseWireRequestTest.*:WireResponseBuilderTest.*:CoordinatorTest.FakeWorkerPartialDecodes:CoordinatorTest.HostilePartialsAreShardUnavailable:CoordinatorTest.NonLceContributionsLeaveDiUnchanged' \
   --gtest_brief=1
-# The partial-merge core over shard partials, and the DI oracle over the
-# single-index path it shares.
+# The partial-merge core over shard partials, the DI and rank oracles
+# over the single-index path it shares, and the node store's parent rows
+# on every way a table is built (sorted, decoded, appended, per segment).
 "$build/tests/property_test" \
-  --gtest_filter='*ShardEquivalence*:ShardTieBreaking.*:DiOracle.*' \
+  --gtest_filter='*ShardEquivalence*:ShardTieBreaking.*:DiOracle.*:RankOracle.*:*ParentRowInvariants*' \
   --gtest_brief=1
 # The node store's owned-value walk, through its callers: DI, facets and
-# chunks over a real index; and segment-set search, whose partials index
-# the segments and mask tombstoned documents.
+# chunks over a real index; a node section with a missing level and
+# postings that are no rows, whose ancestor walks follow parent rows; and
+# segment-set search, whose partials index the segments and mask
+# tombstoned documents.
 "$build/tests/core_test" \
-  --gtest_filter='AnalyticsTest.*:ChunkTest.*:DiUnits.*:Figure2aSearch.*:SegmentSearchTest.*' \
+  --gtest_filter='AnalyticsTest.*:ChunkTest.*:DiUnits.*:Figure2aSearch.*:HostileNodeSection.*:SegmentSearchTest.*' \
   --gtest_brief=1
 # The kernel differential suite again with dispatch forced off: the
 # scalar twins parse the same attacker-shaped bytes under ASan too.

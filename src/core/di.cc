@@ -7,8 +7,8 @@
 namespace gks {
 namespace {
 
-/// The owned-attribute walk: calls `fn(tag_name, value, attr_id)` for each
-/// valued row in `node`'s subtree, in document order, whose deepest
+/// The owned-attribute walk: calls `fn(tag_name, value, attr_row)` for
+/// each valued row in `node`'s subtree, in document order, whose deepest
 /// self-or-ancestor entity is `node` and whose value repeats no query
 /// term. At most `max_attrs_per_node` valued rows are scanned, owned or
 /// not.
@@ -17,31 +17,40 @@ void ForEachOwnedAttribute(const XmlIndex& index, const GksNode& node,
                            const Query& query, const DiOptions& options,
                            Fn&& fn) {
   DeweySpan entity = DeweySpan::Of(node.id);
-  const NodeInfo* info = index.nodes.Find(entity);
-  if (entity.size == 0 || info == nullptr || !info->is_entity()) return;
+  const uint32_t row = index.nodes.RowOf(entity);
+  if (entity.size == 0 || row == NodeInfoTable::kNoRow ||
+      !index.nodes.InfoAt(row).is_entity()) {
+    return;
+  }
   size_t scanned = 0;
-  index.nodes.ForEachValuedRow(entity, [&](size_t row, bool owned) {
+  index.nodes.ForEachValuedRowUnder(row, [&](size_t attr_row, bool owned) {
     if (scanned++ == options.max_attrs_per_node) return false;
     if (!owned) return true;
-    const NodeInfo& attr = index.nodes.InfoAt(row);
+    const NodeInfo& attr = index.nodes.InfoAt(attr_row);
     const std::string& value = index.nodes.Value(attr.value_id);
     for (const std::string& term : text::Analyze(value)) {
       if (query.ContainsTerm(term)) return true;
     }
-    fn(index.nodes.TagName(attr.tag_id), value, index.nodes.IdAt(row));
+    fn(index.nodes.TagName(attr.tag_id), value,
+       static_cast<uint32_t>(attr_row));
     return true;
   });
 }
 
-/// Tag names from the entity (a prefix of `attr_id` of `entity_size`
-/// components) down to the attribute.
+/// Tag names from the entity (`entity_size` components deep) down to the
+/// attribute of row `attr_row`, found by parent rows; a level without a
+/// row reads "?".
 std::vector<std::string> AttributePath(const XmlIndex& index,
                                        uint32_t entity_size,
-                                       DeweySpan attr_id) {
-  std::vector<std::string> path;
-  for (uint32_t len = entity_size; len <= attr_id.size; ++len) {
-    const NodeInfo* info = index.nodes.Find(DeweySpan{attr_id.data, len});
-    path.push_back(info != nullptr ? index.nodes.TagName(info->tag_id) : "?");
+                                       uint32_t attr_row) {
+  const NodeInfoTable& nodes = index.nodes;
+  std::vector<std::string> path(nodes.IdAt(attr_row).size - entity_size + 1,
+                                "?");
+  for (uint32_t row = attr_row; row != NodeInfoTable::kNoRow;
+       row = nodes.ParentRow(row)) {
+    const uint32_t depth = nodes.IdAt(row).size;
+    if (depth < entity_size) break;
+    path[depth - entity_size] = nodes.TagName(nodes.InfoAt(row).tag_id);
   }
   return path;
 }
@@ -90,9 +99,9 @@ void AccumulateDi(const XmlIndex& index, const GksNode& node,
   const uint32_t entity_size = DeweySpan::Of(node.id).size;
   ForEachOwnedAttribute(
       index, node, query, options,
-      [&](std::string_view tag, std::string_view value, DeweySpan attr_id) {
+      [&](std::string_view tag, std::string_view value, uint32_t attr_row) {
         acc->Add(tag, value, node.rank,
-                 [&] { return AttributePath(index, entity_size, attr_id); });
+                 [&] { return AttributePath(index, entity_size, attr_row); });
       });
 }
 
@@ -104,9 +113,9 @@ std::vector<DiContribution> NodeDiContributions(const XmlIndex& index,
   std::vector<DiContribution> out;
   ForEachOwnedAttribute(
       index, node, query, options,
-      [&](std::string_view tag, std::string_view value, DeweySpan attr_id) {
+      [&](std::string_view tag, std::string_view value, uint32_t attr_row) {
         out.push_back({std::string(tag), std::string(value),
-                       AttributePath(index, entity_size, attr_id)});
+                       AttributePath(index, entity_size, attr_row)});
       });
   return out;
 }

@@ -1,8 +1,7 @@
 #include "core/lce.h"
 
+#include <algorithm>
 #include <bit>
-#include <map>
-#include <set>
 
 #include "common/trace.h"
 #include "core/ranking.h"
@@ -10,32 +9,38 @@
 namespace gks {
 namespace {
 
-using ComponentVec = std::vector<uint32_t>;
-
-ComponentVec ToComponents(DeweySpan span) {
-  return ComponentVec(span.data, span.data + span.size);
-}
+constexpr uint32_t kNoRow = NodeInfoTable::kNoRow;
 
 }  // namespace
 
-DeweySpan LiftAttribute(const XmlIndex& index, DeweySpan candidate) {
-  const NodeInfo* info = index.nodes.Find(candidate);
-  if (info != nullptr && info->is_attribute() && candidate.size > 1) {
-    return DeweySpan{candidate.data, candidate.size - 1};
+uint32_t LiftedEntityRow(const XmlIndex& index, DeweySpan candidate,
+                         DeweySpan* lifted) {
+  const NodeInfoTable& nodes = index.nodes;
+  uint32_t row = nodes.SelfOrAncestorRow(candidate);
+  *lifted = candidate;
+  // A row as long as the candidate is the candidate's own row; lifted,
+  // its deepest ancestor row is the candidate's parent row.
+  if (row != kNoRow && nodes.IdAt(row).size == candidate.size &&
+      nodes.InfoAt(row).is_attribute() && candidate.size > 1) {
+    *lifted = DeweySpan{candidate.data, candidate.size - 1};
+    row = nodes.ParentRow(row);
   }
-  return candidate;
+  return nodes.EntityRow(row);
 }
 
-bool LowestEntityOf(const XmlIndex& index, DeweySpan id, ComponentVec* out) {
-  for (uint32_t len = id.size; len >= 1; --len) {
-    DeweySpan prefix{id.data, len};
-    const NodeInfo* info = index.nodes.Find(prefix);
-    if (info != nullptr && info->is_entity()) {
-      *out = ToComponents(prefix);
-      return true;
-    }
-  }
-  return false;
+DeweySpan LiftAttribute(const XmlIndex& index, DeweySpan candidate) {
+  DeweySpan lifted;
+  LiftedEntityRow(index, candidate, &lifted);
+  return lifted;
+}
+
+bool LowestEntityOf(const XmlIndex& index, DeweySpan id,
+                    std::vector<uint32_t>* out) {
+  const uint32_t row = index.nodes.EntityRow(index.nodes.SelfOrAncestorRow(id));
+  if (row == kNoRow) return false;
+  const DeweySpan entity = index.nodes.IdAt(row);
+  out->assign(entity.data, entity.data + entity.size);
+  return true;
 }
 
 std::vector<GksNode> ComputeGksNodes(const XmlIndex& index,
@@ -55,53 +60,68 @@ std::vector<GksNode> ComputeGksNodes(const XmlIndex& index,
 std::vector<GksNode> ComputeGksNodesPruned(
     const XmlIndex& index, const MergedList& sl,
     const std::vector<LcpCandidate>& lcps) {
+  const NodeInfoTable& nodes = index.nodes;
+  PotentialFlowRanker ranker(nodes, sl);
+
   // Entities with an independent witness: the lowest entity ancestor of at
   // least one occurrence in S_L (Def. 2.2.1 restricted to query keywords).
-  std::set<ComponentVec> witnessed;
+  std::vector<uint32_t> witnessed;
+  uint32_t previous = kNoRow;
   for (size_t i = 0; i < sl.size(); ++i) {
-    ComponentVec entity;
-    if (LowestEntityOf(index, sl.IdAt(i), &entity)) {
-      witnessed.insert(std::move(entity));
-    }
+    const uint32_t entity = nodes.EntityRow(ranker.EntryRow(i));
+    if (entity != kNoRow && entity != previous) witnessed.push_back(entity);
+    previous = entity;
   }
+  std::sort(witnessed.begin(), witnessed.end());
+  witnessed.erase(std::unique(witnessed.begin(), witnessed.end()),
+                  witnessed.end());
 
-  // Map each candidate to its response node; aggregate window counts for
-  // candidates that converge on the same node.
-  struct Agg {
+  // Map each candidate to its response node; candidates that converge on
+  // the same node aggregate their window counts.
+  struct Response {
+    DeweySpan id;
     bool is_lce = false;
     uint32_t window_count = 0;
   };
-  std::map<ComponentVec, Agg> nodes;
+  std::vector<Response> responses;
+  responses.reserve(lcps.size());
   for (const LcpCandidate& lcp : lcps) {
-    DeweySpan lifted = LiftAttribute(index, DeweySpan::Of(lcp.node));
-    ComponentVec entity;
-    bool has_entity = LowestEntityOf(index, lifted, &entity);
-    if (has_entity && witnessed.count(entity) > 0) {
-      Agg& agg = nodes[entity];
-      agg.is_lce = true;
-      agg.window_count += lcp.window_count;
+    DeweySpan lifted;
+    const uint32_t entity =
+        LiftedEntityRow(index, DeweySpan::Of(lcp.node), &lifted);
+    if (entity != kNoRow &&
+        std::binary_search(witnessed.begin(), witnessed.end(), entity)) {
+      responses.push_back({nodes.IdAt(entity), true, lcp.window_count});
     } else {
-      Agg& agg = nodes[ToComponents(lifted)];
-      agg.window_count += lcp.window_count;
+      responses.push_back({lifted, false, lcp.window_count});
     }
   }
+  std::sort(responses.begin(), responses.end(),
+            [](const Response& a, const Response& b) {
+              return a.id.Compare(b.id) < 0;
+            });
 
   std::vector<GksNode> out;
-  out.reserve(nodes.size());
-  for (auto& [components, agg] : nodes) {
+  std::vector<std::pair<size_t, size_t>> ranges;  // S_L range per node
+  for (size_t i = 0; i < responses.size();) {
+    const DeweySpan id = responses[i].id;
     GksNode node;
-    node.id = DeweyId(components);
-    node.is_lce = agg.is_lce;
-    node.window_count = agg.window_count;
-    node.keyword_mask = sl.SubtreeMask(DeweySpan::Of(node.id));
+    for (; i < responses.size() && responses[i].id == id; ++i) {
+      node.is_lce = node.is_lce || responses[i].is_lce;
+      node.window_count += responses[i].window_count;
+    }
+    node.id = id.ToDeweyId();
+    const std::pair<size_t, size_t> range = sl.SubtreeRange(id);
+    node.keyword_mask = sl.MaskOfRange(range.first, range.second);
     node.keyword_count = static_cast<uint32_t>(std::popcount(node.keyword_mask));
     out.push_back(std::move(node));
+    ranges.push_back(range);
   }
   {
     ScopedSpan span("ranking");
-    for (GksNode& node : out) {
-      node.rank = ComputePotentialFlowRank(index, sl, DeweySpan::Of(node.id),
-                                           node.keyword_mask);
+    for (size_t n = 0; n < out.size(); ++n) {
+      out[n].rank = ranker.Rank(DeweySpan::Of(out[n].id), ranges[n].first,
+                                ranges[n].second, out[n].keyword_mask);
     }
     span.AddItems(out.size());
   }

@@ -36,8 +36,10 @@ struct GksNode {
 ///     ancestor, are returned as plain (non-LCE) nodes so no response is
 ///     lost.
 /// Keyword masks are computed exactly over each node's S_L subtree range;
-/// ranks are filled by ComputePotentialFlowRank. Output is in document
-/// order (callers sort by rank).
+/// ranks are filled by PotentialFlowRanker over the same range. Every
+/// ancestor step follows the node store's parent rows: S_L entries are
+/// resolved to rows once, in one forward sweep, and each candidate once.
+/// Output is in document order (callers sort by rank).
 std::vector<GksNode> ComputeGksNodes(const XmlIndex& index,
                                      const MergedList& sl,
                                      const std::vector<LcpCandidate>& lcps);
@@ -59,10 +61,16 @@ DeweySpan LiftAttribute(const XmlIndex& index, DeweySpan candidate);
 
 /// Deepest self-or-ancestor entity node of `id` (the LCE mapping step),
 /// written into `*out` as components. False if no entity ancestor exists.
-/// LiftAttribute and this walk are exposed so the probe evaluator derives
-/// coverage prefixes from the exact mapping the LCE stage will apply.
 bool LowestEntityOf(const XmlIndex& index, DeweySpan id,
                     std::vector<uint32_t>* out);
+
+/// Steps 1 and 2 by node rows, as the LCE stage applies them: writes the
+/// lifted candidate (step 1, a prefix of `candidate`) into `*lifted` and
+/// returns the row of its lowest self-or-ancestor entity, or
+/// NodeInfoTable::kNoRow. The probe evaluator derives its coverage
+/// prefixes from this same mapping, and LiftAttribute returns its lift.
+uint32_t LiftedEntityRow(const XmlIndex& index, DeweySpan candidate,
+                         DeweySpan* lifted);
 
 }  // namespace gks
 

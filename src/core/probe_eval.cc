@@ -345,32 +345,26 @@ void ProbeEvaluator::GatherReduced() {
   // Coverage prefix per survivor: the subtree the LCE stage will read for
   // this candidate's response node — its lowest entity ancestor after the
   // attribute lift, or the lifted candidate itself when no entity exists.
-  std::vector<std::vector<uint32_t>> prefixes;
+  std::vector<DeweySpan> prefixes;
   prefixes.reserve(pruned_.size());
   for (const LcpCandidate& candidate : pruned_) {
-    DeweySpan lifted = LiftAttribute(index_, DeweySpan::Of(candidate.node));
-    std::vector<uint32_t> entity;
-    if (LowestEntityOf(index_, lifted, &entity)) {
-      prefixes.push_back(std::move(entity));
-    } else {
-      prefixes.emplace_back(lifted.data, lifted.data + lifted.size);
-    }
+    DeweySpan lifted;
+    const uint32_t entity =
+        LiftedEntityRow(index_, DeweySpan::Of(candidate.node), &lifted);
+    prefixes.push_back(entity != NodeInfoTable::kNoRow
+                           ? index_.nodes.IdAt(entity)
+                           : lifted);
   }
-  // Document order == lexicographic component order; a prefix covered by
-  // the previous maximal one is redundant (anything between an ancestor
-  // and its descendant in document order shares the ancestor prefix, so
-  // one back-check suffices).
-  std::sort(prefixes.begin(), prefixes.end());
-  std::vector<std::vector<uint32_t>> maximal;
-  for (std::vector<uint32_t>& prefix : prefixes) {
-    if (!maximal.empty()) {
-      const std::vector<uint32_t>& last = maximal.back();
-      if (last.size() <= prefix.size() &&
-          std::equal(last.begin(), last.end(), prefix.begin())) {
-        continue;
-      }
-    }
-    maximal.push_back(std::move(prefix));
+  // Document order; a prefix covered by the previous maximal one is
+  // redundant (anything between an ancestor and its descendant in
+  // document order shares the ancestor prefix, so one back-check
+  // suffices).
+  std::sort(prefixes.begin(), prefixes.end(),
+            [](DeweySpan a, DeweySpan b) { return a.Compare(b) < 0; });
+  std::vector<DeweySpan> maximal;
+  for (DeweySpan prefix : prefixes) {
+    if (!maximal.empty() && maximal.back().IsPrefixOf(prefix)) continue;
+    maximal.push_back(prefix);
   }
 
   // Reduced S_L: each atom's postings restricted to the coverage
@@ -386,10 +380,9 @@ void ProbeEvaluator::GatherReduced() {
   for (uint32_t i = 0; i < n; ++i) {
     AtomList& al = *lists_[i];
     if (al.size == 0) continue;
-    for (const std::vector<uint32_t>& prefix : maximal) {
-      DeweySpan q{prefix.data(), static_cast<uint32_t>(prefix.size())};
-      gathered[i].AppendRange(*al.ids, al.SubtreeBegin(q),
-                              al.SubtreeEnd(q));
+    for (DeweySpan prefix : maximal) {
+      gathered[i].AppendRange(*al.ids, al.SubtreeBegin(prefix),
+                              al.SubtreeEnd(prefix));
     }
   }
   std::vector<const PackedIds*> ptrs;

@@ -2,13 +2,21 @@
 
 #include <bit>
 #include <limits>
-#include <vector>
 
 namespace gks {
 
-double ComputePotentialFlowRank(const XmlIndex& index, const MergedList& sl,
-                                DeweySpan node, uint64_t keyword_mask) {
-  auto [begin, end] = sl.SubtreeRange(node);
+PotentialFlowRanker::PotentialFlowRanker(const NodeInfoTable& nodes,
+                                         const MergedList& sl)
+    : nodes_(nodes), sl_(sl) {
+  entry_rows_.reserve(sl.size());
+  size_t cursor = 0;
+  for (size_t i = 0; i < sl.size(); ++i) {
+    entry_rows_.push_back(nodes.SelfOrAncestorRowFrom(sl.IdAt(i), &cursor));
+  }
+}
+
+double PotentialFlowRanker::Rank(DeweySpan node, size_t begin, size_t end,
+                                 uint64_t keyword_mask) {
   if (begin >= end || keyword_mask == 0) return 0.0;
 
   const double potential =
@@ -18,28 +26,44 @@ double ComputePotentialFlowRank(const XmlIndex& index, const MergedList& sl,
   uint32_t min_depth[64];
   for (uint32_t& d : min_depth) d = std::numeric_limits<uint32_t>::max();
   for (size_t i = begin; i < end; ++i) {
-    uint32_t atom = sl.AtomAt(i);
-    uint32_t depth = sl.IdAt(i).size;
+    uint32_t atom = sl_.AtomAt(i);
+    uint32_t depth = sl_.IdAt(i).size;
     if (depth < min_depth[atom]) min_depth[atom] = depth;
   }
 
   double rank = 0.0;
+  // Terminals under the same parent row receive the same flow.
+  uint32_t last_parent = NodeInfoTable::kNoRow;
+  double last_flow = 0.0;
   for (size_t i = begin; i < end; ++i) {
-    uint32_t atom = sl.AtomAt(i);
+    uint32_t atom = sl_.AtomAt(i);
     if ((keyword_mask & (1ull << atom)) == 0) continue;
-    DeweySpan id = sl.IdAt(i);
+    DeweySpan id = sl_.IdAt(i);
     if (id.size != min_depth[atom]) continue;  // not a terminal point
 
+    // The deepest row strictly above the terminal.
+    uint32_t row = entry_rows_[i];
+    if (row != NodeInfoTable::kNoRow && nodes_.IdAt(row).size == id.size) {
+      row = nodes_.ParentRow(row);
+    }
+    if (row == last_parent && row != NodeInfoTable::kNoRow) {
+      rank += last_flow;
+      continue;
+    }
     // Divide the potential at each node on the path from the response node
     // down to the terminal's parent; what remains arrives at the terminal.
-    double flow = potential;
-    for (uint32_t len = node.size; len < id.size; ++len) {
-      const NodeInfo* info = index.nodes.Find(DeweySpan{id.data, len});
-      uint32_t children = (info != nullptr && info->child_count > 0)
-                              ? info->child_count
-                              : 1;
-      flow /= static_cast<double>(children);
+    path_.clear();
+    for (uint32_t up = row; up != NodeInfoTable::kNoRow;
+         up = nodes_.ParentRow(up)) {
+      if (nodes_.IdAt(up).size < node.size) break;
+      path_.push_back(nodes_.InfoAt(up).child_count);
     }
+    double flow = potential;
+    for (auto it = path_.rbegin(); it != path_.rend(); ++it) {
+      flow /= static_cast<double>(*it > 0 ? *it : 1);
+    }
+    last_parent = row;
+    last_flow = flow;
     rank += flow;
   }
   return rank;

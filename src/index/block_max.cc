@@ -1,44 +1,39 @@
 #include "index/block_max.h"
 
 #include <algorithm>
-#include <cstring>
-#include <string>
-#include <unordered_map>
 
-#include "common/hash.h"
 #include "index/posting_blocks.h"
 
 namespace gks {
-namespace {
-
-// Raw-byte key of an id's parent prefix (components [0, size-1)); exact
-// equality is all the sibling tally needs.
-std::string ParentKey(DeweySpan id) {
-  std::string key;
-  key.resize((id.size - 1) * sizeof(uint32_t));
-  std::memcpy(key.data(), id.data, key.size());
-  return key;
-}
-
-}  // namespace
 
 std::vector<BlockRankBound> ComputeBlockRankBounds(const PackedIds& ids,
                                                    const NodeInfoTable& nodes) {
+  constexpr uint32_t kNoRow = NodeInfoTable::kNoRow;
   const size_t n = ids.size();
   const size_t blocks = (n + kPostingBlockSize - 1) / kPostingBlockSize;
   std::vector<BlockRankBound> bounds(blocks);
   if (blocks == 0) return bounds;
 
-  // Pass 1: tally how many ids of THIS list share each exact parent —
-  // siblings are not adjacent in document order once they have subtrees,
-  // so a running count over neighbors would undercount.
-  std::unordered_map<std::string, uint32_t, TransparentStringHash,
-                     std::equal_to<>>
-      siblings;
+  // Pass 1: each id's own row and the row of its exact parent (kNoRow
+  // where the id or its parent is no element), found in one forward
+  // sweep: the list and the node rows are both in document order.
+  std::vector<uint32_t> own(n);
+  std::vector<uint32_t> parent(n);
+  size_t cursor = 0;
   for (size_t i = 0; i < n; ++i) {
-    DeweySpan id = ids.At(i);
-    if (id.size > 1) ++siblings[ParentKey(id)];
+    const DeweySpan id = ids.At(i);
+    uint32_t row = nodes.SelfOrAncestorRowFrom(id, &cursor);
+    own[i] = row != kNoRow && nodes.IdAt(row).size == id.size ? row : kNoRow;
+    if (own[i] != kNoRow) row = nodes.ParentRow(row);
+    parent[i] = row != kNoRow && nodes.IdAt(row).size + 1 == id.size
+                    ? row
+                    : kNoRow;
   }
+  // How many ids of THIS list share each exact parent — siblings are not
+  // adjacent in document order once they have subtrees, so a running
+  // count over neighbors would undercount.
+  std::vector<uint32_t> siblings = parent;
+  std::sort(siblings.begin(), siblings.end());
 
   // Pass 2: per-id weight, folded into per-block max weight + depth range.
   for (size_t b = 0; b < blocks; ++b) {
@@ -54,16 +49,18 @@ std::vector<BlockRankBound> ComputeBlockRankBounds(const PackedIds& ids,
       bound.max_depth = std::max(bound.max_depth, id.size);
 
       uint32_t scaled = kRankWeightOne;
-      const NodeInfo* info = id.size > 1 ? nodes.Find(id) : nullptr;
-      if (info != nullptr && info->is_attribute() && !info->is_entity()) {
-        const NodeInfo* parent =
-            nodes.Find(DeweySpan{id.data, id.size - 1});
-        if (parent != nullptr && parent->child_count > 1) {
-          auto it = siblings.find(ParentKey(id));
-          const uint64_t k = it != siblings.end() ? it->second : 1;
+      const NodeInfo* info =
+          id.size > 1 && own[i] != kNoRow ? &nodes.InfoAt(own[i]) : nullptr;
+      if (info != nullptr && info->is_attribute() && !info->is_entity() &&
+          parent[i] != kNoRow) {
+        const NodeInfo& parent_info = nodes.InfoAt(parent[i]);
+        if (parent_info.child_count > 1) {
+          auto [lo, hi] =
+              std::equal_range(siblings.begin(), siblings.end(), parent[i]);
+          const uint64_t k = static_cast<uint64_t>(hi - lo);
           // Ceil so the fixed-point bound never under-states k/cc.
-          uint64_t up = (k * kRankWeightOne + parent->child_count - 1) /
-                        parent->child_count;
+          uint64_t up = (k * kRankWeightOne + parent_info.child_count - 1) /
+                        parent_info.child_count;
           scaled = static_cast<uint32_t>(
               std::min<uint64_t>(up, kRankWeightOne));
           if (scaled == 0) scaled = 1;

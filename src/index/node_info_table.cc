@@ -7,8 +7,8 @@
 namespace gks {
 
 bool NodeInfoTable::AddFlags(DeweySpan id, uint8_t flags) {
-  const size_t row = RowOf(id);
-  if (row == size()) return false;
+  const uint32_t row = RowOf(id);
+  if (row == kNoRow) return false;
   NodeInfo& info = infos_[row];
   uint8_t before = info.flags;
   info.flags |= flags;
@@ -69,6 +69,10 @@ uint32_t NodeInfoTable::InternValue(std::string_view value) {
 }
 
 void NodeInfoTable::Put(DeweySpan id, const NodeInfo& info) {
+  if (in_order_ && size() > 0 && ids_.At(size() - 1).Compare(id) >= 0) {
+    in_order_ = false;  // Finalize sorts and links every row
+  }
+  parents_.push_back(in_order_ ? NearestPrefixRow(id, size()) : kNoRow);
   ids_.Add(id);
   infos_.push_back(info);
   ++counts_.total;
@@ -79,23 +83,52 @@ void NodeInfoTable::Put(DeweySpan id, const NodeInfo& info) {
 }
 
 void NodeInfoTable::Finalize() {
+  if (in_order_) return;
   std::vector<uint32_t> perm = ids_.SortPermutation();
   std::vector<NodeInfo> infos;
   infos.reserve(perm.size());
   for (uint32_t row : perm) infos.push_back(infos_[row]);
   ids_.ApplyPermutation(perm);
   infos_ = std::move(infos);
+  for (size_t row = 0; row < size(); ++row) {
+    parents_[row] = NearestPrefixRow(ids_.At(row), row);
+  }
+  in_order_ = true;
 }
 
-size_t NodeInfoTable::RowOf(DeweySpan id) const {
+uint32_t NodeInfoTable::NearestPrefixRow(DeweySpan id, size_t limit) const {
+  // Every row that prefixes `id` sorts between itself and `id`, so it
+  // prefixes row limit - 1 as well: it lies on that row's parent chain.
+  // A row left behind here prefixes no later id, so each row is passed
+  // over at most once per sorted pass.
+  uint32_t row = limit == 0 ? kNoRow : static_cast<uint32_t>(limit - 1);
+  while (row != kNoRow) {
+    const DeweySpan candidate = ids_.At(row);
+    if (candidate.size > 0 && candidate.size < id.size &&
+        candidate.IsPrefixOf(id)) {
+      break;
+    }
+    row = parents_[row];
+  }
+  return row;
+}
+
+uint32_t NodeInfoTable::SelfOrAncestorRowAt(DeweySpan id, size_t pos) const {
+  if (id.size == 0) return kNoRow;
+  if (pos < size() && ids_.At(pos) == id) return static_cast<uint32_t>(pos);
+  return NearestPrefixRow(id, pos);
+}
+
+uint32_t NodeInfoTable::RowOf(DeweySpan id) const {
   // An id sorts first in its own subtree.
   const size_t row = ids_.SubtreeBegin(id);
-  return row < size() && ids_.At(row) == id ? row : size();
+  return row < size() && ids_.At(row) == id ? static_cast<uint32_t>(row)
+                                            : kNoRow;
 }
 
 const NodeInfo* NodeInfoTable::Find(DeweySpan id) const {
-  const size_t row = RowOf(id);
-  return row == size() ? nullptr : &infos_[row];
+  const uint32_t row = RowOf(id);
+  return row == kNoRow ? nullptr : &infos_[row];
 }
 
 uint32_t NodeInfoTable::IsEntity(DeweySpan id) const {
@@ -118,7 +151,8 @@ size_t NodeInfoTable::ValuedRowCount() const {
 }
 
 size_t NodeInfoTable::MemoryUsage() const {
-  size_t bytes = ids_.MemoryUsage() + infos_.capacity() * sizeof(NodeInfo);
+  size_t bytes = ids_.MemoryUsage() + infos_.capacity() * sizeof(NodeInfo) +
+                 parents_.capacity() * sizeof(uint32_t);
   for (const auto& tag : tags_) bytes += tag.capacity() + sizeof(tag);
   for (const auto& value : values_) bytes += value.capacity() + sizeof(value);
   return bytes;

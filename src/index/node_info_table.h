@@ -5,6 +5,7 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/hash.h"
@@ -24,6 +25,14 @@ namespace gks {
 /// `isEntity` / `isElement` functions on top, plus the tag/value
 /// dictionaries. The valued rows (value_id != kNoValue) are the attribute
 /// directory DI discovery (Sec. 6.2) range-scans.
+///
+/// Each row also links to its parent row: the row of its deepest proper
+/// prefix that is an element (a level without a row is skipped). The
+/// links are derived whenever rows are sorted or appended in order, and
+/// never written to disk. Walks up the tree — the LCE mapping, the
+/// potential-flow rank, DI paths, rank bounds — follow them instead of
+/// binary-searching each Dewey prefix. Entity rows are not stored:
+/// AddFlags may change them, so EntityRow reads the flags on the way up.
 class NodeInfoTable {
  public:
   /// Interns `tag`, returning a dense id. Idempotent per distinct string.
@@ -46,19 +55,55 @@ class NodeInfoTable {
 
   /// Appends the row of an element not stored yet. Rows may arrive in any
   /// order; lookups need Finalize first, unless every row was appended in
-  /// document order (the parallel build's merge appends later documents).
+  /// document order (the parallel build's merge appends later documents,
+  /// a decode appends ascending rows). In-order appends link each row to
+  /// its parent as they go.
   void Put(DeweySpan id, const NodeInfo& info);
   void Put(const DeweyId& id, const NodeInfo& info) {
     Put(DeweySpan::Of(id), info);
   }
 
-  /// Sorts the rows into document order. Call once after the last Put.
+  /// Sorts the rows into document order and links parents. Call once
+  /// after the last Put; a no-op when every Put came in order.
   void Finalize();
 
   /// Returns the node's info or nullptr if the id names no element.
   const NodeInfo* Find(DeweySpan id) const;
   const NodeInfo* Find(const DeweyId& id) const {
     return Find(DeweySpan::Of(id));
+  }
+
+  /// "No such row": the answer of every row lookup that finds nothing.
+  static constexpr uint32_t kNoRow = 0xffffffffu;
+
+  /// Row of `id`, or kNoRow when no element has that id (binary search).
+  uint32_t RowOf(DeweySpan id) const;
+
+  /// Row of the deepest element whose id is a non-empty prefix of `id`,
+  /// `id` itself included, or kNoRow. One binary search; an id that is
+  /// not a row (a hostile posting, a lifted candidate) lands on its
+  /// deepest ancestor that is.
+  uint32_t SelfOrAncestorRow(DeweySpan id) const {
+    return SelfOrAncestorRowAt(id, ids_.SubtreeBegin(id));
+  }
+  /// The same lookup for sweeps over ids in ascending document order:
+  /// `*cursor` holds the previous call's position (0 before the first)
+  /// and the search gallops forward from it.
+  uint32_t SelfOrAncestorRowFrom(DeweySpan id, size_t* cursor) const {
+    *cursor = ids_.LowerBoundFrom(id, *cursor);
+    return SelfOrAncestorRowAt(id, *cursor);
+  }
+
+  /// Row of the deepest element that is a proper prefix of row `row`'s
+  /// id, or kNoRow.
+  uint32_t ParentRow(uint32_t row) const { return parents_[row]; }
+
+  /// The first entity row on the way up from `row`, `row` included: the
+  /// lowest self-or-ancestor entity. kNoRow when there is none or `row`
+  /// is kNoRow.
+  uint32_t EntityRow(uint32_t row) const {
+    while (row != kNoRow && !infos_[row].is_entity()) row = parents_[row];
+    return row;
   }
 
   /// Paper API: number of direct children if the node is an entity node,
@@ -89,17 +134,12 @@ class NodeInfoTable {
   /// seen so far covers every following row that it prefixes.
   template <typename Fn>
   void ForEachValuedRow(DeweySpan root, Fn&& fn) const {
-    const size_t begin = ids_.SubtreeBegin(root);
-    const size_t end = ids_.SubtreeEndFrom(root, begin);
-    DeweySpan entity;  // size 0: no entity below root on the current path
-    for (size_t row = begin; row < end; ++row) {
-      const DeweySpan id = ids_.At(row);
-      const NodeInfo& info = infos_[row];
-      if (entity.size == 0 || !entity.IsPrefixOf(id)) {
-        entity = id.size > root.size && info.is_entity() ? id : DeweySpan{};
-      }
-      if (info.value_id != kNoValue && !fn(row, entity.size == 0)) return;
-    }
+    ForEachValuedRowIn(root, ids_.SubtreeBegin(root), std::forward<Fn>(fn));
+  }
+  /// The same walk under the element of row `root_row`.
+  template <typename Fn>
+  void ForEachValuedRowUnder(uint32_t root_row, Fn&& fn) const {
+    ForEachValuedRowIn(ids_.At(root_row), root_row, std::forward<Fn>(fn));
   }
 
   /// Adds category flags to an existing node (used by the schema-aware
@@ -138,11 +178,32 @@ class NodeInfoTable {
   Status CheckAttributes(std::string_view* input) const;
 
  private:
-  // Row of `id`, or size() when no element has that id.
-  size_t RowOf(DeweySpan id) const;
+  // ForEachValuedRow's scan; `begin` is the first row of `root`'s subtree.
+  template <typename Fn>
+  void ForEachValuedRowIn(DeweySpan root, size_t begin, Fn&& fn) const {
+    const size_t end = ids_.SubtreeEndFrom(root, begin);
+    DeweySpan entity;  // size 0: no entity below root on the current path
+    for (size_t row = begin; row < end; ++row) {
+      const DeweySpan id = ids_.At(row);
+      const NodeInfo& info = infos_[row];
+      if (entity.size == 0 || !entity.IsPrefixOf(id)) {
+        entity = id.size > root.size && info.is_entity() ? id : DeweySpan{};
+      }
+      if (info.value_id != kNoValue && !fn(row, entity.size == 0)) return;
+    }
+  }
+
+  // SelfOrAncestorRow once `pos` is the first row not before `id`.
+  uint32_t SelfOrAncestorRowAt(DeweySpan id, size_t pos) const;
+  // The deepest of rows [0, limit) whose non-empty id is a proper prefix
+  // of `id`; `id` sorts after row limit - 1 (or limit is 0). Walks the
+  // parent links up from row limit - 1.
+  uint32_t NearestPrefixRow(DeweySpan id, size_t limit) const;
 
   PackedIds ids_;
   std::vector<NodeInfo> infos_;  // aligned with ids_
+  std::vector<uint32_t> parents_;  // aligned with ids_; derived, not saved
+  bool in_order_ = true;  // every Put so far ascended: parents_ is valid
   std::vector<std::string> tags_;
   std::unordered_map<std::string, uint32_t, TransparentStringHash,
                      std::equal_to<>>

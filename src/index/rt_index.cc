@@ -143,19 +143,28 @@ Status RtIndex::LoadSegmentFile(DiskSegment* segment) const {
 }
 
 Status RtIndex::OpenInternal() {
+  // Base index: immutable, doc ids [0, base_docs). A shard file holds a
+  // later range; RT documents numbered from its count would reuse its ids.
+  if (!options_.base_index_path.empty()) {
+    Result<XmlIndex> base = LoadIndex(options_.base_index_path);
+    if (!base.ok()) return base.status();
+    const uint32_t doc_base = base->DocBase();
+    const uint64_t docs = base->catalog.document_count();
+    if (doc_base != 0) {
+      return Status::InvalidArgument(
+          "base index '" + options_.base_index_path + "' holds documents [" +
+          std::to_string(doc_base) + ", " + std::to_string(doc_base + docs) +
+          "); an RT base must start at document 0");
+    }
+    base_ = std::make_shared<const XmlIndex>(std::move(*base));
+    base_docs_ = static_cast<uint32_t>(docs);
+  }
+  next_doc_id_ = base_docs_;
+
   if (::mkdir(options_.dir.c_str(), 0755) != 0 && errno != EEXIST) {
     return Status::IOError("mkdir '" + options_.dir + "': " +
                            std::strerror(errno));
   }
-
-  // Base index: immutable, doc ids [0, base_docs).
-  if (!options_.base_index_path.empty()) {
-    Result<XmlIndex> base = LoadIndex(options_.base_index_path);
-    if (!base.ok()) return base.status();
-    base_ = std::make_shared<const XmlIndex>(std::move(*base));
-    base_docs_ = static_cast<uint32_t>(base_->catalog.document_count());
-  }
-  next_doc_id_ = base_docs_;
 
   // Manifest: the durable segment-set record.
   std::string manifest_bytes;

@@ -18,6 +18,7 @@
 #include "gtest/gtest.h"
 #include "common/file_io.h"
 #include "index/serialization.h"
+#include "index/shard.h"
 #include "index/wal.h"
 #include "tests/test_util.h"
 
@@ -389,6 +390,39 @@ TEST(RtIndexTest, BaseIndexServesAlongsideRtDocuments) {
             (std::vector<std::string>{"base0.xml", "new.xml"}));
   EXPECT_EQ(rt->Insert("base0.xml", BookXml("dup")).status().code(),
             StatusCode::kAlreadyExists);
+}
+
+TEST(RtIndexTest, ShardBaseThatDoesNotStartAtDocumentZeroIsRefused) {
+  // Four documents split into two shards: shard_01 holds [2, 4). RT
+  // numbers its documents from the base's count, so over that base an
+  // insert would be acknowledged as doc 2, an id the base already holds.
+  const std::string dir = FreshDir("shard_base_src");
+  fs::create_directories(dir);
+  std::vector<std::string> files;
+  for (const char* word : {"alpha", "bravo", "delta", "gamma"}) {
+    files.push_back(dir + "/" + word + ".xml");
+    ASSERT_TRUE(WriteStringToFile(files.back(), BookXml(word)).ok());
+  }
+  Result<ShardManifest> manifest = SplitIntoShards(files, 2, dir + "/shards");
+  ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
+  ASSERT_EQ(manifest->shards.size(), 2u);
+  ASSERT_EQ(manifest->shards[1].doc_base, 2u);
+
+  RtOptions options = TestOptions(FreshDir("shard_base"));
+  options.base_index_path = dir + "/shards/" + manifest->shards[1].file;
+  const std::string rt_dir = options.dir;
+  Result<std::unique_ptr<RtIndex>> rt = RtIndex::Open(std::move(options));
+  ASSERT_FALSE(rt.ok());
+  EXPECT_EQ(rt.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(rt.status().message().find("[2, 4)"), std::string::npos)
+      << rt.status().ToString();
+  EXPECT_FALSE(fs::exists(rt_dir));
+
+  // The first shard starts at document 0 and still serves as a base.
+  RtOptions first = TestOptions(FreshDir("shard_base_0"));
+  first.base_index_path = dir + "/shards/" + manifest->shards[0].file;
+  auto ok = OpenOrDie(std::move(first));
+  EXPECT_EQ(InsertOrDie(*ok, "new.xml", BookXml("fresh")), 2u);
 }
 
 TEST(RtIndexTest, BackgroundThreadFlushesOnTheDocThreshold) {
