@@ -7,9 +7,10 @@
 # the wire protocol, hostile shard partials — plus the
 # partial-merge core those partials feed, segment-set search with its
 # tombstone masking, the file reader and atomic writer every persisted
-# byte goes through, and the node store: its owned-value walk behind DI,
+# byte goes through, the node store: its owned-value walk behind DI,
 # facets and chunks, and the parent rows every ancestor walk follows,
-# over hostile node sections too. Any ASan/UBSan report fails the run.
+# over hostile node sections too, and the anchor-probe depth count. Any
+# ASan/UBSan report fails the run.
 #
 # The build tree (<repo>/build-asan) is incremental: the first run pays a
 # full compile, later runs only relink what changed.
@@ -46,7 +47,7 @@ export ASAN_OPTIONS="halt_on_error=1 detect_leaks=1 ${ASAN_OPTIONS:-}"
 export UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1 ${UBSAN_OPTIONS:-}"
 
 "$build/tests/common_test" \
-  --gtest_filter='Varint*:FileIo*:Lz*:Simd*:JsonValueTest.*' --gtest_brief=1
+  --gtest_filter='Varint*:FileIo*:Lz*:JsonValueTest.*' --gtest_brief=1
 "$build/tests/index_test" \
   --gtest_filter='PostingBlocks*:Serialization*:GoldenIndex*:PostingList*' \
   --gtest_brief=1
@@ -63,10 +64,12 @@ export UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1 ${UBSAN_OPTIONS:-}"
   --gtest_filter='LineReaderTest.*:ParseWireRequestTest.*:WireResponseBuilderTest.*:CoordinatorTest.FakeWorkerPartialDecodes:CoordinatorTest.HostilePartialsAreShardUnavailable:CoordinatorTest.NonLceContributionsLeaveDiUnchanged' \
   --gtest_brief=1
 # The partial-merge core over shard partials, the DI and rank oracles
-# over the single-index path it shares, and the node store's parent rows
-# on every way a table is built (sorted, decoded, appended, per segment).
+# over the single-index path it shares, the node store's parent rows
+# on every way a table is built (sorted, decoded, appended, per segment),
+# and the anchor-probe depth count against the merge path, on ids deeper
+# than 64 components too.
 "$build/tests/property_test" \
-  --gtest_filter='*ShardEquivalence*:ShardTieBreaking.*:DiOracle.*:RankOracle.*:*ParentRowInvariants*' \
+  --gtest_filter='*ShardEquivalence*:ShardTieBreaking.*:DiOracle.*:RankOracle.*:*ParentRowInvariants*:*ProbeDepthCount*' \
   --gtest_brief=1
 # The node store's owned-value walk, through its callers: DI, facets and
 # chunks over a real index; a node section with a missing level and
@@ -76,9 +79,5 @@ export UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1 ${UBSAN_OPTIONS:-}"
 "$build/tests/core_test" \
   --gtest_filter='AnalyticsTest.*:ChunkTest.*:DiUnits.*:Figure2aSearch.*:HostileNodeSection.*:SegmentSearchTest.*' \
   --gtest_brief=1
-# The kernel differential suite again with dispatch forced off: the
-# scalar twins parse the same attacker-shaped bytes under ASan too.
-GKS_SIMD=off "$build/tests/common_test" \
-  --gtest_filter='Simd*' --gtest_brief=1
 
 echo "check_asan: OK"

@@ -33,16 +33,6 @@ $out"
 done
 [[ "$ran" -ge 10 ]] || fail "only $ran bench binaries found in $bench_dir"
 
-# The kernel micro-bench once more with dispatch forced off: the scalar
-# tier must run the same bench cleanly, and the banner must say so.
-out="$(GKS_BENCH_SCALE=0.02 GKS_SIMD=off "$bench_dir/kernel_bench" 2>&1)" \
-    || fail "kernel_bench (GKS_SIMD=off) exited non-zero:
-$out"
-grep -q "dispatch=scalar" <<<"$out" \
-    || fail "kernel_bench ignored GKS_SIMD=off (no dispatch=scalar banner):
-$out"
-ran=$((ran + 1))
-
 # One micro per run keeps this O(100ms); the filter anchors an exact name
 # so a renamed benchmark fails loudly instead of matching nothing.
 out="$("$bench_dir/micro_core" --benchmark_filter='^BM_PorterStem$' \

@@ -1,18 +1,17 @@
 #include "common/lz.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <vector>
 
-#include "common/metrics.h"
-#include "common/simd/kernels.h"
 #include "common/varint.h"
 
 namespace gks {
 namespace {
 
 constexpr size_t kMinMatch = 4;
-constexpr size_t kMaxMatch = 0x7fff;      // keeps match tokens <= 2 varint bytes
+constexpr size_t kMaxMatch = 0x7fff;      // longest match; decoders reject more
 constexpr size_t kWindow = 1u << 16;      // back-reference reach
 constexpr size_t kHashBits = 15;
 constexpr size_t kHashSize = 1u << kHashBits;
@@ -109,13 +108,19 @@ Status LzDecompress(std::string_view src, std::string* out) {
 
   uint64_t raw_size = 0;
   GKS_RETURN_IF_ERROR(GetVarint64(&src, &raw_size));
+  // Each byte of the token stream yields at most kMaxMatch bytes (a
+  // literal byte yields one; a match, at most kMaxMatch bytes, takes at
+  // least two), so a larger declared size is corrupt.
+  if (raw_size / kMaxMatch > src.size()) {
+    return Status::Corruption("lz declared size " + std::to_string(raw_size) +
+                              " exceeds what " + std::to_string(src.size()) +
+                              " bytes of tokens can produce");
+  }
+  // The header is untrusted until the tokens fill it, so the output is
+  // pre-sized to at most a few times the stream, which is already in
+  // memory (index sections decode to under three times their size).
   const size_t out_base = out->size();
-  out->reserve(out_base + raw_size);
-  // Back-reference copies go through the dispatched kernel (bulk vector
-  // copies, pattern doubling for the RLE overlap case) — byte-identical
-  // to the scalar loop on every input.
-  const simd::Kernels& kernels = simd::Active();
-  kernels.lz_calls->Increment();
+  out->reserve(out_base + std::min<uint64_t>(raw_size, 4 * src.size()));
   while (!src.empty()) {
     uint64_t token = 0;
     GKS_RETURN_IF_ERROR(GetVarint64(&src, &token));
@@ -128,24 +133,33 @@ Status LzDecompress(std::string_view src, std::string* out) {
       out->append(src.data(), len);
       src.remove_prefix(len);
     } else {
-      uint64_t len = (token >> 1) + kMinMatch;
+      // No writer emits a match longer than kMaxMatch.
+      if ((token >> 1) > kMaxMatch - kMinMatch) {
+        return Status::Corruption("lz match longer than " +
+                                  std::to_string(kMaxMatch) +
+                                  " bytes at byte " +
+                                  std::to_string(offset(src)));
+      }
+      const size_t len = (token >> 1) + kMinMatch;
       uint64_t dist = 0;
       GKS_RETURN_IF_ERROR(GetVarint64(&src, &dist));
-      size_t produced = out->size() - out_base;
+      const size_t produced = out->size() - out_base;
       if (dist == 0 || dist > produced) {
         return Status::Corruption("lz back-reference out of range at byte " +
                                   std::to_string(offset(src)));
       }
-      // Oversized matches fail here with the same message and byte
-      // offset the post-copy check below reports (nothing is consumed in
-      // between) — and a corrupt length can no longer balloon the output
-      // buffer before being rejected.
+      // A match past the declared size fails before it is copied.
       if (len > raw_size - produced) {
         return Status::Corruption(
             "lz output exceeds declared size at byte " +
             std::to_string(offset(src)));
       }
-      kernels.lz_match_copy(out, dist, len);
+      // Byte by byte: with dist < len the copy reads bytes it has just
+      // written, which is how runs are encoded.
+      const size_t to = out->size();
+      out->resize(to + len);
+      char* bytes = out->data();
+      for (size_t j = 0; j < len; ++j) bytes[to + j] = bytes[to - dist + j];
     }
     if (out->size() - out_base > raw_size) {
       return Status::Corruption(

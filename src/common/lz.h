@@ -29,7 +29,8 @@ void LzCompress(std::string_view src, std::string* dst);
 /// input, including any mismatch against the declared uncompressed size.
 Status LzDecompress(std::string_view src, std::string* out);
 
-/// Reads just the declared uncompressed size (for pre-sizing buffers).
+/// Reads just the declared uncompressed size. It comes from the stream
+/// unchecked: do not size buffers from it (LzDecompress validates it).
 Status LzUncompressedSize(std::string_view src, size_t* size);
 
 }  // namespace gks

@@ -1,111 +1,19 @@
 #ifndef GKS_COMMON_SIMD_KERNELS_H_
 #define GKS_COMMON_SIMD_KERNELS_H_
 
-#include <cstddef>
-#include <cstdint>
-#include <string>
-#include <vector>
-
-namespace gks {
-class Counter;  // common/metrics.h
-}
+// Kept only because perfbench/main.cc prints `Active().name` in its
+// context line; nothing selects code through it.
 
 namespace gks::simd {
 
-/// Dispatch tiers. Values are stable (they surface as the
-/// gks.cpu.dispatch_level gauge): scalar = 0, AVX2 = 2.
-enum class Level : uint8_t {
-  kScalar = 0,
-  kAvx2 = 2,
-};
-
-/// Sentinel returned by decode_delta_ids on malformed input. The caller
-/// re-runs the Status-reporting reference decoder to produce the exact
-/// Corruption message; kernels only have to agree on the accept set.
-inline constexpr size_t kDecodeError = static_cast<size_t>(-1);
-
-/// One resolved kernel table. Every entry is bit-identical to its scalar
-/// twin on all inputs — vector paths may differ in *how* they compute,
-/// never in what they produce (the Simd* differential suite and the
-/// planner-equivalence property suite enforce this). Callers fetch the
-/// table once per operation (`const Kernels& k = Active()`), not per
-/// inner-loop iteration.
 struct Kernels {
-  Level level = Level::kScalar;
   const char* name = "scalar";
-
-  /// Prefix-delta posting-block payload decode (format in
-  /// src/index/posting_blocks.h). Decodes the `count - 1` delta-coded ids
-  /// following the block's first id from [p, p + len). `comps` carries the
-  /// running predecessor and must enter holding the first id's components;
-  /// decoded ids are appended to `components`/`offsets` in PackedIds
-  /// layout (offsets entry = components size after the id). Returns bytes
-  /// consumed, or kDecodeError on malformed input (partial appends are
-  /// then discarded by the caller). Accept/reject semantics — including
-  /// overlong-varint rejection — match the reference decoder exactly.
-  size_t (*decode_delta_ids)(const uint8_t* p, size_t len, uint32_t count,
-                             std::vector<uint32_t>* comps,
-                             std::vector<uint32_t>* components,
-                             std::vector<uint32_t>* offsets) = nullptr;
-
-  /// Gather shift: dst[i] = src[i] + delta for i in [0, n), uint32
-  /// wraparound arithmetic. The offsets rebase of PackedIds::AppendRange
-  /// (galloping-merge run emission). Regions must not overlap.
-  void (*shift_u32)(const uint32_t* src, size_t n, uint32_t delta,
-                    uint32_t* dst) = nullptr;
-
-  /// LZ back-reference copy: appends `len` bytes starting `dist` back
-  /// from the end of `out`. dist < len is the RLE case — the result is
-  /// the byte-by-byte periodic extension, reproduced exactly. The caller
-  /// validates 0 < dist <= produced and bounds len first.
-  void (*lz_match_copy)(std::string* out, size_t dist, size_t len) = nullptr;
-
-  /// Per-depth subtree membership counters for the anchor-probe
-  /// evaluator: for every d in [1, depth], adds to totals[d] the number
-  /// of ids j in [lo, hi) (PackedIds layout) that lie in the subtree of
-  /// path[0..d) — i.e. have at least d components and share the first d
-  /// with `path`. Computed as an lcp-depth histogram plus suffix sums;
-  /// identical to clipping [SubtreeBegin, SubtreeEnd) per depth on a
-  /// sorted list, but a single linear pass. totals must have depth + 1
-  /// entries; totals[0] is untouched.
-  void (*count_depth_prefixes)(const uint32_t* components,
-                               const uint32_t* offsets, size_t lo, size_t hi,
-                               const uint32_t* path, uint32_t depth,
-                               uint64_t* totals) = nullptr;
-
-  /// Per-kernel call counters (gks.search.kernel.<kernel>.{scalar,simd}
-  /// _total), pre-resolved so hot paths pay one relaxed add. Counted at
-  /// operation granularity: per block decode, per AppendRange, per
-  /// LzDecompress, per depth-count invocation.
-  Counter* decode_calls = nullptr;
-  Counter* gather_calls = nullptr;
-  Counter* lz_calls = nullptr;
-  Counter* depth_calls = nullptr;
 };
 
-/// The always-available scalar table (also the GKS_SIMD=off target).
-const Kernels& Scalar();
-
-/// The table for `level`, or nullptr when that tier was not compiled in
-/// (CMake -DGKS_SIMD=OFF / non-x86) or the host CPU lacks it.
-const Kernels* ForLevel(Level level);
-
-/// The dispatched table: the best tier the build, the host CPU, and the
-/// GKS_SIMD environment override all allow. Resolved once per process
-/// (first call also publishes the gks.cpu.* gauges); the env var is
-/// GKS_SIMD=off|scalar|0 to force scalar, GKS_SIMD=avx2 to request a
-/// tier explicitly (falls back to scalar when unavailable), anything
-/// else / unset for auto.
-const Kernels& Active();
-
-/// One-line dispatch summary for `gks stats` and the server health
-/// payload: "dispatch=avx2 (features: sse4.2 avx2 ...; GKS_SIMD=auto)".
-std::string DispatchDescription();
-
-/// Test hook: forces Active() to return `kernels` (nullptr restores
-/// normal dispatch). Install before spawning searcher threads; the
-/// differential suites use it to drive whole queries through each table.
-void SetActiveForTest(const Kernels* kernels);
+inline const Kernels& Active() {
+  static const Kernels kernels;
+  return kernels;
+}
 
 }  // namespace gks::simd
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/metrics.h"
-#include "common/simd/kernels.h"
 #include "core/lce.h"
 
 namespace gks {
@@ -24,54 +23,31 @@ struct ProbeMetrics {
   }
 };
 
-enum class Boundary { kLower, kUpper, kSubtreeBegin, kSubtreeEnd };
-
-// True when `id` still sorts before the boundary of `key` that `mode`
-// describes.
-bool BeforeBoundary(DeweySpan id, DeweySpan key, Boundary mode) {
-  switch (mode) {
-    case Boundary::kLower: return id.Compare(key) < 0;
-    case Boundary::kUpper: return id.Compare(key) <= 0;
-    case Boundary::kSubtreeBegin: return id.CompareToSubtree(key) < 0;
-    case Boundary::kSubtreeEnd: return id.CompareToSubtree(key) <= 0;
+// Adds one to hist[e] for each id in [lo, hi) of `ids` that shares
+// exactly e leading components with `path` (e <= path.size).
+void CountCommonPrefixDepths(const PackedIds& ids, size_t lo, size_t hi,
+                             DeweySpan path, uint64_t* hist) {
+  for (size_t j = lo; j < hi; ++j) {
+    const DeweySpan id = ids.At(j);
+    const uint32_t m = std::min(path.size, id.size);
+    uint32_t d = 0;
+    while (d < m && id.data[d] == path.data[d]) ++d;
+    ++hist[d];
   }
-  return false;
 }
 
 }  // namespace
 
 /// One query atom's occurrence list inside the evaluator: borrowed from
 /// the index, or owned after phrase/tag filtering. Its boundary searches
-/// are binary searches from scratch: unlike PostingCursor they are not
-/// forward-only, since event processing needs *predecessor* lookups that
-/// move backwards between probes.
+/// are PackedIds' binary searches from scratch: unlike PostingCursor they
+/// are not forward-only, since event processing needs *predecessor*
+/// lookups that move backwards between probes.
 struct ProbeEvaluator::AtomList {
   PackedIds owned;                 // arena scratch when active
   bool owned_active = false;
   const PackedIds* ids = nullptr;  // `owned` or the index's list
   size_t size = 0;
-
-  /// First index with id >= / > `id` in document order.
-  size_t LowerBound(DeweySpan id) const { return Find(id, Boundary::kLower); }
-  size_t UpperBound(DeweySpan id) const { return Find(id, Boundary::kUpper); }
-  /// Bounds of the contiguous subtree range of `prefix`.
-  size_t SubtreeBegin(DeweySpan prefix) const {
-    return Find(prefix, Boundary::kSubtreeBegin);
-  }
-  size_t SubtreeEnd(DeweySpan prefix) const {
-    return Find(prefix, Boundary::kSubtreeEnd);
-  }
-
-  size_t Find(DeweySpan key, Boundary mode) const {
-    size_t lo = 0;
-    size_t hi = size;
-    while (lo < hi) {
-      size_t mid = lo + (hi - lo) / 2;
-      if (BeforeBoundary(ids->At(mid), key, mode)) lo = mid + 1;
-      else hi = mid;
-    }
-    return lo;
-  }
 };
 
 ProbeEvaluator::ProbeEvaluator(const XmlIndex& index, const Query& query,
@@ -179,7 +155,8 @@ void ProbeEvaluator::RunVirtualScan() {
       if (al.size == 0) continue;
       // First index of list c at position >= (a_id, a_atom): same-id
       // entries count only when c sorts at-or-after the anchor's atom.
-      size_t idx = c >= a_atom ? al.LowerBound(a_id) : al.UpperBound(a_id);
+      size_t idx = c >= a_atom ? al.ids->LowerBound(a_id)
+                               : al.ids->UpperBound(a_id);
       if (idx >= al.size || last_idx[c] == idx) continue;
       last_idx[c] = idx;
       ++events_;
@@ -219,7 +196,7 @@ void ProbeEvaluator::ProcessEndEvent(uint32_t c, DeweySpan p, bool has_prev,
     if (i == c) continue;
     AtomList& al = *lists_[i];
     if (al.size == 0) continue;
-    size_t at = i > c ? al.LowerBound(p) : al.UpperBound(p);
+    size_t at = i > c ? al.ids->LowerBound(p) : al.ids->UpperBound(p);
     if (at == 0) continue;
     bounds.push_back(Pos{al.ids->IdAt(at - 1), i});
   }
@@ -259,7 +236,7 @@ void ProbeEvaluator::ProcessEndEvent(uint32_t c, DeweySpan p, bool has_prev,
   auto first_after = [&](uint32_t i, const Pos& x) -> size_t {
     AtomList& al = *lists_[i];
     DeweySpan xid = DeweySpan::Of(x.id);
-    return i > x.atom ? al.LowerBound(xid) : al.UpperBound(xid);
+    return i > x.atom ? al.ids->LowerBound(xid) : al.ids->UpperBound(xid);
   };
 
   // Per-list bounds of the interval (L, M]; every S_L entry inside it is
@@ -277,31 +254,28 @@ void ProbeEvaluator::ProcessEndEvent(uint32_t c, DeweySpan p, bool has_prev,
 
   // lcp(start, p) has depth >= d iff start lies in subtree(p[0..d)); the
   // count with depth exactly d is the difference against depth d+1.
-  // Eager-backed lists with small intervals take the dispatched linear
-  // histogram kernel — one pass over the interval covers every depth at
-  // once. The rest keep per-depth subtree-boundary searches, deepest
-  // first, with a per-list stop once a prefix's subtree swallows that
-  // list's whole interval (subtree ranges nest, so every shallower
-  // prefix covers it too).
+  // Lists with small intervals take one linear pass that histograms each
+  // entry's common-prefix depth with p, covering every depth at once. The
+  // rest keep per-depth subtree-boundary searches, deepest first, with a
+  // per-list stop once a prefix's subtree swallows that list's whole
+  // interval (subtree ranges nest, so every shallower prefix covers it
+  // too).
   const uint32_t depth = p.size;
   constexpr size_t kDepthScanLinearMax = 256;
-  const simd::Kernels& kernels = simd::Active();
   depth_totals_.assign(depth + 1, 0);
+  depth_hist_.assign(depth + 1, 0);
   for (uint32_t i = 0; i < n; ++i) {
     AtomList& al = *lists_[i];
     if (al.size == 0 || hi[i] <= lo[i]) continue;
     if (hi[i] - lo[i] <= kDepthScanLinearMax) {
-      kernels.count_depth_prefixes(al.ids->raw_components(),
-                                   al.ids->raw_offsets(), lo[i], hi[i],
-                                   p.data, depth, depth_totals_.data());
-      kernels.depth_calls->Increment();
+      CountCommonPrefixDepths(*al.ids, lo[i], hi[i], p, depth_hist_.data());
       continue;
     }
     const uint64_t span = hi[i] - lo[i];
     for (uint32_t d = depth; d >= 1; --d) {
       DeweySpan q{p.data, d};
-      size_t b = std::max(lo[i], al.SubtreeBegin(q));
-      size_t e = std::min(hi[i], al.SubtreeEnd(q));
+      size_t b = std::max(lo[i], al.ids->SubtreeBegin(q));
+      size_t e = std::min(hi[i], al.ids->SubtreeEnd(q));
       if (e <= b) continue;
       const uint64_t inside = e - b;
       depth_totals_[d] += inside;
@@ -310,6 +284,13 @@ void ProbeEvaluator::ProcessEndEvent(uint32_t c, DeweySpan p, bool has_prev,
         break;
       }
     }
+  }
+  // An entry sharing exactly e components with p lies in the subtree of
+  // every prefix of length d <= e.
+  uint64_t shared = 0;
+  for (uint32_t d = depth; d >= 1; --d) {
+    shared += depth_hist_[d];
+    depth_totals_[d] += shared;
   }
   uint64_t deeper = 0;
   for (uint32_t d = depth; d >= 1; --d) {
@@ -331,7 +312,7 @@ void ProbeEvaluator::PruneCandidates() {
     for (uint32_t i = 0; i < n; ++i) {
       AtomList& al = *lists_[i];
       if (al.size == 0) continue;
-      if (al.SubtreeBegin(span) < al.SubtreeEnd(span)) {
+      if (al.ids->SubtreeBegin(span) < al.ids->SubtreeEnd(span)) {
         mask |= 1ull << i;
       }
     }
@@ -381,8 +362,8 @@ void ProbeEvaluator::GatherReduced() {
     AtomList& al = *lists_[i];
     if (al.size == 0) continue;
     for (DeweySpan prefix : maximal) {
-      gathered[i].AppendRange(*al.ids, al.SubtreeBegin(prefix),
-                              al.SubtreeEnd(prefix));
+      gathered[i].AppendRange(*al.ids, al.ids->SubtreeBegin(prefix),
+                              al.ids->SubtreeEnd(prefix));
     }
   }
   std::vector<const PackedIds*> ptrs;

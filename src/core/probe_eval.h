@@ -110,10 +110,12 @@ class ProbeEvaluator {
   size_t anchor_postings_ = 0;
   size_t events_ = 0;
 
-  // Per-event scratch for the depth-count kernel: totals_[d] = interval
-  // entries inside subtree(p[0..d)), summed over lists (reused across
-  // events to stay allocation-free in the hot loop).
+  // Per-event scratch, reused across events to stay allocation-free in
+  // the hot loop: depth_totals_[d] = interval entries inside
+  // subtree(p[0..d)), summed over lists; depth_hist_[e] = entries of the
+  // linearly scanned lists sharing exactly e components with p.
   std::vector<uint64_t> depth_totals_;
+  std::vector<uint64_t> depth_hist_;
 
   // Window counts keyed by candidate components; uint64 accumulation then
   // uint32 truncation matches the merge path's uint32 ++ wraparound.

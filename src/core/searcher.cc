@@ -6,7 +6,6 @@
 
 #include "common/json_writer.h"
 #include "common/metrics.h"
-#include "common/simd/kernels.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
 #include "common/trace.h"
@@ -290,13 +289,12 @@ std::string FormatSearchDiagnostics(const SearchResponse& response) {
   const SearchResponse::Timings& t = response.timings;
   std::snprintf(
       buf, sizeof(buf),
-      "plan=%s (%s) kernel=%s\n"
+      "plan=%s (%s)\n"
       "s=%u  |S_L|=%zu  candidates=%zu  nodes=%zu (LCE %zu)\n"
       "parse %.3fms | merge %.3fms | windows %.3fms | lce+rank %.3fms | "
       "di %.3fms | refine %.3fms\n"
       "stages %.3fms + other %.3fms = total %.3fms",
       PlanModeName(response.plan.strategy), response.plan.reason.c_str(),
-      simd::Active().name,
       response.effective_s, response.merged_list_size,
       response.candidate_count, response.nodes.size(), response.lce_count,
       t.parse_ms, t.merge_ms, t.window_ms, t.lce_ms, t.di_ms, t.refine_ms,
@@ -338,10 +336,6 @@ std::string ExplainJson(const SearchResponse& response) {
   json.Key("skew").Double(plan.skew, 2);
   json.Key("probe_events").UInt(plan.probe_events);
   json.Key("gathered_postings").UInt(plan.gathered_postings);
-  // Active hot-path kernel tier ("scalar" or "avx2") — dispatch is
-  // process-wide (src/common/simd/kernels.h), surfaced here so a saved
-  // explain document records which kernels produced its timings.
-  json.Key("kernel").String(simd::Active().name);
   json.Key("topk").BeginObject();
   json.Key("k").UInt(plan.topk.k);
   json.Key("engaged").Bool(plan.topk.engaged);

@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "common/metrics.h"
-#include "common/simd/kernels.h"
 #include "common/varint.h"
 
 namespace gks {
@@ -124,29 +123,14 @@ Status DecodeBlock(uint64_t b, const SkipEntry& entry,
   out->Add(DeweySpan{entry.first.data(),
                      static_cast<uint32_t>(entry.first.size())});
   if (entry.count > 1) {
-    // Dispatched decode kernel (src/common/simd/kernels.h): appends the
-    // delta-coded ids straight into the PackedIds flat storage. Every
-    // tier accepts exactly the byte streams the reference decoder below
-    // accepts, so the success path never diverges.
-    const simd::Kernels& kernels = simd::Active();
     thread_local std::vector<uint32_t> comps;
     comps = entry.first;
-    const size_t consumed = kernels.decode_delta_ids(
-        reinterpret_cast<const uint8_t*>(payload.data()), payload.size(),
-        entry.count, &comps, out->mutable_raw_components(),
-        out->mutable_raw_offsets());
-    if (consumed != payload.size()) {
-      // Malformed payload (or trailing bytes): re-run the Status-carrying
-      // reference decoder for the exact corruption message.
-      std::vector<uint32_t> ref = entry.first;
-      for (uint32_t i = 1; i < entry.count; ++i) {
-        GKS_RETURN_IF_ERROR(DecodeDeltaId(&payload, &ref));
-      }
-      return Status::Corruption("posting block " + std::to_string(b) +
-                                " has trailing bytes");
+    for (uint32_t i = 1; i < entry.count; ++i) {
+      GKS_RETURN_IF_ERROR(DecodeDeltaId(&payload, &comps));
+      out->Add(DeweySpan{comps.data(), static_cast<uint32_t>(comps.size())});
     }
-    kernels.decode_calls->Increment();
-  } else if (!payload.empty()) {
+  }
+  if (!payload.empty()) {
     return Status::Corruption("posting block " + std::to_string(b) +
                               " has trailing bytes");
   }

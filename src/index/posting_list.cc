@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <numeric>
 
-#include "common/metrics.h"
-#include "common/simd/kernels.h"
 #include "common/varint.h"
 #include "index/posting_blocks.h"
 
@@ -48,15 +46,15 @@ void PackedIds::AppendRange(const PackedIds& src, size_t begin, size_t end) {
   components_.insert(components_.end(),
                      src.components_.begin() + src_base,
                      src.components_.begin() + src.offsets_[end]);
-  // Rebase the source offsets in one gather-shift kernel pass:
-  // dst_base + (src.offsets_[i] - src_base), in uint32 wraparound
-  // arithmetic, identical for every dispatch tier.
-  const simd::Kernels& kernels = simd::Active();
+  // Rebase the source offsets: dst_base + (src.offsets_[i] - src_base),
+  // in uint32 wraparound arithmetic.
+  const uint32_t shift = dst_base - src_base;
+  const size_t n = end - begin;
   const size_t old_size = offsets_.size();
-  offsets_.resize(old_size + (end - begin));
-  kernels.shift_u32(src.offsets_.data() + begin + 1, end - begin,
-                    dst_base - src_base, offsets_.data() + old_size);
-  kernels.gather_calls->Increment();
+  offsets_.resize(old_size + n);
+  const uint32_t* from = src.offsets_.data() + begin + 1;
+  uint32_t* to = offsets_.data() + old_size;
+  for (size_t i = 0; i < n; ++i) to[i] = from[i] + shift;
 }
 
 std::vector<uint32_t> PackedIds::SortPermutation() const {
@@ -129,12 +127,13 @@ size_t PackedIds::UpperBoundFrom(DeweySpan id, size_t from) const {
   });
 }
 
-size_t PackedIds::SubtreeBegin(DeweySpan prefix) const {
+template <typename Before>
+size_t PackedIds::Search(const Before& before) const {
   size_t lo = 0;
   size_t hi = size();
   while (lo < hi) {
     size_t mid = lo + (hi - lo) / 2;
-    if (At(mid).CompareToSubtree(prefix) < 0) {
+    if (before(At(mid))) {
       lo = mid + 1;
     } else {
       hi = mid;
@@ -143,18 +142,22 @@ size_t PackedIds::SubtreeBegin(DeweySpan prefix) const {
   return lo;
 }
 
+size_t PackedIds::SubtreeBegin(DeweySpan prefix) const {
+  return Search(
+      [prefix](DeweySpan id) { return id.CompareToSubtree(prefix) < 0; });
+}
+
 size_t PackedIds::SubtreeEnd(DeweySpan prefix) const {
-  size_t lo = 0;
-  size_t hi = size();
-  while (lo < hi) {
-    size_t mid = lo + (hi - lo) / 2;
-    if (At(mid).CompareToSubtree(prefix) <= 0) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo;
+  return Search(
+      [prefix](DeweySpan id) { return id.CompareToSubtree(prefix) <= 0; });
+}
+
+size_t PackedIds::LowerBound(DeweySpan id) const {
+  return Search([id](DeweySpan x) { return x.Compare(id) < 0; });
+}
+
+size_t PackedIds::UpperBound(DeweySpan id) const {
+  return Search([id](DeweySpan x) { return x.Compare(id) <= 0; });
 }
 
 void PutFrontCoded(std::string* dst, DeweySpan previous, DeweySpan id) {

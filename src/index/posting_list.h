@@ -98,6 +98,11 @@ class PackedIds {
   size_t SubtreeBegin(DeweySpan prefix) const;
   size_t SubtreeEnd(DeweySpan prefix) const;
 
+  /// First index i with At(i) >= id / > id in document order (sorted
+  /// container, binary search from scratch).
+  size_t LowerBound(DeweySpan id) const;
+  size_t UpperBound(DeweySpan id) const;
+
   /// Galloping (exponential-search) variants for cursor-based scans: the
   /// answer is found in O(log distance) probes from `from` instead of
   /// O(log size) from scratch, so walking a sorted list of ascending
@@ -127,17 +132,13 @@ class PackedIds {
            offsets_.capacity() * sizeof(uint32_t);
   }
 
-  /// Kernel-layer escape hatch (src/common/simd/kernels.h): direct access
-  /// to the flat storage so the vectorized decode/gather kernels can bulk
-  /// append without per-id calls. Writers must preserve the layout
-  /// invariant: offsets holds size()+1 ascending entries, the last equal
-  /// to components.size().
-  std::vector<uint32_t>* mutable_raw_components() { return &components_; }
-  std::vector<uint32_t>* mutable_raw_offsets() { return &offsets_; }
-  const uint32_t* raw_components() const { return components_.data(); }
-  const uint32_t* raw_offsets() const { return offsets_.data(); }
-
  private:
+  /// Binary search from scratch over the whole container: the first index
+  /// i with !before(At(i)), assuming `before` holds for a prefix of the
+  /// ids and fails for the rest.
+  template <typename Before>
+  size_t Search(const Before& before) const;
+
   std::vector<uint32_t> components_;
   std::vector<uint32_t> offsets_;  // size()+1 entries; [i, i+1) delimits id i
 };

@@ -25,6 +25,10 @@ namespace {
 
 constexpr std::string_view kManifestFile = "MANIFEST";
 constexpr int kManifestFormat = 1;
+// Fold pending single-document micro-segments into the window's
+// accumulated segment every this many inserts (bounds the per-query
+// segment count).
+constexpr size_t kCompactEvery = 16;
 
 Result<uint64_t> FileBytes(const std::string& path) {
   struct stat st;
@@ -114,7 +118,6 @@ Result<std::unique_ptr<RtIndex>> RtIndex::Open(RtOptions options) {
   if (options.dir.empty()) {
     return Status::InvalidArgument("RtOptions.dir must be set");
   }
-  if (options.compact_every == 0) options.compact_every = 1;
   std::unique_ptr<RtIndex> index(new RtIndex(std::move(options)));
   GKS_RETURN_IF_ERROR(index->OpenInternal());
   if (index->options_.background) {
@@ -370,7 +373,7 @@ Status RtIndex::ApplyInsertLocked(RtDocument doc, bool replay) {
   ram_docs_.push_back(std::move(doc));
   ram_micro_.push_back(
       std::make_shared<const XmlIndex>(std::move(*micro)));
-  if (ram_micro_.size() >= options_.compact_every) {
+  if (ram_micro_.size() >= kCompactEvery) {
     GKS_RETURN_IF_ERROR(CompactWindowLocked());
   }
   return Status::OK();

@@ -35,9 +35,6 @@ struct RtOptions {
   size_t flush_bytes = 8u << 20;
   /// Size-tiered merge fanout; 0 disables background merging.
   size_t merge_fanout = 4;
-  /// Fold pending single-document micro-segments into the window's
-  /// accumulated segment every N inserts (bounds per-query segment count).
-  size_t compact_every = 16;
   /// Fsync the WAL after every commit (--rt-fsync=always). Off trades the
   /// last few commits for ingest throughput (--rt-fsync=off).
   bool fsync = true;
@@ -67,9 +64,9 @@ struct RtStats {
 ///   - `Insert` builds a single-document micro-segment, logs the raw XML
 ///     to the WAL, and publishes a new snapshot — the document is
 ///     searchable when Insert returns, with no rebuild or reload.
-///   - Every `compact_every` inserts the window's micro-segments are
-///     folded into one accumulated RAM segment (deterministic rebuild
-///     from the raw documents), bounding per-query segment count.
+///   - Every 16 inserts the window's micro-segments are folded into one
+///     accumulated RAM segment (deterministic rebuild from the raw
+///     documents), bounding per-query segment count.
 ///   - The flusher seals the RAM window once it exceeds `flush_docs` /
 ///     `flush_bytes`, rotates the WAL, rebuilds the sealed run into an
 ///     immutable v2 on-disk segment (plus a docstore sidecar), swaps it

@@ -6,8 +6,6 @@
 #include <utility>
 
 #include "common/json_writer.h"
-#include "common/simd/cpu_features.h"
-#include "common/simd/kernels.h"
 #include "common/timer.h"
 #include "common/trace.h"
 #include "core/searcher.h"
@@ -460,10 +458,6 @@ std::string GksServer::HandleAdmin(const WireRequest& request) {
       load.Key("queue_depth").UInt(config_.queue_depth);
       load.Key("connections").Int(connections_gauge_->value());
       load.Key("draining").Bool(draining_.load());
-      // Which hot-path kernel tier answers queries on this host — the
-      // first thing to compare when two replicas disagree on latency.
-      load.Key("cpu").String(simd::CpuFeatures::Get().ToString());
-      load.Key("dispatch").String(simd::Active().name);
       if (coordinator_ != nullptr) {
         load.Key("role").String("coordinator");
         load.Key("shards").Raw(coordinator_->TopologyJson());

@@ -4,6 +4,7 @@
 #include <random>
 #include <string>
 
+#include "common/varint.h"
 #include "gtest/gtest.h"
 
 namespace gks {
@@ -154,6 +155,48 @@ TEST(LzTest, RejectsOutputShorterThanDeclared) {
   Status st = LzDecompress(stream, &out);
   EXPECT_FALSE(st.ok());
   EXPECT_NE(st.message().find("short of declared"), std::string::npos)
+      << st.message();
+}
+
+// The declared size comes from the file. A hostile header must be
+// rejected before anything is sized from it, not die in the allocator.
+TEST(LzTest, RejectsDeclaredSizeTheTokensCannotProduce) {
+  std::string stream;
+  PutVarint64(&stream, 1ull << 62);
+  stream.push_back(5 << 1);  // literal run of 5
+  stream += "hello";
+  std::string out;
+  Status st = LzDecompress(stream, &out);
+  EXPECT_EQ(st.code(), StatusCode::kCorruption) << st.ToString();
+  EXPECT_NE(st.message().find("declared size"), std::string::npos)
+      << st.message();
+}
+
+TEST(LzTest, RejectsHugeMatchUnderHugeHeader) {
+  std::string stream;
+  PutVarint64(&stream, 1ull << 62);
+  stream.push_back(4 << 1);  // literal run of 4
+  stream += "abcd";
+  PutVarint64(&stream, (((1ull << 40) - 4) << 1) | 1);  // 2^40-byte match
+  PutVarint64(&stream, 4);
+  std::string out;
+  EXPECT_EQ(LzDecompress(stream, &out).code(), StatusCode::kCorruption);
+}
+
+// A match longer than any writer emits, under a header it would fill
+// exactly: rejected by its length alone.
+TEST(LzTest, RejectsMatchLongerThanTheWriterEmits) {
+  const uint64_t len = 40000;
+  std::string stream;
+  PutVarint64(&stream, 4 + len);
+  stream.push_back(4 << 1);  // literal run of 4
+  stream += "abcd";
+  PutVarint64(&stream, ((len - 4) << 1) | 1);
+  PutVarint64(&stream, 4);
+  std::string out;
+  Status st = LzDecompress(stream, &out);
+  EXPECT_EQ(st.code(), StatusCode::kCorruption) << st.ToString();
+  EXPECT_NE(st.message().find("match longer"), std::string::npos)
       << st.message();
 }
 

@@ -153,5 +153,43 @@ TEST(PackedIdsProperty, SubtreeRangeAgreesWithLinearScan) {
   }
 }
 
+// Property: LowerBound / UpperBound agree with std::lower_bound /
+// std::upper_bound over the same ids, duplicates and absent ids included.
+TEST(PackedIdsProperty, BoundsAgreeWithStdBounds) {
+  std::mt19937 rng(11);
+  for (int trial = 0; trial < 30; ++trial) {
+    std::vector<DeweyId> raw;
+    for (int i = 0; i < 60; ++i) {
+      std::vector<uint32_t> components{0};
+      for (uint32_t d = 0, n = rng() % 4; d < n; ++d) {
+        components.push_back(rng() % 3);
+      }
+      raw.push_back(DeweyId(components));
+    }
+    std::sort(raw.begin(), raw.end());
+    PackedIds ids;
+    for (const DeweyId& id : raw) ids.Add(id);
+
+    for (int probe_index = 0; probe_index < 20; ++probe_index) {
+      std::vector<uint32_t> components{static_cast<uint32_t>(rng() % 2)};
+      for (uint32_t d = 0, n = rng() % 4; d < n; ++d) {
+        components.push_back(rng() % 3);
+      }
+      const DeweyId probe(components);
+      const DeweySpan span = DeweySpan::Of(probe);
+      EXPECT_EQ(ids.LowerBound(span),
+                static_cast<size_t>(
+                    std::lower_bound(raw.begin(), raw.end(), probe) -
+                    raw.begin()))
+          << probe.ToString();
+      EXPECT_EQ(ids.UpperBound(span),
+                static_cast<size_t>(
+                    std::upper_bound(raw.begin(), raw.end(), probe) -
+                    raw.begin()))
+          << probe.ToString();
+    }
+  }
+}
+
 }  // namespace
 }  // namespace gks

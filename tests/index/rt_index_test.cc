@@ -340,18 +340,16 @@ TEST(RtIndexTest, MergePurgesTombstonesAndRenumbersSurvivors) {
 }
 
 TEST(RtIndexTest, CompactionBoundsTheSegmentCount) {
-  RtOptions options = TestOptions(FreshDir("compact"));
-  options.compact_every = 4;
-  auto rt = OpenOrDie(std::move(options));
-  for (int i = 0; i < 10; ++i) {
+  auto rt = OpenOrDie(TestOptions(FreshDir("compact")));
+  for (int i = 0; i < 34; ++i) {
     InsertOrDie(*rt, "doc" + std::to_string(i) + ".xml",
                 BookXml("word" + std::to_string(i)));
   }
-  // 10 inserts at compact_every=4: one accumulated segment covering the
-  // first 8 plus at most 2 micro-segments — never 10 segments.
+  // 34 inserts, compacted every 16: one accumulated segment covering the
+  // first 32 plus at most 2 micro-segments — never 34 segments.
   EXPECT_LE(rt->snapshot()->segments.size(), 3u);
-  EXPECT_EQ(rt->snapshot()->LiveDocuments(), 10u);
-  EXPECT_EQ(LiveNames(*rt).size(), 10u);
+  EXPECT_EQ(rt->snapshot()->LiveDocuments(), 34u);
+  EXPECT_EQ(LiveNames(*rt).size(), 34u);
 }
 
 TEST(RtIndexTest, BaseIndexServesAlongsideRtDocuments) {

@@ -486,6 +486,37 @@ TEST(SerializationTest, InconsistentAttributesSectionIsCorruption) {
   }
 }
 
+// The LZ header of the nodes section declares the section's decoded size.
+// A file that declares 2^62 bytes over the real token stream is
+// Corruption through both loaders, never an allocation of that size.
+TEST(SerializationTest, HostileNodesSectionSizeHeaderIsCorruption) {
+  const std::string bytes = SerializeIndex(BuildGoldenCorpusIndex());
+  const auto [offset, length] = SectionExtent(bytes, 2);  // nodes
+  ASSERT_GT(length, 0u);
+  std::string_view tokens(bytes.data() + offset, length);
+  uint64_t declared = 0;
+  ASSERT_TRUE(GetVarint64(&tokens, &declared).ok());
+  auto with_header = [&](uint64_t size) {
+    std::string payload;
+    PutVarint64(&payload, size);
+    payload.append(tokens.data(), tokens.size());
+    return ReplaceSection(bytes, 2, payload);
+  };
+  // The true size over the same tokens still loads.
+  ASSERT_TRUE(DeserializeIndex(with_header(declared)).ok());
+
+  const std::string file = with_header(1ull << 62);
+
+  Result<XmlIndex> decoded = DeserializeIndex(file);
+  EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption)
+      << (decoded.ok() ? "loaded" : decoded.status().ToString());
+  const std::string path = ::testing::TempDir() + "/hostile_lz_header.idx";
+  ASSERT_TRUE(WriteStringToFile(path, file).ok());
+  Result<XmlIndex> loaded = LoadIndex(path);
+  EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption)
+      << (loaded.ok() ? "loaded" : loaded.status().ToString());
+}
+
 // Binary search over the node store needs strictly ascending ids, so the
 // nodes decoder rejects a repeated key and a descending pair.
 TEST(SerializationTest, NodeKeysOutOfOrderAreCorruption) {

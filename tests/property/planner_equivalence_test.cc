@@ -13,7 +13,6 @@
 
 #include "gtest/gtest.h"
 #include "baseline/naive_gks.h"
-#include "common/simd/kernels.h"
 #include "core/searcher.h"
 #include "data/random_tree_gen.h"
 #include "index/serialization.h"
@@ -172,40 +171,6 @@ TEST_P(PlannerEquivalence, TopKMatchesFullScoringThenTruncate) {
             }
           }
         }
-      }
-    }
-  }
-}
-
-// The dispatched hot-path kernels (posting-block decode, offset gather,
-// LZ match copy, depth counting — src/common/simd/kernels.h) must be
-// invisible end to end: whole responses computed under the forced scalar
-// table are bit-identical to responses under the process's active table
-// (AVX2 where the CPU has it), across strategies. Each side also loads the
-// index under its own table, so the load-time posting-decode and LZ
-// kernels are part of the comparison. On a scalar-only build or under
-// GKS_SIMD=off the two tables coincide and this degenerates to a replay
-// check.
-TEST_P(PlannerEquivalence, KernelDispatchIsInvisible) {
-  const std::string bytes = SerializeIndex(eager_);
-  simd::SetActiveForTest(&simd::Scalar());
-  Result<XmlIndex> scalar_index = DeserializeIndex(bytes);
-  simd::SetActiveForTest(nullptr);
-  Result<XmlIndex> active_index = DeserializeIndex(bytes);
-  ASSERT_TRUE(scalar_index.ok()) << scalar_index.status().ToString();
-  ASSERT_TRUE(active_index.ok()) << active_index.status().ToString();
-  const std::vector<std::string> queries = {"k0 k1 k2 k3", "\"k1 k3\" k0 k5"};
-  for (const std::string& text : queries) {
-    for (uint32_t s : {1u, 3u}) {
-      for (PlanMode plan : {PlanMode::kMerge, PlanMode::kProbe}) {
-        simd::SetActiveForTest(&simd::Scalar());
-        SearchResponse scalar = Run(*scalar_index, text, s, plan);
-        simd::SetActiveForTest(nullptr);
-        char label[128];
-        std::snprintf(label, sizeof(label), "'%s' s=%u plan=%s", text.c_str(),
-                      s, PlanModeName(plan));
-        ExpectIdentical(scalar, Run(*active_index, text, s, plan),
-                        std::string("kernel ") + label);
       }
     }
   }

@@ -38,7 +38,6 @@
 #include "common/file_io.h"
 #include "common/flags.h"
 #include "common/metrics.h"
-#include "common/simd/kernels.h"
 #include "common/string_util.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
@@ -437,7 +436,6 @@ int CmdStats(const FlagParser& flags) {
               (unsigned long long)index->inverted.posting_count());
   std::printf("attr dir  : %zu values\n", index->nodes.ValuedRowCount());
   std::printf("memory    : %s\n", HumanBytes(index->MemoryUsage()).c_str());
-  std::printf("cpu       : %s\n", simd::DispatchDescription().c_str());
   if (Result<IndexFileInfo> info = InspectIndexFile(args[1]); info.ok()) {
     std::printf("on disk   : %s (format v%d)\n",
                 HumanBytes(info->file_bytes).c_str(), info->version);
