@@ -6,8 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "common/json_writer.h"
-#include "common/metrics.h"
 #include "common/string_util.h"
 #include "common/timer.h"
 #include "core/searcher.h"
@@ -218,46 +216,6 @@ inline std::string CoAuthorQueryText(const Corpus& corpus, size_t n) {
   }
   return AuthorQueryText(n);
 }
-
-/// Registry-delta hook for the BENCH_*.json trajectories: wrap one
-/// measured iteration (or series) in a MetricsDeltaScope and, when the
-/// GKS_BENCH_METRICS_OUT environment variable names a file, one JSON line
-/// `{"label":...,"elapsed_ms":...,"metrics":{<snapshot delta>}}` is
-/// appended per scope — so a regression in a BENCH trajectory can be
-/// attributed to the pipeline stage whose `gks.search.<stage>.latency_ms`
-/// histogram moved. No-op (two registry snapshots) when the variable is
-/// unset.
-class MetricsDeltaScope {
- public:
-  explicit MetricsDeltaScope(std::string label)
-      : label_(std::move(label)),
-        before_(MetricsRegistry::Global().Snapshot()) {}
-
-  MetricsDeltaScope(const MetricsDeltaScope&) = delete;
-  MetricsDeltaScope& operator=(const MetricsDeltaScope&) = delete;
-
-  ~MetricsDeltaScope() {
-    const char* path = std::getenv("GKS_BENCH_METRICS_OUT");
-    if (path == nullptr || *path == '\0') return;
-    MetricsSnapshot delta = MetricsSnapshot::Delta(
-        before_, MetricsRegistry::Global().Snapshot());
-    JsonWriter json;
-    json.BeginObject();
-    json.Key("label").String(label_);
-    json.Key("elapsed_ms").Double(timer_.ElapsedMillis());
-    json.Key("metrics").Raw(delta.ToJson());
-    json.EndObject();
-    std::FILE* file = std::fopen(path, "a");
-    if (file == nullptr) return;
-    std::fprintf(file, "%s\n", json.str().c_str());
-    std::fclose(file);
-  }
-
- private:
-  std::string label_;
-  MetricsSnapshot before_;
-  WallTimer timer_;
-};
 
 /// Runs a query and returns the response (exits on error).
 inline SearchResponse RunQuery(const XmlIndex& index, const std::string& text,

@@ -15,9 +15,6 @@ namespace {
 // (best-of filters scheduler noise on a busy machine).
 double TimeQuery(const gks::XmlIndex& index, const std::string& text,
                  size_t* sl_size, int repeats = 5) {
-  // Per-query registry delta: with GKS_BENCH_METRICS_OUT set, each timed
-  // query appends one JSON line attributing its cost to pipeline stages.
-  gks::bench::MetricsDeltaScope metrics_scope("fig8:" + text);
   double best = 1e99;
   for (int i = 0; i < repeats; ++i) {
     gks::WallTimer timer;

@@ -31,6 +31,7 @@
 
 #include "bench/bench_util.h"
 #include "common/json_writer.h"
+#include "common/metrics.h"
 #include "index/serialization.h"
 
 namespace {
@@ -248,7 +249,6 @@ int main() {
               "speedup", "auto");
   std::vector<Row> rows;
   auto run_case = [&](size_t ratio, const std::string& text) {
-    gks::bench::MetricsDeltaScope metrics_scope("planner:" + text);
     Timed timed[3];
     TimeQuery(index, text,
               {gks::PlanMode::kMerge, gks::PlanMode::kProbe,
@@ -338,8 +338,6 @@ int main() {
     gks::SearchResponse full;
     double full_ms = TimeTopK(*topk_index, text, 0, &full);
     for (uint32_t k : {1u, 10u}) {
-      gks::bench::MetricsDeltaScope metrics_scope(
-          "topk:" + text + ":k" + std::to_string(k));
       gks::SearchResponse topk;
       double topk_ms = TimeTopK(*topk_index, text, k, &topk);
       CheckTopKIdentical(full, topk, k, text.c_str());

@@ -15,12 +15,11 @@
 #   3. the failover is accounted: gks.coord.failovers_total advances and
 #      queries keep matching the oracle afterwards.
 #
-# Usage: check_cluster.sh <gks-binary> <gks_client-binary>
+# Usage: check_cluster.sh <gks-binary>
 
 set -euo pipefail
 
-gks="${1:?usage: check_cluster.sh <gks-binary> <gks_client-binary>}"
-client="${2:?usage: check_cluster.sh <gks-binary> <gks_client-binary>}"
+gks="${1:?usage: check_cluster.sh <gks-binary>}"
 
 work="$(mktemp -d)"
 pids=()
@@ -122,7 +121,7 @@ queries=("database" "system" "country population" "title")
 # stripped; everything else — node count, |S_L|, candidates, plan, the
 # describe line of every node, the DI list — must match byte for byte.
 ask() {  # ask <port> <query>
-  "$client" --host=127.0.0.1 --port="$1" --query="$2" --s=1 --top=10 \
+  "$gks" client --host=127.0.0.1 --port="$1" --query="$2" --s=1 --top=10 \
       --plan=merge \
     | sed -E 's/^epoch [0-9]+, //; s/ in [0-9.]+ms$//'
 }
@@ -136,14 +135,14 @@ diff_queries() {  # diff_queries <label>
 }
 diff_queries "healthy cluster"
 
-"$client" --host=127.0.0.1 --port="$coord_port" --admin=health \
+"$gks" client --host=127.0.0.1 --port="$coord_port" --admin=health \
   | grep -q "status: serving" || fail "coordinator health not serving"
 
 # Mid-stream kill: a load run is in flight against the coordinator when
 # the shard-1 primary dies. The replica absorbs the failover and the
 # report must stay clean — zero transport failures, zero error answers.
 printf 'database\nsystem\ncountry population\n' > "$work/queries.txt"
-"$client" --host=127.0.0.1 --port="$coord_port" \
+"$gks" client --host=127.0.0.1 --port="$coord_port" \
     --queries="$work/queries.txt" --connections=4 --requests=40 \
     --json-out="$work/load.json" > "$work/load.out" 2>&1 &
 load_pid=$!
@@ -161,7 +160,8 @@ diff_queries "after failover"
 
 # Failover accounting.
 metrics="$work/metrics.out"
-"$client" --host=127.0.0.1 --port="$coord_port" --admin=metrics > "$metrics"
+"$gks" client --host=127.0.0.1 --port="$coord_port" --admin=metrics \
+  > "$metrics"
 failovers=$(sed -nE 's/^gks\.coord\.failovers_total +([0-9]+)$/\1/p' \
     "$metrics")
 [[ -n "$failovers" && "$failovers" -gt 0 ]] \
@@ -172,7 +172,7 @@ fanouts=$(sed -nE 's/^gks\.coord\.fanout_total +([0-9]+)$/\1/p' "$metrics")
 
 # Graceful drain of the survivors.
 for port in "$coord_port" "$single_port" "$w0_port" "$w1r_port"; do
-  "$client" --host=127.0.0.1 --port="$port" --admin=quit >/dev/null \
+  "$gks" client --host=127.0.0.1 --port="$port" --admin=quit >/dev/null \
     || fail "quit failed on port $port"
 done
 

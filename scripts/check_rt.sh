@@ -8,12 +8,11 @@
 # committed state (replayed from the WAL over the flushed segments) and
 # keep taking writes.
 #
-# Usage: check_rt.sh <gks-binary> <gks_client-binary>
+# Usage: check_rt.sh <gks-binary>
 
 set -euo pipefail
 
-gks="${1:?usage: check_rt.sh <gks-binary> <gks_client-binary>}"
-client="${2:?usage: check_rt.sh <gks-binary> <gks_client-binary>}"
+gks="${1:?usage: check_rt.sh <gks-binary>}"
 
 work="$(mktemp -d)"
 server_pid=""
@@ -42,7 +41,7 @@ start_server() {
   [[ -n "$port" ]] || fail "no 'listening on' line in $(cat "$work/$1.log")"
 }
 
-run_client() { "$client" --host=127.0.0.1 --port="$port" "$@"; }
+run_client() { "$gks" client --host=127.0.0.1 --port="$port" "$@"; }
 
 # Distinctive one-word keys so each query matches exactly one document.
 for word in quartz basalt granite marble; do

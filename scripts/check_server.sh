@@ -2,19 +2,18 @@
 # Server smoke test (registered with ctest as `check_server_smoke`):
 # exercises the real binaries end to end — generate a small DBLP corpus,
 # index it, start `gks serve` on an ephemeral port, then drive it with
-# gks_client: single queries, a load run across several connections, the
+# `gks client`: single queries, a load run across several connections, the
 # admin verbs (health/stats/metrics), a hot reload (epoch must advance),
 # and finally `quit`, after which the server process must exit 0 having
 # drained cleanly. A second server runs the live rebuild drill: `gks index`
 # rewrites the file it has loaded, and it must keep serving the old answer
 # until a reload.
 #
-# Usage: check_server.sh <gks-binary> <gks_client-binary>
+# Usage: check_server.sh <gks-binary>
 
 set -euo pipefail
 
-gks="${1:?usage: check_server.sh <gks-binary> <gks_client-binary>}"
-client="${2:?usage: check_server.sh <gks-binary> <gks_client-binary>}"
+gks="${1:?usage: check_server.sh <gks-binary>}"
 
 work="$(mktemp -d)"
 server_pid=""
@@ -75,6 +74,19 @@ expect_serve_usage_error --port=abc
 expect_serve_usage_error --cache-bytes=-1
 expect_usage_error batch "$work/dblp.gksidx" "$work/batch_queries.txt" \
   --threads=-1
+# Scales and time budgets must be finite non-negative numbers: "abc" is
+# not atof's 0, so --deadline-ms=abc must not turn the deadline off.
+expect_serve_usage_error --deadline-ms=abc
+expect_serve_usage_error --coord-deadline-ms=abc
+# `generate` and `client` check their flags too: a typo'd --scale must not
+# write a scale-1 corpus, "abc" must not write a one-article corpus, and
+# -1 must not reach the size computation. The client fails before it
+# connects: port 1 would refuse it with exit 1.
+expect_usage_error generate dblp "$work/rejected.xml" --scael=0.01
+expect_usage_error generate dblp "$work/rejected.xml" --scale=abc
+expect_usage_error generate dblp "$work/rejected.xml" --scale=-1
+[[ ! -e "$work/rejected.xml" ]] || fail "a rejected generate wrote its output"
+expect_usage_error client --port=1 --query=x --tpo=3
 
 # Starts `gks serve <args>` in the background and sets server_pid and
 # port. --port=0: the kernel picks; parse the bound port from the startup
@@ -105,7 +117,7 @@ quit_server() {
   grep -q "drained" "$work/serve.log" || fail "no drain summary in server log"
 }
 
-run_client() { "$client" --host=127.0.0.1 --port="$port" "$@"; }
+run_client() { "$gks" client --host=127.0.0.1 --port="$port" "$@"; }
 
 start_server "$work/dblp.gksidx" --threads=2
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <cstdlib>
 
 #include "common/string_util.h"
@@ -61,7 +62,8 @@ bool FlagParser::GetBool(const std::string& name, bool default_value) const {
 }
 
 Status FlagParser::Validate(const std::vector<std::string>& known,
-                            const std::vector<std::string>& counts) const {
+                            const std::vector<std::string>& counts,
+                            const std::vector<std::string>& decimals) const {
   auto listed = [](const std::vector<std::string>& names,
                    const std::string& name) {
     return std::find(names.begin(), names.end(), name) != names.end();
@@ -76,6 +78,18 @@ Status FlagParser::Validate(const std::vector<std::string>& known,
       if (error != std::errc() || stop != end || value[0] == '-') {
         return Status::InvalidArgument("--" + name +
                                        " must be a whole non-negative "
+                                       "number, got '" + value + "'");
+      }
+    } else if (listed(decimals, name)) {
+      // GetDouble is atof: "abc" would read as 0, and "-1", "inf" or
+      // "nan" would reach a size or deadline computation unchecked.
+      double parsed = 0.0;
+      const char* end = value.data() + value.size();
+      auto [stop, error] = std::from_chars(value.data(), end, parsed);
+      if (error != std::errc() || stop != end || !std::isfinite(parsed) ||
+          parsed < 0.0) {
+        return Status::InvalidArgument("--" + name +
+                                       " must be a finite non-negative "
                                        "number, got '" + value + "'");
       }
     } else if (!listed(known, name)) {

@@ -28,12 +28,15 @@ class FlagParser {
   /// Bare `--flag` and `--flag=true/1/yes` are true.
   bool GetBool(const std::string& name, bool default_value = false) const;
 
-  /// InvalidArgument if a parsed flag is in neither list (names without
-  /// the leading dashes), or if a flag of `counts` — a count, size or
-  /// port — is present with a value that is not a whole non-negative
-  /// base-10 number.
+  /// InvalidArgument if a parsed flag is in none of the lists (names
+  /// without the leading dashes), if a flag of `counts` — a count, size
+  /// or port — is present with a value that is not a whole non-negative
+  /// base-10 number, or if a flag of `decimals` — a scale or a time
+  /// budget — is present with a value that is not a finite non-negative
+  /// decimal number in full.
   Status Validate(const std::vector<std::string>& known,
-                  const std::vector<std::string>& counts = {}) const;
+                  const std::vector<std::string>& counts = {},
+                  const std::vector<std::string>& decimals = {}) const;
 
  private:
   std::map<std::string, std::string> flags_;

@@ -5,23 +5,24 @@
 #include <limits>
 #include <map>
 
+#include "core/di.h"
+
 namespace gks {
 namespace {
 
 // Calls f(node, tag_id, value_id) for every attribute value owned by an
 // LCE node of the response (same ownership rule as DI: the value's lowest
-// entity ancestor is the node). At most `max_attrs_per_node` valued rows
+// entity ancestor is the node). At most kMaxValuedRowsPerNode valued rows
 // are scanned per node, owned or not.
 template <typename F>
 void ForEachOwnedValue(const XmlIndex& index,
-                       const std::vector<GksNode>& nodes,
-                       size_t max_attrs_per_node, F f) {
+                       const std::vector<GksNode>& nodes, F f) {
   for (const GksNode& node : nodes) {
     if (!node.is_lce) continue;
     size_t scanned = 0;
     index.nodes.ForEachValuedRow(
         DeweySpan::Of(node.id), [&](size_t row, bool owned) {
-          if (scanned++ == max_attrs_per_node) return false;
+          if (scanned++ == kMaxValuedRowsPerNode) return false;
           const NodeInfo& info = index.nodes.InfoAt(row);
           if (owned) f(node, info.tag_id, info.value_id);
           return true;
@@ -42,7 +43,7 @@ std::vector<Facet> ComputeFacets(const XmlIndex& index,
                                  const FacetOptions& options) {
   // tag -> value -> bucket
   std::map<uint32_t, std::map<uint32_t, FacetBucket>> grouped;
-  ForEachOwnedValue(index, nodes, options.max_attrs_per_node,
+  ForEachOwnedValue(index, nodes,
                     [&](const GksNode& node, uint32_t tag, uint32_t value) {
                       FacetBucket& bucket = grouped[tag][value];
                       if (bucket.count == 0) {
@@ -95,7 +96,7 @@ Result<std::vector<double>> NumericValues(const XmlIndex& index,
   }
   std::vector<double> values;
   *skipped = 0;
-  ForEachOwnedValue(index, nodes, 100000,
+  ForEachOwnedValue(index, nodes,
                     [&](const GksNode&, uint32_t t, uint32_t value_id) {
                       if (t != tag_id) return;
                       double value = 0;

@@ -34,8 +34,6 @@ struct Facet {
 struct FacetOptions {
   size_t max_facets = 8;
   size_t max_buckets_per_facet = 10;
-  /// Same safety valve as DI discovery.
-  size_t max_attrs_per_node = 100000;
 };
 
 /// Groups the attribute values owned by the response's LCE nodes by tag.

@@ -10,12 +10,11 @@ namespace {
 /// The owned-attribute walk: calls `fn(tag_name, value, attr_row)` for
 /// each valued row in `node`'s subtree, in document order, whose deepest
 /// self-or-ancestor entity is `node` and whose value repeats no query
-/// term. At most `max_attrs_per_node` valued rows are scanned, owned or
+/// term. At most kMaxValuedRowsPerNode valued rows are scanned, owned or
 /// not.
 template <typename Fn>
 void ForEachOwnedAttribute(const XmlIndex& index, const GksNode& node,
-                           const Query& query, const DiOptions& options,
-                           Fn&& fn) {
+                           const Query& query, Fn&& fn) {
   DeweySpan entity = DeweySpan::Of(node.id);
   const uint32_t row = index.nodes.RowOf(entity);
   if (entity.size == 0 || row == NodeInfoTable::kNoRow ||
@@ -24,7 +23,7 @@ void ForEachOwnedAttribute(const XmlIndex& index, const GksNode& node,
   }
   size_t scanned = 0;
   index.nodes.ForEachValuedRowUnder(row, [&](size_t attr_row, bool owned) {
-    if (scanned++ == options.max_attrs_per_node) return false;
+    if (scanned++ == kMaxValuedRowsPerNode) return false;
     if (!owned) return true;
     const NodeInfo& attr = index.nodes.InfoAt(attr_row);
     const std::string& value = index.nodes.Value(attr.value_id);
@@ -94,11 +93,10 @@ std::vector<DiKeyword> DiAccumulator::Take(size_t top_m) && {
 }
 
 void AccumulateDi(const XmlIndex& index, const GksNode& node,
-                  const Query& query, const DiOptions& options,
-                  DiAccumulator* acc) {
+                  const Query& query, DiAccumulator* acc) {
   const uint32_t entity_size = DeweySpan::Of(node.id).size;
   ForEachOwnedAttribute(
-      index, node, query, options,
+      index, node, query,
       [&](std::string_view tag, std::string_view value, uint32_t attr_row) {
         acc->Add(tag, value, node.rank,
                  [&] { return AttributePath(index, entity_size, attr_row); });
@@ -107,12 +105,11 @@ void AccumulateDi(const XmlIndex& index, const GksNode& node,
 
 std::vector<DiContribution> NodeDiContributions(const XmlIndex& index,
                                                 const GksNode& node,
-                                                const Query& query,
-                                                const DiOptions& options) {
+                                                const Query& query) {
   const uint32_t entity_size = DeweySpan::Of(node.id).size;
   std::vector<DiContribution> out;
   ForEachOwnedAttribute(
-      index, node, query, options,
+      index, node, query,
       [&](std::string_view tag, std::string_view value, uint32_t attr_row) {
         out.push_back({std::string(tag), std::string(value),
                        AttributePath(index, entity_size, attr_row)});
@@ -126,18 +123,18 @@ std::vector<DiKeyword> DiscoverDi(const XmlIndex& index,
                                   const DiOptions& options) {
   DiAccumulator acc;
   for (const GksNode& node : nodes) {
-    if (GivesDi(node)) AccumulateDi(index, node, query, options, &acc);
+    if (GivesDi(node)) AccumulateDi(index, node, query, &acc);
   }
   return std::move(acc).Take(options.top_m);
 }
 
 std::vector<std::vector<DiContribution>> ComputeDiContributions(
     const XmlIndex& index, const std::vector<GksNode>& nodes,
-    const Query& query, const DiOptions& options) {
+    const Query& query, const DiOptions&) {
   std::vector<std::vector<DiContribution>> out(nodes.size());
   for (size_t n = 0; n < nodes.size(); ++n) {
     if (GivesDi(nodes[n])) {
-      out[n] = NodeDiContributions(index, nodes[n], query, options);
+      out[n] = NodeDiContributions(index, nodes[n], query);
     }
   }
   return out;

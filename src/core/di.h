@@ -31,11 +31,12 @@ struct DiKeyword {
 
 struct DiOptions {
   size_t top_m = 5;
-  /// Safety valve for LCE nodes with enormous attribute fan-out (e.g. a
-  /// root-level response): at most this many valued node rows are
-  /// scanned per node, owned or not.
-  size_t max_attrs_per_node = 100000;
 };
+
+/// Safety valve for LCE nodes with enormous attribute fan-out (e.g. a
+/// root-level response): DI discovery, facets and numeric aggregates scan
+/// at most this many valued node rows per node, owned or not.
+inline constexpr size_t kMaxValuedRowsPerNode = 100000;
 
 /// One attribute occurrence a response node contributes to DI: the
 /// aggregation key (attribute tag name, value string) plus the tag path
@@ -104,18 +105,16 @@ class DiAccumulator {
 /// self-or-ancestor entity of the attribute and its value repeats no
 /// query term ("if a keyword in the attribute node is part of the user
 /// query Q, it is not included in the set"); at most
-/// `max_attrs_per_node` valued rows are scanned. The caller applies
+/// kMaxValuedRowsPerNode valued rows are scanned. The caller applies
 /// GivesDi.
 void AccumulateDi(const XmlIndex& index, const GksNode& node,
-                  const Query& query, const DiOptions& options,
-                  DiAccumulator* acc);
+                  const Query& query, DiAccumulator* acc);
 
 /// The same occurrences as AccumulateDi, as wire contributions in
 /// document order.
 std::vector<DiContribution> NodeDiContributions(const XmlIndex& index,
                                                 const GksNode& node,
-                                                const Query& query,
-                                                const DiOptions& options);
+                                                const Query& query);
 
 /// Discovers the top-m DI keywords (Def. 2.3.1) for a ranked response.
 /// Runs in O(|S_w^Q|) plus the final top-m sort.
@@ -126,7 +125,8 @@ std::vector<DiKeyword> DiscoverDi(const XmlIndex& index,
 
 /// Per-node DI contributions, aligned with `nodes`; nodes that give no DI
 /// get empty lists. Feeding them to a DiAccumulator in rank order gives
-/// exactly DiscoverDi's keywords.
+/// exactly DiscoverDi's keywords. The DiOptions argument shapes nothing
+/// here: top_m applies where the contributions are replayed.
 std::vector<std::vector<DiContribution>> ComputeDiContributions(
     const XmlIndex& index, const std::vector<GksNode>& nodes,
     const Query& query, const DiOptions& options);

@@ -28,21 +28,6 @@ uint32_t LiftedEntityRow(const XmlIndex& index, DeweySpan candidate,
   return nodes.EntityRow(row);
 }
 
-DeweySpan LiftAttribute(const XmlIndex& index, DeweySpan candidate) {
-  DeweySpan lifted;
-  LiftedEntityRow(index, candidate, &lifted);
-  return lifted;
-}
-
-bool LowestEntityOf(const XmlIndex& index, DeweySpan id,
-                    std::vector<uint32_t>* out) {
-  const uint32_t row = index.nodes.EntityRow(index.nodes.SelfOrAncestorRow(id));
-  if (row == kNoRow) return false;
-  const DeweySpan entity = index.nodes.IdAt(row);
-  out->assign(entity.data, entity.data + entity.size);
-  return true;
-}
-
 std::vector<GksNode> ComputeGksNodes(const XmlIndex& index,
                                      const MergedList& sl,
                                      const std::vector<LcpCandidate>& lcps_in) {

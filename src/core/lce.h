@@ -54,21 +54,12 @@ std::vector<GksNode> ComputeGksNodesPruned(
     const XmlIndex& index, const MergedList& sl,
     const std::vector<LcpCandidate>& lcps);
 
-/// Step 1 of the mapping: an attribute node cannot be a meaningful
-/// response root, so a candidate on one lifts to its parent; any other
-/// candidate stays where it is. Returns a prefix of `candidate`.
-DeweySpan LiftAttribute(const XmlIndex& index, DeweySpan candidate);
-
-/// Deepest self-or-ancestor entity node of `id` (the LCE mapping step),
-/// written into `*out` as components. False if no entity ancestor exists.
-bool LowestEntityOf(const XmlIndex& index, DeweySpan id,
-                    std::vector<uint32_t>* out);
-
 /// Steps 1 and 2 by node rows, as the LCE stage applies them: writes the
-/// lifted candidate (step 1, a prefix of `candidate`) into `*lifted` and
-/// returns the row of its lowest self-or-ancestor entity, or
-/// NodeInfoTable::kNoRow. The probe evaluator derives its coverage
-/// prefixes from this same mapping, and LiftAttribute returns its lift.
+/// lifted candidate into `*lifted` — a candidate on an attribute node
+/// lifts to its parent, since an attribute cannot be a meaningful
+/// response root; any other stays where it is — and returns the row of
+/// its lowest self-or-ancestor entity, or NodeInfoTable::kNoRow. The
+/// probe evaluator derives its coverage prefixes from this same mapping.
 uint32_t LiftedEntityRow(const XmlIndex& index, DeweySpan candidate,
                          DeweySpan* lifted);
 

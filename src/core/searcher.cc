@@ -229,8 +229,7 @@ Result<SearchResponse> GksSearcher::SearchTraced(
   // A node's DI resolves through the segment it came from.
   auto di_source = [&](NodeOrigin origin, const GksNode& node,
                        DiAccumulator* acc) {
-    AccumulateDi(*segments[origin.partial].index, node, query, DiOptions{},
-                 acc);
+    AccumulateDi(*segments[origin.partial].index, node, query, acc);
   };
   return MergePartials(query, options, std::move(partials), di_source)
       .response;
@@ -446,13 +445,13 @@ std::string DescribeNode(const SegmentSetSnapshot& snapshot,
 
 std::vector<std::vector<DiContribution>> ComputeDiContributions(
     const SegmentSetSnapshot& snapshot, const std::vector<GksNode>& nodes,
-    const Query& query, const DiOptions& options) {
+    const Query& query, const DiOptions&) {
   std::vector<std::vector<DiContribution>> out(nodes.size());
   for (size_t n = 0; n < nodes.size(); ++n) {
     if (!GivesDi(nodes[n])) continue;
     const SegmentView* segment = snapshot.SegmentFor(nodes[n].id.doc_id());
     if (segment == nullptr) continue;
-    out[n] = NodeDiContributions(*segment->index, nodes[n], query, options);
+    out[n] = NodeDiContributions(*segment->index, nodes[n], query);
   }
   return out;
 }

@@ -15,6 +15,10 @@
 namespace gks {
 namespace {
 
+// Leaf-text values longer than this are not stored in the DI value pool
+// (they still get indexed as keywords).
+constexpr size_t kMaxStoredValueBytes = 256;
+
 // Registry instruments for the build hot path (millions of node / posting
 // events per document): looked up once, then atomic adds only. See
 // docs/OBSERVABILITY.md for the metric inventory.
@@ -52,12 +56,13 @@ struct BuildMetrics {
 }  // namespace
 
 /// SAX handler that drives Dewey assignment, the streaming categorizer and
-/// posting emission for one document at a time.
+/// posting emission for one document at a time. XML attributes
+/// (name="value") become child elements, so they take part in search and
+/// categorization exactly like the paper's element-structured examples.
 class IndexBuilder::Handler : public xml::SaxHandler {
  public:
-  Handler(XmlIndex* index, const IndexBuilderOptions& options)
+  explicit Handler(XmlIndex* index)
       : index_(index),
-        options_(options),
         categorizer_(&index->nodes,
                      [this](const StreamingCategorizer::NodeFacts& facts) {
                        OnNodeFacts(facts);
@@ -67,7 +72,6 @@ class IndexBuilder::Handler : public xml::SaxHandler {
   // RT segments and shards); the catalog entry is always the builder-local
   // one.
   void BeginDocument(uint32_t dewey_doc_id) {
-    doc_id_ = dewey_doc_id;
     doc_info_ = index_->catalog.mutable_document(
         static_cast<uint32_t>(index_->catalog.document_count() - 1));
     categorizer_.StartDocument(dewey_doc_id);
@@ -79,12 +83,10 @@ class IndexBuilder::Handler : public xml::SaxHandler {
                       const std::vector<xml::XmlAttribute>& attributes)
       override {
     OpenOneElement(name);
-    if (options_.attributes_as_elements) {
-      for (const xml::XmlAttribute& attr : attributes) {
-        OpenOneElement(attr.name);
-        AddTextToCurrent(attr.value);
-        CloseOneElement();
-      }
+    for (const xml::XmlAttribute& attr : attributes) {
+      OpenOneElement(attr.name);
+      AddTextToCurrent(attr.value);
+      CloseOneElement();
     }
     return Status::OK();
   }
@@ -160,7 +162,7 @@ class IndexBuilder::Handler : public xml::SaxHandler {
     // DBLP's <author> under a multi-author article) are kept as well: the
     // paper's own DI examples expose them (<ip: author: ...>).
     if (facts.direct_text != nullptr && !facts.direct_text->empty() &&
-        facts.direct_text->size() <= options_.max_stored_value_bytes) {
+        facts.direct_text->size() <= kMaxStoredValueBytes) {
       info.value_id = index_->nodes.InternValue(*facts.direct_text);
     }
     index_->nodes.Put(facts.id, info);
@@ -168,9 +170,7 @@ class IndexBuilder::Handler : public xml::SaxHandler {
 
 
   XmlIndex* index_;
-  const IndexBuilderOptions& options_;
   StreamingCategorizer categorizer_;
-  uint32_t doc_id_ = 0;
   Catalog::DocumentInfo* doc_info_ = nullptr;
   std::vector<uint32_t> child_counters_;
 };
@@ -178,7 +178,7 @@ class IndexBuilder::Handler : public xml::SaxHandler {
 IndexBuilder::IndexBuilder(IndexBuilderOptions options)
     : options_(options),
       index_(std::make_unique<XmlIndex>()),
-      handler_(std::make_unique<Handler>(index_.get(), options_)) {}
+      handler_(std::make_unique<Handler>(index_.get())) {}
 
 IndexBuilder::~IndexBuilder() = default;
 
@@ -199,7 +199,7 @@ Status IndexBuilder::AddDocument(std::string_view xml, std::string name) {
     // A failed parse leaves the categorizer mid-document; reset it so the
     // builder stays usable. Postings already emitted for the bad document
     // remain (its catalog entry records what was consumed).
-    handler_ = std::make_unique<Handler>(index_.get(), options_);
+    handler_ = std::make_unique<Handler>(index_.get());
   }
   return status;
 }

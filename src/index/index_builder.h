@@ -13,13 +13,6 @@
 namespace gks {
 
 struct IndexBuilderOptions {
-  /// Treat XML attributes (name="value") as child elements so they
-  /// participate in search and categorization exactly like the paper's
-  /// element-structured examples.
-  bool attributes_as_elements = true;
-  /// Leaf-text values longer than this are not stored in the DI value pool
-  /// (they still get indexed as keywords).
-  size_t max_stored_value_bytes = 256;
   /// Dewey document ids start here — used by the parallel build, RT
   /// segments and shards to build indexes whose ids sort after the
   /// documents before them.

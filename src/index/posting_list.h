@@ -199,11 +199,6 @@ class PostingList {
     return ids_.UpperBoundFrom(id, from);
   }
 
-  /// True if any posting lies in the subtree of `prefix` (sorted lists only).
-  bool ContainsInSubtree(DeweySpan prefix) const {
-    return SubtreeBegin(prefix) < SubtreeEnd(prefix);
-  }
-
   /// Appends a finalized `tail` whose first id sorts strictly after this
   /// list's last id (the parallel build's merge: the tail belongs to a
   /// later document). InvalidArgument if the order would break.

@@ -521,11 +521,26 @@ bool RtIndex::FlushDueLocked() const {
   return bytes >= options_.flush_bytes;
 }
 
-Status RtIndex::Flush() {
-  return DoFlush();
+Result<RtIndex::DiskSegment> RtIndex::WriteSegment(
+    const std::vector<RtDocument>& docs) {
+  GKS_ASSIGN_OR_RETURN(XmlIndex index, BuildSegmentIndex(docs));
+  DiskSegment segment;
+  {
+    std::lock_guard<std::mutex> lock(commit_mu_);
+    segment.seq = next_segment_seq_++;
+  }
+  segment.file = SegmentFileName(segment.seq) + ".gksidx";
+  segment.docstore = SegmentFileName(segment.seq) + ".docs";
+  segment.doc_base = docs.front().doc_id;
+  segment.doc_count = static_cast<uint32_t>(docs.size());
+  GKS_RETURN_IF_ERROR(SaveIndex(index, PathIn(segment.file)));
+  GKS_RETURN_IF_ERROR(WriteDocstore(PathIn(segment.docstore), docs));
+  GKS_ASSIGN_OR_RETURN(segment.bytes, FileBytes(PathIn(segment.file)));
+  GKS_RETURN_IF_ERROR(LoadSegmentFile(&segment));
+  return segment;
 }
 
-Status RtIndex::DoFlush() {
+Status RtIndex::Flush() {
   std::lock_guard<std::mutex> flush_lock(flush_mu_);
   std::vector<SealedRun> runs;
   {
@@ -541,23 +556,8 @@ Status RtIndex::DoFlush() {
     // Build every sealed run into its own immutable segment. The builds
     // run outside commit_mu_, so inserts keep committing meanwhile.
     std::vector<DiskSegment> built;
-    for (SealedRun& run : runs) {
-      GKS_ASSIGN_OR_RETURN(XmlIndex index, BuildSegmentIndex(run.docs));
-      uint64_t seq;
-      {
-        std::lock_guard<std::mutex> lock(commit_mu_);
-        seq = next_segment_seq_++;
-      }
-      DiskSegment segment;
-      segment.seq = seq;
-      segment.file = SegmentFileName(seq) + ".gksidx";
-      segment.docstore = SegmentFileName(seq) + ".docs";
-      segment.doc_base = run.docs.front().doc_id;
-      segment.doc_count = static_cast<uint32_t>(run.docs.size());
-      GKS_RETURN_IF_ERROR(SaveIndex(index, PathIn(segment.file)));
-      GKS_RETURN_IF_ERROR(WriteDocstore(PathIn(segment.docstore), run.docs));
-      GKS_ASSIGN_OR_RETURN(segment.bytes, FileBytes(PathIn(segment.file)));
-      GKS_RETURN_IF_ERROR(LoadSegmentFile(&segment));
+    for (const SealedRun& run : runs) {
+      GKS_ASSIGN_OR_RETURN(DiskSegment segment, WriteSegment(run.docs));
       span.AddItems(segment.doc_count);
       span.AddBytes(segment.bytes);
       built.push_back(std::move(segment));
@@ -591,10 +591,6 @@ Status RtIndex::DoFlush() {
 }
 
 Status RtIndex::MaybeMerge() {
-  return DoMerge();
-}
-
-Status RtIndex::DoMerge() {
   if (options_.merge_fanout < 2) return Status::OK();
   std::lock_guard<std::mutex> flush_lock(flush_mu_);
 
@@ -622,7 +618,7 @@ Status RtIndex::DoMerge() {
     }
     // The RAM window must not interleave with the reserved id range, or
     // its doc ids would stop being contiguous — seal it first (cheap: no
-    // IO under the lock; the runs flush on the next DoFlush).
+    // IO under the lock; the runs flush on the next Flush).
     SealWindowLocked(/*rotate_wal=*/true);
     new_base = next_doc_id_;
     next_doc_id_ += static_cast<uint32_t>(expected_survivors);
@@ -644,21 +640,8 @@ Status RtIndex::DoMerge() {
   DiskSegment output;
   bool has_output = !merged.empty();
   if (has_output) {
-    GKS_ASSIGN_OR_RETURN(XmlIndex index, BuildSegmentIndex(merged));
-    uint64_t seq;
-    {
-      std::lock_guard<std::mutex> lock(commit_mu_);
-      seq = next_segment_seq_++;
-    }
-    output.seq = seq;
-    output.file = SegmentFileName(seq) + ".gksidx";
-    output.docstore = SegmentFileName(seq) + ".docs";
-    output.doc_base = new_base;
-    output.doc_count = static_cast<uint32_t>(merged.size());
-    GKS_RETURN_IF_ERROR(SaveIndex(index, PathIn(output.file)));
-    GKS_RETURN_IF_ERROR(WriteDocstore(PathIn(output.docstore), merged));
-    GKS_ASSIGN_OR_RETURN(output.bytes, FileBytes(PathIn(output.file)));
-    GKS_RETURN_IF_ERROR(LoadSegmentFile(&output));
+    // MergeDocstores numbered the survivors from new_base on.
+    GKS_ASSIGN_OR_RETURN(output, WriteSegment(merged));
     span.AddItems(output.doc_count);
     span.AddBytes(output.bytes);
   }
@@ -802,12 +785,12 @@ void RtIndex::BackgroundLoop() {
       due = FlushDueLocked();
     }
     if (due) {
-      if (Status status = DoFlush(); !status.ok()) {
+      if (Status status = Flush(); !status.ok()) {
         std::fprintf(stderr, "gks-rt: flush failed: %s\n",
                      status.ToString().c_str());
         continue;
       }
-      if (Status status = DoMerge(); !status.ok()) {
+      if (Status status = MaybeMerge(); !status.ok()) {
         std::fprintf(stderr, "gks-rt: merge failed: %s\n",
                      status.ToString().c_str());
       }

@@ -43,7 +43,7 @@ struct RtOptions {
   bool background = true;
 };
 
-/// Point-in-time counters for `stats` and the rt_bench report.
+/// Point-in-time counters for `stats`.
 struct RtStats {
   uint64_t ram_docs = 0;        // window + sealed-but-unflushed documents
   uint64_t ram_bytes = 0;       // raw XML bytes held in RAM
@@ -143,8 +143,10 @@ class RtIndex {
   Status CompactWindowLocked();
   void SealWindowLocked(bool rotate_wal);
   Status RotateWalLocked();
-  Status DoFlush();
-  Status DoMerge();
+  /// Builds `docs` (contiguous ids from docs.front().doc_id) into the
+  /// next numbered segment: writes its .gksidx and .docs files, records
+  /// the index file's size and loads the index back from disk.
+  Result<DiskSegment> WriteSegment(const std::vector<RtDocument>& docs);
   Status WriteManifestLocked();
   /// Loads `segment->file` into `segment->index`; Corruption when the
   /// file's document range differs from doc_base / doc_count.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <thread>
 #include <utility>
 
@@ -168,26 +167,11 @@ Result<LoadReport> RunLoad(const LoadOptions& options) {
   std::vector<std::thread> workers;
   workers.reserve(options.connections);
   WallTimer timer;
-  // Endpoint 0 is host/port; --endpoints adds more, assigned round-robin
-  // by worker index.
-  std::vector<std::pair<std::string, int>> targets;
-  targets.emplace_back(options.host, options.port);
-  for (const std::string& endpoint : options.endpoints) {
-    size_t colon = endpoint.rfind(':');
-    if (colon == std::string::npos || colon == 0 ||
-        colon + 1 == endpoint.size()) {
-      return Status::InvalidArgument("endpoint must be host:port, got '" +
-                                     endpoint + "'");
-    }
-    targets.emplace_back(endpoint.substr(0, colon),
-                         std::atoi(endpoint.c_str() + colon + 1));
-  }
   for (size_t w = 0; w < options.connections; ++w) {
-    workers.emplace_back([&options, &results, &targets, w] {
+    workers.emplace_back([&options, &results, w] {
       WorkerResult& result = results[w];
-      const auto& [host, port] = targets[w % targets.size()];
       Result<ServerConnection> connection =
-          ServerConnection::Open(host, port);
+          ServerConnection::Open(options.host, options.port);
       if (!connection.ok()) {
         // Count every planned request as a transport failure so the
         // totals still add up for the caller.

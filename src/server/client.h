@@ -13,8 +13,7 @@ namespace gks {
 
 /// Client side of the docs/SERVER.md wire protocol: one blocking
 /// connection plus a multi-connection load generator. Shared by the
-/// `gks client` command, the standalone `gks_client` tool, and the
-/// server integration/smoke tests.
+/// `gks client` command and the server integration/smoke tests.
 class ServerConnection {
  public:
   ServerConnection() = default;
@@ -82,19 +81,14 @@ struct LoadReport {
            other_errors == 0 && ok + overloaded + deadline_exceeded == sent;
   }
   std::string ToString() const;
-  /// One JSON object with every field above — the gks_client --json-out
-  /// payload benches and scripts consume.
+  /// One JSON object with every field above — the `gks client
+  /// --json-out` payload scripts consume.
   std::string ToJson() const;
 };
 
 struct LoadOptions {
   std::string host = "127.0.0.1";
   int port = 0;
-  /// Additional "host:port" targets. Worker w connects to endpoint
-  /// w mod (1 + endpoints.size()), index 0 being host/port above — a
-  /// multi-endpoint round-robin for driving several coordinators or
-  /// workers at once (docs/DISTRIBUTED.md).
-  std::vector<std::string> endpoints;
   size_t connections = 4;
   /// Requests issued per connection (total = connections * requests).
   size_t requests_per_connection = 100;

@@ -59,22 +59,23 @@ int ClientUsage() {
       "      | --queries=FILE [--connections=C] [--requests=N]\n"
       "        [--s=N] [--top=N] [--top-k=K] "
       "[--plan=auto|merge|probe]\n"
-      "        [--endpoints=H:P[,H:P..]] [--json-out=FILE]\n");
+      "        [--json-out=FILE]\n");
   return 2;
 }
 
 }  // namespace
 
 int RunServeCommand(const FlagParser& flags) {
-  // An unknown flag, or a count that is not a whole non-negative number,
-  // fails before anything binds: a server that silently ignored a typo'd
-  // or removed option would run with a setting nobody asked for.
+  // An unknown flag, a count that is not a whole non-negative number, or
+  // a time budget that is not a finite non-negative number fails before
+  // anything binds: a server that silently ignored a typo'd or removed
+  // option would run with a setting nobody asked for.
   if (Status status = flags.Validate(
-          {"host", "deadline-ms", "rt", "rt-fsync", "coord-shards",
-           "coord-deadline-ms", "coord-backoff-ms", "coord-partial"},
+          {"host", "rt", "rt-fsync", "coord-shards", "coord-partial"},
           {"port", "threads", "queue", "cache-bytes", "max-request-bytes",
            "rt-flush-docs", "rt-flush-bytes", "rt-merge-fanout",
-           "coord-retries"});
+           "coord-retries"},
+          {"deadline-ms", "coord-deadline-ms", "coord-backoff-ms"});
       !status.ok()) {
     std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
     return 2;
@@ -161,6 +162,16 @@ int RunServeCommand(const FlagParser& flags) {
 }
 
 int RunClientCommand(const FlagParser& flags) {
+  // Same rule as the server: a typo'd flag or a malformed count fails
+  // before any connection is made.
+  if (Status status = flags.Validate(
+          {"host", "admin", "path", "query", "explain", "plan",
+           "insert-file", "name", "delete", "queries", "json-out"},
+          {"port", "s", "top", "top-k", "connections", "requests"});
+      !status.ok()) {
+    std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
+    return 2;
+  }
   std::string host = flags.GetString("host", "127.0.0.1");
   int port = static_cast<int>(flags.GetInt("port", 4570));
 
@@ -404,12 +415,6 @@ int RunClientCommand(const FlagParser& flags) {
     options.top = static_cast<size_t>(flags.GetInt("top", 10));
     options.top_k = static_cast<uint32_t>(flags.GetInt("top-k", 0));
     if (flags.Has("plan")) options.plan = flags.GetString("plan", "auto");
-    if (flags.Has("endpoints")) {
-      for (std::string& endpoint :
-           SplitString(flags.GetString("endpoints", ""), ',')) {
-        if (!endpoint.empty()) options.endpoints.push_back(endpoint);
-      }
-    }
     for (std::string& line : SplitString(text, '\n')) {
       size_t begin = line.find_first_not_of(" \t\r");
       if (begin == std::string::npos || line[begin] == '#') continue;

@@ -5,10 +5,10 @@
 
 namespace gks {
 
-/// CLI entry points for the server surface, shared between the `gks`
-/// multiplexer (`gks serve`, `gks client`) and the standalone
-/// `gks_client` load-generator binary (tools/gks_client.cc). Each
-/// returns a process exit code: 0 success, 1 runtime error, 2 usage.
+/// CLI entry points for the server surface: `gks serve` and `gks client`
+/// (tools/gks_cli.cc). Each returns a process exit code: 0 success,
+/// 1 runtime error, 2 usage — an unknown flag or a malformed value,
+/// caught before the server binds or the client connects.
 
 /// `gks serve <index.gksidx> [--port=N] [--host=H] [--threads=N]
 ///            [--queue=N] [--deadline-ms=D] [--cache-bytes=N]

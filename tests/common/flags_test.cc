@@ -74,6 +74,29 @@ TEST(FlagsTest, ValidateRejectsMalformedCounts) {
   EXPECT_TRUE(Parse({"--deadline-ms=-1"}).Validate({"deadline-ms"}).ok());
 }
 
+TEST(FlagsTest, ValidateChecksDecimals) {
+  // atof would read "abc" as 0 and let -1, inf, nan and an overflowing
+  // 1e400 through to a size or deadline; each must be a usage error.
+  for (const char* arg :
+       {"--scale=abc", "--scale=-1", "--scale=inf", "--scale=nan",
+        "--scale=1e400", "--scale=0.5x", "--scale= 1", "--scale=",
+        "--scale"}) {
+    Status status = Parse({arg}).Validate({}, {}, {"scale"});
+    ASSERT_FALSE(status.ok()) << arg;
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << arg;
+    EXPECT_NE(status.message().find("--scale"), std::string::npos) << arg;
+  }
+  for (const char* arg : {"--scale=0.5", "--scale=0", "--scale=2",
+                          "--scale=1e-3"}) {
+    EXPECT_TRUE(Parse({arg}).Validate({}, {}, {"scale"}).ok()) << arg;
+  }
+  EXPECT_DOUBLE_EQ(Parse({"--scale=0.5"}).GetDouble("scale", 1.0), 0.5);
+  // Decimals are known flags too; a count keeps the whole-number rule.
+  EXPECT_FALSE(Parse({"--threads=0.5"})
+                   .Validate({}, {"threads"}, {"scale"})
+                   .ok());
+}
+
 TEST(FlagsTest, BareFlagBeforePositionalNeedsEquals) {
   // `--flag value` consumes the value; the documented workaround is
   // `--flag=...` when the next token is positional.

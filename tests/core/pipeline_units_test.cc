@@ -140,47 +140,37 @@ TEST(DiUnits, TopMLimitsOutput) {
   EXPECT_EQ(response.insights.size(), 1u);
 }
 
-TEST(DiUnits, MaxAttrsPerNodeCapsScan) {
-  XmlIndex index = BuildIndexFromXml(data::Figure2aXml());
-  Query query = ParseQueryOrDie("karen mike");
-  GksSearcher searcher(&index);
-  SearchOptions search;
-  search.s = 1;
-  Result<SearchResponse> response = searcher.Search(query, search);
-  ASSERT_TRUE(response.ok());
-
-  // The cap counts valued rows scanned, even those DI drops, so a cap of
-  // 1 keeps only each course's <Name>, and a cap of 4 stops before Peter,
-  // the AI course's fifth valued row (Karen and Mike repeat the query).
-  auto render = [&](size_t cap) {
-    DiOptions options;
-    options.max_attrs_per_node = cap;
-    std::vector<std::string> out;
-    for (const DiKeyword& di :
-         DiscoverDi(index, response->nodes, query, options)) {
-      out.push_back(di.ToString() + " w=" + std::to_string(di.weight) +
-                    " n=" + std::to_string(di.support));
+TEST(DiUnits, ValuedRowValveCapsScan) {
+  // The valve counts valued rows scanned, even those DI drops. The first
+  // course's Name repeats the query and `fillers` Student rows follow, so
+  // its last Student, Serena, is valued row fillers + 2: DI reports her
+  // only while that row is inside the valve.
+  auto reports_serena = [](size_t fillers) {
+    std::string xml = "<Dept><Course><Name>Karen</Name><Students>";
+    for (size_t i = 0; i < fillers; ++i) xml += "<Student>Filler</Student>";
+    xml +=
+        "<Student>Serena</Student></Students></Course><Course><Name>AI"
+        "</Name><Students><Student>Peter</Student></Students></Course>"
+        "</Dept>";
+    XmlIndex index = BuildIndexFromXml(xml);
+    Query query = ParseQueryOrDie("karen");
+    SearchOptions search;
+    search.s = 1;
+    Result<SearchResponse> response = GksSearcher(&index).Search(query, search);
+    if (!response.ok()) {
+      ADD_FAILURE() << response.status().ToString();
+      return false;
     }
-    return out;
+    EXPECT_EQ(response->nodes.size(), 1u);
+    bool seen = false;
+    for (const DiKeyword& di : DiscoverDi(index, response->nodes, query)) {
+      seen = seen || di.value == "Serena";
+    }
+    return seen;
   };
-  EXPECT_EQ(render(1), (std::vector<std::string>{
-                           "<Name: Data Mining> w=0.666667 n=1",
-                           "<Name: AI> w=0.500000 n=1",
-                       }));
-  EXPECT_EQ(render(4), (std::vector<std::string>{
-                           "<Name: Data Mining> w=0.666667 n=1",
-                           "<Course: Students: John> w=0.666667 n=1",
-                           "<Name: AI> w=0.500000 n=1",
-                           "<Course: Students: Serena> w=0.500000 n=1",
-                       }));
-  EXPECT_EQ(render(100000), (std::vector<std::string>{
-                                "<Name: Data Mining> w=0.666667 n=1",
-                                "<Course: Students: John> w=0.666667 n=1",
-                                "<Name: AI> w=0.500000 n=1",
-                                "<Course: Students: Peter> w=0.500000 n=1",
-                                "<Course: Students: Serena> w=0.500000 n=1",
-                            }));
-  EXPECT_TRUE(render(0).empty());
+  EXPECT_TRUE(reports_serena(3));
+  EXPECT_TRUE(reports_serena(kMaxValuedRowsPerNode - 2));
+  EXPECT_FALSE(reports_serena(kMaxValuedRowsPerNode - 1));
 }
 
 TEST(SearcherUnits, MaxResultsTruncatesAfterRanking) {

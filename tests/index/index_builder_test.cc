@@ -176,16 +176,27 @@ TEST(IndexBuilderTest, FinalizeTwiceFails) {
 }
 
 TEST(IndexBuilderTest, LongValuesNotStoredButIndexed) {
-  IndexBuilderOptions options;
-  options.max_stored_value_bytes = 8;
-  IndexBuilder builder(options);
-  ASSERT_TRUE(
-      builder.AddDocument("<r><t>exceedingly verbose value</t></r>", "a.xml")
-          .ok());
+  // The value pool keeps leaf texts of up to 256 bytes; a longer one is
+  // still indexed as keywords.
+  const std::string longest(256, 'x');
+  const std::string too_long = "exceedingly verbose " + std::string(237, 'y');
+  ASSERT_EQ(too_long.size(), 257u);
+  IndexBuilder builder;
+  ASSERT_TRUE(builder
+                  .AddDocument("<r><t>" + too_long + "</t><u>" + longest +
+                                   "</u></r>",
+                               "a.xml")
+                  .ok());
   Result<XmlIndex> index = std::move(builder).Finalize();
   ASSERT_TRUE(index.ok());
   EXPECT_NE(index->inverted.Find("verbos"), nullptr);
-  EXPECT_EQ(index->nodes.ValuedRowCount(), 0u);  // too long for the pool
+  std::vector<std::string> stored;
+  index->nodes.ForEach([&](DeweySpan, const NodeInfo& info) {
+    if (info.value_id != kNoValue) {
+      stored.push_back(index->nodes.Value(info.value_id));
+    }
+  });
+  EXPECT_EQ(stored, std::vector<std::string>{longest});
 }
 
 }  // namespace

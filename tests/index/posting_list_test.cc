@@ -111,14 +111,16 @@ TEST(PostingListTest, FinalizeSortsAndDedups) {
   EXPECT_EQ(list.size(), 3u);
 }
 
-TEST(PostingListTest, ContainsInSubtree) {
+TEST(PostingListTest, SubtreeRangeCoversDescendants) {
   PostingList list;
   list.Add(Id({0, 1, 4}));
   list.Finalize();
   DeweyId yes = Id({0, 1});
   DeweyId no = Id({0, 2});
-  EXPECT_TRUE(list.ContainsInSubtree(DeweySpan::Of(yes)));
-  EXPECT_FALSE(list.ContainsInSubtree(DeweySpan::Of(no)));
+  EXPECT_LT(list.SubtreeBegin(DeweySpan::Of(yes)),
+            list.SubtreeEnd(DeweySpan::Of(yes)));
+  EXPECT_EQ(list.SubtreeBegin(DeweySpan::Of(no)),
+            list.SubtreeEnd(DeweySpan::Of(no)));
 }
 
 // Property: subtree ranges computed by binary search agree with a linear

@@ -38,7 +38,7 @@ using gks::testing::BuildIndexFromXml;
 using gks::testing::ParseQueryOrDie;
 
 // The index stores a leaf-text value only up to this size
-// (IndexBuilderOptions::max_stored_value_bytes); random-tree leaves hold
+// (kMaxStoredValueBytes in index_builder.cc); random-tree leaves hold
 // one or two short keywords, far below it.
 constexpr size_t kMaxStoredValueBytes = 256;
 

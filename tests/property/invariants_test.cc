@@ -124,11 +124,10 @@ TEST_P(RandomTreeProperty, EveryLceHasIndependentWitness) {
       bool witnessed = false;
       auto [begin, end] = sl.SubtreeRange(DeweySpan::Of(node.id));
       for (size_t i = begin; i < end && !witnessed; ++i) {
-        std::vector<uint32_t> lowest;
-        if (LowestEntityOf(index_, sl.IdAt(i), &lowest) &&
-            lowest == node.id.components()) {
-          witnessed = true;
-        }
+        const uint32_t lowest = index_.nodes.EntityRow(
+            index_.nodes.SelfOrAncestorRow(sl.IdAt(i)));
+        witnessed = lowest != NodeInfoTable::kNoRow &&
+                    index_.nodes.IdAt(lowest) == DeweySpan::Of(node.id);
       }
       EXPECT_TRUE(witnessed) << node.id.ToString();
     }

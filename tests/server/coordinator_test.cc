@@ -750,10 +750,6 @@ TEST(CoordinatorTest, LoadAcrossCoordinatorAndWorkersStaysClean) {
   LoadOptions options;
   options.host = "127.0.0.1";
   options.port = coord->port();
-  // Exercise the multi-endpoint load generator: half the connections
-  // drive the coordinator directly, the other half a second address of
-  // the same coordinator (the round-robin path of --endpoints).
-  options.endpoints = {Endpoint(*coord)};
   options.connections = 4;
   options.requests_per_connection = 25;
   options.queries = {"keyword", "xml database", "search ranking"};

@@ -20,9 +20,10 @@
 // docs/SERVER.md (hot reload, admission control, graceful drain).
 //
 // Every file a command writes replaces its target atomically
-// (common/file_io.h), and every command but `generate` and `client`
-// rejects unknown flags, and counts that are not whole non-negative
-// numbers, with exit code 2.
+// (common/file_io.h), and every command rejects unknown flags, counts
+// that are not whole non-negative numbers, and scales or time budgets
+// that are not finite non-negative numbers, with exit code 2 before any
+// work.
 //
 // Full reference: docs/CLI.md; metric and span contract:
 // docs/OBSERVABILITY.md.
@@ -455,9 +456,15 @@ int CmdStats(const FlagParser& flags) {
 }
 
 int CmdGenerate(const FlagParser& flags) {
+  if (Status status = flags.Validate({}, {}, {"scale"}); !status.ok()) {
+    return Fail(status, 2);
+  }
   const auto& args = flags.positional();
   if (args.size() < 3) return Usage();
   double scale = flags.GetDouble("scale", 1.0);
+  if (scale <= 0.0) {
+    return Fail(Status::InvalidArgument("--scale must be greater than 0"), 2);
+  }
   auto scaled = [scale](size_t base) {
     return static_cast<size_t>(static_cast<double>(base) * scale) + 1;
   };
