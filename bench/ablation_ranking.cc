@@ -51,15 +51,6 @@ std::vector<QueryCase> FindCases(const std::string& xml, size_t k,
   return cases;
 }
 
-// 1-based position of `id` under a given ordering of the response nodes.
-size_t PositionOf(const std::vector<const gks::GksNode*>& ordered,
-                  const std::string& id) {
-  for (size_t i = 0; i < ordered.size(); ++i) {
-    if (ordered[i]->id.ToString() == id) return i + 1;
-  }
-  return ordered.size() + 1;
-}
-
 // Author count per top-level entry ordinal (index into dblp root children).
 std::map<uint32_t, uint32_t> AuthorCounts(const std::string& xml) {
   std::map<uint32_t, uint32_t> counts;

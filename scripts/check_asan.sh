@@ -38,7 +38,7 @@ fi
 cmake -S "$root" -B "$build" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DGKS_SANITIZE=address,undefined >/dev/null
-cmake --build "$build" -j \
+cmake --build "$build" -j "$(nproc)" \
   --target common_test index_test server_test property_test core_test \
   >/dev/null
 

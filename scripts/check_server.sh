@@ -80,11 +80,13 @@ expect_serve_usage_error --deadline-ms=abc
 expect_serve_usage_error --coord-deadline-ms=abc
 # `generate` and `client` check their flags too: a typo'd --scale must not
 # write a scale-1 corpus, "abc" must not write a one-article corpus, and
-# -1 must not reach the size computation. The client fails before it
-# connects: port 1 would refuse it with exit 1.
+# neither -1 nor 1e300 (whose record count overflows a size_t) may reach
+# the size computation. The client fails before it connects: port 1 would
+# refuse it with exit 1.
 expect_usage_error generate dblp "$work/rejected.xml" --scael=0.01
 expect_usage_error generate dblp "$work/rejected.xml" --scale=abc
 expect_usage_error generate dblp "$work/rejected.xml" --scale=-1
+expect_usage_error generate dblp "$work/rejected.xml" --scale=1e300
 [[ ! -e "$work/rejected.xml" ]] || fail "a rejected generate wrote its output"
 expect_usage_error client --port=1 --query=x --tpo=3
 

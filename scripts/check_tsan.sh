@@ -33,7 +33,7 @@ fi
 cmake -S "$root" -B "$build" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DGKS_SANITIZE=thread >/dev/null
-cmake --build "$build" -j \
+cmake --build "$build" -j "$(nproc)" \
   --target common_test core_test index_test integration_test server_test \
   >/dev/null
 

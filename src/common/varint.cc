@@ -18,7 +18,7 @@ void PutVarint64(std::string* dst, uint64_t value) {
   dst->push_back(static_cast<char>(value));
 }
 
-Status GetVarint64(std::string_view* input, uint64_t* value) {
+Status GetVarint64Slow(std::string_view* input, uint64_t* value) {
   uint64_t result = 0;
   int consumed = 0;
   for (int shift = 0; shift <= 63; shift += 7) {
@@ -54,9 +54,9 @@ Status GetVarint64(std::string_view* input, uint64_t* value) {
                             " (max 10 bytes)");
 }
 
-Status GetVarint32(std::string_view* input, uint32_t* value) {
+Status GetVarint32Slow(std::string_view* input, uint32_t* value) {
   uint64_t wide = 0;
-  GKS_RETURN_IF_ERROR(GetVarint64(input, &wide));
+  GKS_RETURN_IF_ERROR(GetVarint64Slow(input, &wide));
   if (wide > UINT32_MAX) {
     return Status::Corruption("varint32 overflow (value " +
                               std::to_string(wide) + ")");

@@ -15,10 +15,30 @@ namespace gks {
 void PutVarint32(std::string* dst, uint32_t value);
 void PutVarint64(std::string* dst, uint64_t value);
 
+/// The general decoders behind GetVarint32/GetVarint64, for any length.
+Status GetVarint32Slow(std::string_view* input, uint32_t* value);
+Status GetVarint64Slow(std::string_view* input, uint64_t* value);
+
 /// Decodes a varint from the front of `*input`, advancing it past the
-/// consumed bytes. Returns Corruption on truncated or overlong input.
-Status GetVarint32(std::string_view* input, uint32_t* value);
-Status GetVarint64(std::string_view* input, uint64_t* value);
+/// consumed bytes. Returns Corruption on truncated or overlong input. A
+/// single byte below 0x80 — the common case — is decoded inline; it can
+/// be neither truncated, overlong nor too wide.
+inline Status GetVarint64(std::string_view* input, uint64_t* value) {
+  if (!input->empty() && static_cast<uint8_t>(input->front()) < 0x80) {
+    *value = static_cast<uint8_t>(input->front());
+    input->remove_prefix(1);
+    return Status::OK();
+  }
+  return GetVarint64Slow(input, value);
+}
+inline Status GetVarint32(std::string_view* input, uint32_t* value) {
+  if (!input->empty() && static_cast<uint8_t>(input->front()) < 0x80) {
+    *value = static_cast<uint8_t>(input->front());
+    input->remove_prefix(1);
+    return Status::OK();
+  }
+  return GetVarint32Slow(input, value);
+}
 
 /// Length-prefixed string helpers built on the varints above.
 void PutLengthPrefixed(std::string* dst, std::string_view value);

@@ -2,19 +2,16 @@
 
 #include <algorithm>
 
-#include "text/analyzer.h"
-
 namespace gks {
 namespace {
 
 /// The owned-attribute walk: calls `fn(tag_name, value, attr_row)` for
 /// each valued row in `node`'s subtree, in document order, whose deepest
-/// self-or-ancestor entity is `node` and whose value repeats no query
-/// term. At most kMaxValuedRowsPerNode valued rows are scanned, owned or
-/// not.
+/// self-or-ancestor entity is `node` and whose value `filter` keeps. At
+/// most kMaxValuedRowsPerNode valued rows are scanned, owned or not.
 template <typename Fn>
 void ForEachOwnedAttribute(const XmlIndex& index, const GksNode& node,
-                           const Query& query, Fn&& fn) {
+                           const DiTermFilter& filter, Fn&& fn) {
   DeweySpan entity = DeweySpan::Of(node.id);
   const uint32_t row = index.nodes.RowOf(entity);
   if (entity.size == 0 || row == NodeInfoTable::kNoRow ||
@@ -26,11 +23,8 @@ void ForEachOwnedAttribute(const XmlIndex& index, const GksNode& node,
     if (scanned++ == kMaxValuedRowsPerNode) return false;
     if (!owned) return true;
     const NodeInfo& attr = index.nodes.InfoAt(attr_row);
-    const std::string& value = index.nodes.Value(attr.value_id);
-    for (const std::string& term : text::Analyze(value)) {
-      if (query.ContainsTerm(term)) return true;
-    }
-    fn(index.nodes.TagName(attr.tag_id), value,
+    if (filter.Drops(attr.value_id)) return true;
+    fn(index.nodes.TagName(attr.tag_id), index.nodes.Value(attr.value_id),
        static_cast<uint32_t>(attr_row));
     return true;
   });
@@ -55,6 +49,16 @@ std::vector<std::string> AttributePath(const XmlIndex& index,
 }
 
 }  // namespace
+
+DiTermFilter::DiTermFilter(const NodeInfoTable& nodes, const Query& query)
+    : nodes_(&nodes) {
+  for (const QueryAtom& atom : query.atoms()) {
+    for (const std::string& term : atom.terms) {
+      const uint32_t id = nodes.FindValueTerm(term);
+      if (id != NodeInfoTable::kNoTerm) query_terms_.push_back(id);
+    }
+  }
+}
 
 std::string DiKeyword::ToString() const {
   std::string out = "<";
@@ -93,10 +97,10 @@ std::vector<DiKeyword> DiAccumulator::Take(size_t top_m) && {
 }
 
 void AccumulateDi(const XmlIndex& index, const GksNode& node,
-                  const Query& query, DiAccumulator* acc) {
+                  const DiTermFilter& filter, DiAccumulator* acc) {
   const uint32_t entity_size = DeweySpan::Of(node.id).size;
   ForEachOwnedAttribute(
-      index, node, query,
+      index, node, filter,
       [&](std::string_view tag, std::string_view value, uint32_t attr_row) {
         acc->Add(tag, value, node.rank,
                  [&] { return AttributePath(index, entity_size, attr_row); });
@@ -105,11 +109,11 @@ void AccumulateDi(const XmlIndex& index, const GksNode& node,
 
 std::vector<DiContribution> NodeDiContributions(const XmlIndex& index,
                                                 const GksNode& node,
-                                                const Query& query) {
+                                                const DiTermFilter& filter) {
   const uint32_t entity_size = DeweySpan::Of(node.id).size;
   std::vector<DiContribution> out;
   ForEachOwnedAttribute(
-      index, node, query,
+      index, node, filter,
       [&](std::string_view tag, std::string_view value, uint32_t attr_row) {
         out.push_back({std::string(tag), std::string(value),
                        AttributePath(index, entity_size, attr_row)});
@@ -121,9 +125,10 @@ std::vector<DiKeyword> DiscoverDi(const XmlIndex& index,
                                   const std::vector<GksNode>& nodes,
                                   const Query& query,
                                   const DiOptions& options) {
+  const DiTermFilter filter(index.nodes, query);
   DiAccumulator acc;
   for (const GksNode& node : nodes) {
-    if (GivesDi(node)) AccumulateDi(index, node, query, &acc);
+    if (GivesDi(node)) AccumulateDi(index, node, filter, &acc);
   }
   return std::move(acc).Take(options.top_m);
 }
@@ -131,10 +136,11 @@ std::vector<DiKeyword> DiscoverDi(const XmlIndex& index,
 std::vector<std::vector<DiContribution>> ComputeDiContributions(
     const XmlIndex& index, const std::vector<GksNode>& nodes,
     const Query& query, const DiOptions&) {
+  const DiTermFilter filter(index.nodes, query);
   std::vector<std::vector<DiContribution>> out(nodes.size());
   for (size_t n = 0; n < nodes.size(); ++n) {
     if (GivesDi(nodes[n])) {
-      out[n] = NodeDiContributions(index, nodes[n], query);
+      out[n] = NodeDiContributions(index, nodes[n], filter);
     }
   }
   return out;

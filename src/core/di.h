@@ -1,6 +1,7 @@
 #ifndef GKS_CORE_DI_H_
 #define GKS_CORE_DI_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -100,21 +101,46 @@ class DiAccumulator {
   std::unordered_map<Key, DiKeyword, KeyHash> keywords_;
 };
 
+/// The query-term rule of DI (Sec. 6.2), resolved against one index: "if
+/// a keyword in the attribute node is part of the user query Q, it is not
+/// included in the set". Built once per query and index (per segment of a
+/// set), it maps the query's analyzed terms to the index's value-term ids
+/// (NodeInfoTable::ValueTerms), so testing a value compares integers.
+class DiTermFilter {
+ public:
+  /// `nodes` must outlive the filter.
+  DiTermFilter(const NodeInfoTable& nodes, const Query& query);
+
+  /// True when an analyzed term of value `value_id` is a query term.
+  bool Drops(uint32_t value_id) const {
+    if (query_terms_.empty()) return false;
+    for (const uint32_t term : nodes_->ValueTerms(value_id)) {
+      if (std::find(query_terms_.begin(), query_terms_.end(), term) !=
+          query_terms_.end()) {
+        return true;
+      }
+    }
+    return false;
+  }
+
+ private:
+  const NodeInfoTable* nodes_;
+  std::vector<uint32_t> query_terms_;  // the query terms some value holds
+};
+
 /// The DI source of an index: feeds the attribute occurrences `node`
 /// owns into `acc`. An occurrence counts when `node` is the deepest
-/// self-or-ancestor entity of the attribute and its value repeats no
-/// query term ("if a keyword in the attribute node is part of the user
-/// query Q, it is not included in the set"); at most
-/// kMaxValuedRowsPerNode valued rows are scanned. The caller applies
-/// GivesDi.
+/// self-or-ancestor entity of the attribute and `filter` (built for this
+/// index) keeps its value; at most kMaxValuedRowsPerNode valued rows are
+/// scanned. The caller applies GivesDi.
 void AccumulateDi(const XmlIndex& index, const GksNode& node,
-                  const Query& query, DiAccumulator* acc);
+                  const DiTermFilter& filter, DiAccumulator* acc);
 
 /// The same occurrences as AccumulateDi, as wire contributions in
 /// document order.
 std::vector<DiContribution> NodeDiContributions(const XmlIndex& index,
                                                 const GksNode& node,
-                                                const Query& query);
+                                                const DiTermFilter& filter);
 
 /// Discovers the top-m DI keywords (Def. 2.3.1) for a ranked response.
 /// Runs in O(|S_w^Q|) plus the final top-m sort.

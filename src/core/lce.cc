@@ -14,9 +14,9 @@ constexpr uint32_t kNoRow = NodeInfoTable::kNoRow;
 }  // namespace
 
 uint32_t LiftedEntityRow(const XmlIndex& index, DeweySpan candidate,
-                         DeweySpan* lifted) {
+                         DeweySpan* lifted, size_t* cursor) {
   const NodeInfoTable& nodes = index.nodes;
-  uint32_t row = nodes.SelfOrAncestorRow(candidate);
+  uint32_t row = nodes.SelfOrAncestorRowFrom(candidate, cursor);
   *lifted = candidate;
   // A row as long as the candidate is the candidate's own row; lifted,
   // its deepest ancestor row is the candidate's parent row.
@@ -62,7 +62,8 @@ std::vector<GksNode> ComputeGksNodesPruned(
                   witnessed.end());
 
   // Map each candidate to its response node; candidates that converge on
-  // the same node aggregate their window counts.
+  // the same node aggregate their window counts. The candidates ascend in
+  // document order, so one cursor sweeps the node store.
   struct Response {
     DeweySpan id;
     bool is_lce = false;
@@ -70,10 +71,11 @@ std::vector<GksNode> ComputeGksNodesPruned(
   };
   std::vector<Response> responses;
   responses.reserve(lcps.size());
+  size_t row_cursor = 0;
   for (const LcpCandidate& lcp : lcps) {
     DeweySpan lifted;
-    const uint32_t entity =
-        LiftedEntityRow(index, DeweySpan::Of(lcp.node), &lifted);
+    const uint32_t entity = LiftedEntityRow(index, DeweySpan::Of(lcp.node),
+                                            &lifted, &row_cursor);
     if (entity != kNoRow &&
         std::binary_search(witnessed.begin(), witnessed.end(), entity)) {
       responses.push_back({nodes.IdAt(entity), true, lcp.window_count});
@@ -86,8 +88,10 @@ std::vector<GksNode> ComputeGksNodesPruned(
               return a.id.Compare(b.id) < 0;
             });
 
+  // Sorted above, the responses ascend, so one cursor sweeps S_L.
   std::vector<GksNode> out;
   std::vector<std::pair<size_t, size_t>> ranges;  // S_L range per node
+  size_t sl_cursor = 0;
   for (size_t i = 0; i < responses.size();) {
     const DeweySpan id = responses[i].id;
     GksNode node;
@@ -96,7 +100,8 @@ std::vector<GksNode> ComputeGksNodesPruned(
       node.window_count += responses[i].window_count;
     }
     node.id = id.ToDeweyId();
-    const std::pair<size_t, size_t> range = sl.SubtreeRange(id);
+    const std::pair<size_t, size_t> range =
+        sl.SubtreeRangeFrom(id, &sl_cursor);
     node.keyword_mask = sl.MaskOfRange(range.first, range.second);
     node.keyword_count = static_cast<uint32_t>(std::popcount(node.keyword_mask));
     out.push_back(std::move(node));

@@ -60,8 +60,11 @@ std::vector<GksNode> ComputeGksNodesPruned(
 /// response root; any other stays where it is — and returns the row of
 /// its lowest self-or-ancestor entity, or NodeInfoTable::kNoRow. The
 /// probe evaluator derives its coverage prefixes from this same mapping.
+/// Callers sweep candidates in ascending document order: `*cursor` holds
+/// the node-store position of the previous call (0 before the first),
+/// and the row search gallops forward from it.
 uint32_t LiftedEntityRow(const XmlIndex& index, DeweySpan candidate,
-                         DeweySpan* lifted);
+                         DeweySpan* lifted, size_t* cursor);
 
 }  // namespace gks
 

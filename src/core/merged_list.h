@@ -82,6 +82,14 @@ class MergedList {
   std::pair<size_t, size_t> SubtreeRange(DeweySpan prefix) const {
     return {ids_.SubtreeBegin(prefix), ids_.SubtreeEnd(prefix)};
   }
+  /// The same range for sweeps over prefixes in ascending document order:
+  /// `*cursor` holds the previous call's range start (0 before the first),
+  /// the start gallops forward from it and the end from the start.
+  std::pair<size_t, size_t> SubtreeRangeFrom(DeweySpan prefix,
+                                             size_t* cursor) const {
+    *cursor = ids_.SubtreeBeginFrom(prefix, *cursor);
+    return {*cursor, ids_.SubtreeEndFrom(prefix, *cursor)};
+  }
 
   /// Unique-atom mask over the entries of [begin, end).
   uint64_t MaskOfRange(size_t begin, size_t end) const;

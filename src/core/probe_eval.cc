@@ -326,12 +326,15 @@ void ProbeEvaluator::GatherReduced() {
   // Coverage prefix per survivor: the subtree the LCE stage will read for
   // this candidate's response node — its lowest entity ancestor after the
   // attribute lift, or the lifted candidate itself when no entity exists.
+  // The survivors ascend in document order, so one cursor sweeps the
+  // node store.
   std::vector<DeweySpan> prefixes;
   prefixes.reserve(pruned_.size());
+  size_t cursor = 0;
   for (const LcpCandidate& candidate : pruned_) {
     DeweySpan lifted;
-    const uint32_t entity =
-        LiftedEntityRow(index_, DeweySpan::Of(candidate.node), &lifted);
+    const uint32_t entity = LiftedEntityRow(
+        index_, DeweySpan::Of(candidate.node), &lifted, &cursor);
     prefixes.push_back(entity != NodeInfoTable::kNoRow
                            ? index_.nodes.IdAt(entity)
                            : lifted);

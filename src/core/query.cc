@@ -110,15 +110,6 @@ Result<Query> Query::FromKeywords(const std::vector<std::string>& keywords) {
   return query;
 }
 
-bool Query::ContainsTerm(std::string_view analyzed_term) const {
-  for (const QueryAtom& atom : atoms_) {
-    for (const std::string& term : atom.terms) {
-      if (term == analyzed_term) return true;
-    }
-  }
-  return false;
-}
-
 std::string Query::ToString() const {
   std::string out;
   for (const QueryAtom& atom : atoms_) {

@@ -45,10 +45,6 @@ class Query {
     return atoms_.size() >= 64 ? ~0ull : (1ull << atoms_.size()) - 1;
   }
 
-  /// True if the analyzed term appears in any atom (used to exclude query
-  /// keywords from DI, Sec. 6.2).
-  bool ContainsTerm(std::string_view analyzed_term) const;
-
   /// Human-readable form: keywords space-separated, phrases quoted.
   std::string ToString() const;
 

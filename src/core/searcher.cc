@@ -226,10 +226,15 @@ Result<SearchResponse> GksSearcher::SearchTraced(
       });
     }
   }
-  // A node's DI resolves through the segment it came from.
+  // A node's DI resolves through the segment it came from, whose query
+  // terms are resolved once, on its first DI node.
+  std::vector<std::optional<DiTermFilter>> filters(segments.size());
   auto di_source = [&](NodeOrigin origin, const GksNode& node,
                        DiAccumulator* acc) {
-    AccumulateDi(*segments[origin.partial].index, node, query, acc);
+    const XmlIndex& index = *segments[origin.partial].index;
+    std::optional<DiTermFilter>& filter = filters[origin.partial];
+    if (!filter) filter.emplace(index.nodes, query);
+    AccumulateDi(index, node, *filter, acc);
   };
   return MergePartials(query, options, std::move(partials), di_source)
       .response;
@@ -446,12 +451,16 @@ std::string DescribeNode(const SegmentSetSnapshot& snapshot,
 std::vector<std::vector<DiContribution>> ComputeDiContributions(
     const SegmentSetSnapshot& snapshot, const std::vector<GksNode>& nodes,
     const Query& query, const DiOptions&) {
+  std::vector<std::optional<DiTermFilter>> filters(snapshot.segments.size());
   std::vector<std::vector<DiContribution>> out(nodes.size());
   for (size_t n = 0; n < nodes.size(); ++n) {
     if (!GivesDi(nodes[n])) continue;
     const SegmentView* segment = snapshot.SegmentFor(nodes[n].id.doc_id());
     if (segment == nullptr) continue;
-    out[n] = NodeDiContributions(*segment->index, nodes[n], query);
+    std::optional<DiTermFilter>& filter =
+        filters[segment - snapshot.segments.data()];
+    if (!filter) filter.emplace(segment->index->nodes, query);
+    out[n] = NodeDiContributions(*segment->index, nodes[n], *filter);
   }
   return out;
 }

@@ -55,10 +55,14 @@ std::vector<LcpCandidate> ComputeLcpCandidates(const MergedList& sl,
 
 std::vector<LcpCandidate> PruneCoveredAncestors(
     const MergedList& sl, std::vector<LcpCandidate> candidates) {
+  // The candidates ascend in document order, so one cursor sweeps S_L.
   std::vector<uint64_t> masks;
   masks.reserve(candidates.size());
+  size_t cursor = 0;
   for (const LcpCandidate& candidate : candidates) {
-    masks.push_back(sl.SubtreeMask(DeweySpan::Of(candidate.node)));
+    const auto [begin, end] =
+        sl.SubtreeRangeFrom(DeweySpan::Of(candidate.node), &cursor);
+    masks.push_back(sl.MaskOfRange(begin, end));
   }
   return PruneCoveredAncestorsMasked(std::move(candidates), masks);
 }

@@ -3,6 +3,9 @@
 #include <algorithm>
 
 #include "common/varint.h"
+#include "text/porter_stemmer.h"
+#include "text/stopwords.h"
+#include "text/tokenizer.h"
 
 namespace gks {
 
@@ -49,6 +52,24 @@ bool NodeInfoTable::FindTag(std::string_view tag, uint32_t* tag_id) const {
 }
 
 uint32_t NodeInfoTable::AddValue(std::string value) {
+  // text::Analyze, with its per-token steps memoized: tokenize, drop stop
+  // words, PorterStem.
+  text::ForEachToken(value, [this](std::string& token) {
+    auto it = token_terms_.find(token);
+    if (it == token_terms_.end()) {
+      uint32_t term = kNoTerm;
+      if (!text::IsStopWord(token)) {
+        std::string stem = text::PorterStem(token);
+        auto [at, inserted] = term_ids_.try_emplace(
+            stem, static_cast<uint32_t>(term_names_.size()));
+        if (inserted) term_names_.push_back(std::move(stem));
+        term = at->second;
+      }
+      it = token_terms_.emplace(std::move(token), term).first;
+    }
+    if (it->second != kNoTerm) value_terms_.push_back(it->second);
+  });
+  value_term_offsets_.push_back(static_cast<uint32_t>(value_terms_.size()));
   values_.push_back(std::move(value));
   return static_cast<uint32_t>(values_.size() - 1);
 }
@@ -155,6 +176,18 @@ size_t NodeInfoTable::MemoryUsage() const {
                  parents_.capacity() * sizeof(uint32_t);
   for (const auto& tag : tags_) bytes += tag.capacity() + sizeof(tag);
   for (const auto& value : values_) bytes += value.capacity() + sizeof(value);
+  // The value-term table: the flat ids and offsets, the term names, and a
+  // hash node (key, id, link) plus a bucket per map entry.
+  bytes += (value_terms_.capacity() + value_term_offsets_.capacity()) *
+           sizeof(uint32_t);
+  constexpr size_t kMapEntry =
+      sizeof(std::string) + sizeof(uint32_t) + 2 * sizeof(void*);
+  for (const auto& term : term_names_) {
+    bytes += sizeof(term) + 2 * term.capacity() + kMapEntry;  // name, key
+  }
+  for (const auto& [token, term] : token_terms_) {
+    bytes += token.capacity() + kMapEntry;
+  }
   return bytes;
 }
 
@@ -191,7 +224,7 @@ Status NodeInfoTable::DecodeFrom(std::string_view* input, NodeInfoTable* out) {
   for (uint64_t i = 0; i < value_count; ++i) {
     std::string value;
     GKS_RETURN_IF_ERROR(GetLengthPrefixed(input, &value));
-    out->values_.push_back(std::move(value));
+    out->AddValue(std::move(value));
   }
   uint64_t node_count = 0;
   GKS_RETURN_IF_ERROR(GetVarint64(input, &node_count));

@@ -2,6 +2,7 @@
 #define GKS_INDEX_NODE_INFO_TABLE_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -33,6 +34,13 @@ namespace gks {
 /// potential-flow rank, DI paths, rank bounds — follow them instead of
 /// binary-searching each Dewey prefix. Entity rows are not stored:
 /// AddFlags may change them, so EntityRow reads the flags on the way up.
+///
+/// Each value also keeps its analyzed terms (text::Analyze) as ids into a
+/// dictionary of the terms that occur in values: the value-term table.
+/// Like the parent rows it is derived — whenever a value is added, so by
+/// the builder, the parallel build's merge, a decode and the real-time
+/// path alike — and never written to disk. DI's query-term rule compares
+/// these ids instead of analyzing each value on every query.
 class NodeInfoTable {
  public:
   /// Interns `tag`, returning a dense id. Idempotent per distinct string.
@@ -42,7 +50,8 @@ class NodeInfoTable {
   const std::string& TagName(uint32_t tag_id) const { return tags_[tag_id]; }
   size_t tag_count() const { return tags_.size(); }
 
-  /// Stores an attribute value for DI discovery; returns its dense id.
+  /// Stores an attribute value for DI discovery and derives its row of
+  /// the value-term table; returns its dense id.
   uint32_t AddValue(std::string value);
   /// Deduplicating variant: returns the existing id when the same string
   /// was interned before (the reverse map is built lazily, so it also
@@ -52,6 +61,26 @@ class NodeInfoTable {
     return values_[value_id];
   }
   size_t value_count() const { return values_.size(); }
+
+  /// "No such term": FindValueTerm's answer for a term no value holds.
+  static constexpr uint32_t kNoTerm = 0xffffffffu;
+
+  /// The analyzed terms of value `value_id`, in text::Analyze order with
+  /// repeats, as value-term ids.
+  std::span<const uint32_t> ValueTerms(uint32_t value_id) const {
+    const uint32_t begin = value_term_offsets_[value_id];
+    return {value_terms_.data() + begin,
+            value_term_offsets_[value_id + 1] - begin};
+  }
+  /// Value-term id of an analyzed term, or kNoTerm when no value holds it.
+  uint32_t FindValueTerm(std::string_view term) const {
+    auto it = term_ids_.find(term);
+    return it == term_ids_.end() ? kNoTerm : it->second;
+  }
+  const std::string& ValueTermName(uint32_t term_id) const {
+    return term_names_[term_id];
+  }
+  size_t value_term_count() const { return term_names_.size(); }
 
   /// Appends the row of an element not stored yet. Rows may arrive in any
   /// order; lookups need Finalize first, unless every row was appended in
@@ -213,6 +242,19 @@ class NodeInfoTable {
   std::unordered_map<std::string, uint32_t, TransparentStringHash,
                      std::equal_to<>>
       value_ids_;
+  // The value-term table (derived by AddValue, not saved): value v's term
+  // ids are value_terms_[value_term_offsets_[v], value_term_offsets_[v+1]).
+  std::vector<uint32_t> value_terms_;
+  std::vector<uint32_t> value_term_offsets_ = {0};
+  std::vector<std::string> term_names_;
+  std::unordered_map<std::string, uint32_t, TransparentStringHash,
+                     std::equal_to<>>
+      term_ids_;
+  // Derivation cache: each distinct raw token is checked for a stop word
+  // and stemmed once; kNoTerm marks a stop word.
+  std::unordered_map<std::string, uint32_t, TransparentStringHash,
+                     std::equal_to<>>
+      token_terms_;
   CategoryCounts counts_;
 };
 

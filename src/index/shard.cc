@@ -14,7 +14,7 @@ namespace gks {
 namespace {
 
 std::string ShardFileName(size_t shard) {
-  char name[32];
+  char name[48];  // room for a 20-digit shard number
   std::snprintf(name, sizeof(name), "shard_%02zu.gksidx", shard);
   return name;
 }

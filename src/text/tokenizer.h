@@ -1,6 +1,7 @@
 #ifndef GKS_TEXT_TOKENIZER_H_
 #define GKS_TEXT_TOKENIZER_H_
 
+#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -13,6 +14,11 @@ namespace gks::text {
 /// number runs are kept (years such as "2001" are first-class keywords in
 /// the paper's DI examples).
 std::vector<std::string> Tokenize(std::string_view input);
+
+/// Calls `fn(token)` for each token of `input` in order, by Tokenize's
+/// rules, without building a vector; `fn` may move from `token`.
+void ForEachToken(std::string_view input,
+                  const std::function<void(std::string& token)>& fn);
 
 }  // namespace gks::text
 

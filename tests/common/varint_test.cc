@@ -43,6 +43,43 @@ TEST(VarintTest, RoundTrip64) {
   }
 }
 
+TEST(VarintTest, OneByteFastPathAndItsNeighbours) {
+  // 0x7f: the largest value the inline one-byte path decodes.
+  for (const bool wide : {false, true}) {
+    SCOPED_TRACE(wide ? "GetVarint64" : "GetVarint32");
+    auto decode = [wide](std::string_view* view, uint64_t* got) {
+      if (wide) return GetVarint64(view, got);
+      uint32_t narrow = 0;
+      Status status = GetVarint32(view, &narrow);
+      *got = narrow;
+      return status;
+    };
+    std::string_view view("\x7f\x05", 2);
+    uint64_t got = 0;
+    ASSERT_TRUE(decode(&view, &got).ok());
+    EXPECT_EQ(got, 0x7fu);
+    EXPECT_EQ(view.size(), 1u);  // exactly one byte consumed
+    // 0x80 0x01: the smallest two-byte value takes the general path.
+    view = std::string_view("\x80\x01", 2);
+    ASSERT_TRUE(decode(&view, &got).ok());
+    EXPECT_EQ(got, 0x80u);
+    EXPECT_TRUE(view.empty());
+    // 0x80 0x00: an overlong zero stays Corruption.
+    view = std::string_view("\x80\x00", 2);
+    Status st = decode(&view, &got);
+    EXPECT_EQ(st.code(), StatusCode::kCorruption);
+    EXPECT_NE(st.message().find("overlong"), std::string::npos)
+        << st.message();
+    // Empty input is truncated, not a zero.
+    view = std::string_view();
+    st = decode(&view, &got);
+    EXPECT_EQ(st.code(), StatusCode::kCorruption);
+    EXPECT_NE(st.message().find("truncated varint after byte 0"),
+              std::string::npos)
+        << st.message();
+  }
+}
+
 TEST(VarintTest, TruncatedInputIsCorruption) {
   std::string buf;
   PutVarint64(&buf, 1ull << 40);

@@ -148,6 +148,7 @@ std::vector<GksNode> PrefixNodes(const XmlIndex& index, const MergedList& sl,
     if (PrefixEntity(index, sl.IdAt(i), &entity)) witnessed.push_back(entity);
   }
   std::map<std::vector<uint32_t>, GksNode> nodes;
+  size_t cursor = 0;  // the candidates ascend
   for (const LcpCandidate& lcp : lcps) {
     DeweySpan lifted = DeweySpan::Of(lcp.node);
     const NodeInfo* info = index.nodes.Find(lifted);
@@ -155,7 +156,7 @@ std::vector<GksNode> PrefixNodes(const XmlIndex& index, const MergedList& sl,
       --lifted.size;
     }
     DeweySpan got_lifted;
-    LiftedEntityRow(index, DeweySpan::Of(lcp.node), &got_lifted);
+    LiftedEntityRow(index, DeweySpan::Of(lcp.node), &got_lifted, &cursor);
     EXPECT_EQ(got_lifted, lifted);
     std::vector<uint32_t> entity;
     const bool lce =

@@ -3,6 +3,9 @@
 // pruning shapes, DI options, and the searcher's option handling.
 
 #include <bit>
+#include <set>
+#include <string>
+#include <string_view>
 
 #include "gtest/gtest.h"
 #include "core/di.h"
@@ -171,6 +174,55 @@ TEST(DiUnits, ValuedRowValveCapsScan) {
   EXPECT_TRUE(reports_serena(3));
   EXPECT_TRUE(reports_serena(kMaxValuedRowsPerNode - 2));
   EXPECT_FALSE(reports_serena(kMaxValuedRowsPerNode - 1));
+}
+
+// The values DI reports for `query_text` at s=1, every keyword kept.
+std::set<std::string> DiValues(const XmlIndex& index,
+                               std::string_view query_text) {
+  SearchOptions options;
+  options.s = 1;
+  options.di_top_m = 1000;
+  std::set<std::string> values;
+  for (const DiKeyword& di : SearchOrDie(index, query_text, options).insights) {
+    values.insert(di.value);
+  }
+  return values;
+}
+
+TEST(DiUnits, OnePhraseTokenDropsAValue) {
+  // Every token of a phrase is a query term: a value repeating only
+  // "mining" or only "data" is left out, like the phrase's own node.
+  XmlIndex index = BuildIndexFromXml(
+      "<Dept><Course><Name>Data Mining</Name><Topic>Mining</Topic>"
+      "<Topic>Data</Topic><Room>Hall</Room></Course>"
+      "<Course><Name>AI</Name><Topic>Logic</Topic><Room>Lab</Room></Course>"
+      "</Dept>");
+  EXPECT_EQ(DiValues(index, "\"Data Mining\""),
+            (std::set<std::string>{"Hall"}));
+}
+
+TEST(DiUnits, StopWordOnlyValueRepeatsNoQueryTerm) {
+  // "The" analyzes to no term at all, so no query can repeat it.
+  XmlIndex index = BuildIndexFromXml(
+      "<Dept><Course><Name>Karen</Name><Note>The</Note><Room>Hall</Room>"
+      "<Room>Lab</Room></Course><Course><Name>AI</Name><Room>Web</Room>"
+      "<Room>Lab</Room></Course></Dept>");
+  EXPECT_EQ(DiValues(index, "karen"),
+            (std::set<std::string>{"Hall", "Lab", "The"}));
+}
+
+TEST(DiUnits, QueryTermNoValueHolds) {
+  // "student" is only a tag name: no value holds it, so it drops nothing,
+  // alone or beside a term that does drop a value.
+  XmlIndex index = BuildIndexFromXml(
+      "<Dept><Course><Name>Karen</Name><Student>Peter</Student>"
+      "<Student>Mike</Student></Course><Course><Name>AI</Name>"
+      "<Student>Serena</Student><Student>John</Student></Course></Dept>");
+  EXPECT_EQ(DiValues(index, "student"),
+            (std::set<std::string>{"AI", "John", "Karen", "Mike", "Peter",
+                                   "Serena"}));
+  EXPECT_EQ(DiValues(index, "karen student"),
+            (std::set<std::string>{"AI", "John", "Mike", "Peter", "Serena"}));
 }
 
 TEST(SearcherUnits, MaxResultsTruncatesAfterRanking) {

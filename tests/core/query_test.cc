@@ -58,14 +58,6 @@ TEST(QueryTest, FullMask) {
   EXPECT_EQ(query->full_mask(), 0b111ull);
 }
 
-TEST(QueryTest, ContainsTerm) {
-  Result<Query> query = Query::Parse("\"Data Mining\" karen");
-  ASSERT_TRUE(query.ok());
-  EXPECT_TRUE(query->ContainsTerm("mine"));  // stemmed phrase token
-  EXPECT_TRUE(query->ContainsTerm("karen"));
-  EXPECT_FALSE(query->ContainsTerm("mike"));
-}
-
 TEST(QueryTest, FromKeywordsAndToString) {
   Result<Query> query = Query::FromKeywords({"Data Mining", "karen"});
   ASSERT_TRUE(query.ok());

@@ -13,6 +13,9 @@
 // the path (tag names from the LCE down to the attribute), the weight sums
 // the contributors' ranks, the support counts them. The keywords sort by
 // weight desc, value asc, path asc, and the top m survive.
+//
+// The engine runs over the built index and over the same index saved and
+// loaded, whose value-term table the decoder derives afresh.
 
 #include <algorithm>
 #include <bit>
@@ -27,6 +30,7 @@
 #include "gtest/gtest.h"
 #include "core/searcher.h"
 #include "data/random_tree_gen.h"
+#include "index/serialization.h"
 #include "tests/test_util.h"
 #include "text/analyzer.h"
 #include "xml/dom_builder.h"
@@ -92,11 +96,18 @@ struct OracleKeyword {
 struct Coverage {
   uint64_t value_under_two_tags = 0;
   uint64_t key_under_two_paths = 0;
+  uint64_t dropped_by_query_term = 0;  // owned occurrences the rule left out
 };
 
+// The query-term rule, by string comparison of freshly analyzed terms.
 bool HitsQueryTerm(const Query& query, const std::string& value) {
   for (const std::string& term : text::Analyze(value)) {
-    if (query.ContainsTerm(term)) return true;
+    for (const QueryAtom& atom : query.atoms()) {
+      if (std::find(atom.terms.begin(), atom.terms.end(), term) !=
+          atom.terms.end()) {
+        return true;
+      }
+    }
   }
   return false;
 }
@@ -112,17 +123,20 @@ void Collect(const XmlIndex& index, const Query& query, const OracleNode& lce,
   ASSERT_NE(info, nullptr) << node.id.ToString();
   if (info->is_entity()) entity = &node;
   path->push_back(node.dom->name());
-  if (node.stores_value && entity == &lce &&
-      !HitsQueryTerm(query, node.value)) {
-    OracleKeyword& keyword = (*acc)[{node.dom->name(), node.value}];
-    if (keyword.support == 0) {
-      keyword.value = node.value;
-      keyword.path = *path;
-    } else if (keyword.path != *path) {
-      ++coverage->key_under_two_paths;
+  if (node.stores_value && entity == &lce) {
+    if (HitsQueryTerm(query, node.value)) {
+      ++coverage->dropped_by_query_term;
+    } else {
+      OracleKeyword& keyword = (*acc)[{node.dom->name(), node.value}];
+      if (keyword.support == 0) {
+        keyword.value = node.value;
+        keyword.path = *path;
+      } else if (keyword.path != *path) {
+        ++coverage->key_under_two_paths;
+      }
+      keyword.weight += rank;
+      ++keyword.support;
     }
-    keyword.weight += rank;
-    ++keyword.support;
   }
   for (const OracleNode* child : node.children) {
     Collect(index, query, lce, *child, entity, path, rank, acc, coverage);
@@ -194,45 +208,56 @@ TEST(DiOracle, EngineDiMatchesTheDomDefinition) {
     data::RandomTreeOptions options;
     options.seed = seed;
     std::string xmltext = data::GenerateRandomTree(options);
-    XmlIndex index = BuildIndexFromXml(xmltext);
+    XmlIndex built = BuildIndexFromXml(xmltext);
     Result<xml::DomDocument> dom = xml::ParseDom(xmltext);
     ASSERT_TRUE(dom.ok()) << dom.status().ToString();
     std::vector<std::unique_ptr<OracleNode>> pool;
     std::map<DeweyId, OracleNode*> by_id;
     BuildOracle(*dom->root(), DeweyId({0, 0}), &pool, &by_id);
+    // The loaded index derives its value-term table on decode.
+    const std::string path = ::testing::TempDir() + "gks_di_oracle_" +
+                             std::to_string(seed) + ".gksidx";
+    ASSERT_TRUE(SaveIndex(built, path).ok());
+    Result<XmlIndex> loaded = LoadIndex(path);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
 
-    GksSearcher searcher(&index);
-    for (const std::string& text : queries) {
-      Query query = ParseQueryOrDie(text);
-      for (uint32_t s = 0; s <= query.size(); ++s) {
-        for (uint32_t top_k : top_ks) {
-          for (size_t top_m : top_ms) {
-            SCOPED_TRACE(text + " s=" + std::to_string(s) +
-                         " top_k=" + std::to_string(top_k) +
-                         " m=" + std::to_string(top_m));
-            SearchOptions search;
-            search.s = s;
-            search.top_k = top_k;
-            search.di_top_m = top_m;
-            search.max_results = 0;
-            Result<SearchResponse> response = searcher.Search(query, search);
-            ASSERT_TRUE(response.ok()) << response.status().ToString();
-            std::vector<OracleKeyword> want =
-                OracleDi(index, by_id, query, response->nodes, top_m,
-                         &coverage);
-            ExpectSameDi(want, response->insights);
-            ++compared;
-            if (!want.empty()) ++non_empty;
+    for (const XmlIndex* searched : {&built, &*loaded}) {
+      SCOPED_TRACE(searched == &built ? "built" : "loaded");
+      const XmlIndex& index = *searched;
+      GksSearcher searcher(&index);
+      for (const std::string& text : queries) {
+        Query query = ParseQueryOrDie(text);
+        for (uint32_t s = 0; s <= query.size(); ++s) {
+          for (uint32_t top_k : top_ks) {
+            for (size_t top_m : top_ms) {
+              SCOPED_TRACE(text + " s=" + std::to_string(s) +
+                           " top_k=" + std::to_string(top_k) +
+                           " m=" + std::to_string(top_m));
+              SearchOptions search;
+              search.s = s;
+              search.top_k = top_k;
+              search.di_top_m = top_m;
+              search.max_results = 0;
+              Result<SearchResponse> response = searcher.Search(query, search);
+              ASSERT_TRUE(response.ok()) << response.status().ToString();
+              std::vector<OracleKeyword> want =
+                  OracleDi(index, by_id, query, response->nodes, top_m,
+                           &coverage);
+              ExpectSameDi(want, response->insights);
+              ++compared;
+              if (!want.empty()) ++non_empty;
+            }
           }
         }
       }
     }
   }
   // The comparison must have bitten: most responses carry DI, and the
-  // cases the key and tie rules decide did occur.
+  // cases the key, tie and query-term rules decide did occur.
   EXPECT_GT(non_empty, compared / 2);
   EXPECT_GT(coverage.value_under_two_tags, 0u);
   EXPECT_GT(coverage.key_under_two_paths, 0u);
+  EXPECT_GT(coverage.dropped_by_query_term, 0u);
 }
 
 }  // namespace

@@ -1,3 +1,4 @@
+#include <cctype>
 #include <string>
 #include <vector>
 
@@ -27,6 +28,24 @@ TEST(TokenizerTest, NumbersAreTokens) {
 TEST(TokenizerTest, EmptyAndPunctuationOnly) {
   EXPECT_EQ(Tokenize(""), Tokens{});
   EXPECT_EQ(Tokenize("... -- !!"), Tokens{});
+}
+
+TEST(TokenizerTest, EveryByteFoldsLikeCtype) {
+  // The fold table against <cctype> in the "C" locale, byte by byte:
+  // between two letters a byte either joins the word (lower-cased), is
+  // dropped (the apostrophe) or splits it.
+  for (int byte = 0; byte < 256; ++byte) {
+    const char c = static_cast<char>(byte);
+    Tokens want;
+    if (std::isalnum(byte)) {
+      want = {std::string("x") + static_cast<char>(std::tolower(byte)) + "y"};
+    } else if (c == '\'') {
+      want = {"xy"};
+    } else {
+      want = {"x", "y"};
+    }
+    EXPECT_EQ(Tokenize(std::string("X") + c + "Y"), want) << byte;
+  }
 }
 
 TEST(TokenizerTest, HyphenatedNamesSplit) {

@@ -465,6 +465,11 @@ int CmdGenerate(const FlagParser& flags) {
   if (scale <= 0.0) {
     return Fail(Status::InvalidArgument("--scale must be greater than 0"), 2);
   }
+  // The largest base below (dblp's 20000 articles) times the scale must
+  // fit in a size_t: casting a larger double is undefined behaviour.
+  if (!(20000.0 * scale < 0x1p64)) {
+    return Fail(Status::InvalidArgument("--scale is too large"), 2);
+  }
   auto scaled = [scale](size_t base) {
     return static_cast<size_t>(static_cast<double>(base) * scale) + 1;
   };
