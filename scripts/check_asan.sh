@@ -47,7 +47,8 @@ export ASAN_OPTIONS="halt_on_error=1 detect_leaks=1 ${ASAN_OPTIONS:-}"
 export UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1 ${UBSAN_OPTIONS:-}"
 
 "$build/tests/common_test" \
-  --gtest_filter='Varint*:FileIo*:Lz*:JsonValueTest.*' --gtest_brief=1
+  --gtest_filter='Varint*:FileIo*:Lz*:JsonValueTest.*:JsonReaderTest.*:JsonWriterTest.*' \
+  --gtest_brief=1
 "$build/tests/index_test" \
   --gtest_filter='PostingBlocks*:Serialization*:GoldenIndex*:PostingList*' \
   --gtest_brief=1
@@ -69,7 +70,7 @@ export UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1 ${UBSAN_OPTIONS:-}"
 # and the anchor-probe depth count against the merge path, on ids deeper
 # than 64 components too.
 "$build/tests/property_test" \
-  --gtest_filter='*ShardEquivalence*:ShardTieBreaking.*:DiOracle.*:RankOracle.*:*ParentRowInvariants*:*ProbeDepthCount*' \
+  --gtest_filter='*ShardEquivalence*:ShardTieBreaking.*:ShardWireEncoding.*:DiOracle.*:RankOracle.*:*ParentRowInvariants*:*ProbeDepthCount*' \
   --gtest_brief=1
 # The node store's owned-value walk, through its callers: DI, facets and
 # chunks over a real index; a node section with a missing level and

@@ -82,11 +82,15 @@ timeout 10 "$gks" serve "$work/shards/shard_01.gksidx" \
 [[ "$rc" -eq 2 ]] \
   || fail "gks serve --doc-base exited $rc, want 2: $(cat "$work/doc_base.out")"
 
-# start_server <logfile> <args...> — echoes "pid port".
+# start_server <logfile> <args...> — writes "pid port" to <logfile>.pid.
+# It runs in this shell, not in a subshell, so the EXIT trap sees every
+# pid it adds and a start-up `fail` stops the script. Disowned servers
+# die by the trap's kill (or the drill's) without a job notice.
 start_server() {
   local log="$1"; shift
   "$gks" serve "$@" --port=0 --threads=2 > "$log" 2> "$log.err" &
   local pid=$!
+  disown "$pid"
   pids+=("$pid")
   local port=""
   for _ in $(seq 1 100); do
@@ -98,20 +102,21 @@ start_server() {
     sleep 0.1
   done
   [[ -n "$port" ]] || fail "no 'listening on' line in $(cat "$log")"
-  echo "$pid $port"
+  echo "$pid $port" > "$log.pid"
 }
 
-read -r single_pid single_port \
-  < <(start_server "$work/single.log" "$work/single.gksidx")
-read -r w0_pid w0_port < <(start_server "$work/w0.log" \
-    "$work/shards/shard_00.gksidx")
-read -r w1_pid w1_port < <(start_server "$work/w1.log" \
-    "$work/shards/shard_01.gksidx")
-read -r w1r_pid w1r_port < <(start_server "$work/w1r.log" \
-    "$work/shards/shard_01.gksidx")
-read -r coord_pid coord_port < <(start_server "$work/coord.log" \
+start_server "$work/single.log" "$work/single.gksidx"
+read -r single_pid single_port < "$work/single.log.pid"
+start_server "$work/w0.log" "$work/shards/shard_00.gksidx"
+read -r w0_pid w0_port < "$work/w0.log.pid"
+start_server "$work/w1.log" "$work/shards/shard_01.gksidx"
+read -r w1_pid w1_port < "$work/w1.log.pid"
+start_server "$work/w1r.log" "$work/shards/shard_01.gksidx"
+read -r w1r_pid w1r_port < "$work/w1r.log.pid"
+start_server "$work/coord.log" \
     --coord-shards="127.0.0.1:$w0_port,127.0.0.1:$w1_port|127.0.0.1:$w1r_port" \
-    --coord-retries=2 --coord-backoff-ms=5)
+    --coord-retries=2 --coord-backoff-ms=5
+read -r coord_pid coord_port < "$work/coord.log.pid"
 : "$single_pid" "$w0_pid" "$w1r_pid" "$coord_pid"  # tracked via pids[]
 
 queries=("database" "system" "country population" "title")

@@ -90,6 +90,25 @@ expect_usage_error generate dblp "$work/rejected.xml" --scale=1e300
 [[ ! -e "$work/rejected.xml" ]] || fail "a rejected generate wrote its output"
 expect_usage_error client --port=1 --query=x --tpo=3
 
+# `gks batch --print` prints each query's DI block in `gks search`'s
+# format, so a batch comparison between two binaries covers DI too.
+di_block() {  # di_block <file>: the "DI:" line and the indented lines after it
+  awk '/^DI:$/ { on = 1; print; next } on && /^  / { print; next } { on = 0 }' \
+    "$1"
+}
+printf '"Scott Weinstein" databases\n' > "$work/di_query.txt"
+"$gks" search "$work/dblp.gksidx" '"Scott Weinstein" databases' --s=1 \
+    --top=10 --di=5 > "$work/search_di.out" || fail "gks search failed"
+"$gks" batch "$work/dblp.gksidx" "$work/di_query.txt" --print --s=1 \
+    --top=10 --di=5 > "$work/batch_di.out" || fail "gks batch failed"
+di_block "$work/search_di.out" > "$work/search_di.block"
+di_block "$work/batch_di.out" > "$work/batch_di.block"
+[[ "$(wc -l < "$work/search_di.block")" -gt 1 ]] \
+  || fail "gks search printed no DI block: $(cat "$work/search_di.out")"
+cmp -s "$work/search_di.block" "$work/batch_di.block" \
+  || fail "gks batch --print DI differs from gks search:" \
+          "$(diff "$work/search_di.block" "$work/batch_di.block")"
+
 # Starts `gks serve <args>` in the background and sets server_pid and
 # port. --port=0: the kernel picks; parse the bound port from the startup
 # line ("listening on <host>:<port>" is a stable contract of `gks serve`).

@@ -12,11 +12,111 @@
 
 namespace gks {
 
+/// A pull parser over one JSON text: the caller asks for the next value
+/// by kind and walks objects and arrays member by member, so a decoder
+/// can read a document straight into its own types without building a
+/// JsonValue tree. It is the one tokenizer: JsonValue::Parse is built on
+/// it, so both accept exactly the same texts (escapes, surrogate pairs,
+/// number grammar, leading zeros, the depth limit).
+///
+/// Errors are sticky. The first one (InvalidArgument, "json: <what> at
+/// byte <offset>") is kept in status(), and every later call fails
+/// without reading. A loop such as
+///
+///   reader.BeginObject();
+///   while (reader.NextMember(&key)) { ...read exactly one value... }
+///
+/// therefore ends on the closing brace *or* on an error: check ok()
+/// after it.
+class JsonReader {
+ public:
+  /// The kind of a value, judged by its first byte. kInvalid means there
+  /// is no value to read: the input ended, or an error is recorded.
+  enum class Kind {
+    kNull, kBool, kNumber, kString, kArray, kObject, kInvalid
+  };
+
+  /// A number token. `is_int` for a token without fraction or exponent
+  /// that fits int64 (then `int_value` holds it); `double_value` always
+  /// holds the value as a double.
+  struct Number {
+    bool is_int = false;
+    int64_t int_value = 0;
+    double double_value = 0.0;
+  };
+
+  /// `max_depth` bounds how many arrays/objects may enclose a value.
+  explicit JsonReader(std::string_view text, size_t max_depth = 64)
+      : text_(text), max_depth_(max_depth) {}
+
+  bool ok() const { return status_.ok(); }
+  const Status& status() const { return status_; }
+
+  /// The kind of the next value. Reads nothing but whitespace; records
+  /// an error (and returns kInvalid) when no value can start here.
+  Kind Peek();
+
+  /// Enters the object that is the next value.
+  bool BeginObject();
+  /// Reads the next member's key into `*key`, leaving the reader at its
+  /// value, and returns true; consumes the closing brace and returns
+  /// false at the end of the object (or on an error).
+  bool NextMember(std::string* key);
+
+  /// Enters the array that is the next value.
+  bool BeginArray();
+  /// Leaves the reader at the next item and returns true; consumes the
+  /// closing bracket and returns false at the end (or on an error).
+  bool NextItem();
+
+  /// Scalar reads: each fails (recording an error) when the next value
+  /// is of another kind. Peek() first to branch on the kind instead.
+  bool ReadString(std::string* out);
+  bool ReadBool(bool* out);
+  bool ReadNull();
+  bool ReadNumber(Number* out);
+
+  /// Reads past the next value, validating it as fully as a read would.
+  bool Skip();
+
+  /// Succeeds when only whitespace follows: one text is one value.
+  bool Finish();
+
+ private:
+  bool Fail(const char* what);
+  void SkipWhitespace();
+  /// Positions at the next value's first byte: checks the depth and the
+  /// end of input.
+  bool StartValue();
+  /// Decodes the string whose opening quote is the next byte.
+  bool ParseString(std::string* out);
+  bool ReadLiteral(std::string_view literal);
+  bool ReadHex4(uint32_t* out);
+  /// Scans a number token; `*integral` when it has no fraction or
+  /// exponent.
+  bool ScanNumber(std::string_view* token, bool* integral);
+  /// The step NextMember and NextItem share: true when an element
+  /// follows, false after consuming `close` (or on an error).
+  bool NextElement(char close);
+
+  std::string_view text_;
+  size_t max_depth_;
+  size_t pos_ = 0;
+  size_t depth_ = 0;  // open arrays and objects
+  // True right after an open bracket: the next element takes no comma.
+  // A closed container is an element of its parent, so closing clears
+  // it, which is why one flag serves every nesting level.
+  bool first_ = false;
+  std::string scratch_;  // keys and strings that Skip() reads past
+  Status status_;
+};
+
 /// A parsed JSON document — the read-side counterpart of JsonWriter.
 /// Built for the server wire protocol (one request object per line) and
 /// for test assertions over server/CLI JSON output, so it favours a small
 /// immutable tree over speed tricks: parse once, navigate with typed
-/// accessors, throw nothing.
+/// accessors, throw nothing. Decoders on a hot path read with
+/// JsonReader instead.
 ///
 /// Numbers keep both representations: every number parses as a double;
 /// integral tokens that fit int64 additionally report is_int(), which is
@@ -67,7 +167,8 @@ class JsonValue {
   size_t size() const { return is_array() ? items().size() : 0; }
 
   /// Object member lookup: nullptr when absent or not an object. Members
-  /// preserve no insertion order (sorted by key).
+  /// preserve no insertion order (sorted by key); of a key that appears
+  /// twice, the last value wins.
   const JsonValue* Find(std::string_view key) const;
   bool Has(std::string_view key) const { return Find(key) != nullptr; }
   const std::map<std::string, JsonValue, std::less<>>& members() const;
@@ -79,7 +180,8 @@ class JsonValue {
   static JsonValue MakeString(std::string v);
 
  private:
-  friend class JsonParser;
+  /// Reads the reader's next value into `out`, recursively.
+  static bool Read(JsonReader* reader, JsonValue* out);
 
   Kind kind_ = Kind::kNull;
   bool bool_ = false;

@@ -1,6 +1,7 @@
 #ifndef GKS_COMMON_JSON_WRITER_H_
 #define GKS_COMMON_JSON_WRITER_H_
 
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -56,16 +57,12 @@ class JsonWriter {
   }
   JsonWriter& UInt(uint64_t value) {
     ValuePrefix();
-    char buf[24];
-    std::snprintf(buf, sizeof(buf), "%llu", (unsigned long long)value);
-    out_ += buf;
+    AppendInteger(value);
     return *this;
   }
   JsonWriter& Int(int64_t value) {
     ValuePrefix();
-    char buf[24];
-    std::snprintf(buf, sizeof(buf), "%lld", (long long)value);
-    out_ += buf;
+    AppendInteger(value);
     return *this;
   }
   /// Fixed-precision double (default 3 decimals — millisecond timings).
@@ -102,25 +99,37 @@ class JsonWriter {
     }
     Comma();
   }
+  template <typename Integer>
+  void AppendInteger(Integer value) {
+    char buf[24];  // 20 digits of UINT64_MAX, or a sign and 19 digits
+    out_.append(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
+  }
+  /// Quotes `s`, escaping '"', '\\' and bytes below 0x20. Every other
+  /// byte, UTF-8 included, passes through; each run of such bytes is
+  /// appended in one call.
   void AppendEscaped(std::string_view s) {
+    static constexpr char kHex[] = "0123456789abcdef";
     out_ += '"';
-    for (char c : s) {
+    size_t run = 0;  // first byte not yet appended
+    for (size_t i = 0; i < s.size(); ++i) {
+      const unsigned char c = static_cast<unsigned char>(s[i]);
+      if (c >= 0x20 && c != '"' && c != '\\') continue;
+      out_.append(s.data() + run, i - run);
+      run = i + 1;
       switch (c) {
         case '"': out_ += "\\\""; break;
         case '\\': out_ += "\\\\"; break;
         case '\n': out_ += "\\n"; break;
         case '\r': out_ += "\\r"; break;
         case '\t': out_ += "\\t"; break;
-        default:
-          if (static_cast<unsigned char>(c) < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-            out_ += buf;
-          } else {
-            out_ += c;
-          }
+        default: {
+          const char escape[] = {'\\', 'u', '0', '0', kHex[c >> 4],
+                                 kHex[c & 15]};
+          out_.append(escape, sizeof(escape));
+        }
       }
     }
+    out_.append(s.data() + run, s.size() - run);
     out_ += '"';
   }
 

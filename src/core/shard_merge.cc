@@ -1,41 +1,50 @@
 #include "core/shard_merge.h"
 
 #include <algorithm>
-#include <cerrno>
-#include <cstdio>
-#include <cstdlib>
+#include <charconv>
 #include <cstring>
 #include <utility>
 
 namespace gks {
 
+namespace {
+
+/// Lowercase hex of `value`, left-padded with zeros to `min_digits`.
+std::string Hex(uint64_t value, size_t min_digits) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  char buf[16];
+  size_t begin = sizeof(buf);
+  do {
+    buf[--begin] = kDigits[value & 15];
+    value >>= 4;
+  } while (value != 0 || sizeof(buf) - begin < min_digits);
+  return std::string(buf + begin, sizeof(buf) - begin);
+}
+
+}  // namespace
+
 std::string EncodeDoubleBits(double value) {
   uint64_t bits = 0;
   std::memcpy(&bits, &value, sizeof(bits));
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%016llx", (unsigned long long)bits);
-  return buf;
+  return Hex(bits, 16);
 }
 
-bool DecodeDoubleBits(const std::string& hex, double* value) {
+bool DecodeDoubleBits(std::string_view hex, double* value) {
   uint64_t bits = 0;
   if (!DecodeMaskBits(hex, &bits)) return false;
   std::memcpy(value, &bits, sizeof(bits));
   return true;
 }
 
-std::string EncodeMaskBits(uint64_t mask) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%llx", (unsigned long long)mask);
-  return buf;
-}
+std::string EncodeMaskBits(uint64_t mask) { return Hex(mask, 1); }
 
-bool DecodeMaskBits(const std::string& hex, uint64_t* mask) {
+bool DecodeMaskBits(std::string_view hex, uint64_t* mask) {
+  // 1-16 hex digits and nothing else: no sign, no "0x", no whitespace.
   if (hex.empty() || hex.size() > 16) return false;
-  char* end = nullptr;
-  errno = 0;
-  unsigned long long parsed = std::strtoull(hex.c_str(), &end, 16);
-  if (errno != 0 || end != hex.c_str() + hex.size()) return false;
+  const char* end = hex.data() + hex.size();
+  uint64_t parsed = 0;
+  auto [ptr, ec] = std::from_chars(hex.data(), end, parsed, 16);
+  if (ec != std::errc() || ptr != end) return false;
   *mask = parsed;
   return true;
 }

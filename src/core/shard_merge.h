@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/di.h"
@@ -77,11 +78,13 @@ MergedShardResult MergeShardResults(const Query& query,
 
 /// Exact double <-> wire encoding: lowercase hex of the IEEE-754 bit
 /// pattern (16 digits). The display `rank` field stays the human-readable
-/// 3-decimal double; these carry the lossless value.
+/// 3-decimal double; these carry the lossless value. A keyword mask is
+/// its lowercase hex without leading zeros. The decoders accept exactly
+/// 1-16 hex digits of either case: no sign, prefix or whitespace.
 std::string EncodeDoubleBits(double value);
-bool DecodeDoubleBits(const std::string& hex, double* value);
+bool DecodeDoubleBits(std::string_view hex, double* value);
 std::string EncodeMaskBits(uint64_t mask);
-bool DecodeMaskBits(const std::string& hex, uint64_t* mask);
+bool DecodeMaskBits(std::string_view hex, uint64_t* mask);
 
 }  // namespace gks
 

@@ -247,11 +247,23 @@ int RunClientCommand(const FlagParser& flags) {
     }
     if (const JsonValue* metrics = response->Find("metrics")) {
       // Metrics come back as a full registry snapshot; print counter
-      // lines, which is what operators grep for.
+      // lines, which is what operators grep for, then each histogram's
+      // count, sum and mean (a stage's time per observation).
       if (const JsonValue* counters = metrics->Find("counters")) {
         for (const auto& [name, value] : counters->members()) {
           std::printf("%-44s %lld\n", name.c_str(),
                       (long long)value.GetInt());
+        }
+      }
+      if (const JsonValue* histograms = metrics->Find("histograms")) {
+        for (const auto& [name, value] : histograms->members()) {
+          const JsonValue* count = value.Find("count");
+          const JsonValue* sum = value.Find("sum");
+          const int64_t n = count != nullptr ? count->GetInt() : 0;
+          const double total = sum != nullptr ? sum->GetDouble() : 0.0;
+          std::printf("histogram %-44s count=%lld sum=%.3f mean=%.3f\n",
+                      name.c_str(), (long long)n, total,
+                      n > 0 ? total / static_cast<double>(n) : 0.0);
         }
       }
     }

@@ -1,8 +1,8 @@
 #include "server/coordinator.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
-#include <optional>
 #include <thread>
 #include <utility>
 
@@ -83,153 +83,347 @@ std::string BuildShardRequestLine(const WireRequest& request,
   return json.Take() + "\n";
 }
 
-/// Reads a required non-negative integer member. A missing or wrong-kind
-/// value, or a negative one (which would wrap into a huge count), is a
-/// malformed partial.
-bool ReadCount(const JsonValue& object, std::string_view key, uint64_t* out,
-               std::string* error) {
-  const JsonValue* value = object.Find(key);
-  if (value == nullptr || !value->is_int() || value->GetInt() < 0) {
-    *error = "bad or missing \"" + std::string(key) + "\"";
-    return false;
-  }
-  *out = static_cast<uint64_t>(value->GetInt());
-  return true;
-}
+/// Decodes a worker's reply line straight into the merge input, in one
+/// streaming pass and without a JsonValue tree (docs/DISTRIBUTED.md).
+/// Members may come in any order: a node's `di_contrib` indices are kept
+/// and resolved once the whole line, `di_dict` included, has been read.
+/// Unknown members are validated and skipped; a member the decoder reads
+/// may appear only once.
+///
+/// Decode() accepts only a well-formed `"ok": true` partial. On anything
+/// else it returns false with error() saying what it found, and
+/// ReadRejectedReply decides how the coordinator answers. `describe_top`
+/// is the `top` the request forwarded (0 = none): the first min(top,
+/// nodes) nodes must carry `doc` and `describe`, and the nodes must
+/// arrive in merge order, so the merged top can only reach nodes with
+/// display strings. `atom_count` is the query's: a node's keyword mask
+/// names only query atoms, as many as its `keywords`.
+class PartialDecoder {
+ public:
+  PartialDecoder(std::string_view line, size_t describe_top,
+                 size_t atom_count, ShardPartialResult* out)
+      : reader_(line),
+        describe_top_(describe_top),
+        atom_count_(atom_count),
+        out_(out) {}
 
-/// Decodes a partial's "di_dict": the distinct contributions its nodes'
-/// "di_contrib" arrays index into.
-bool ParseDiDictionary(const JsonValue& root,
-                       std::vector<DiContribution>* out, std::string* error) {
-  const JsonValue* dict = root.Find("di_dict");
-  if (dict == nullptr) return true;
-  if (!dict->is_array()) {
-    *error = "bad di_dict";
-    return false;
-  }
-  out->reserve(dict->size());
-  for (const JsonValue& entry : dict->items()) {
-    // [tag, value, path step, path step, ...], all strings.
-    const std::vector<JsonValue>& fields = entry.items();
-    bool well_formed = fields.size() >= 2;
-    for (const JsonValue& field : fields) {
-      well_formed = well_formed && field.is_string();
-    }
-    if (!well_formed) {
-      *error = "bad di_dict entry";
-      return false;
-    }
-    DiContribution contribution;
-    contribution.tag = fields[0].GetString();
-    contribution.value = fields[1].GetString();
-    for (size_t i = 2; i < fields.size(); ++i) {
-      contribution.path.push_back(fields[i].GetString());
-    }
-    out->push_back(std::move(contribution));
-  }
-  return true;
-}
-
-/// Decodes a worker's success envelope into the merge input. A malformed
-/// response reads as a transport failure (retryable on a mirror), never
-/// as partial data. `describe_top` is the `top` the request forwarded
-/// (0 = none): the first min(top, nodes) nodes must carry `doc` and
-/// `describe`, and the nodes must arrive in merge order, so the merged
-/// top can only reach nodes with display strings.
-bool ParseShardPartial(const JsonValue& root, size_t describe_top,
-                       ShardPartialResult* out, std::string* error) {
-  const JsonValue* plan = root.Find("plan");
-  const JsonValue* nodes = root.Find("nodes");
-  if (!ReadCount(root, "epoch", &out->epoch, error) ||
-      !ReadCount(root, "merged_list_size", &out->merged_list_size, error) ||
-      !ReadCount(root, "candidates", &out->candidate_count, error)) {
-    return false;
-  }
-  if (nodes == nullptr || !nodes->is_array()) {
-    *error = "shard response missing summary fields";
-    return false;
-  }
-  if (plan == nullptr || !plan->is_string() ||
-      !ParsePlanMode(plan->GetString(), &out->plan)) {
-    *error = "shard response missing plan";
-    return false;
-  }
-  std::vector<DiContribution> dictionary;
-  if (!ParseDiDictionary(root, &dictionary, error)) return false;
-  const size_t described = describe_top == 0
-                               ? nodes->size()
-                               : std::min(describe_top, nodes->size());
-  out->nodes.reserve(nodes->size());
-  for (const JsonValue& entry : nodes->items()) {
-    const JsonValue* id = entry.Find("id");
-    const JsonValue* mask = entry.Find("mask");
-    const JsonValue* rank_bits = entry.Find("rank_bits");
-    if (id == nullptr || !id->is_string() || mask == nullptr ||
-        !mask->is_string() || rank_bits == nullptr ||
-        !rank_bits->is_string()) {
-      *error = "shard node missing id/mask/rank_bits (worker not in "
-               "shard mode?)";
-      return false;
-    }
-    ShardResultNode node;
-    Result<DeweyId> dewey = DeweyId::Parse(id->GetString());
-    if (!dewey.ok()) {
-      *error = "bad node id: " + dewey.status().ToString();
-      return false;
-    }
-    node.node.id = std::move(*dewey);
-    // A NaN rank would also break the merge sort's strict weak order.
-    if (!DecodeMaskBits(mask->GetString(), &node.node.keyword_mask) ||
-        !DecodeDoubleBits(rank_bits->GetString(), &node.node.rank) ||
-        std::isnan(node.node.rank)) {
-      *error = "bad mask/rank_bits encoding";
-      return false;
-    }
-    const JsonValue* lce = entry.Find("lce");
-    if (lce == nullptr || !lce->is_bool()) {
-      *error = "bad or missing \"lce\"";
-      return false;
-    }
-    node.node.is_lce = lce->GetBool();
-    uint64_t keywords = 0;
-    if (!ReadCount(entry, "keywords", &keywords, error)) return false;
-    if (keywords > 64) {  // a query has at most 64 keywords
-      *error = "bad \"keywords\"";
-      return false;
-    }
-    node.node.keyword_count = static_cast<uint32_t>(keywords);
-    if (!out->nodes.empty() && RanksBefore(node.node, out->nodes.back().node)) {
-      *error = "shard nodes out of rank order";
-      return false;
-    }
-    const JsonValue* doc = entry.Find("doc");
-    const JsonValue* describe = entry.Find("describe");
-    if (doc != nullptr) node.doc_name = doc->GetString();
-    if (describe != nullptr) node.describe = describe->GetString();
-    if (out->nodes.size() < described &&
-        (doc == nullptr || !doc->is_string() || node.describe.empty())) {
-      *error = "shard node " + std::to_string(out->nodes.size()) +
-               " lacks doc/describe inside the forwarded top";
-      return false;
-    }
-    if (const JsonValue* contrib = entry.Find("di_contrib")) {
-      if (!contrib->is_array()) {
-        *error = "bad di_contrib";
-        return false;
-      }
-      node.di.reserve(contrib->size());
-      for (const JsonValue& item : contrib->items()) {
-        if (!item.is_int() || item.GetInt() < 0 ||
-            static_cast<uint64_t>(item.GetInt()) >= dictionary.size()) {
-          *error = "di_contrib index outside di_dict";
+  bool Decode() {
+    enum : uint32_t {
+      kOk = 1, kEpoch = 2, kMergedListSize = 4, kCandidates = 8,
+      kPlan = 16, kNodes = 32, kDiDict = 64,
+    };
+    *out_ = ShardPartialResult();
+    uint32_t seen = 0;
+    if (!reader_.BeginObject()) return false;
+    while (reader_.NextMember(&key_)) {
+      if (key_ == "ok") {
+        bool ok = false;
+        if (!Once(&seen, kOk) || !reader_.ReadBool(&ok)) return false;
+        if (!ok) return Violation("shard refused the query");
+      } else if (key_ == "epoch") {
+        if (!Once(&seen, kEpoch) || !ReadCount(&out_->epoch)) return false;
+      } else if (key_ == "merged_list_size") {
+        if (!Once(&seen, kMergedListSize) ||
+            !ReadCount(&out_->merged_list_size)) {
           return false;
         }
-        node.di.push_back(dictionary[static_cast<size_t>(item.GetInt())]);
+      } else if (key_ == "candidates") {
+        if (!Once(&seen, kCandidates) || !ReadCount(&out_->candidate_count)) {
+          return false;
+        }
+      } else if (key_ == "plan") {
+        if (!Once(&seen, kPlan)) return false;
+        if (reader_.Peek() != JsonReader::Kind::kString ||
+            !reader_.ReadString(&text_) ||
+            !ParsePlanMode(text_, &out_->plan)) {
+          return Violation("shard response missing plan");
+        }
+      } else if (key_ == "nodes") {
+        if (!Once(&seen, kNodes) || !ReadNodes()) return false;
+      } else if (key_ == "di_dict") {
+        if (!Once(&seen, kDiDict) || !ReadDictionary()) return false;
+      } else if (!reader_.Skip()) {
+        return false;
       }
     }
-    out->nodes.push_back(std::move(node));
+    if (!reader_.Finish()) return false;
+    if (!(seen & kOk)) return Violation("shard response lacks \"ok\"");
+    if (!(seen & kEpoch)) return Violation("bad or missing \"epoch\"");
+    if (!(seen & kMergedListSize)) {
+      return Violation("bad or missing \"merged_list_size\"");
+    }
+    if (!(seen & kCandidates)) {
+      return Violation("bad or missing \"candidates\"");
+    }
+    if (!(seen & kNodes)) {
+      return Violation("shard response missing summary fields");
+    }
+    if (!(seen & kPlan)) return Violation("shard response missing plan");
+    return ResolveContributions();
   }
-  return true;
+
+  /// What Decode() found: the JSON error, or the broken contract.
+  const std::string& error() const {
+    return reader_.ok() ? violation_ : reader_.status().message();
+  }
+
+ private:
+  bool Violation(std::string what) {
+    violation_ = std::move(what);
+    return false;
+  }
+
+  /// Marks the member in `key_` as read; a second one is malformed.
+  bool Once(uint32_t* seen, uint32_t member) {
+    if (*seen & member) return Violation("repeated member \"" + key_ + "\"");
+    *seen |= member;
+    return true;
+  }
+
+  /// Reads a required non-negative integer member. A wrong-kind value,
+  /// or a negative one (which would wrap into a huge count), is a
+  /// malformed partial.
+  bool ReadCount(uint64_t* out) {
+    JsonReader::Number number;
+    if (reader_.Peek() != JsonReader::Kind::kNumber ||
+        !reader_.ReadNumber(&number) || !number.is_int ||
+        number.int_value < 0) {
+      return Violation("bad or missing \"" + key_ + "\"");
+    }
+    *out = static_cast<uint64_t>(number.int_value);
+    return true;
+  }
+
+  /// The partial's "di_dict": the distinct contributions its nodes'
+  /// "di_contrib" arrays index into.
+  bool ReadDictionary() {
+    if (reader_.Peek() != JsonReader::Kind::kArray) {
+      return Violation("bad di_dict");
+    }
+    reader_.BeginArray();
+    while (reader_.NextItem()) {
+      // [tag, value, path step, path step, ...], all strings.
+      if (reader_.Peek() != JsonReader::Kind::kArray) {
+        return Violation("bad di_dict entry");
+      }
+      DiContribution& entry = dictionary_.emplace_back();
+      size_t fields = 0;
+      reader_.BeginArray();
+      while (reader_.NextItem()) {
+        if (reader_.Peek() != JsonReader::Kind::kString) {
+          return Violation("bad di_dict entry");
+        }
+        reader_.ReadString(fields == 0   ? &entry.tag
+                           : fields == 1 ? &entry.value
+                                         : &entry.path.emplace_back());
+        ++fields;
+      }
+      if (!reader_.ok()) return false;
+      if (fields < 2) return Violation("bad di_dict entry");
+    }
+    return reader_.ok();
+  }
+
+  bool ReadNodes() {
+    if (reader_.Peek() != JsonReader::Kind::kArray) {
+      return Violation("shard response missing summary fields");
+    }
+    reader_.BeginArray();
+    while (reader_.NextItem()) {
+      if (!ReadNode()) return false;
+    }
+    return reader_.ok();
+  }
+
+  /// Reads one of a node's id / mask / rank_bits strings into `text_`.
+  bool ReadNodeString() {
+    if (reader_.Peek() != JsonReader::Kind::kString) return MissingIds();
+    return reader_.ReadString(&text_);
+  }
+  bool MissingIds() {
+    return Violation(
+        "shard node missing id/mask/rank_bits (worker not in shard mode?)");
+  }
+
+  bool ReadNode() {
+    enum : uint32_t {
+      kId = 1, kMask = 2, kRankBits = 4, kLce = 8, kKeywords = 16,
+      kDoc = 32, kDescribe = 64, kDiContrib = 128,
+    };
+    if (reader_.Peek() != JsonReader::Kind::kObject) return MissingIds();
+    const size_t position = out_->nodes.size();
+    ShardResultNode& node = out_->nodes.emplace_back();
+    uint32_t seen = 0;
+    bool has_doc = false;
+    reader_.BeginObject();
+    while (reader_.NextMember(&key_)) {
+      if (key_ == "id") {
+        if (!Once(&seen, kId) || !ReadNodeString()) return false;
+        Result<DeweyId> dewey = DeweyId::Parse(text_);
+        if (!dewey.ok()) {
+          return Violation("bad node id: " + dewey.status().ToString());
+        }
+        node.node.id = std::move(*dewey);
+      } else if (key_ == "mask") {
+        if (!Once(&seen, kMask) || !ReadNodeString()) return false;
+        if (!DecodeMaskBits(text_, &node.node.keyword_mask)) {
+          return Violation("bad mask/rank_bits encoding");
+        }
+      } else if (key_ == "rank_bits") {
+        if (!Once(&seen, kRankBits) || !ReadNodeString()) return false;
+        // A NaN rank would also break the merge sort's strict weak order.
+        if (!DecodeDoubleBits(text_, &node.node.rank) ||
+            std::isnan(node.node.rank)) {
+          return Violation("bad mask/rank_bits encoding");
+        }
+      } else if (key_ == "lce") {
+        if (!Once(&seen, kLce)) return false;
+        if (reader_.Peek() != JsonReader::Kind::kBool) {
+          return Violation("bad or missing \"lce\"");
+        }
+        reader_.ReadBool(&node.node.is_lce);
+      } else if (key_ == "keywords") {
+        uint64_t keywords = 0;
+        if (!Once(&seen, kKeywords) || !ReadCount(&keywords)) return false;
+        if (keywords > 64) {  // a query has at most 64 keywords
+          return Violation("bad \"keywords\"");
+        }
+        node.node.keyword_count = static_cast<uint32_t>(keywords);
+      } else if (key_ == "doc" || key_ == "describe") {
+        const bool is_doc = key_ == "doc";
+        if (!Once(&seen, is_doc ? kDoc : kDescribe)) return false;
+        // A display string of another kind reads as absent, which only
+        // the described top rejects (below).
+        if (reader_.Peek() != JsonReader::Kind::kString) {
+          if (!reader_.Skip()) return false;
+          continue;
+        }
+        reader_.ReadString(is_doc ? &node.doc_name : &node.describe);
+        if (is_doc) has_doc = true;
+      } else if (key_ == "di_contrib") {
+        if (!Once(&seen, kDiContrib)) return false;
+        if (reader_.Peek() != JsonReader::Kind::kArray) {
+          return Violation("bad di_contrib");
+        }
+        reader_.BeginArray();
+        while (reader_.NextItem()) {
+          JsonReader::Number index;
+          if (reader_.Peek() != JsonReader::Kind::kNumber ||
+              !reader_.ReadNumber(&index) || !index.is_int ||
+              index.int_value < 0) {
+            return Violation("di_contrib index outside di_dict");
+          }
+          contributions_.push_back(static_cast<uint64_t>(index.int_value));
+        }
+      } else if (!reader_.Skip()) {
+        return false;
+      }
+    }
+    if (!reader_.ok()) return false;
+    contribution_ends_.push_back(contributions_.size());
+    if ((seen & (kId | kMask | kRankBits)) != (kId | kMask | kRankBits)) {
+      return MissingIds();
+    }
+    if (!(seen & kLce)) return Violation("bad or missing \"lce\"");
+    if (!(seen & kKeywords)) return Violation("bad or missing \"keywords\"");
+    const uint64_t mask = node.node.keyword_mask;
+    if (static_cast<uint32_t>(std::popcount(mask)) !=
+        node.node.keyword_count) {
+      return Violation("mask disagrees with \"keywords\"");
+    }
+    if (atom_count_ < 64 && (mask >> atom_count_) != 0) {
+      return Violation("mask names a keyword the query lacks");
+    }
+    if (position > 0 &&
+        RanksBefore(node.node, out_->nodes[position - 1].node)) {
+      return Violation("shard nodes out of rank order");
+    }
+    if ((describe_top_ == 0 || position < describe_top_) &&
+        (!has_doc || node.describe.empty())) {
+      return Violation("shard node " + std::to_string(position) +
+                       " lacks doc/describe inside the forwarded top");
+    }
+    return true;
+  }
+
+  /// Expands each node's `di_contrib` indices into its contribution
+  /// list, now that the dictionary is complete.
+  bool ResolveContributions() {
+    size_t next = 0;
+    for (size_t i = 0; i < out_->nodes.size(); ++i) {
+      std::vector<DiContribution>& di = out_->nodes[i].di;
+      di.reserve(contribution_ends_[i] - next);
+      for (; next < contribution_ends_[i]; ++next) {
+        if (contributions_[next] >= dictionary_.size()) {
+          return Violation("di_contrib index outside di_dict");
+        }
+        di.push_back(dictionary_[contributions_[next]]);
+      }
+    }
+    return true;
+  }
+
+  JsonReader reader_;
+  const size_t describe_top_;
+  const size_t atom_count_;
+  ShardPartialResult* out_;
+  std::string key_;   // the member being read
+  std::string text_;  // a string value being decoded
+  std::string violation_;
+  std::vector<DiContribution> dictionary_;
+  // Every node's di_contrib indices, concatenated in node order; node i's
+  // end at contribution_ends_[i].
+  std::vector<uint64_t> contributions_;
+  std::vector<size_t> contribution_ends_;
+};
+
+/// A reply line PartialDecoder rejected, read for what the coordinator
+/// answers, by the precedence the line's JSON sets: bytes that are not
+/// one JSON object with exactly one "ok", a boolean, are unparseable;
+/// `"ok": false` is the worker's own refusal, passed on with its "error"
+/// and "message"; any other line is a malformed partial.
+struct RejectedReply {
+  enum class Kind { kUnparseable, kRefusal, kMalformed };
+  Kind kind = Kind::kUnparseable;
+  std::string code = std::string(wire_error::kSearchFailed);
+  std::string message = "shard error";
+};
+
+RejectedReply ReadRejectedReply(std::string_view line) {
+  RejectedReply reply;
+  JsonReader reader(line);
+  if (reader.Peek() != JsonReader::Kind::kObject) return reply;
+  size_t oks = 0;
+  bool ok_is_bool = false;
+  bool ok = false;
+  std::string key;
+  reader.BeginObject();
+  while (reader.NextMember(&key)) {
+    if (key == "ok") {
+      ++oks;
+      ok_is_bool = reader.Peek() == JsonReader::Kind::kBool;
+      if (ok_is_bool) {
+        reader.ReadBool(&ok);
+      } else {
+        reader.Skip();
+      }
+    } else if (key == "error" || key == "message") {
+      // A non-string "error" or "message" reads as empty.
+      std::string* text = key == "error" ? &reply.code : &reply.message;
+      text->clear();
+      if (reader.Peek() == JsonReader::Kind::kString) {
+        reader.ReadString(text);
+      } else {
+        reader.Skip();
+      }
+    } else {
+      reader.Skip();
+    }
+  }
+  if (!reader.Finish() || oks != 1 || !ok_is_bool) return reply;
+  reply.kind = ok ? RejectedReply::Kind::kMalformed
+                  : RejectedReply::Kind::kRefusal;
+  return reply;
 }
 
 }  // namespace
@@ -450,35 +644,29 @@ ShardCoordinator::AttemptResult ShardCoordinator::TryEndpoint(
   shard_latency_ms_->Observe(latency.ElapsedMillis());
 
   WallTimer decode;
-  Result<JsonValue> root = JsonValue::Parse(line);
-  if (!root.ok() || !root->is_object() || root->Find("ok") == nullptr ||
-      !root->Find("ok")->is_bool()) {
+  PartialDecoder decoder(line, request.describe_top, request.atom_count,
+                         partial);
+  if (!decoder.Decode()) {
     net::CloseFd(conn.fd());
-    *code = std::string(wire_error::kShardUnavailable);
-    *message = endpoint.address.ToString() + ": unparseable shard response";
-    return AttemptResult::kRetryable;
-  }
-  if (!root->Find("ok")->GetBool()) {
-    // A well-formed refusal: the stream stays framed, but a failing
-    // worker should not be repooled ahead of healthy reuse.
-    net::CloseFd(conn.fd());
-    const JsonValue* error = root->Find("error");
-    const JsonValue* error_message = root->Find("message");
-    *code = error != nullptr ? error->GetString()
-                             : std::string(wire_error::kSearchFailed);
-    *message = endpoint.address.ToString() + ": " +
-               (error_message != nullptr ? error_message->GetString()
-                                         : "shard error");
-    return IsRetryableWireError(*code) ? AttemptResult::kRetryable
-                                       : AttemptResult::kFatal;
-  }
-  std::string parse_error;
-  if (!ParseShardPartial(*root, request.describe_top, partial,
-                         &parse_error)) {
-    net::CloseFd(conn.fd());
-    *code = std::string(wire_error::kShardUnavailable);
-    *message = endpoint.address.ToString() + ": " + parse_error;
-    return AttemptResult::kRetryable;
+    const RejectedReply reply = ReadRejectedReply(line);
+    switch (reply.kind) {
+      case RejectedReply::Kind::kUnparseable:
+        *code = std::string(wire_error::kShardUnavailable);
+        *message =
+            endpoint.address.ToString() + ": unparseable shard response";
+        return AttemptResult::kRetryable;
+      case RejectedReply::Kind::kRefusal:
+        // A well-formed refusal: the stream stays framed, but a failing
+        // worker should not be repooled ahead of healthy reuse.
+        *code = reply.code;
+        *message = endpoint.address.ToString() + ": " + reply.message;
+        return IsRetryableWireError(*code) ? AttemptResult::kRetryable
+                                           : AttemptResult::kFatal;
+      case RejectedReply::Kind::kMalformed:
+        *code = std::string(wire_error::kShardUnavailable);
+        *message = endpoint.address.ToString() + ": " + decoder.error();
+        return AttemptResult::kRetryable;
+    }
   }
   // Metrics rather than spans: this runs on a pool thread, which has no
   // trace collector.
@@ -558,7 +746,7 @@ std::string ShardCoordinator::Execute(const WireRequest& request,
       request.options.discover_di && request.options.di_top_m > 0;
   const ShardRequest shard_request{
       BuildShardRequestLine(request, want_contrib),
-      request.options.max_results};
+      request.options.max_results, query->size()};
   const auto deadline =
       std::chrono::steady_clock::now() +
       std::chrono::microseconds(

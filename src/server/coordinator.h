@@ -110,10 +110,12 @@ class ShardCoordinator {
   enum class AttemptResult { kSuccess, kRetryable, kFatal };
 
   /// What every shard is sent: the request line, plus the `top` it
-  /// forwards, which bounds the nodes a partial must describe.
+  /// forwards, which bounds the nodes a partial must describe, and the
+  /// query's atom count, which bounds each node's keyword mask.
   struct ShardRequest {
     std::string line;
     size_t describe_top = 0;
+    size_t atom_count = 0;
   };
 
   struct ShardOutcome {

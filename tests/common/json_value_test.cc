@@ -1,6 +1,7 @@
 #include "common/json_value.h"
 
 #include <string>
+#include <vector>
 
 #include "gtest/gtest.h"
 
@@ -114,6 +115,16 @@ TEST(JsonValueTest, EnforcesDepthLimit) {
   EXPECT_FALSE(JsonValue::Parse(shallow, 2).ok());
 }
 
+TEST(JsonValueTest, LastDuplicateKeyWinsAndMembersIterateInKeyOrder) {
+  auto value = JsonValue::Parse(R"({"b":1,"a":2,"c":{"x":1},"b":3,"c":4})");
+  ASSERT_TRUE(value.ok()) << value.status().ToString();
+  EXPECT_EQ(value->Find("b")->GetInt(), 3);
+  EXPECT_EQ(value->Find("c")->GetInt(), 4);  // an object replaced by a number
+  std::vector<std::string> keys;
+  for (const auto& [key, member] : value->members()) keys.push_back(key);
+  EXPECT_EQ(keys, (std::vector<std::string>{"a", "b", "c"}));
+}
+
 TEST(JsonValueTest, LenientAccessorsReturnDefaults) {
   auto value = JsonValue::Parse("{\"n\": 3}");
   ASSERT_TRUE(value.ok());
@@ -164,6 +175,89 @@ TEST(JsonValueTest, RoundTripsWireShapedResponses) {
   EXPECT_EQ(node.Find("id")->GetString(), "1.3.2");
   EXPECT_EQ(node.Find("keywords")->size(), 2u);
   EXPECT_DOUBLE_EQ(node.Find("rank")->GetDouble(), 0.91);
+}
+
+TEST(JsonReaderTest, WalksMembersInTextOrder) {
+  JsonReader reader(
+      R"( {"z": [1, -2.5, "a\"b\u00e9"], "a": {"t": true, "n": null}} )");
+  std::string key;
+  std::string text;
+  ASSERT_EQ(reader.Peek(), JsonReader::Kind::kObject);
+  ASSERT_TRUE(reader.BeginObject());
+  ASSERT_TRUE(reader.NextMember(&key));
+  EXPECT_EQ(key, "z");
+  ASSERT_TRUE(reader.BeginArray());
+  ASSERT_TRUE(reader.NextItem());
+  JsonReader::Number number;
+  ASSERT_TRUE(reader.ReadNumber(&number));
+  EXPECT_TRUE(number.is_int);
+  EXPECT_EQ(number.int_value, 1);
+  ASSERT_TRUE(reader.NextItem());
+  ASSERT_EQ(reader.Peek(), JsonReader::Kind::kNumber);
+  ASSERT_TRUE(reader.ReadNumber(&number));
+  EXPECT_FALSE(number.is_int);
+  EXPECT_DOUBLE_EQ(number.double_value, -2.5);
+  ASSERT_TRUE(reader.NextItem());
+  ASSERT_TRUE(reader.ReadString(&text));
+  EXPECT_EQ(text, "a\"b\xc3\xa9");
+  EXPECT_FALSE(reader.NextItem());  // the closing bracket
+  ASSERT_TRUE(reader.NextMember(&key));
+  EXPECT_EQ(key, "a");
+  ASSERT_TRUE(reader.BeginObject());
+  ASSERT_TRUE(reader.NextMember(&key));
+  bool flag = false;
+  ASSERT_EQ(reader.Peek(), JsonReader::Kind::kBool);
+  ASSERT_TRUE(reader.ReadBool(&flag));
+  EXPECT_TRUE(flag);
+  ASSERT_TRUE(reader.NextMember(&key));
+  EXPECT_EQ(reader.Peek(), JsonReader::Kind::kNull);
+  ASSERT_TRUE(reader.ReadNull());
+  EXPECT_FALSE(reader.NextMember(&key));
+  EXPECT_FALSE(reader.NextMember(&key));  // the outer closing brace
+  EXPECT_TRUE(reader.ok());
+  EXPECT_TRUE(reader.Finish());
+}
+
+TEST(JsonReaderTest, ErrorsAreStickyAndCarryTheirOffset) {
+  JsonReader reader(R"({"a": 01, "b": 2})");
+  std::string key;
+  ASSERT_TRUE(reader.BeginObject());
+  ASSERT_TRUE(reader.NextMember(&key));
+  JsonReader::Number number;
+  EXPECT_FALSE(reader.ReadNumber(&number));
+  EXPECT_EQ(reader.status().message(), "json: leading zero in number at byte 6");
+  EXPECT_FALSE(reader.NextMember(&key));
+  EXPECT_EQ(reader.Peek(), JsonReader::Kind::kInvalid);
+  EXPECT_FALSE(reader.Finish());
+  EXPECT_EQ(reader.status().message(), "json: leading zero in number at byte 6");
+
+  // A read of the wrong kind is an error, not a conversion.
+  JsonReader wrong_kind("7");
+  std::string text;
+  EXPECT_FALSE(wrong_kind.ReadString(&text));
+  EXPECT_FALSE(wrong_kind.ok());
+}
+
+TEST(JsonReaderTest, SkipAcceptsExactlyWhatParseAccepts) {
+  // Parse reads every value; Skip scans past it. Both must agree on every
+  // input, error message and offset included.
+  for (const char* text :
+       {"", "   ", "{", "[1,]", "{\"a\":}", "{\"a\" 1}", "tru", "nul", "01",
+        "1.", "+1", "--1", "\x01", "{\"a\":1,}", "[1 2]", "{1: 2}", "1 2",
+        "{} x", "[1, ?]", R"("\ud834")", R"("\udd1e")", R"("\q")", "\"abc",
+        R"("\u12")", R"("a\u00e9\ud834\udd1e")", "[[[[1]]]]", "[[[[]]]]",
+        R"({"a":[1,{"b":"\t"}],"c":-0.5e+3,"d":[true,false,null]})",
+        "18446744073709551616", "-9223372036854775808", "\"\x7f\xff\"",
+        " [ ] ", "{\"a\":{\"b\":[{},[]]}}"}) {
+    SCOPED_TRACE(text);
+    Result<JsonValue> parsed = JsonValue::Parse(text, 3);
+    JsonReader reader(text, 3);
+    const bool skipped = reader.Skip() && reader.Finish();
+    EXPECT_EQ(skipped, parsed.ok());
+    if (!parsed.ok()) {
+      EXPECT_EQ(reader.status(), parsed.status());
+    }
+  }
 }
 
 }  // namespace

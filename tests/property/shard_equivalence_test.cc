@@ -371,6 +371,23 @@ TEST(ShardWireEncoding, DoubleAndMaskBitsRoundTripExactly) {
   EXPECT_FALSE(DecodeMaskBits("", &sink));
   EXPECT_FALSE(DecodeMaskBits("xyz", &sink));
   EXPECT_FALSE(DecodeMaskBits("11112222333344445", &sink));  // > 16 digits
+  // Exactly 1-16 hex digits: no sign (strtoull read "-1" as all 64 bits),
+  // no whitespace, no "0x" prefix.
+  double dsink = 0.0;
+  for (const char* bad : {"-1", "+3", " 1f", "1f ", "0x1f", "0X1F", "1f\n",
+                          "-0", "g", "1.5"}) {
+    EXPECT_FALSE(DecodeMaskBits(bad, &sink)) << bad;
+    EXPECT_FALSE(DecodeDoubleBits(bad, &dsink)) << bad;
+  }
+  EXPECT_EQ(sink, 0u);  // a rejected string writes nothing
+  ASSERT_TRUE(DecodeMaskBits("1F", &sink));  // either case decodes
+  EXPECT_EQ(sink, 0x1fu);
+  ASSERT_TRUE(DecodeMaskBits("ffffffffffffffff", &sink));
+  EXPECT_EQ(sink, ~uint64_t{0});
+  EXPECT_EQ(EncodeMaskBits(0), "0");
+  EXPECT_EQ(EncodeMaskBits(0x1f), "1f");
+  EXPECT_EQ(EncodeDoubleBits(1.0), "3ff0000000000000");
+  EXPECT_EQ(EncodeDoubleBits(0.0), "0000000000000000");
 }
 
 }  // namespace

@@ -553,6 +553,19 @@ Result<JsonValue> QueryThroughFake(const std::string& partial,
   return response;
 }
 
+/// As QueryThroughFake, but the raw answer line, normalized.
+std::string AnswerThroughFake(const std::string& partial,
+                              const std::string& request) {
+  FakeWorker fake(partial);
+  auto coord = StartCoordinator(fake.endpoint());
+  ServerConnection connection = ConnectOrDie(*coord);
+  Result<std::string> response = connection.CallRaw(request);
+  connection.Close();
+  Stop(coord);
+  EXPECT_TRUE(response.ok()) << response.status().ToString();
+  return response.ok() ? Normalized(*response) : std::string();
+}
+
 TEST(CoordinatorTest, FakeWorkerPartialDecodes) {
   // The control for the hostile cases below: the second node is past
   // `top` and ships bare, both nodes share dictionary entry 0.
@@ -575,6 +588,63 @@ TEST(CoordinatorTest, FakeWorkerPartialDecodes) {
   EXPECT_DOUBLE_EQ(di.Find("weight")->GetDouble(), 3.0);
   ASSERT_EQ(di.Find("path")->size(), 2u);
   EXPECT_EQ(di.Find("path")->items()[1].GetString(), "year");
+
+  // The decoder reads members in any order and skips what it does not
+  // know: each variant must give the control's answer byte for byte.
+  const std::string request = R"({"query":"keyword","s":1,"top":2,"di":5})";
+  const std::string first = CannedNode(
+      "0", kRankTwo, std::string(kDescribed) + R"(,"di_contrib":[0])");
+  const std::string second = CannedNode(
+      "1", kRankOne, std::string(kDescribed) + R"(,"di_contrib":[0])");
+  const std::string nodes = R"("nodes":[)" + first + "," + second + "]";
+  const std::string dict = R"("di_dict":[["year","2001","article","year"]])";
+  const std::string summary =
+      R"("epoch":1,"s":1,"merged_list_size":2,"candidates":2,"lce":2,)"
+      R"("plan":"merge","elapsed_ms":0.1)";
+  const std::string control =
+      AnswerThroughFake(CannedPartial(first, second), request);
+  ASSERT_NE(control.find(R"("ok":true)"), std::string::npos) << control;
+  const std::vector<std::pair<const char*, std::string>> variants = {
+      {"summary after nodes",
+       "{" + nodes + "," + dict + "," + summary + R"(,"ok":true})"},
+      {"di_dict before nodes",
+       R"({"ok":true,)" + summary + "," + dict + "," + nodes + "}"},
+      {"unknown nested members",
+       R"({"ok":true,"extra":{"a":[1,{"b":null,"c":"é"}],"d":-0.5},)" +
+           summary + "," + dict + R"(,"nodes":[)" +
+           CannedNode("0", kRankTwo,
+                      std::string(kDescribed) +
+                          R"(,"di_contrib":[0],"more":[[],{"x":[true]}])") +
+           "," + second + "]}"},
+  };
+  for (const auto& [label, partial] : variants) {
+    EXPECT_EQ(AnswerThroughFake(partial, request), control) << label;
+  }
+
+  // Escapes in dictionary strings and display strings decode to the
+  // bytes the worker meant; the answer re-escapes them.
+  Result<JsonValue> escaped = QueryThroughFake(
+      CannedPartial(
+          CannedNode("0", kRankTwo,
+                     R"(,"doc":"a\"b.xml","describe":"<té> \\ 0\n")"
+                     R"(,"di_contrib":[0])"),
+          CannedNode("1", kRankOne, R"(,"di_contrib":[0])"),
+          R"([["ye\"ar","20\\01 𝄞","art\/icle","y\tear"]])"),
+      R"({"query":"keyword","s":1,"top":1})");
+  ASSERT_TRUE(escaped.ok()) << escaped.status().ToString();
+  ASSERT_TRUE(escaped->Find("ok")->GetBool())
+      << escaped->Find("message")->GetString();
+  const JsonValue& escaped_node = escaped->Find("nodes")->items()[0];
+  EXPECT_EQ(escaped_node.Find("doc")->GetString(), "a\"b.xml");
+  EXPECT_EQ(escaped_node.Find("describe")->GetString(),
+            "<t\xc3\xa9> \\ 0\n");
+  ASSERT_EQ(escaped->Find("di")->size(), 1u);
+  const JsonValue& escaped_di = escaped->Find("di")->items()[0];
+  EXPECT_EQ(escaped_di.Find("value")->GetString(),
+            "20\\01 \xf0\x9d\x84\x9e");
+  ASSERT_EQ(escaped_di.Find("path")->size(), 2u);
+  EXPECT_EQ(escaped_di.Find("path")->items()[0].GetString(), "art/icle");
+  EXPECT_EQ(escaped_di.Find("path")->items()[1].GetString(), "y\tear");
 }
 
 TEST(CoordinatorTest, NonLceContributionsLeaveDiUnchanged) {
@@ -728,6 +798,44 @@ TEST(CoordinatorTest, HostilePartialsAreShardUnavailable) {
       {"missing keywords",
        tampered(R"("lce":true,"keywords":1,)", R"("lce":true,)"), top1,
        "\"keywords\""},
+      // Each member the decoder reads comes once; the tree it replaced
+      // silently kept the last.
+      {"repeated summary member",
+       tampered(R"("epoch":1)", R"("epoch":1,"epoch":2)"), top1,
+       "repeated member \"epoch\""},
+      {"repeated node member",
+       tampered(R"("lce":true)", R"("lce":true,"lce":false)"), top1,
+       "repeated member \"lce\""},
+      {"repeated di_dict",
+       tampered(R"("di_dict":)", R"("di_dict":[],"di_dict":)"), top1,
+       "repeated member \"di_dict\""},
+      {"repeated ok", tampered(R"("ok":true)", R"("ok":true,"ok":true)"),
+       top1, "unparseable shard response"},
+      {"truncated line", control.substr(0, control.size() / 2), top1,
+       "unparseable shard response"},
+      {"trailing garbage", control + " x", top1,
+       "unparseable shard response"},
+      {"invalid escape past the nodes", tampered(R"("2001")", R"("20\q")"),
+       top1, "unparseable shard response"},
+      // Mask and keywords must agree, and the mask names query atoms
+      // only ("keyword" has one).
+      {"mask popcount above keywords",
+       tampered(R"("mask":"1")", R"("mask":"3")"), top1,
+       "mask disagrees with \"keywords\""},
+      {"empty mask", tampered(R"("mask":"1")", R"("mask":"0")"), top1,
+       "mask disagrees with \"keywords\""},
+      {"mask bit past the query's atoms",
+       tampered(R"("mask":"1")", R"("mask":"2")"), top1,
+       "mask names a keyword the query lacks"},
+      {"signed mask", tampered(R"("mask":"1")", R"("mask":"-1")"), top1,
+       "bad mask/rank_bits encoding"},
+      {"prefixed mask", tampered(R"("mask":"1")", R"("mask":"0x1")"), top1,
+       "bad mask/rank_bits encoding"},
+      {"padded mask", tampered(R"("mask":"1")", R"("mask":" 1")"), top1,
+       "bad mask/rank_bits encoding"},
+      {"signed rank_bits",
+       tampered(kRankTwo, std::string("+") + (kRankTwo + 1)), top1,
+       "bad mask/rank_bits encoding"},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.label);

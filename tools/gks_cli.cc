@@ -114,6 +114,17 @@ bool ParsePlanFlag(const FlagParser& flags, SearchOptions* options) {
   return true;
 }
 
+// The "DI:" block `search` prints, and `batch --print` per query: one
+// line per discovered keyword with its path, weight and support.
+void PrintDi(const SearchResponse& response) {
+  if (response.insights.empty()) return;
+  std::printf("DI:\n");
+  for (const DiKeyword& di : response.insights) {
+    std::printf("  %-50s weight=%.2f support=%u\n", di.ToString().c_str(),
+                di.weight, di.support);
+  }
+}
+
 // Builds with --threads=N workers: documents are parsed into per-file
 // partial indexes on the pool and merged deterministically, so the output
 // is byte-identical to a sequential build (src/index/parallel_build.h).
@@ -241,13 +252,7 @@ int CmdSearch(const FlagParser& flags) {
                   xml::WriteXml(chunker.Build(response->nodes[i])).c_str());
     }
   }
-  if (!response->insights.empty()) {
-    std::printf("DI:\n");
-    for (const DiKeyword& di : response->insights) {
-      std::printf("  %-50s weight=%.2f support=%u\n", di.ToString().c_str(),
-                  di.weight, di.support);
-    }
-  }
+  PrintDi(*response);
   for (const RefinementSuggestion& suggestion : response->refinements) {
     std::printf("refine: {");
     for (size_t i = 0; i < suggestion.keywords.size(); ++i) {
@@ -324,6 +329,7 @@ int CmdBatch(const FlagParser& flags) {
       for (const GksNode& node : responses[i]->nodes) {
         std::printf("  %s\n", DescribeNode(*index, node).c_str());
       }
+      PrintDi(*responses[i]);
     }
   }
   std::printf(
