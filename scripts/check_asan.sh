@@ -53,10 +53,10 @@ export UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1 ${UBSAN_OPTIONS:-}"
   --gtest_filter='PostingBlocks*:Serialization*:GoldenIndex*:PostingList*' \
   --gtest_brief=1
 # Real-time update path: WAL frames are crash-shaped bytes by design
-# (torn tails, flipped CRCs), and RtIndex replays them plus docstore
-# blobs end to end.
+# (torn tails, flipped CRCs), and RtIndex replays them end to end, then
+# compacts, flushes and merges by appending indexes (AppendDocuments).
 "$build/tests/index_test" \
-  --gtest_filter='Wal*:RtIndex*:SizeTier*:PickMergeInputs*:MergeDocstores*' \
+  --gtest_filter='Wal*:RtIndex*:SizeTier*:PickMergeInputs*' \
   --gtest_brief=1
 # Wire lines from clients and shard workers: line framing, request
 # parsing, response building, and the coordinator decoding hostile
@@ -68,9 +68,10 @@ export UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1 ${UBSAN_OPTIONS:-}"
 # over the single-index path it shares, the node store's parent rows
 # on every way a table is built (sorted, decoded, appended, per segment),
 # and the anchor-probe depth count against the merge path, on ids deeper
-# than 64 components too.
+# than 64 components too; and AppendDocuments, which copies node rows and
+# posting runs in blocks, against a fresh build.
 "$build/tests/property_test" \
-  --gtest_filter='*ShardEquivalence*:ShardTieBreaking.*:ShardWireEncoding.*:DiOracle.*:RankOracle.*:*ParentRowInvariants*:*ProbeDepthCount*' \
+  --gtest_filter='*ShardEquivalence*:ShardTieBreaking.*:ShardWireEncoding.*:DiOracle.*:RankOracle.*:*ParentRowInvariants*:*ProbeDepthCount*:*AppendDocuments*' \
   --gtest_brief=1
 # The node store's owned-value walk, through its callers: DI, facets and
 # chunks over a real index; a node section with a missing level and

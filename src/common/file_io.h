@@ -9,7 +9,7 @@
 namespace gks {
 
 /// Whole-file I/O. Every file the engine persists — index files, shard
-/// manifests, RT segments and docstores, the RT MANIFEST, generated
+/// manifests, RT segments, the RT MANIFEST, generated
 /// corpora, client reports — is read with ReadFileToString and written
 /// with WriteStringToFile. The write-ahead log (index/wal.h) is the one
 /// exception: it is an append log with its own per-commit fsync.

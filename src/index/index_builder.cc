@@ -1,11 +1,9 @@
 #include "index/index_builder.h"
 
 #include <algorithm>
-#include <unordered_map>
 #include <vector>
 
 #include "common/file_io.h"
-#include "common/hash.h"
 #include "common/metrics.h"
 #include "common/timer.h"
 #include "index/categorizer.h"
@@ -223,6 +221,112 @@ Result<XmlIndex> IndexBuilder::Finalize(ThreadPool* pool) && {
   XmlIndex result = std::move(*index_);
   index_.reset();
   return result;
+}
+
+Status AppendDocuments(XmlIndex* out, const XmlIndex& src,
+                       std::span<const uint32_t> dropped, uint32_t* next_id,
+                       std::vector<std::pair<uint32_t, uint32_t>>* id_map) {
+  if (out->catalog.document_count() > 0 &&
+      out->DocBase() + out->catalog.document_count() != *next_id) {
+    return Status::InvalidArgument("AppendDocuments: the target must end "
+                                   "just before id " +
+                                   std::to_string(*next_id));
+  }
+  constexpr uint32_t kNone = 0xffffffffu;
+  const uint32_t base = src.DocBase();
+  const size_t docs = src.catalog.document_count();
+  std::vector<uint32_t> new_ids(docs, kNone);
+  for (uint32_t doc = 0; doc < docs; ++doc) {
+    if (std::binary_search(dropped.begin(), dropped.end(), base + doc)) {
+      continue;
+    }
+    new_ids[doc] = (*next_id)++;
+    const Catalog::DocumentInfo& info = src.catalog.document(doc);
+    *out->catalog.mutable_document(out->catalog.AddDocument(info.name)) = info;
+    if (id_map != nullptr) id_map->emplace_back(base + doc, new_ids[doc]);
+  }
+  // Index into new_ids of the document holding `id`; `docs` for an id
+  // outside src's documents, which only a damaged file holds.
+  auto doc_of = [&](DeweySpan id) -> size_t {
+    return id.size == 0 || id.data[0] < base
+               ? docs
+               : std::min<size_t>(id.data[0] - base, docs);
+  };
+  auto damaged = [] {
+    return Status::Corruption(
+        "AppendDocuments: an id lies outside the source's documents");
+  };
+
+  const NodeInfoTable& nodes = src.nodes;
+  std::vector<uint32_t> tag_map(nodes.tag_count(), kNone);
+  std::vector<uint32_t> value_map(nodes.value_count(), kNone);
+  // The categorizer's report order, replayed over a document's rows:
+  // `open` holds the open rows with the size `valued` had when each
+  // opened, and `valued` the values of the open rows' children so far. A
+  // row closes when a row outside its subtree arrives, and reports its
+  // children's values then. Like the categorizer's, the bottom frame is
+  // the document itself, which reports the root last.
+  std::vector<std::pair<uint32_t, size_t>> open;
+  std::vector<uint32_t> valued;
+  auto close_row = [&] {
+    for (size_t i = open.back().second; i < valued.size(); ++i) {
+      if (value_map[valued[i]] == kNone) {
+        value_map[valued[i]] = out->nodes.InternValue(nodes.Value(valued[i]));
+      }
+    }
+    valued.resize(open.back().second);
+    open.pop_back();
+  };
+  std::vector<uint32_t> id;  // a row id with its document rewritten
+  for (size_t begin = 0, end; begin < nodes.size(); begin = end) {
+    const size_t doc = doc_of(nodes.IdAt(begin));
+    if (doc == docs) return damaged();
+    for (end = begin + 1; end < nodes.size(); ++end) {
+      if (doc_of(nodes.IdAt(end)) != doc) break;
+    }
+    if (new_ids[doc] == kNone) continue;  // dropped
+    open.emplace_back(NodeInfoTable::kNoRow, 0);
+    for (uint32_t row = begin; row < end; ++row) {
+      const NodeInfo& info = nodes.InfoAt(row);
+      if (tag_map[info.tag_id] == kNone) {
+        tag_map[info.tag_id] = out->nodes.InternTag(nodes.TagName(info.tag_id));
+      }
+      while (!open.empty() && open.back().first != nodes.ParentRow(row)) {
+        close_row();
+      }
+      if (info.value_id != kNoValue) valued.push_back(info.value_id);
+      open.emplace_back(row, valued.size());
+    }
+    while (!open.empty()) close_row();
+    for (size_t row = begin; row < end; ++row) {
+      const DeweySpan old_id = nodes.IdAt(row);
+      id.assign(old_id.data, old_id.data + old_id.size);
+      id[0] = new_ids[doc];
+      NodeInfo info = nodes.InfoAt(row);
+      info.tag_id = tag_map[info.tag_id];
+      if (info.value_id != kNoValue) info.value_id = value_map[info.value_id];
+      out->nodes.Put(DeweySpan{id.data(), old_id.size}, info);
+    }
+  }
+
+  Status status = Status::OK();
+  src.inverted.ForEach([&](const std::string& term, const PostingList& list) {
+    if (!status.ok()) return;
+    PostingList* target = nullptr;  // created by the first kept run only
+    for (size_t begin = 0, end; begin < list.size(); begin = end) {
+      const size_t doc = doc_of(list.At(begin));
+      if (doc == docs) {
+        status = damaged();
+        return;
+      }
+      const DeweySpan document{list.At(begin).data, 1};
+      end = list.ids().SubtreeEndFrom(document, begin);
+      if (new_ids[doc] == kNone) continue;
+      if (target == nullptr) target = out->inverted.MutableList(term);
+      target->AppendDocumentRun(list, begin, end, new_ids[doc]);
+    }
+  });
+  return status;
 }
 
 }  // namespace gks

@@ -1,9 +1,13 @@
 #ifndef GKS_INDEX_INDEX_BUILDER_H_
 #define GKS_INDEX_INDEX_BUILDER_H_
 
+#include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
+#include <utility>
+#include <vector>
 
 #include "common/result.h"
 #include "common/status.h"
@@ -56,6 +60,26 @@ class IndexBuilder {
   std::unique_ptr<XmlIndex> index_;
   std::unique_ptr<Handler> handler_;
 };
+
+/// Appends the documents of the finished index `src` to `out`: the one way
+/// indexes are combined (the parallel build; RT compaction, flush and
+/// merge). Documents whose global ids are in the sorted `dropped` are left
+/// out; the rest keep their order, are numbered from `*next_id` (which
+/// moves past them), and land in `id_map` as (old id, new id) when given.
+/// `out` must be empty or end just before `*next_id`, else InvalidArgument;
+/// after an error `out` is unspecified. The result serializes byte for byte
+/// like an IndexBuilder over the kept documents, because the builder's
+/// orders are replayed: catalog entries, node rows and each document's run
+/// of every posting list are copied (runs in one block), the first Dewey
+/// component rewritten; tags are interned in row order, the order elements
+/// open; values in the order the streaming categorizer reports elements, a
+/// parent's children when the parent closes and the root last — for
+/// <a><b>x</b><c><d>y</d></c></a> that is y, then x. The AppendDocuments
+/// property suite binds these orders to the builder's.
+Status AppendDocuments(
+    XmlIndex* out, const XmlIndex& src, std::span<const uint32_t> dropped,
+    uint32_t* next_id,
+    std::vector<std::pair<uint32_t, uint32_t>>* id_map = nullptr);
 
 }  // namespace gks
 

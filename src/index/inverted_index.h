@@ -33,7 +33,7 @@ class InvertedIndex {
   /// Posting list for `term`, or nullptr if the term never occurs.
   const PostingList* Find(std::string_view term) const;
 
-  /// Existing-or-new mutable list for `term` (the parallel build's merge).
+  /// Existing-or-new mutable list for `term` (AppendDocuments).
   PostingList* MutableList(std::string_view term);
 
   size_t term_count() const { return lists_.size(); }

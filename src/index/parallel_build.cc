@@ -7,55 +7,6 @@
 #include "common/trace.h"
 
 namespace gks {
-namespace {
-
-/// Merges a finalized single-document delta index (whose Dewey ids already
-/// carry a document id larger than every document in `index`) into
-/// `index`: catalog entry, remapped dictionaries, node rows and posting
-/// lists, all appended.
-Status MergeDeltaIndex(XmlIndex* index, XmlIndex&& delta) {
-  // Catalog: the delta holds exactly one document.
-  uint32_t new_id =
-      index->catalog.AddDocument(delta.catalog.document(0).name);
-  *index->catalog.mutable_document(new_id) = delta.catalog.document(0);
-
-  // Dictionaries: remap the delta's dense tag/value ids into the target's.
-  // Iterating in dense-id order interns exactly in the delta's encounter
-  // order, which is what keeps a delta-merged build byte-identical to a
-  // sequential one.
-  std::vector<uint32_t> tag_map(delta.nodes.tag_count());
-  for (uint32_t tag = 0; tag < delta.nodes.tag_count(); ++tag) {
-    tag_map[tag] = index->nodes.InternTag(delta.nodes.TagName(tag));
-  }
-  std::vector<uint32_t> value_map(delta.nodes.value_count());
-  for (uint32_t value = 0; value < delta.nodes.value_count(); ++value) {
-    value_map[value] = index->nodes.InternValue(delta.nodes.Value(value));
-  }
-
-  // Node rows: every delta row, with remapped dictionary ids. Delta ids
-  // all carry the new (largest) document id, so appending in the delta's
-  // document order keeps the store sorted.
-  delta.nodes.ForEach([&](DeweySpan id, const NodeInfo& info) {
-    NodeInfo remapped = info;
-    remapped.tag_id = tag_map[info.tag_id];
-    if (info.value_id != kNoValue) {
-      remapped.value_id = value_map[info.value_id];
-    }
-    index->nodes.Put(id, remapped);
-  });
-
-  // Posting lists: same argument — each delta list extends the existing
-  // one by concatenation.
-  Status merge_status = Status::OK();
-  delta.inverted.ForEach([&](const std::string& term,
-                             const PostingList& list) {
-    if (!merge_status.ok()) return;
-    merge_status = index->inverted.MutableList(term)->ExtendWith(list);
-  });
-  return merge_status;
-}
-
-}  // namespace
 
 Result<XmlIndex> BuildIndexParallel(const std::vector<NamedDocument>& documents,
                                     const IndexBuilderOptions& options,
@@ -89,16 +40,17 @@ Result<XmlIndex> BuildIndexParallel(const std::vector<NamedDocument>& documents,
     if (!delta->ok()) return delta->status();  // first failure in doc order
   }
 
-  // Phase 2: deterministic sequential merge in document order. The merge
-  // interns dictionaries in encounter order and therefore reproduces the
-  // sequential build byte for byte.
+  // Phase 2: deterministic sequential merge in document order.
+  // AppendDocuments replays the builder's interning orders and therefore
+  // reproduces the sequential build byte for byte.
   XmlIndex out;
   {
     ScopedSpan span("build.merge_deltas");
     span.AddItems(deltas.size());
+    uint32_t next_id = options.first_doc_id;
     for (std::optional<Result<XmlIndex>>& delta : deltas) {
-      Status status = MergeDeltaIndex(&out, std::move(*delta).value());
-      if (!status.ok()) return status;
+      GKS_RETURN_IF_ERROR(AppendDocuments(&out, **delta, {}, &next_id));
+      delta.reset();  // free each delta as the merged index grows
     }
   }
   return out;

@@ -20,12 +20,12 @@ using NamedDocument = std::pair<std::string, std::string>;
 /// indexes deterministically in document order.
 ///
 /// Each document is parsed into a standalone delta index whose Dewey ids
-/// already carry the final document id (`options.first_doc_id + position`),
-/// so the sequential merge is pure concatenation + dictionary remapping.
-/// The merge interns tags and values in delta-encounter order, which makes
-/// the result **byte-identical** (SerializeIndex) to a sequential
-/// IndexBuilder over the same documents in the same order; the
-/// ParallelDeterminism integration test pins this.
+/// already carry the final document id (`options.first_doc_id + position`);
+/// the sequential merge appends the deltas in document order with
+/// AppendDocuments (index_builder.h), which makes the result
+/// **byte-identical** (SerializeIndex) to a sequential IndexBuilder over
+/// the same documents in the same order; the ParallelDeterminism
+/// integration test pins this.
 ///
 /// Unlike IndexBuilder::AddDocument (which records a catalog entry even
 /// for a failed parse), a parse failure aborts the whole build and returns

@@ -57,6 +57,15 @@ void PackedIds::AppendRange(const PackedIds& src, size_t begin, size_t end) {
   for (size_t i = 0; i < n; ++i) to[i] = from[i] + shift;
 }
 
+void PackedIds::AppendRenumbered(const PackedIds& src, size_t begin,
+                                 size_t end, uint32_t doc_id) {
+  const size_t first = size();
+  AppendRange(src, begin, end);
+  for (size_t i = first; i < size(); ++i) {
+    if (offsets_[i] != offsets_[i + 1]) components_[offsets_[i]] = doc_id;
+  }
+}
+
 std::vector<uint32_t> PackedIds::SortPermutation() const {
   std::vector<uint32_t> perm(size());
   std::iota(perm.begin(), perm.end(), 0u);
@@ -223,15 +232,10 @@ void PostingList::Finalize() {
   ids_ = std::move(sorted);
 }
 
-Status PostingList::ExtendWith(const PostingList& tail) {
-  if (tail.empty()) return Status::OK();
-  Finalize();  // an empty or unfinalized receiver becomes sorted first
-  if (!empty() && At(size() - 1).Compare(tail.At(0)) >= 0) {
-    return Status::InvalidArgument(
-        "ExtendWith requires the tail to sort after the existing postings");
-  }
-  for (size_t i = 0; i < tail.size(); ++i) ids_.Add(tail.At(i));
-  return Status::OK();
+void PostingList::AppendDocumentRun(const PostingList& src, size_t begin,
+                                    size_t end, uint32_t doc_id) {
+  if (empty()) finalized_ = true;  // sorted runs make a sorted list
+  ids_.AppendRenumbered(src.ids_, begin, end, doc_id);
 }
 
 Status PostingList::DecodeFrom(std::string_view* input, PostingList* out) {

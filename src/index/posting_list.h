@@ -74,6 +74,10 @@ class PackedIds {
   /// Appends ids [begin, end) of `src` in one block copy — the run-emission
   /// fast path of the k-way merge. `src` must not alias this container.
   void AppendRange(const PackedIds& src, size_t begin, size_t end);
+  /// The same block copy, with the first (document) component of every
+  /// appended id replaced by `doc_id`.
+  void AppendRenumbered(const PackedIds& src, size_t begin, size_t end,
+                        uint32_t doc_id);
 
   /// Total path components stored across all ids.
   size_t component_count() const { return components_.size(); }
@@ -199,10 +203,12 @@ class PostingList {
     return ids_.UpperBoundFrom(id, from);
   }
 
-  /// Appends a finalized `tail` whose first id sorts strictly after this
-  /// list's last id (the parallel build's merge: the tail belongs to a
-  /// later document). InvalidArgument if the order would break.
-  Status ExtendWith(const PostingList& tail);
+  /// Appends ids [begin, end) of the finalized `src`, all of one
+  /// document, renumbered to document `doc_id` in one block copy. The
+  /// caller guarantees they sort after this list's ids (AppendDocuments,
+  /// index_builder.h).
+  void AppendDocumentRun(const PostingList& src, size_t begin, size_t end,
+                         uint32_t doc_id);
 
   /// Reads a format-v1 posting list (files older builds wrote).
   static Status DecodeFrom(std::string_view* input, PostingList* out);

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <cstring>
 #include <set>
+#include <tuple>
 #include <utility>
 
 #include "common/file_io.h"
@@ -17,6 +18,7 @@
 #include "common/json_writer.h"
 #include "common/metrics.h"
 #include "common/trace.h"
+#include "index/index_builder.h"
 #include "index/segment_merge.h"
 #include "index/serialization.h"
 
@@ -25,9 +27,8 @@ namespace {
 
 constexpr std::string_view kManifestFile = "MANIFEST";
 constexpr int kManifestFormat = 1;
-// Fold pending single-document micro-segments into the window's
-// accumulated segment every this many inserts (bounds the per-query
-// segment count).
+// Append the window's micro-segments to a copy of its accumulated
+// segment every this many inserts (bounds the per-query segment count).
 constexpr size_t kCompactEvery = 16;
 
 Result<uint64_t> FileBytes(const std::string& path) {
@@ -62,6 +63,19 @@ uint64_t WalSeqOf(const std::string& name) {
     seq = seq * 10 + static_cast<uint64_t>(name[i] - '0');
   }
   return seq;
+}
+
+/// One index over `views` (contiguous, in id order): a copy of the first
+/// view's index with the others appended. A published index is never
+/// mutated, so readers holding older snapshots are untouched.
+Result<XmlIndex> CombineViews(const std::vector<SegmentView>& views) {
+  XmlIndex combined = *views.front().index;
+  uint32_t next_id = views.front().doc_base + views.front().doc_count;
+  for (size_t i = 1; i < views.size(); ++i) {
+    GKS_RETURN_IF_ERROR(
+        AppendDocuments(&combined, *views[i].index, {}, &next_id));
+  }
+  return combined;
 }
 
 }  // namespace
@@ -109,7 +123,7 @@ std::string RtIndex::WalPath(uint64_t seq) const {
 
 std::string RtIndex::SegmentFileName(uint64_t seq) const {
   char buf[32];
-  std::snprintf(buf, sizeof(buf), "seg-%06llu",
+  std::snprintf(buf, sizeof(buf), "seg-%06llu.gksidx",
                 static_cast<unsigned long long>(seq));
   return buf;
 }
@@ -209,6 +223,7 @@ Status RtIndex::OpenInternal() {
         dead->push_back(static_cast<uint32_t>(id.GetInt()));
       }
       std::sort(dead->begin(), dead->end());
+      dead->erase(std::unique(dead->begin(), dead->end()), dead->end());
       deleted_ = std::move(dead);
     }
     if (const JsonValue* v = manifest.Find("segments"); v && v->is_array()) {
@@ -216,8 +231,6 @@ Status RtIndex::OpenInternal() {
         DiskSegment segment;
         segment.file = entry.Find("file") ? entry.Find("file")->GetString()
                                           : "";
-        segment.docstore =
-            entry.Find("docstore") ? entry.Find("docstore")->GetString() : "";
         segment.doc_base = static_cast<uint32_t>(
             entry.Find("doc_base") ? entry.Find("doc_base")->GetInt() : 0);
         segment.doc_count = static_cast<uint32_t>(
@@ -230,7 +243,6 @@ Status RtIndex::OpenInternal() {
         GKS_ASSIGN_OR_RETURN(segment.bytes, FileBytes(PathIn(segment.file)));
         GKS_RETURN_IF_ERROR(LoadSegmentFile(&segment));
         referenced.insert(segment.file);
-        if (!segment.docstore.empty()) referenced.insert(segment.docstore);
         disk_.push_back(std::move(segment));
       }
     }
@@ -257,7 +269,8 @@ Status RtIndex::OpenInternal() {
   }
 
   // Cleanup: drop files a crashed flush/merge left behind — segment files
-  // the manifest never adopted and WAL files it has already retired.
+  // the manifest never adopted (and the seg-*.docs files older versions
+  // wrote) and WAL files it has already retired.
   for (const std::string& name : ListDir(options_.dir)) {
     if (name.rfind("seg-", 0) == 0 && referenced.count(name) == 0) {
       ::unlink(PathIn(name).c_str());
@@ -271,9 +284,34 @@ Status RtIndex::OpenInternal() {
   }
 
   GKS_RETURN_IF_ERROR(Recover());
-  {
-    std::lock_guard<std::mutex> lock(commit_mu_);
-    PublishLocked();
+  std::lock_guard<std::mutex> lock(commit_mu_);
+  GKS_RETURN_IF_ERROR(CheckDocumentRangesLocked());
+  PublishLocked();
+  return Status::OK();
+}
+
+Status RtIndex::CheckDocumentRangesLocked() const {
+  // Each document id has one home, below next_doc_id. A MANIFEST that
+  // breaks this — a rewound next_doc_id, a repeated segment entry — would
+  // hand out ids twice, and a flush would make the damage durable.
+  std::string previous;  // the last non-empty range
+  uint64_t previous_end = 0;
+  for (const SegmentView& view : AllViewsLocked()) {
+    if (view.doc_count == 0) continue;
+    const uint64_t end = uint64_t{view.doc_base} + view.doc_count;
+    const std::string range = view.label + " [" +
+                              std::to_string(view.doc_base) + ", " +
+                              std::to_string(end) + ")";
+    if (view.doc_base < previous_end || end > next_doc_id_) {
+      return Status::Corruption(
+          "RT directory '" + options_.dir + "': " +
+          (view.doc_base < previous_end
+               ? previous + " overlaps " + range
+               : range + " ends past next_doc_id " +
+                     std::to_string(next_doc_id_)));
+    }
+    previous = range;
+    previous_end = end;
   }
   return Status::OK();
 }
@@ -327,22 +365,23 @@ Status RtIndex::Recover() {
 Status RtIndex::ApplyReplayRecord(const WalRecord& record) {
   std::lock_guard<std::mutex> lock(commit_mu_);
   if (record.type == WalRecordType::kInsert) {
-    RtDocument doc;
-    doc.doc_id = record.doc_id;
-    doc.name = record.name;
-    doc.xml = record.xml;
-    return ApplyInsertLocked(std::move(doc), /*replay=*/true);
+    return ApplyInsertLocked({record.doc_id, record.name, record.xml},
+                             /*replay=*/true);
   }
-  // Delete: idempotent tombstone add keyed by the authoritative doc id.
+  // Delete, keyed by the authoritative doc id: an idempotent tombstone add
+  // that applies only while the document is live under that name. A merge
+  // may have purged the document since (ids are never reused), or the
+  // MANIFEST may already tombstone it.
+  auto live = live_.find(record.name);
+  if (live == live_.end() || live->second != record.doc_id) {
+    return Status::OK();
+  }
+  live_.erase(live);
   auto dead = std::make_shared<std::vector<uint32_t>>(*deleted_);
   auto it = std::lower_bound(dead->begin(), dead->end(), record.doc_id);
   if (it == dead->end() || *it != record.doc_id) {
     dead->insert(it, record.doc_id);
     deleted_ = std::move(dead);
-  }
-  auto live = live_.find(record.name);
-  if (live != live_.end() && live->second == record.doc_id) {
-    live_.erase(live);
   }
   return Status::OK();
 }
@@ -352,8 +391,7 @@ Status RtIndex::ApplyInsertLocked(RtDocument doc, bool replay) {
   // a crashed reservation burned one; the live path breaks the window at
   // the same points (SealWindowLocked), so both walks build identical
   // segment runs — the replay-equals-live invariant the crash tests pin.
-  if (!ram_docs_.empty() &&
-      doc.doc_id != ram_docs_.back().doc_id + 1) {
+  if (window_.docs() > 0 && doc.doc_id != window_.end()) {
     SealWindowLocked(/*rotate_wal=*/!replay);
   }
   Result<XmlIndex> micro = BuildSegmentIndex({doc});
@@ -368,52 +406,34 @@ Status RtIndex::ApplyInsertLocked(RtDocument doc, bool replay) {
     wal_records_total_->Increment();
     wal_bytes_total_->Add(record.name.size() + record.xml.size());
   }
-  live_[doc.name] = doc.doc_id;
+  // Like the segments' documents at open, a replayed document the MANIFEST
+  // already tombstones is not live: Delete must not tombstone it twice.
+  if (!std::binary_search(deleted_->begin(), deleted_->end(), doc.doc_id)) {
+    live_[doc.name] = doc.doc_id;
+  }
   next_doc_id_ = std::max(next_doc_id_, doc.doc_id + 1);
-  ram_docs_.push_back(std::move(doc));
-  ram_micro_.push_back(
-      std::make_shared<const XmlIndex>(std::move(*micro)));
-  if (ram_micro_.size() >= kCompactEvery) {
+  window_.views.push_back(
+      {std::make_shared<const XmlIndex>(std::move(*micro)), doc.doc_id, 1,
+       "ram"});
+  window_.xml_bytes += doc.xml.size();
+  if (window_.docs() % kCompactEvery == 0) {
     GKS_RETURN_IF_ERROR(CompactWindowLocked());
   }
   return Status::OK();
 }
 
 Status RtIndex::CompactWindowLocked() {
-  // Deterministic rebuild of the whole window from its raw documents —
-  // never an in-place mutation of a published index, so readers holding
-  // older snapshots are untouched.
-  Result<XmlIndex> accum = BuildSegmentIndex(ram_docs_);
-  if (!accum.ok()) return accum.status();
-  ram_accum_ = std::make_shared<const XmlIndex>(std::move(*accum));
-  accum_docs_ = ram_docs_.size();
-  ram_micro_.clear();
+  GKS_ASSIGN_OR_RETURN(XmlIndex accum, CombineViews(window_.views));
+  window_.views = {{std::make_shared<const XmlIndex>(std::move(accum)),
+                    window_.views.front().doc_base, window_.docs(),
+                    "ram-accum"}};
   return Status::OK();
 }
 
-std::vector<SegmentView> RtIndex::WindowViewsLocked() const {
-  std::vector<SegmentView> views;
-  if (accum_docs_ > 0 && ram_accum_ != nullptr) {
-    views.push_back({ram_accum_, ram_docs_.front().doc_id,
-                     static_cast<uint32_t>(accum_docs_), "ram-accum"});
-  }
-  for (size_t i = 0; i < ram_micro_.size(); ++i) {
-    const RtDocument& doc = ram_docs_[accum_docs_ + i];
-    views.push_back({ram_micro_[i], doc.doc_id, 1, "ram"});
-  }
-  return views;
-}
-
 void RtIndex::SealWindowLocked(bool rotate_wal) {
-  if (ram_docs_.empty()) return;
-  SealedRun run;
-  run.views = WindowViewsLocked();
-  run.docs = std::move(ram_docs_);
-  sealed_.push_back(std::move(run));
-  ram_docs_.clear();
-  ram_micro_.clear();
-  ram_accum_.reset();
-  accum_docs_ = 0;
+  if (window_.docs() == 0) return;
+  sealed_.push_back(std::move(window_));
+  window_ = RamRun();
   if (rotate_wal) {
     // Best effort: a rotation failure keeps appending to the current log,
     // which only means recovery replays a little more.
@@ -431,40 +451,44 @@ Status RtIndex::RotateWalLocked() {
   return Status::OK();
 }
 
-void RtIndex::PublishLocked() {
-  auto snapshot = std::make_shared<SegmentSetSnapshot>();
-  if (base_ != nullptr) {
-    snapshot->segments.push_back({base_, 0, base_docs_, "base"});
-  }
+std::vector<SegmentView> RtIndex::AllViewsLocked() const {
+  std::vector<SegmentView> views;
+  if (base_ != nullptr) views.push_back({base_, 0, base_docs_, "base"});
   for (const DiskSegment& segment : disk_) {
-    snapshot->segments.push_back(
+    views.push_back(
         {segment.index, segment.doc_base, segment.doc_count, segment.file});
   }
-  for (const SealedRun& run : sealed_) {
-    snapshot->segments.insert(snapshot->segments.end(), run.views.begin(),
-                              run.views.end());
+  for (const RamRun& run : sealed_) {
+    views.insert(views.end(), run.views.begin(), run.views.end());
   }
-  std::vector<SegmentView> window = WindowViewsLocked();
-  snapshot->segments.insert(snapshot->segments.end(), window.begin(),
-                            window.end());
-  std::sort(snapshot->segments.begin(), snapshot->segments.end(),
+  views.insert(views.end(), window_.views.begin(), window_.views.end());
+  std::sort(views.begin(), views.end(),
             [](const SegmentView& a, const SegmentView& b) {
               return a.doc_base < b.doc_base;
             });
+  return views;
+}
+
+std::pair<uint64_t, uint64_t> RtIndex::RamTotalsLocked() const {
+  uint64_t docs = window_.docs();
+  uint64_t bytes = window_.xml_bytes;
+  for (const RamRun& run : sealed_) {
+    docs += run.docs();
+    bytes += run.xml_bytes;
+  }
+  return {docs, bytes};
+}
+
+void RtIndex::PublishLocked() {
+  auto snapshot = std::make_shared<SegmentSetSnapshot>();
+  snapshot->segments = AllViewsLocked();
   snapshot->deleted = deleted_;
   snapshot->epoch = NextIndexEpoch();
   {
     std::lock_guard<std::mutex> lock(snapshot_mu_);
     snapshot_ = std::move(snapshot);
   }
-  uint64_t ram_docs = 0;
-  uint64_t ram_bytes = 0;
-  for (const SealedRun& run : sealed_) {
-    ram_docs += run.docs.size();
-    for (const RtDocument& doc : run.docs) ram_bytes += doc.xml.size();
-  }
-  ram_docs += ram_docs_.size();
-  for (const RtDocument& doc : ram_docs_) ram_bytes += doc.xml.size();
+  const auto [ram_docs, ram_bytes] = RamTotalsLocked();
   ram_docs_gauge_->Set(static_cast<int64_t>(ram_docs));
   ram_bytes_gauge_->Set(static_cast<int64_t>(ram_bytes));
   disk_segments_gauge_->Set(static_cast<int64_t>(disk_.size()));
@@ -479,11 +503,8 @@ Result<uint32_t> RtIndex::Insert(std::string name, std::string xml) {
     return Status::AlreadyExists("document '" + name +
                                  "' already exists; delete it first");
   }
-  RtDocument doc;
-  doc.doc_id = next_doc_id_;
-  doc.name = std::move(name);
-  doc.xml = std::move(xml);
-  GKS_RETURN_IF_ERROR(ApplyInsertLocked(std::move(doc), /*replay=*/false));
+  GKS_RETURN_IF_ERROR(ApplyInsertLocked(
+      {next_doc_id_, std::move(name), std::move(xml)}, /*replay=*/false));
   inserts_total_->Increment();
   uint32_t id = next_doc_id_ - 1;
   PublishLocked();
@@ -514,27 +535,20 @@ Result<bool> RtIndex::Delete(const std::string& name) {
 }
 
 bool RtIndex::FlushDueLocked() const {
-  if (!sealed_.empty()) return true;
-  if (ram_docs_.size() >= options_.flush_docs) return true;
-  size_t bytes = 0;
-  for (const RtDocument& doc : ram_docs_) bytes += doc.xml.size();
-  return bytes >= options_.flush_bytes;
+  return !sealed_.empty() || window_.docs() >= options_.flush_docs ||
+         window_.xml_bytes >= options_.flush_bytes;
 }
 
-Result<RtIndex::DiskSegment> RtIndex::WriteSegment(
-    const std::vector<RtDocument>& docs) {
-  GKS_ASSIGN_OR_RETURN(XmlIndex index, BuildSegmentIndex(docs));
+Result<RtIndex::DiskSegment> RtIndex::WriteSegment(const XmlIndex& index) {
   DiskSegment segment;
   {
     std::lock_guard<std::mutex> lock(commit_mu_);
     segment.seq = next_segment_seq_++;
   }
-  segment.file = SegmentFileName(segment.seq) + ".gksidx";
-  segment.docstore = SegmentFileName(segment.seq) + ".docs";
-  segment.doc_base = docs.front().doc_id;
-  segment.doc_count = static_cast<uint32_t>(docs.size());
+  segment.file = SegmentFileName(segment.seq);
+  segment.doc_base = index.DocBase();
+  segment.doc_count = static_cast<uint32_t>(index.catalog.document_count());
   GKS_RETURN_IF_ERROR(SaveIndex(index, PathIn(segment.file)));
-  GKS_RETURN_IF_ERROR(WriteDocstore(PathIn(segment.docstore), docs));
   GKS_ASSIGN_OR_RETURN(segment.bytes, FileBytes(PathIn(segment.file)));
   GKS_RETURN_IF_ERROR(LoadSegmentFile(&segment));
   return segment;
@@ -542,7 +556,7 @@ Result<RtIndex::DiskSegment> RtIndex::WriteSegment(
 
 Status RtIndex::Flush() {
   std::lock_guard<std::mutex> flush_lock(flush_mu_);
-  std::vector<SealedRun> runs;
+  std::vector<RamRun> runs;
   {
     std::lock_guard<std::mutex> lock(commit_mu_);
     SealWindowLocked(/*rotate_wal=*/true);
@@ -553,11 +567,12 @@ Status RtIndex::Flush() {
   TraceCollector collector("gks");
   Status status = [&]() -> Status {
     ScopedSpan span("rt.flush");
-    // Build every sealed run into its own immutable segment. The builds
-    // run outside commit_mu_, so inserts keep committing meanwhile.
+    // Combine every sealed run into its own immutable segment. This runs
+    // outside commit_mu_, so inserts keep committing meanwhile.
     std::vector<DiskSegment> built;
-    for (const SealedRun& run : runs) {
-      GKS_ASSIGN_OR_RETURN(DiskSegment segment, WriteSegment(run.docs));
+    for (const RamRun& run : runs) {
+      GKS_ASSIGN_OR_RETURN(XmlIndex index, CombineViews(run.views));
+      GKS_ASSIGN_OR_RETURN(DiskSegment segment, WriteSegment(index));
       span.AddItems(segment.doc_count);
       span.AddBytes(segment.bytes);
       built.push_back(std::move(segment));
@@ -595,9 +610,11 @@ Status RtIndex::MaybeMerge() {
   std::lock_guard<std::mutex> flush_lock(flush_mu_);
 
   std::vector<DiskSegment> inputs;
-  std::vector<uint32_t> tombstones_at_pick;
+  // The inputs' documents tombstoned at pick, sorted: the merge leaves
+  // them out, which purges them for good.
+  std::vector<uint32_t> purged;
   uint32_t new_base = 0;
-  uint64_t expected_survivors = 0;
+  uint32_t survivors = 0;
   {
     std::lock_guard<std::mutex> lock(commit_mu_);
     std::vector<uint64_t> bytes;
@@ -606,41 +623,46 @@ Status RtIndex::MaybeMerge() {
         PickMergeInputs(bytes, options_.merge_fanout);
     if (picked.empty()) return Status::OK();
     for (size_t i : picked) inputs.push_back(disk_[i]);
-    tombstones_at_pick = *deleted_;
     for (const DiskSegment& input : inputs) {
       for (uint32_t id = input.doc_base;
-           id < input.doc_base + input.doc_count; ++id) {
-        if (!std::binary_search(tombstones_at_pick.begin(),
-                                tombstones_at_pick.end(), id)) {
-          ++expected_survivors;
+           id - input.doc_base < input.doc_count; ++id) {
+        if (std::binary_search(deleted_->begin(), deleted_->end(), id)) {
+          purged.push_back(id);
+        } else {
+          ++survivors;
         }
       }
     }
+    std::sort(purged.begin(), purged.end());
     // The RAM window must not interleave with the reserved id range, or
     // its doc ids would stop being contiguous — seal it first (cheap: no
     // IO under the lock; the runs flush on the next Flush).
     SealWindowLocked(/*rotate_wal=*/true);
     new_base = next_doc_id_;
-    next_doc_id_ += static_cast<uint32_t>(expected_survivors);
+    next_doc_id_ += survivors;
   }
 
   TraceCollector collector("gks");
   ScopedSpan span("rt.merge");
 
-  std::vector<std::vector<RtDocument>> docstores;
-  for (const DiskSegment& input : inputs) {
-    GKS_ASSIGN_OR_RETURN(std::vector<RtDocument> docs,
-                         ReadDocstore(PathIn(input.docstore)));
-    docstores.push_back(std::move(docs));
-  }
+  // The survivors of the inputs' loaded indexes, in input order, numbered
+  // from the reserved base into a fresh contiguous id range.
+  XmlIndex merged;
+  uint32_t next_id = new_base;
   std::vector<std::pair<uint32_t, uint32_t>> id_map_pairs;
-  std::vector<RtDocument> merged = MergeDocstores(
-      docstores, tombstones_at_pick, new_base, &id_map_pairs);
+  for (const DiskSegment& input : inputs) {
+    GKS_RETURN_IF_ERROR(AppendDocuments(&merged, *input.index, purged,
+                                        &next_id, &id_map_pairs));
+  }
+  if (next_id != new_base + survivors) {  // would overlap the next insert
+    return Status::Corruption(
+        "merge kept " + std::to_string(next_id - new_base) +
+        " documents but reserved " + std::to_string(survivors) + " ids");
+  }
 
   DiskSegment output;
-  bool has_output = !merged.empty();
+  bool has_output = merged.catalog.document_count() > 0;
   if (has_output) {
-    // MergeDocstores numbered the survivors from new_base on.
     GKS_ASSIGN_OR_RETURN(output, WriteSegment(merged));
     span.AddItems(output.doc_count);
     span.AddBytes(output.bytes);
@@ -648,43 +670,24 @@ Status RtIndex::MaybeMerge() {
 
   std::unordered_map<uint32_t, uint32_t> id_map(id_map_pairs.begin(),
                                                 id_map_pairs.end());
-  std::vector<std::string> retired_files;
-  uint64_t purged = 0;
   {
     std::lock_guard<std::mutex> lock(commit_mu_);
-    auto in_inputs = [&](uint32_t id) {
-      for (const DiskSegment& input : inputs) {
-        if (id >= input.doc_base && id < input.doc_base + input.doc_count) {
-          return true;
-        }
-      }
-      return false;
-    };
     // Retire the inputs, adopt the output.
     std::set<uint64_t> input_seqs;
     for (const DiskSegment& input : inputs) input_seqs.insert(input.seq);
-    std::vector<DiskSegment> remaining;
-    for (DiskSegment& segment : disk_) {
-      if (input_seqs.count(segment.seq) != 0) {
-        retired_files.push_back(segment.file);
-        retired_files.push_back(segment.docstore);
-      } else {
-        remaining.push_back(std::move(segment));
-      }
-    }
-    disk_ = std::move(remaining);
+    std::erase_if(disk_, [&](const DiskSegment& segment) {
+      return input_seqs.count(segment.seq) != 0;
+    });
     if (has_output) disk_.push_back(std::move(output));
     // Translate tombstones: survivors deleted while the merge ran keep
-    // their tombstone under the new id; documents the merge purged (dead
-    // at pick time) leave the set for good. Names map the same way.
+    // their tombstone under the new id; the purged documents leave the set
+    // for good. Names map the same way.
     auto dead = std::make_shared<std::vector<uint32_t>>();
     for (uint32_t id : *deleted_) {
-      if (!in_inputs(id)) {
-        dead->push_back(id);
-      } else if (auto it = id_map.find(id); it != id_map.end()) {
+      if (auto it = id_map.find(id); it != id_map.end()) {
         dead->push_back(it->second);
-      } else {
-        ++purged;
+      } else if (!std::binary_search(purged.begin(), purged.end(), id)) {
+        dead->push_back(id);
       }
     }
     std::sort(dead->begin(), dead->end());
@@ -692,16 +695,16 @@ Status RtIndex::MaybeMerge() {
     for (auto& [name, id] : live_) {
       if (auto it = id_map.find(id); it != id_map.end()) id = it->second;
     }
-    purged_docs_ += purged;
+    purged_docs_ += purged.size();
     ++merges_;
     GKS_RETURN_IF_ERROR(WriteManifestLocked());
     PublishLocked();
   }
-  for (const std::string& file : retired_files) {
-    if (!file.empty()) ::unlink(PathIn(file).c_str());
+  for (const DiskSegment& input : inputs) {
+    ::unlink(PathIn(input.file).c_str());
   }
   merges_total_->Increment();
-  purged_docs_total_->Add(purged);
+  purged_docs_total_->Add(purged.size());
   return Status::OK();
 }
 
@@ -721,7 +724,6 @@ Status RtIndex::WriteManifestLocked() {
     json.BeginObject();
     json.Key("seq").UInt(segment.seq);
     json.Key("file").String(segment.file);
-    json.Key("docstore").String(segment.docstore);
     json.Key("doc_base").UInt(segment.doc_base);
     json.Key("doc_count").UInt(segment.doc_count);
     json.EndObject();
@@ -744,12 +746,7 @@ uint64_t RtIndex::epoch() const {
 RtStats RtIndex::Stats() const {
   std::lock_guard<std::mutex> lock(commit_mu_);
   RtStats stats;
-  for (const SealedRun& run : sealed_) {
-    stats.ram_docs += run.docs.size();
-    for (const RtDocument& doc : run.docs) stats.ram_bytes += doc.xml.size();
-  }
-  stats.ram_docs += ram_docs_.size();
-  for (const RtDocument& doc : ram_docs_) stats.ram_bytes += doc.xml.size();
+  std::tie(stats.ram_docs, stats.ram_bytes) = RamTotalsLocked();
   stats.disk_segments = disk_.size();
   stats.tombstones = deleted_->size();
   stats.live_docs = live_.size();

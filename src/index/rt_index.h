@@ -9,6 +9,7 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -24,10 +25,11 @@ class Gauge;
 /// Tunables for the real-time index; each maps onto a `gks serve --rt-*`
 /// flag (docs/INDEXING.md § Tuning).
 struct RtOptions {
-  /// Home directory: MANIFEST, wal-*.log, seg-*.gksidx + seg-*.docs.
+  /// Home directory: MANIFEST, wal-*.log, seg-*.gksidx.
   std::string dir;
   /// Optional immutable base index (the offline-built CLI file) serving
-  /// global doc ids [0, base_docs). Never merged (it has no docstore).
+  /// global doc ids [0, base_docs). Never merged: tombstones mask its
+  /// deleted documents for good.
   std::string base_index_path;
   /// Seal + flush the RAM window once it holds this many documents.
   size_t flush_docs = 512;
@@ -46,7 +48,7 @@ struct RtOptions {
 /// Point-in-time counters for `stats`.
 struct RtStats {
   uint64_t ram_docs = 0;        // window + sealed-but-unflushed documents
-  uint64_t ram_bytes = 0;       // raw XML bytes held in RAM
+  uint64_t ram_bytes = 0;       // raw XML bytes of the ram_docs
   uint64_t disk_segments = 0;   // flushed/merged segments (excl. base)
   uint64_t tombstones = 0;
   uint64_t live_docs = 0;
@@ -61,19 +63,17 @@ struct RtStats {
 /// The real-time index (docs/INDEXING.md): an updatable view over a set
 /// of immutable segments.
 ///
-///   - `Insert` builds a single-document micro-segment, logs the raw XML
-///     to the WAL, and publishes a new snapshot — the document is
-///     searchable when Insert returns, with no rebuild or reload.
-///   - Every 16 inserts the window's micro-segments are folded into one
-///     accumulated RAM segment (deterministic rebuild from the raw
-///     documents), bounding per-query segment count.
+///   - `Insert` parses the document — the only parse it gets — into a
+///     single-document micro-segment, logs the raw XML to the WAL, and
+///     publishes a new snapshot: searchable when Insert returns.
+///   - Every 16 inserts the window's micro-segments are appended to a copy
+///     of its accumulated segment (AppendDocuments, index_builder.h).
 ///   - The flusher seals the RAM window once it exceeds `flush_docs` /
-///     `flush_bytes`, rotates the WAL, rebuilds the sealed run into an
-///     immutable v2 on-disk segment (plus a docstore sidecar), swaps it
-///     in, and retires the old WAL.
-///   - Flushed segments merge size-tiered (`merge_fanout`); merges
-///     renumber surviving documents into a fresh contiguous id range,
-///     which is what finally purges tombstones.
+///     `flush_bytes`, rotates the WAL, combines the sealed run into an
+///     immutable v2 on-disk segment, swaps it in, and retires the old WAL.
+///   - Flushed segments merge size-tiered (`merge_fanout`) by appending
+///     their indexes with the survivors renumbered into a fresh contiguous
+///     id range, which is what finally purges tombstones.
 ///   - `Delete` masks a document everywhere via the snapshot's tombstone
 ///     set; it takes effect on the snapshot published before Delete
 ///     returns.
@@ -83,8 +83,8 @@ struct RtStats {
 /// self-invalidates) and in-flight queries keep the snapshot they
 /// admitted with. Crash recovery replays the WAL over the manifest's
 /// segment set and reproduces the pre-crash state exactly — including
-/// byte-identical segment files on the next flush, because segment builds
-/// are deterministic functions of the raw documents.
+/// byte-identical segment files on the next flush, because every segment
+/// file equals BuildSegmentIndex over its documents.
 class RtIndex {
  public:
   static Result<std::unique_ptr<RtIndex>> Open(RtOptions options);
@@ -117,17 +117,24 @@ class RtIndex {
   const RtOptions& options() const { return options_; }
 
  private:
-  /// A sealed, not-yet-flushed contiguous run of the RAM window: its raw
-  /// documents plus the segment views that keep it searchable.
-  struct SealedRun {
-    std::vector<RtDocument> docs;
+  /// Contiguous RAM-resident documents (the window, or a sealed run): their
+  /// views in id order — an accumulated segment, then micro-segments —
+  /// and their XML byte count. The XML itself lives in the WAL.
+  struct RamRun {
     std::vector<SegmentView> views;
+    uint64_t xml_bytes = 0;
+
+    uint32_t end() const {
+      return views.back().doc_base + views.back().doc_count;
+    }
+    uint32_t docs() const {
+      return views.empty() ? 0 : end() - views.front().doc_base;
+    }
   };
   /// One flushed on-disk segment.
   struct DiskSegment {
     uint64_t seq = 0;
     std::string file;      // seg-NNNNNN.gksidx (relative to dir)
-    std::string docstore;  // seg-NNNNNN.docs
     uint32_t doc_base = 0;
     uint32_t doc_count = 0;
     uint64_t bytes = 0;    // index file size (merge-policy input)
@@ -143,16 +150,21 @@ class RtIndex {
   Status CompactWindowLocked();
   void SealWindowLocked(bool rotate_wal);
   Status RotateWalLocked();
-  /// Builds `docs` (contiguous ids from docs.front().doc_id) into the
-  /// next numbered segment: writes its .gksidx and .docs files, records
-  /// the index file's size and loads the index back from disk.
-  Result<DiskSegment> WriteSegment(const std::vector<RtDocument>& docs);
+  /// Saves `index` as the next numbered segment, records the file's size
+  /// and loads the index back from disk.
+  Result<DiskSegment> WriteSegment(const XmlIndex& index);
   Status WriteManifestLocked();
+  /// Corruption unless the base, the segments and the replayed documents
+  /// hold disjoint id ranges, each ending at or below next_doc_id.
+  Status CheckDocumentRangesLocked() const;
   /// Loads `segment->file` into `segment->index`; Corruption when the
   /// file's document range differs from doc_base / doc_count.
   Status LoadSegmentFile(DiskSegment* segment) const;
   void PublishLocked();
-  std::vector<SegmentView> WindowViewsLocked() const;
+  /// Base, disk, sealed and window segments, sorted by doc_base.
+  std::vector<SegmentView> AllViewsLocked() const;
+  /// Documents and XML bytes of the sealed runs and the window.
+  std::pair<uint64_t, uint64_t> RamTotalsLocked() const;
   void BackgroundLoop();
   void PokeBackground();
   bool FlushDueLocked() const;
@@ -176,11 +188,8 @@ class RtIndex {
   uint64_t next_segment_seq_ = 1;
   std::optional<WalWriter> wal_;
   std::shared_ptr<const XmlIndex> base_;
-  std::vector<RtDocument> ram_docs_;  // current (contiguous) RAM window
-  std::vector<std::shared_ptr<const XmlIndex>> ram_micro_;
-  std::shared_ptr<const XmlIndex> ram_accum_;
-  size_t accum_docs_ = 0;  // prefix of ram_docs_ covered by ram_accum_
-  std::vector<SealedRun> sealed_;
+  RamRun window_;                // takes new inserts
+  std::vector<RamRun> sealed_;   // queued for the flusher
   std::vector<DiskSegment> disk_;
   std::shared_ptr<const std::vector<uint32_t>> deleted_;
   std::unordered_map<std::string, uint32_t> live_;  // name -> global id

@@ -2,17 +2,9 @@
 
 #include <algorithm>
 
-#include "common/file_io.h"
-#include "common/lz.h"
-#include "common/varint.h"
 #include "index/index_builder.h"
 
 namespace gks {
-namespace {
-
-constexpr std::string_view kDocstoreMagic = "GKSDOC01";
-
-}  // namespace
 
 Result<XmlIndex> BuildSegmentIndex(const std::vector<RtDocument>& docs) {
   if (docs.empty()) {
@@ -32,49 +24,6 @@ Result<XmlIndex> BuildSegmentIndex(const std::vector<RtDocument>& docs) {
     ++expected;
   }
   return std::move(builder).Finalize();
-}
-
-Status WriteDocstore(const std::string& path,
-                     const std::vector<RtDocument>& docs) {
-  std::string payload;
-  PutVarint64(&payload, docs.size());
-  for (const RtDocument& doc : docs) {
-    PutVarint32(&payload, doc.doc_id);
-    PutLengthPrefixed(&payload, doc.name);
-    PutLengthPrefixed(&payload, doc.xml);
-  }
-  std::string file(kDocstoreMagic);
-  LzCompress(payload, &file);
-  return WriteStringToFile(path, file);
-}
-
-Result<std::vector<RtDocument>> ReadDocstore(const std::string& path) {
-  std::string contents;
-  GKS_RETURN_IF_ERROR(ReadFileToString(path, &contents));
-  std::string_view input(contents);
-  if (input.size() < kDocstoreMagic.size() ||
-      input.substr(0, kDocstoreMagic.size()) != kDocstoreMagic) {
-    return Status::Corruption("'" + path + "' is not a GKSDOC01 docstore");
-  }
-  input.remove_prefix(kDocstoreMagic.size());
-  std::string payload;
-  GKS_RETURN_IF_ERROR(LzDecompress(input, &payload));
-  std::string_view cursor(payload);
-  uint64_t count = 0;
-  GKS_RETURN_IF_ERROR(GetVarint64(&cursor, &count));
-  std::vector<RtDocument> docs;
-  docs.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    RtDocument doc;
-    GKS_RETURN_IF_ERROR(GetVarint32(&cursor, &doc.doc_id));
-    GKS_RETURN_IF_ERROR(GetLengthPrefixed(&cursor, &doc.name));
-    GKS_RETURN_IF_ERROR(GetLengthPrefixed(&cursor, &doc.xml));
-    docs.push_back(std::move(doc));
-  }
-  if (!cursor.empty()) {
-    return Status::Corruption("docstore '" + path + "' has trailing bytes");
-  }
-  return docs;
 }
 
 bool SegmentSetSnapshot::IsDeleted(uint32_t doc_id) const {

@@ -20,38 +20,24 @@ namespace gks {
 /// ids from different segments never collide and the searcher can merge
 /// ranked results across segments by plain id comparison.
 
-/// One document as the RT engine stores it: the global Dewey doc id it
+/// One document as the RT engine receives it: the global Dewey doc id it
 /// was assigned at commit, its catalog name, and the raw XML. The raw
-/// text is the unit of durability (WAL) and of deterministic rebuilds
-/// (compaction, flush, merge) — index bytes are always derived state.
+/// text is the unit of durability: it lives in the WAL until a flush
+/// retires it. It is parsed once, into the insert's single-document index;
+/// compaction, flush and merge combine indexes (AppendDocuments).
 struct RtDocument {
   uint32_t doc_id = 0;
   std::string name;
   std::string xml;
-
-  bool operator==(const RtDocument& other) const {
-    return doc_id == other.doc_id && name == other.name && xml == other.xml;
-  }
 };
 
 /// Builds an immutable segment index over `docs`. The documents must be
 /// sorted by doc_id and contiguous (IndexBuilder assigns consecutive ids
-/// from `first_doc_id`); deleted documents are included — tombstones mask
-/// them at search time, and only a merge renumbers them away. The build
-/// is deterministic: the same documents always produce byte-identical
-/// serialized segments, which is what the replay-then-flush crash test
-/// pins (docs/INDEXING.md § Crash recovery).
+/// from `first_doc_id`). Each insert's single-document index comes from
+/// here, and every segment file the RT path writes equals it over the
+/// file's documents byte for byte (the tests' oracle; docs/INDEXING.md
+/// § Crash recovery).
 Result<XmlIndex> BuildSegmentIndex(const std::vector<RtDocument>& docs);
-
-/// Sidecar docstore file ("GKSDOC01"): magic, then an LZ-wrapped payload
-/// of varint doc_count followed by per-document (varint doc_id,
-/// length-prefixed name, length-prefixed xml). Each flushed segment keeps
-/// one next to its index file so merges can rebuild surviving documents
-/// from source — index sections alone cannot reproduce the original XML
-/// (tokenized, stemmed, stop-worded).
-Status WriteDocstore(const std::string& path,
-                     const std::vector<RtDocument>& docs);
-Result<std::vector<RtDocument>> ReadDocstore(const std::string& path);
 
 /// One member of a published segment set.
 struct SegmentView {

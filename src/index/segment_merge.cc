@@ -40,25 +40,4 @@ std::vector<size_t> PickMergeInputs(const std::vector<uint64_t>& segment_bytes,
   return {};
 }
 
-std::vector<RtDocument> MergeDocstores(
-    const std::vector<std::vector<RtDocument>>& inputs,
-    const std::vector<uint32_t>& tombstones_sorted, uint32_t new_first_doc_id,
-    std::vector<std::pair<uint32_t, uint32_t>>* id_map) {
-  std::vector<RtDocument> merged;
-  uint32_t next = new_first_doc_id;
-  for (const std::vector<RtDocument>& input : inputs) {
-    for (const RtDocument& doc : input) {
-      if (std::binary_search(tombstones_sorted.begin(),
-                             tombstones_sorted.end(), doc.doc_id)) {
-        continue;  // purged: the merged segment simply never contains it
-      }
-      if (id_map != nullptr) id_map->emplace_back(doc.doc_id, next);
-      RtDocument survivor = doc;
-      survivor.doc_id = next++;
-      merged.push_back(std::move(survivor));
-    }
-  }
-  return merged;
-}
-
 }  // namespace gks

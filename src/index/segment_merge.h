@@ -1,11 +1,9 @@
 #ifndef GKS_INDEX_SEGMENT_MERGE_H_
 #define GKS_INDEX_SEGMENT_MERGE_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <utility>
 #include <vector>
-
-#include "index/rt_segment.h"
 
 namespace gks {
 
@@ -26,17 +24,6 @@ size_t SizeTier(uint64_t bytes);
 /// merging or fanout == 0 (merging disabled).
 std::vector<size_t> PickMergeInputs(const std::vector<uint64_t>& segment_bytes,
                                     size_t fanout);
-
-/// Concatenates input docstores (already in segment order), drops
-/// tombstoned documents, and renumbers survivors densely from
-/// `new_first_doc_id` — the merged segment gets a fresh contiguous id
-/// range, which purges tombstones for good. `id_map` (optional) receives
-/// (old id -> new id) pairs for every survivor so tombstones racing the
-/// merge can be translated at commit.
-std::vector<RtDocument> MergeDocstores(
-    const std::vector<std::vector<RtDocument>>& inputs,
-    const std::vector<uint32_t>& tombstones_sorted, uint32_t new_first_doc_id,
-    std::vector<std::pair<uint32_t, uint32_t>>* id_map);
 
 }  // namespace gks
 

@@ -1,7 +1,9 @@
 // RtIndex lifecycle (docs/INDEXING.md): commit visibility, duplicate
 // handling, flush durability, WAL crash recovery (including the
-// replay-then-flush byte-equivalence the deterministic segment build
-// guarantees), tombstone purging via merge, and base-index composition.
+// replay-then-flush byte-equivalence), tombstone purging via merge,
+// base-index composition, document-range checks at open, and the
+// one-parse rule: flushed and merged segment files equal BuildSegmentIndex
+// over their documents, and no step after the insert parses XML.
 
 #include "index/rt_index.h"
 
@@ -9,6 +11,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -17,6 +20,8 @@
 
 #include "gtest/gtest.h"
 #include "common/file_io.h"
+#include "common/metrics.h"
+#include "core/searcher.h"
 #include "index/serialization.h"
 #include "index/shard.h"
 #include "index/wal.h"
@@ -85,6 +90,54 @@ std::string FileContents(const std::string& path) {
   Status status = ReadFileToString(path, &bytes);
   EXPECT_TRUE(status.ok()) << status.ToString();
   return bytes;
+}
+
+/// The bytes a fresh build writes for `docs` (name, xml) numbered from
+/// `first_id`: what every flushed or merged segment file must equal.
+std::string OracleSegmentBytes(
+    uint32_t first_id,
+    const std::vector<std::pair<std::string, std::string>>& docs) {
+  std::vector<RtDocument> numbered;
+  for (const auto& [name, xml] : docs) {
+    numbered.push_back({first_id++, name, xml});
+  }
+  Result<XmlIndex> index = BuildSegmentIndex(numbered);
+  EXPECT_TRUE(index.ok()) << index.status().ToString();
+  return index.ok() ? SerializeIndex(*index) : std::string();
+}
+
+/// Every answer to `query` as "doc name @ node id", in rank order.
+std::vector<std::string> Answers(const RtIndex& rt, const std::string& query) {
+  std::shared_ptr<const SegmentSetSnapshot> snapshot = rt.snapshot();
+  GksSearcher searcher(snapshot);
+  Result<SearchResponse> response = searcher.Search(query, SearchOptions());
+  EXPECT_TRUE(response.ok()) << response.status().ToString();
+  std::vector<std::string> answers;
+  if (!response.ok()) return answers;
+  for (const GksNode& node : response->nodes) {
+    const Catalog::DocumentInfo* doc = snapshot->Document(node.id.doc_id());
+    answers.push_back((doc != nullptr ? doc->name : "?") + " @ " +
+                      node.id.ToString());
+  }
+  return answers;
+}
+
+/// `text` with its first `from` replaced by `to`.
+std::string ReplaceFirst(std::string text, const std::string& from,
+                         const std::string& to) {
+  const size_t at = text.find(from);
+  EXPECT_NE(at, std::string::npos) << from << " is not in " << text;
+  if (at != std::string::npos) text.replace(at, from.size(), to);
+  return text;
+}
+
+/// Rewrites the first occurrence of `from` in the MANIFEST of `dir`.
+void RewriteManifest(const std::string& dir, const std::string& from,
+                     const std::string& to) {
+  const std::string path = dir + "/MANIFEST";
+  ASSERT_TRUE(
+      WriteStringToFile(path, ReplaceFirst(FileContents(path), from, to))
+          .ok());
 }
 
 TEST(RtIndexTest, InsertIsVisibleInTheNextSnapshotWithoutFlush) {
@@ -272,8 +325,8 @@ TEST(RtIndexTest, TornWalTailIsTruncatedOnRecovery) {
 
 TEST(RtIndexTest, ReplayThenFlushMatchesDirectFlushByteForByte) {
   // The crash-recovery acceptance bar: a flush after WAL replay produces
-  // the same segment files as the flush the crash interrupted would have
-  // — segment builds are deterministic functions of the raw documents.
+  // the same segment file as the flush the crash interrupted would have,
+  // and both equal a fresh build over the documents.
   std::vector<std::pair<std::string, std::string>> docs = {
       {"a.xml", BookXml("alpha")},
       {"b.xml", BookXml("beta")},
@@ -300,17 +353,16 @@ TEST(RtIndexTest, ReplayThenFlushMatchesDirectFlushByteForByte) {
     ASSERT_TRUE(rt->Flush().ok());
   }
 
-  for (const char* file : {"/seg-000001.gksidx", "/seg-000001.docs"}) {
-    SCOPED_TRACE(file);
-    ASSERT_TRUE(fs::exists(direct_dir + file));
-    ASSERT_TRUE(fs::exists(crashed_dir + file));
-    EXPECT_EQ(FileContents(direct_dir + file),
-              FileContents(crashed_dir + file));
-  }
+  const std::string file = "/seg-000001.gksidx";
+  ASSERT_TRUE(fs::exists(direct_dir + file));
+  ASSERT_TRUE(fs::exists(crashed_dir + file));
+  EXPECT_EQ(FileContents(direct_dir + file), FileContents(crashed_dir + file));
+  EXPECT_EQ(FileContents(direct_dir + file), OracleSegmentBytes(0, docs));
 }
 
 TEST(RtIndexTest, MergePurgesTombstonesAndRenumbersSurvivors) {
-  auto rt = OpenOrDie(TestOptions(FreshDir("merge")));
+  const std::string dir = FreshDir("merge");
+  auto rt = OpenOrDie(TestOptions(dir));
   InsertOrDie(*rt, "a.xml", BookXml("alpha"));
   InsertOrDie(*rt, "b.xml", BookXml("beta"));
   ASSERT_TRUE(rt->Flush().ok());
@@ -331,11 +383,265 @@ TEST(RtIndexTest, MergePurgesTombstonesAndRenumbersSurvivors) {
   EXPECT_EQ(stats.live_docs, 3u);
   EXPECT_EQ(LiveNames(*rt),
             (std::vector<std::string>{"a.xml", "c.xml", "d.xml"}));
+  // The merged file is a fresh build over the survivors, renumbered from
+  // the first free id (4), in input order.
+  EXPECT_EQ(FileContents(dir + "/seg-000003.gksidx"),
+            OracleSegmentBytes(4, {{"a.xml", BookXml("alpha")},
+                                   {"c.xml", BookXml("gamma")},
+                                   {"d.xml", BookXml("delta")}}));
+  EXPECT_FALSE(fs::exists(dir + "/seg-000001.gksidx"));
+  EXPECT_FALSE(fs::exists(dir + "/seg-000002.gksidx"));
 
   // Renumbered names stay deletable (live_ was remapped to the new ids).
   Result<bool> found = rt->Delete("d.xml");
   ASSERT_TRUE(found.ok()) << found.status().ToString();
   EXPECT_TRUE(*found);
+  EXPECT_EQ(LiveNames(*rt), (std::vector<std::string>{"a.xml", "c.xml"}));
+}
+
+TEST(RtIndexTest, MergeOfOnlyDeletedDocumentsLeavesNoSegment) {
+  const std::string dir = FreshDir("merge_all_dead");
+  {
+    auto rt = OpenOrDie(TestOptions(dir));
+    InsertOrDie(*rt, "a.xml", BookXml("alpha"));
+    InsertOrDie(*rt, "b.xml", BookXml("beta"));
+    ASSERT_TRUE(rt->Flush().ok());
+    InsertOrDie(*rt, "c.xml", BookXml("gamma"));
+    ASSERT_TRUE(rt->Flush().ok());
+    for (const char* name : {"a.xml", "b.xml", "c.xml"}) {
+      ASSERT_TRUE(rt->Delete(name).ok());
+    }
+    Status status = rt->MaybeMerge();
+    ASSERT_TRUE(status.ok()) << status.ToString();
+    RtStats stats = rt->Stats();
+    EXPECT_EQ(stats.merges, 1u);
+    EXPECT_EQ(stats.disk_segments, 0u);
+    EXPECT_EQ(stats.tombstones, 0u);
+    EXPECT_EQ(stats.purged_docs, 3u);
+    EXPECT_EQ(rt->snapshot()->TotalDocuments(), 0u);
+  }
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    EXPECT_NE(entry.path().filename().string().rfind("seg-", 0), 0u)
+        << entry.path();
+  }
+  // The WAL still holds the three deletes; replaying them must not bring
+  // back tombstones for documents no segment holds any more.
+  auto rt = OpenOrDie(TestOptions(dir));
+  EXPECT_EQ(rt->Stats().disk_segments, 0u);
+  EXPECT_EQ(rt->Stats().tombstones, 0u);
+  EXPECT_TRUE(LiveNames(*rt).empty());
+  EXPECT_EQ(InsertOrDie(*rt, "a.xml", BookXml("again")), 3u);
+  EXPECT_EQ(rt->snapshot()->LiveDocuments(), 1u);
+}
+
+TEST(RtIndexTest, ReplayedDeleteOfATombstonedDocumentKeepsOneTombstone) {
+  // x lives only in the WAL, but the merge writes its tombstone into the
+  // MANIFEST. Reopening replays x's insert and delete; that must leave one
+  // tombstone, and the merge that later purges x must reserve ids for
+  // every survivor, or its segment overlaps the next insert.
+  const std::string dir = FreshDir("replay_tombstone");
+  {
+    auto rt = OpenOrDie(TestOptions(dir));
+    InsertOrDie(*rt, "a.xml", BookXml("alpha"));
+    ASSERT_TRUE(rt->Flush().ok());
+    InsertOrDie(*rt, "b.xml", BookXml("beta"));
+    ASSERT_TRUE(rt->Flush().ok());
+    EXPECT_EQ(InsertOrDie(*rt, "x.xml", BookXml("xray")), 2u);
+    ASSERT_TRUE(rt->Delete("x.xml").ok());
+    Status status = rt->MaybeMerge();  // a and b become ids 3 and 4
+    ASSERT_TRUE(status.ok()) << status.ToString();
+    ASSERT_EQ(rt->Stats().merges, 1u);
+    ASSERT_EQ(rt->Stats().tombstones, 1u);
+  }
+  {
+    auto rt = OpenOrDie(TestOptions(dir));
+    EXPECT_EQ(rt->Stats().tombstones, 1u);
+    EXPECT_EQ(rt->snapshot()->LiveDocuments(), 2u);
+    EXPECT_EQ(LiveNames(*rt), (std::vector<std::string>{"a.xml", "b.xml"}));
+    ASSERT_TRUE(rt->Flush().ok());  // x's run: [2, 3), all deleted
+    EXPECT_EQ(InsertOrDie(*rt, "y.xml", BookXml("yolk")), 5u);
+    ASSERT_TRUE(rt->Flush().ok());
+    Status status = rt->MaybeMerge();  // x's and y's one-document segments
+    ASSERT_TRUE(status.ok()) << status.ToString();
+    EXPECT_EQ(rt->Stats().merges, 1u);
+    EXPECT_EQ(rt->Stats().tombstones, 0u);
+    EXPECT_EQ(InsertOrDie(*rt, "z.xml", BookXml("zinc")), 7u);
+  }
+  Result<std::unique_ptr<RtIndex>> rt = RtIndex::Open(TestOptions(dir));
+  ASSERT_TRUE(rt.ok()) << rt.status().ToString();
+  EXPECT_EQ(LiveNames(**rt),
+            (std::vector<std::string>{"a.xml", "b.xml", "y.xml", "z.xml"}));
+  EXPECT_EQ((*rt)->snapshot()->LiveDocuments(), 4u);
+}
+
+TEST(RtIndexTest, ReplayedInsertOfATombstonedDocumentIsNotLive) {
+  // Without fsync a crash can lose the WAL's delete record while the
+  // MANIFEST a merge wrote keeps the tombstone. The replayed document is
+  // then dead, and a Delete of its name must not tombstone it again.
+  const std::string dir = FreshDir("replay_lost_delete");
+  {
+    auto rt = OpenOrDie(TestOptions(dir));
+    InsertOrDie(*rt, "a.xml", BookXml("alpha"));
+    ASSERT_TRUE(rt->Flush().ok());
+    InsertOrDie(*rt, "b.xml", BookXml("beta"));
+    ASSERT_TRUE(rt->Flush().ok());
+    InsertOrDie(*rt, "x.xml", BookXml("xray"));
+    ASSERT_TRUE(rt->Delete("x.xml").ok());
+    ASSERT_TRUE(rt->MaybeMerge().ok());
+  }
+  std::vector<std::string> logs;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    if (entry.path().filename().string().rfind("wal-", 0) == 0) {
+      logs.push_back(entry.path().string());
+    }
+  }
+  size_t rewritten = 0;
+  for (const std::string& log : logs) {
+    Result<WalReplay> replay = ReplayWal(log);
+    ASSERT_TRUE(replay.ok()) << replay.status().ToString();
+    if (replay->records.size() != 2) continue;  // x's insert and delete
+    fs::remove(log);
+    Result<WalWriter> writer = WalWriter::Open(log, /*fsync=*/false);
+    ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+    ASSERT_TRUE(writer->Append(replay->records[0]).ok());
+    ++rewritten;
+  }
+  ASSERT_EQ(rewritten, 1u);
+
+  auto rt = OpenOrDie(TestOptions(dir));
+  EXPECT_EQ(rt->Stats().tombstones, 1u);
+  EXPECT_EQ(rt->Stats().live_docs, 2u);
+  Result<bool> found = rt->Delete("x.xml");
+  ASSERT_TRUE(found.ok()) << found.status().ToString();
+  EXPECT_FALSE(*found);
+  EXPECT_EQ(rt->Stats().tombstones, 1u);
+  EXPECT_EQ(InsertOrDie(*rt, "x.xml", BookXml("xray")), 5u);
+  EXPECT_EQ(LiveNames(*rt),
+            (std::vector<std::string>{"a.xml", "b.xml", "x.xml"}));
+}
+
+TEST(RtIndexTest, EachInsertedDocumentIsParsedOnce) {
+  // Compaction (every 16 inserts), flush and merge append the indexes
+  // built at insert; none of them parses a document again.
+  const std::string dir = FreshDir("parsed_once");
+  Counter* parsed =
+      MetricsRegistry::Global().GetCounter("gks.index.documents_total");
+  const uint64_t before = parsed->value();
+  auto rt = OpenOrDie(TestOptions(dir));
+  std::vector<std::pair<std::string, std::string>> docs;
+  for (int i = 0; i < 36; ++i) {
+    docs.emplace_back("doc" + std::to_string(i) + ".xml",
+                      BookXml("word" + std::to_string(i)));
+    InsertOrDie(*rt, docs.back().first, docs.back().second);
+    if (i == 16) {
+      ASSERT_TRUE(rt->Flush().ok());
+    }
+  }
+  ASSERT_TRUE(rt->Flush().ok());
+  Status status = rt->MaybeMerge();
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(rt->Stats().merges, 1u);
+  EXPECT_EQ(parsed->value() - before, docs.size());
+
+  // The merged segment is still a fresh build over the same documents.
+  EXPECT_EQ(FileContents(dir + "/seg-000003.gksidx"),
+            OracleSegmentBytes(36, docs));
+  EXPECT_EQ(LiveNames(*rt).size(), docs.size());
+}
+
+/// Flushes a.xml and b.xml into seg-000001 (documents [0, 2)), applies
+/// `damage` to the MANIFEST, and expects Open to refuse the directory as
+/// Corruption naming the segment. The intact MANIFEST opens afterwards.
+void ExpectDamagedManifestFailsToOpen(
+    const std::string& dir,
+    const std::function<std::string(const std::string&)>& damage) {
+  {
+    auto rt = OpenOrDie(TestOptions(dir));
+    InsertOrDie(*rt, "a.xml", BookXml("alpha"));
+    InsertOrDie(*rt, "b.xml", BookXml("beta"));
+    ASSERT_TRUE(rt->Flush().ok());
+  }
+  const std::string manifest = FileContents(dir + "/MANIFEST");
+  ASSERT_TRUE(WriteStringToFile(dir + "/MANIFEST", damage(manifest)).ok());
+  Result<std::unique_ptr<RtIndex>> rt = RtIndex::Open(TestOptions(dir));
+  ASSERT_FALSE(rt.ok());
+  EXPECT_EQ(rt.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(rt.status().message().find("seg-000001.gksidx"), std::string::npos)
+      << rt.status().ToString();
+
+  ASSERT_TRUE(WriteStringToFile(dir + "/MANIFEST", manifest).ok());
+  auto intact = OpenOrDie(TestOptions(dir));
+  EXPECT_EQ(LiveNames(*intact), (std::vector<std::string>{"a.xml", "b.xml"}));
+  EXPECT_EQ(InsertOrDie(*intact, "c.xml", BookXml("gamma")), 2u);
+}
+
+TEST(RtIndexTest, RewoundNextDocIdFailsToOpen) {
+  // The next insert would get id 0, which seg-000001 already holds.
+  ExpectDamagedManifestFailsToOpen(
+      FreshDir("rewound"), [](const std::string& manifest) {
+        return ReplaceFirst(manifest, "\"next_doc_id\":2",
+                            "\"next_doc_id\":0");
+      });
+}
+
+TEST(RtIndexTest, RepeatedSegmentEntryFailsToOpen) {
+  // Both entries would serve documents [0, 2): every answer twice.
+  ExpectDamagedManifestFailsToOpen(
+      FreshDir("repeated"), [](const std::string& manifest) {
+        const size_t begin = manifest.find("{\"seq\"");
+        EXPECT_NE(begin, std::string::npos) << manifest;
+        if (begin == std::string::npos) return manifest;
+        const std::string entry =
+            manifest.substr(begin, manifest.find('}', begin) + 1 - begin);
+        return ReplaceFirst(manifest, entry, entry + "," + entry);
+      });
+}
+
+TEST(RtIndexTest, DirectoryWithDocstoreSidecarsOpensAndMerges) {
+  // Older versions kept a seg-NNNNNN.docs copy of each segment's XML and
+  // named it in the MANIFEST entry's `docstore` key. Such a directory
+  // opens with the same answers, the sidecars are swept as unreferenced
+  // seg-* files, and merges append the loaded indexes.
+  const std::string dir = FreshDir("docstores");
+  std::vector<std::string> before;
+  {
+    auto rt = OpenOrDie(TestOptions(dir));
+    InsertOrDie(*rt, "a.xml", BookXml("alpha"));
+    InsertOrDie(*rt, "b.xml", BookXml("beta"));
+    ASSERT_TRUE(rt->Flush().ok());
+    InsertOrDie(*rt, "c.xml", BookXml("gamma"));
+    ASSERT_TRUE(rt->Flush().ok());
+    ASSERT_TRUE(rt->Delete("b.xml").ok());
+    before = Answers(*rt, "smith");
+  }
+  ASSERT_EQ(before.size(), 2u);
+  for (const char* seg : {"seg-000001", "seg-000002"}) {
+    const std::string file = std::string(seg) + ".gksidx";
+    RewriteManifest(dir, "\"file\":\"" + file + "\"",
+                    "\"file\":\"" + file + "\",\"docstore\":\"" + seg +
+                        ".docs\"");
+    // Never read: only the magic of the old format, then filler.
+    ASSERT_TRUE(
+        WriteStringToFile(dir + "/" + seg + ".docs", "GKSDOC01\x01\x02").ok());
+  }
+  ASSERT_NE(FileContents(dir + "/MANIFEST").find("docstore"),
+            std::string::npos);
+
+  auto rt = OpenOrDie(TestOptions(dir));
+  EXPECT_FALSE(fs::exists(dir + "/seg-000001.docs"));
+  EXPECT_FALSE(fs::exists(dir + "/seg-000002.docs"));
+  EXPECT_EQ(Answers(*rt, "smith"), before);
+  EXPECT_EQ(LiveNames(*rt), (std::vector<std::string>{"a.xml", "c.xml"}));
+
+  Status status = rt->MaybeMerge();
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(rt->Stats().merges, 1u);
+  EXPECT_EQ(rt->Stats().disk_segments, 1u);
+  EXPECT_EQ(FileContents(dir + "/seg-000003.gksidx"),
+            OracleSegmentBytes(3, {{"a.xml", BookXml("alpha")},
+                                   {"c.xml", BookXml("gamma")}}));
+  EXPECT_EQ(FileContents(dir + "/MANIFEST").find("docstore"),
+            std::string::npos);
   EXPECT_EQ(LiveNames(*rt), (std::vector<std::string>{"a.xml", "c.xml"}));
 }
 

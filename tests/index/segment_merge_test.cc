@@ -1,11 +1,11 @@
-// Size-tiered merge policy + docstore merge (docs/INDEXING.md § Segment
-// lifecycle): tier bucketing, deterministic input selection, and the
-// tombstone-purging renumber with its id translation map.
+// Size-tiered merge policy (docs/INDEXING.md § Segment lifecycle): tier
+// bucketing and deterministic input selection. The merge itself — the
+// tombstone-purging renumber and its id map — is AppendDocuments, pinned
+// by the AppendDocuments property suite and RtIndexTest's merge tests.
 
 #include "index/segment_merge.h"
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -14,14 +14,6 @@ namespace gks {
 namespace {
 
 constexpr uint64_t kKiB = 1024;
-
-RtDocument Doc(uint32_t doc_id, std::string name, std::string xml) {
-  RtDocument doc;
-  doc.doc_id = doc_id;
-  doc.name = std::move(name);
-  doc.xml = std::move(xml);
-  return doc;
-}
 
 TEST(SizeTierTest, BucketsGeometrically) {
   // Tier 0 spans (0, 64KiB]; each tier above quadruples the ceiling.
@@ -69,49 +61,6 @@ TEST(PickMergeInputsTest, PicksTheSmallestMembersOldestFirstOnTies) {
   EXPECT_EQ(picked, (std::vector<size_t>{1, 3, 4}));
   // Deterministic: same input, same answer.
   EXPECT_EQ(PickMergeInputs(bytes, 3), picked);
-}
-
-TEST(MergeDocstoresTest, RenumbersSurvivorsDensely) {
-  std::vector<std::vector<RtDocument>> inputs = {
-      {Doc(5, "a.xml", "<a/>"), Doc(6, "b.xml", "<b/>")},
-      {Doc(9, "c.xml", "<c/>")},
-  };
-  std::vector<std::pair<uint32_t, uint32_t>> id_map;
-  std::vector<RtDocument> merged =
-      MergeDocstores(inputs, /*tombstones_sorted=*/{}, /*new_first=*/20,
-                     &id_map);
-  ASSERT_EQ(merged.size(), 3u);
-  EXPECT_EQ(merged[0], Doc(20, "a.xml", "<a/>"));
-  EXPECT_EQ(merged[1], Doc(21, "b.xml", "<b/>"));
-  EXPECT_EQ(merged[2], Doc(22, "c.xml", "<c/>"));
-  EXPECT_EQ(id_map, (std::vector<std::pair<uint32_t, uint32_t>>{
-                        {5, 20}, {6, 21}, {9, 22}}));
-}
-
-TEST(MergeDocstoresTest, PurgesTombstonedDocuments) {
-  std::vector<std::vector<RtDocument>> inputs = {
-      {Doc(0, "a.xml", "<a/>"), Doc(1, "b.xml", "<b/>")},
-      {Doc(2, "c.xml", "<c/>"), Doc(3, "d.xml", "<d/>")},
-  };
-  std::vector<std::pair<uint32_t, uint32_t>> id_map;
-  std::vector<RtDocument> merged =
-      MergeDocstores(inputs, /*tombstones_sorted=*/{1, 2}, /*new_first=*/0,
-                     &id_map);
-  ASSERT_EQ(merged.size(), 2u);
-  EXPECT_EQ(merged[0], Doc(0, "a.xml", "<a/>"));
-  EXPECT_EQ(merged[1], Doc(1, "d.xml", "<d/>"));
-  // The map names survivors only — a tombstone has no new id to map to.
-  EXPECT_EQ(id_map, (std::vector<std::pair<uint32_t, uint32_t>>{
-                        {0, 0}, {3, 1}}));
-}
-
-TEST(MergeDocstoresTest, AllPurgedYieldsEmptySegment) {
-  std::vector<std::vector<RtDocument>> inputs = {
-      {Doc(0, "a.xml", "<a/>")},
-  };
-  std::vector<RtDocument> merged =
-      MergeDocstores(inputs, {0}, /*new_first=*/7, nullptr);
-  EXPECT_TRUE(merged.empty());
 }
 
 }  // namespace

@@ -1,8 +1,10 @@
 // Determinism pins for the concurrency layer: parallel execution must be
 // invisible in the output. SearchBatch over a pool returns responses
 // identical to sequential Search calls; BuildIndexParallel serializes to
-// the same bytes as a sequential IndexBuilder.
+// the same bytes as a sequential IndexBuilder, on a batch corpus and on
+// every seed of the shape corpus (tests/shape_corpus.h).
 
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <utility>
@@ -14,6 +16,7 @@
 #include "index/index_builder.h"
 #include "index/parallel_build.h"
 #include "index/serialization.h"
+#include "tests/shape_corpus.h"
 #include "tests/test_util.h"
 
 namespace gks {
@@ -110,23 +113,28 @@ TEST(ParallelDeterminismTest, SearchBatchMatchesSequentialSearch) {
 }
 
 TEST(ParallelDeterminismTest, ParallelBuildIsByteIdenticalToSequential) {
-  std::vector<NamedDocument> docs = TestCorpus();
-
-  IndexBuilder sequential;
-  for (const auto& [name, xml] : docs) {
-    ASSERT_TRUE(sequential.AddDocument(xml, name).ok());
+  std::vector<std::vector<NamedDocument>> corpora = {TestCorpus()};
+  for (uint32_t seed = 1; seed <= 12; ++seed) {
+    corpora.push_back(gks::testing::ShapeCorpus(seed));
   }
-  Result<XmlIndex> expected = std::move(sequential).Finalize();
-  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
-  std::string expected_bytes = SerializeIndex(*expected);
+  for (size_t c = 0; c < corpora.size(); ++c) {
+    const std::vector<NamedDocument>& docs = corpora[c];
+    IndexBuilder sequential;
+    for (const auto& [name, xml] : docs) {
+      ASSERT_TRUE(sequential.AddDocument(xml, name).ok()) << name;
+    }
+    Result<XmlIndex> expected = std::move(sequential).Finalize();
+    ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+    std::string expected_bytes = SerializeIndex(*expected);
 
-  for (size_t threads : {size_t{0}, size_t{1}, size_t{4}}) {
-    ThreadPool pool(threads == 0 ? 1 : threads);
-    Result<XmlIndex> parallel =
-        BuildIndexParallel(docs, {}, threads == 0 ? nullptr : &pool);
-    ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
-    EXPECT_EQ(SerializeIndex(*parallel), expected_bytes)
-        << "threads=" << threads;
+    for (size_t threads : {size_t{0}, size_t{1}, size_t{4}}) {
+      ThreadPool pool(threads == 0 ? 1 : threads);
+      Result<XmlIndex> parallel =
+          BuildIndexParallel(docs, {}, threads == 0 ? nullptr : &pool);
+      ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
+      EXPECT_EQ(SerializeIndex(*parallel), expected_bytes)
+          << "corpus " << c << ", threads=" << threads;
+    }
   }
 }
 
